@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimators as est, problem as pb, subsolver as ss
-from .driver import (RunReport, RunRow, _observed, mark_fraction,
-                     relative_control_error)
+from .driver import (RunReport, RunRow, _observed, log_beta_step,
+                     mark_fraction, relative_control_error)
 from .fem import Field, interpolate_onto, qspace, vspace
 from .mesh import refine, uniform_mesh
 
@@ -70,23 +70,11 @@ def _gn_fit(problem, data, mesh, beta, q_start, u_warm, cfg, data_cache):
     obs_data = _observed(data, mesh, data_cache)
     u = pb.solve_forward(problem, q, V, tol=cfg.forward_tol, u_init=u_warm)
 
-    if isinstance(data.obs, pb.PointObs):
-        C = data.obs.matrix(V)
-        gvec = np.asarray(obs_data)
-
-        def misfit(u_f):
-            r = C @ u_f.coeffs - gvec
-            return float(r @ r)
-    else:
-        inc = ss._v_to_q(V, Q)
-        MQ = Q.mass()
-
-        def misfit(u_f):
-            r = inc @ u_f.coeffs - obs_data.coeffs
-            return float(r @ (MQ @ r))
+    # |C u - g_delta|_G^2 is the linearized misfit about the zero state.
+    misfit = ss._observation_blocks(data.obs, obs_data, V, Q, V.zeros())[3]
 
     def j_value(q_f, u_f):
-        mis = misfit(u_f)
+        mis = misfit(u_f.coeffs)[0]
         dq = q_f.coeffs - q0.coeffs
         return mis + (dq @ (Q.mass() @ dq)) / beta, mis
 
@@ -160,11 +148,7 @@ def run_nt(problem: pb.ModelProblem, data: pb.NoisyData, cfg: NtConfig) -> RunRe
                 lo = hi = None
                 u_warm = None
                 continue
-        if disc2 > band[1]:
-            direction = "up"
-        elif disc2 < band[0]:
-            direction = "down"
-        else:
+        if band[0] <= disc2 <= band[1]:
             termination = "discrepancy"
             rows[-1].phase = "accept"
             break
@@ -174,13 +158,8 @@ def run_nt(problem: pb.ModelProblem, data: pb.NoisyData, cfg: NtConfig) -> RunRe
             termination = "beta-search-failure"
             break
         rows[-1].phase = "beta"
-        lb = np.log10(beta)
-        if direction == "up":
-            lo = lb if lo is None else max(lo, lb)
-            lb_new = 0.5 * (lo + hi) if hi is not None else lb + 1.0
-        else:
-            hi = lb if hi is None else min(hi, lb)
-            lb_new = 0.5 * (lo + hi) if lo is not None else lb - 1.0
+        lb_new, lo, hi = log_beta_step(np.log10(beta), disc2 > band[1],
+                                       lo, hi)
         beta = 10.0**lb_new
         if not (cfg.beta_min <= beta <= cfg.beta_max):
             warnings.append(f"beta left the search range at {beta:.3e}")
@@ -188,13 +167,11 @@ def run_nt(problem: pb.ModelProblem, data: pb.NoisyData, cfg: NtConfig) -> RunRe
             break
 
     wall = time.perf_counter() - t0  # reporting excluded
-    report = RunReport(
+    return RunReport(
         rows=rows, q_final=q, u_final=u, beta_final=beta,
         rho_final=float("nan"), nodes_final=mesh.n_vertices,
         outer_iterations=n_beta, termination=termination,
         wall_time=wall, delta=data.delta,
         control_error=relative_control_error(q, data),
         max_identity_dev=0.0, monotonicity=[], warnings=warnings,
-        method="NT")
-    report.total_forward_solves = total_forward
-    return report
+        method="NT", total_forward_solves=total_forward)

@@ -185,7 +185,7 @@ def cmd_table(exp, ggn, nt, args) -> int:
         w.writerow(_TABLE_COLUMNS)
         w.writerows(rows)
     print(f"wrote {path} ({len(rows)} rows)")
-    return 0
+    return 0 if all(row[2] == "discrepancy" for row in rows) else 1
 
 
 def cmd_theory_check(exp, ggn, nt, args) -> int:

@@ -35,11 +35,11 @@ from .mesh import QuadMesh, refine, uniform_mesh, write_mesh_vtk
 
 __all__ = [
     "GgnConfig",
-    "GgnState",
     "RunRow",
     "RunReport",
     "BetaSearchError",
     "mark_fraction",
+    "log_beta_step",
     "run_ggn",
     "check_monotonicity",
     "relative_control_error",
@@ -107,19 +107,6 @@ class GgnConfig:
 
 
 @dataclass
-class GgnState:
-    """Snapshot of the iteration between outer steps."""
-
-    k: int
-    mesh: QuadMesh
-    q_old: Field
-    u_old: Field
-    beta: float
-    rho: float
-    i3h: float
-
-
-@dataclass
 class RunRow:
     k: int
     phase: str
@@ -152,6 +139,7 @@ class RunReport:
     i3h_final: float = float("nan")
     warnings: list = dc_field(default_factory=list)
     method: str = "GGN"
+    total_forward_solves: int = 0  # nonlinear forward solves (NT only)
 
     @property
     def accepted_rows(self):
@@ -174,6 +162,21 @@ def mark_fraction(indicators: np.ndarray, fraction: float):
     return marked
 
 
+def log_beta_step(lb: float, raise_beta: bool, lo, hi):
+    """One bracket/bisect step on log10(beta).
+
+    ``lo``/``hi`` bracket the band from below/above (None while open);
+    the misfit decreases in beta, so a misfit above the band raises
+    beta.  The step widens by one decade until the bracket closes, then
+    bisects.  Returns (new log10(beta), lo, hi).
+    """
+    if raise_beta:
+        lo = lb if lo is None else max(lo, lb)
+        return (0.5 * (lo + hi) if hi is not None else lb + 1.0), lo, hi
+    hi = lb if hi is None else min(hi, lb)
+    return (0.5 * (lo + hi) if lo is not None else lb - 1.0), lo, hi
+
+
 def _observed(data: pb.NoisyData, mesh: QuadMesh, cache: dict):
     """Data in the form build_subproblem expects, per mesh."""
     if isinstance(data.obs, pb.PointObs):
@@ -183,37 +186,26 @@ def _observed(data: pb.NoisyData, mesh: QuadMesh, cache: dict):
     return cache[mesh.uid]
 
 
-def _i3h(problem, data, mesh, q_old, u_old, rho, cache) -> float:
-    """Misfit at the base point plus rho times the state-residual dual norm."""
-    sub_data = _observed(data, mesh, cache)
-    V, Q = vspace(mesh), qspace(mesh)
-    u_old_h = interpolate_onto(u_old, mesh)
-    _, _, _, misfit = ss._observation_blocks(data.obs, sub_data, V, Q, u_old_h)
-    mis = misfit(np.zeros(V.dim))[0]
-    res = pb.semilinear_residual(problem, q_old, u_old, V)
-    return mis + rho * fem.riesz_dual_norm(V, res)[0]
+def _minus(a: Field, b: Field) -> Field:
+    """a - b on a's mesh, which must refine b's."""
+    return Field(a.space, a.coeffs - interpolate_onto(b, a.mesh).coeffs)
 
 
 def relative_control_error(q_h: Field, data: pb.NoisyData) -> float:
     """|q_h - q_true|_Q / |q_true|_Q on the fine simulation mesh."""
     qt = data.q_true
     try:
-        qh_fine = interpolate_onto(q_h, qt.mesh)
-        diff = Field(qt.space, qh_fine.coeffs - qt.coeffs)
-        return diff.norm_l2() / qt.norm_l2()
+        return _minus(qt, q_h).norm_l2() / qt.norm_l2()
     except ValueError:
         # Solver mesh locally finer than the simulation mesh: compare there.
         qt_c = interpolate_onto(qt, q_h.mesh)
-        diff = Field(q_h.space, q_h.coeffs - qt_c.coeffs)
-        return diff.norm_l2() / qt_c.norm_l2()
+        return _minus(q_h, qt_c).norm_l2() / qt_c.norm_l2()
 
 
 def monotonicity_rhs(q0: Field, u0: Field, data: pb.NoisyData) -> float:
     """|q_true - q0|_Q^2 + |u_true - u0|_V^2 on the simulation mesh."""
-    qt, ut = data.q_true, data.u_true
-    dq_t = Field(qt.space, qt.coeffs - interpolate_onto(q0, qt.mesh).coeffs)
-    du_t = Field(ut.space, ut.coeffs - interpolate_onto(u0, ut.mesh).coeffs)
-    return dq_t.norm_l2() ** 2 + du_t.norm_h1semi() ** 2
+    return (_minus(data.q_true, q0).norm_l2() ** 2
+            + _minus(data.u_true, u0).norm_h1semi() ** 2)
 
 
 def check_monotonicity(q_h: Field, u_h: Field, q0: Field, u0: Field,
@@ -223,9 +215,7 @@ def check_monotonicity(q_h: Field, u_h: Field, q0: Field, u0: Field,
     |q_h - q0|_Q^2 + |u_h - u0|_V^2 <= |q_true - q0|^2 + |u_true - u0|^2
     with the V-norm taken as the H^1_0 seminorm.
     """
-    dq = Field(q_h.space, q_h.coeffs - interpolate_onto(q0, q_h.mesh).coeffs)
-    du = Field(u_h.space, u_h.coeffs - interpolate_onto(u0, u_h.mesh).coeffs)
-    lhs = dq.norm_l2() ** 2 + du.norm_h1semi() ** 2
+    lhs = _minus(q_h, q0).norm_l2() ** 2 + _minus(u_h, u0).norm_h1semi() ** 2
     if rhs is None:
         rhs = monotonicity_rhs(q0, u0, data)
     return lhs <= rhs * (1.0 + 1e-12)
@@ -256,41 +246,38 @@ class _Run:
         self.beta = cfg.beta0
         self.beta_floor = cfg.beta0
         self.mono_rhs = None
+        self.sub = None  # subproblem at the current mesh and base point
         z0 = ss.adjoint_at_base(problem, self.mesh, self.u_old, data.obs,
                                 self.observed())
         self.rho = ss.adjoint_w_norm(z0)
-        self.i3h = _i3h(problem, data, self.mesh, self.q_old, self.u_old,
-                        self.rho, self.data_cache)
+        self.i3h = est.compute_i3h(self.subproblem(), self.rho)
         self.k = 0
 
     def observed(self):
         return _observed(self.data, self.mesh, self.data_cache)
 
-    def snapshot(self) -> GgnState:
-        return GgnState(k=self.k, mesh=self.mesh, q_old=self.q_old,
-                        u_old=self.u_old, beta=self.beta, rho=self.rho,
-                        i3h=self.i3h)
-
-    def solve(self):
+    def subproblem(self):
         # Operators depend on (mesh, base point) only; across beta trials
         # just the regularization block of the KKT matrix changes.
-        key = (self.mesh.uid, id(self.q_old), id(self.u_old))
-        if getattr(self, "_sub_key", None) != key:
-            self._sub_base = ss.build_subproblem(
+        sub = self.sub
+        if (sub is None or sub.mesh is not self.mesh
+                or sub.q_old is not self.q_old or sub.u_old is not self.u_old):
+            sub = ss.build_subproblem(
                 self.problem, self.mesh, self.q_old, self.u_old, self.q0,
                 self.data.obs, self.observed(), self.beta)
-            self._sub_key = key
-        sub = self._sub_base
-        if sub.beta != self.beta:
+        elif sub.beta != self.beta:
             sub = dataclasses.replace(sub, beta=self.beta)
-            self._sub_base = sub
+        self.sub = sub
+        return sub
+
+    def solve(self):
+        sub = self.subproblem()
         return sub, ss.solve_kkt(sub)
 
     def log(self, phase, sub, sol, eta1=float("nan"), eta2=float("nan"),
             i4h=float("nan"), check_identity=False):
         i2h = sol.misfit_sq()
-        reg = est._reg_term(sub, sol)
-        i1h = est._field_misfit_sq(sub, sol) + reg
+        i1h, reg = est.compute_i1h(sub, sol)
         if check_identity:
             self.identity_devs.append(abs(i1h - i2h - reg))
         self.rows.append(RunRow(
@@ -355,13 +342,8 @@ class _Run:
                     f"no beta found in {cfg.max_beta_steps} updates "
                     f"(I2h={i2h:.3e}, I3h={self.i3h:.3e})")
             self.log("beta", sub, sol, eta2=eta2)
-            lb = np.log10(self.beta)
-            if i2h > cfg.theta_high * self.i3h:
-                lo = lb if lo is None else max(lo, lb)
-                lb_new = 0.5 * (lo + hi) if hi is not None else lb + 1.0
-            else:
-                hi = lb if hi is None else min(hi, lb)
-                lb_new = 0.5 * (lo + hi) if lo is not None else lb - 1.0
+            lb_new, lo, hi = log_beta_step(
+                np.log10(self.beta), i2h > cfg.theta_high * self.i3h, lo, hi)
             lb_new = max(lb_new, floor)
             self.beta = 10.0**lb_new
             if not (cfg.beta_min <= self.beta <= cfg.beta_max):
@@ -445,8 +427,7 @@ def run_ggn(problem: pb.ModelProblem, data: pb.NoisyData, cfg: GgnConfig,
             run.q_old, run.u_old, run.q0, vspace(run.mesh).zeros(), data,
             rhs=run.mono_rhs))
         run.t0 += time.perf_counter() - t_diag  # diagnostics are untimed
-        run.i3h = _i3h(problem, data, run.mesh, run.q_old, run.u_old,
-                       run.rho, run.data_cache)
+        run.i3h = est.compute_i3h(run.subproblem(), run.rho)
     return run.finalize("discrepancy")
 
 

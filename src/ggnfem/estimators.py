@@ -27,7 +27,6 @@ import numpy as np
 
 from . import fem, problem as pb
 from .fem import Field, patch_interpolate
-from .mesh import locate
 from .subsolver import AuxTriple, KktSolution, LinearizedSubproblem
 
 __all__ = [
@@ -35,7 +34,8 @@ __all__ = [
     "compute_qoi",
     "estimate_eta1",
     "estimate_eta2",
-    "estimate_wstar_error",
+    "compute_i1h",
+    "compute_i3h",
 ]
 
 _NQ = fem.NQ_WEIGHTED
@@ -54,7 +54,7 @@ class Qoi:
     rho: float
     beta: float
 
-    def check_identity(self, reg_term: float, tol: float = 1e-12) -> float:
+    def check_identity(self, reg_term: float) -> float:
         """|I1h - I2h - (1/beta)|q-q0|^2| against the given term."""
         return abs(self.i1h - self.i2h - reg_term)
 
@@ -67,48 +67,31 @@ class _CellData:
     """Per-cell quadrature values of the fields entering the pairings."""
 
     def __init__(self, sub: LinearizedSubproblem, sol: KktSolution):
-        mesh = sub.mesh
-        self.mesh = mesh
-        self.sub = sub
-        self.pts, self.wts, _, self.grads_ref = fem._cell_quad_data(mesh, _NQ)
-        self.h = mesh.cell_sizes()
+        self.mesh = sub.mesh
+        self.pts, self.wts, _, self.grads_ref = fem._cell_quad_data(_NQ)
+        self.h = self.mesh.cell_sizes()
         self.h2 = self.h**2
+        self.q_h = self.vals(sol.q)
+        self.q0 = self.vals(sub.q0)
+        self.u_old = self.vals(sub.u_old_h)
+        self.v = self.vals(sol.v)
+        self.z = self.vals(sol.z)
+        self.grad_z = self.grads(sol.z)
+        self.grad_u = self.grads(sol.u)
 
-        def vals(field):
-            return fem._cell_values(field, mesh, _NQ)
+    def vals(self, field: Field) -> np.ndarray:
+        """Values at the quadrature points, (n_cells, n_qp)."""
+        return fem._cell_values(field, self.mesh, _NQ)
 
-        def grads(field):
-            cv = field.full_values()[mesh.cell_corners]
-            g = np.einsum("ci,qid->cqd", cv, self.grads_ref)
-            return g / self.h[:, None, None]
-
-        self.q_h = vals(sol.q)
-        self.q0 = vals(sub.q0)
-        self.q_old = vals(sub.q_old_h)
-        self.u_old = vals(sub.u_old_h)
-        self.v = vals(sol.v)
-        self.z = vals(sol.z)
-        self.grad_z = grads(sol.z)
-        self.grad_u = grads(sol.u)
-        self._vals = vals
-        self._grads = grads
+    def grads(self, field: Field) -> np.ndarray:
+        """Physical gradients at the quadrature points, (n_cells, n_qp, 2)."""
+        cv = field.full_values()[self.mesh.cell_corners]
+        g = np.einsum("ci,qid->cqd", cv, self.grads_ref)
+        return g / self.h[:, None, None]
 
     def integrate(self, integrand: np.ndarray) -> np.ndarray:
         """Cellwise integrals of (n_cells, n_qp) integrand values."""
         return np.einsum("c,cq,q->c", self.h2, integrand, self.wts)
-
-
-def _point_locations(mesh, obs):
-    """Cached (cell ids, local coordinates) of the observation points."""
-    cache = fem._mesh_cache(mesh)
-    key = ("obs_pts", id(obs))
-    if key not in cache:
-        cids = np.empty(obs.n_obs, dtype=np.int64)
-        locs = np.empty((obs.n_obs, 2))
-        for i, p in enumerate(obs.points):
-            cids[i], locs[i] = locate(mesh, p)
-        cache[key] = (cids, locs)
-    return cache[key]
 
 
 def _obs_pairing(sub: LinearizedSubproblem, gvec, weight, cells: _CellData) -> np.ndarray:
@@ -120,12 +103,11 @@ def _obs_pairing(sub: LinearizedSubproblem, gvec, weight, cells: _CellData) -> n
     """
     if isinstance(sub.obs, pb.PointObs):
         out = np.zeros(sub.mesh.n_cells)
-        cids, locs = _point_locations(sub.mesh, sub.obs)
+        cids, locs = fem.point_locations(sub.mesh, sub.obs.points)
         wv, _ = weight.eval_pairs(cids, locs)
         np.add.at(out, cids, np.asarray(gvec) * wv)
         return out
-    gfield = Field(sub.Q, np.asarray(gvec, dtype=float))
-    gq = fem._cell_values(gfield, sub.mesh, _NQ)
+    gq = cells.vals(Field(sub.Q, np.asarray(gvec, dtype=float)))
     wv, _ = weight.eval_all(cells.pts)
     return cells.integrate(gq * wv)
 
@@ -161,6 +143,10 @@ def _lagrangian_cells(sub: LinearizedSubproblem, sol: KktSolution,
     return t_q + t_u + t_z
 
 
+def _patch_weights(*fields):
+    return tuple(patch_interpolate(f) for f in fields)
+
+
 def estimate_eta1(sol: KktSolution, sub: LinearizedSubproblem,
                   weights=None):
     """DWR estimate of I1 - I1h with cellwise refinement indicators.
@@ -170,11 +156,7 @@ def estimate_eta1(sol: KktSolution, sub: LinearizedSubproblem,
     """
     cells = _CellData(sub, sol)
     if weights is None:
-        weights = (
-            patch_interpolate(sol.q),
-            patch_interpolate(sol.u),
-            patch_interpolate(sol.z),
-        )
+        weights = _patch_weights(sol.q, sol.u, sol.z)
     contrib = 0.5 * _lagrangian_cells(sub, sol, cells, weights)
     return float(contrib.sum()), np.abs(contrib)
 
@@ -189,30 +171,20 @@ def estimate_eta2(sol: KktSolution, sub: LinearizedSubproblem, aux: AuxTriple,
     """
     cells = _CellData(sub, sol)
     if weights is None:
-        weights = (
-            patch_interpolate(sol.q),
-            patch_interpolate(sol.u),
-            patch_interpolate(sol.z),
-        )
+        weights = _patch_weights(sol.q, sol.u, sol.z)
     if aux_weights is None:
-        aux_weights = (
-            patch_interpolate(aux.q),
-            patch_interpolate(aux.v),
-            patch_interpolate(aux.z),
-        )
+        aux_weights = _patch_weights(aux.q, aux.v, aux.z)
     wq, wu, wz = weights
     wq_v, _ = wq.eval_all(cells.pts)
     wu_v, wu_g = wu.eval_all(cells.pts)
     wz_v, wz_g = wz.eval_all(cells.pts)
     zeta = sub.problem.zeta
 
-    q1 = fem._cell_values(aux.q, sub.mesh, _NQ)
-    v1 = fem._cell_values(aux.v, sub.mesh, _NQ)
-    z1 = fem._cell_values(aux.z, sub.mesh, _NQ)
-    cv = aux.v.full_values()[sub.mesh.cell_corners]
-    gv1 = np.einsum("ci,qid->cqd", cv, cells.grads_ref) / cells.h[:, None, None]
-    cz = aux.z.full_values()[sub.mesh.cell_corners]
-    gz1 = np.einsum("ci,qid->cqd", cz, cells.grads_ref) / cells.h[:, None, None]
+    q1 = cells.vals(aux.q)
+    v1 = cells.vals(aux.v)
+    z1 = cells.vals(aux.z)
+    gv1 = cells.grads(aux.v)
+    gz1 = cells.grads(aux.z)
 
     r_lin = sub.misfit(sol.v.coeffs)[1]
 
@@ -252,16 +224,28 @@ def compute_qoi(sub: LinearizedSubproblem, sol: KktSolution, rho: float,
     evaluated here on the current mesh.
     """
     i2h = sol.misfit_sq()
-    i1h = _field_misfit_sq(sub, sol) + _reg_term(sub, sol)
+    i1h, _ = compute_i1h(sub, sol)
     if i3h is None:
-        i3h = (
-            sub.misfit(np.zeros(sub.V.dim))[0]
-            + rho * sub.state_residual_norm()
-        )
+        i3h = compute_i3h(sub, rho)
     new_res = pb.semilinear_residual(sub.problem, sol.q, sol.u, sub.V)
     i4h = i2h + rho * fem.riesz_dual_norm(sub.V, new_res)[0]
     return Qoi(i1h=i1h, i2h=i2h, i3h=i3h, i4h=i4h, eta1=eta1, eta2=eta2,
                rho=rho, beta=sub.beta)
+
+
+def compute_i1h(sub: LinearizedSubproblem, sol: KktSolution):
+    """I1h by the field route, with its regularization term.
+
+    Returns (I1h, (1/beta)|q - q0|_Q^2).
+    """
+    reg = _reg_term(sub, sol)
+    return _field_misfit_sq(sub, sol) + reg, reg
+
+
+def compute_i3h(sub: LinearizedSubproblem, rho: float) -> float:
+    """I3h at the subproblem's base point: the misfit of u_old plus rho
+    times the dual norm of the state residual A(q_old, u_old) - f."""
+    return sub.misfit(np.zeros(sub.V.dim))[0] + rho * sub.state_residual_norm()
 
 
 def _reg_term(sub: LinearizedSubproblem, sol: KktSolution) -> float:
@@ -282,41 +266,6 @@ def _field_misfit_sq(sub: LinearizedSubproblem, sol: KktSolution) -> float:
     mesh = sub.mesh
     uq = fem._cell_values(sol.u, mesh, _NQ)
     gq = fem._cell_values(sub.data_g, mesh, _NQ)
-    pts, wts, _, _ = fem._cell_quad_data(mesh, _NQ)
+    pts, wts, _, _ = fem._cell_quad_data(_NQ)
     h2 = mesh.cell_sizes() ** 2
     return float(np.einsum("c,cq,q->", h2, (uq - gq) ** 2, wts))
-
-
-def estimate_wstar_error(space, grad_part, value_part):
-    """Goal-oriented estimate of |E|_{W*} - |E|_{W_h*} (diagnostic).
-
-    The functional is given by its integrand, <E, phi> =
-    int grad_part . grad phi + value_part phi, as (n_cells, n_qp, 2) /
-    (n_cells, n_qp) arrays on the space's mesh.  Uses the normalized
-    Riesz representer as its own dual weight, so no extra system is
-    solved.
-    """
-    mesh = space.mesh
-    pts, wts, shapes, grads_ref = fem._cell_quad_data(mesh, _NQ)
-    h = mesh.cell_sizes()
-    h2 = h**2
-
-    cell_loads = np.einsum("c,cqd,qid,q->ci", h, grad_part, grads_ref, wts)
-    cell_loads += np.einsum("c,cq,qi,q->ci", h2, value_part, shapes, wts)
-    full = np.zeros(mesh.n_vertices)
-    np.add.at(full, mesh.cell_corners.ravel(), cell_loads.ravel())
-    func = space.T.T @ full
-
-    norm, v_h = fem.riesz_dual_norm(space, func)
-    if norm == 0.0:
-        return 0.0
-    w_h = Field(space, v_h.coeffs / norm)
-    Ww = patch_interpolate(w_h)
-    wv, wg = Ww.eval_all(pts)
-
-    pair_e = np.einsum("c,cqd,cqd,q->", h2, grad_part, wg, wts)
-    pair_e += np.einsum("c,cq,cq,q->", h2, value_part, wv, wts)
-    cv = v_h.full_values()[mesh.cell_corners]
-    gv = np.einsum("ci,qid->cqd", cv, grads_ref) / h[:, None, None]
-    pair_v = np.einsum("c,cqd,cqd,q->", h2, gv, wg, wts)
-    return float(0.5 * pair_e - 0.5 * pair_v)

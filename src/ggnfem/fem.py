@@ -10,16 +10,28 @@ and stay symmetric.
 Old iterates keep their own (coarser) meshes; because refinement is
 nested, re-interpolating a field onto any refinement of its mesh is
 pointwise exact, so cross-mesh evaluation carries no projection error.
+
+Everything derived from one mesh -- the condensation of each space, its
+assembled operators and LU factors, the cell origin tables, observation
+matrices and point locations, and the containment maps into finer
+meshes -- is cached in one per-mesh context (``_cached``).  Contexts sit
+in a ``WeakKeyDictionary`` keyed by the mesh and hold nothing that
+refers back to it, so each one dies with its mesh.  For the same reason
+a ``Space`` is a light view over its context entry and is rebuilt on
+demand rather than cached itself.
 """
 
 from __future__ import annotations
+
+import functools
+import weakref
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.polynomial.legendre import leggauss
 
-from .mesh import QuadMesh, locate
+from .mesh import QuadMesh, locate, write_mesh_vtk
 
 __all__ = [
     "Space",
@@ -30,8 +42,11 @@ __all__ = [
     "assemble_weighted_mass",
     "assemble_functional",
     "riesz_dual_norm",
-    "evaluate_cross_mesh",
+    "bilinear",
+    "point_locations",
+    "point_matrix",
     "interpolate_onto",
+    "v_to_q",
     "patch_interpolate",
     "PatchWeight",
     "write_field_vtk",
@@ -54,32 +69,90 @@ def gauss_points(n: int):
 
 
 def shape_values(pts: np.ndarray) -> np.ndarray:
-    """Bilinear basis (SW,SE,NW,NE) at local points, shape (npts, 4)."""
-    s, t = pts[:, 0], pts[:, 1]
-    return np.column_stack(
-        [(1 - s) * (1 - t), s * (1 - t), (1 - s) * t, s * t]
-    )
+    """Bilinear basis (SW,SE,NW,NE) at local points (..., 2), shape (..., 4)."""
+    s, t = pts[..., 0], pts[..., 1]
+    s1, t1 = 1 - s, 1 - t
+    # Filling a preallocated array is several times faster than np.stack
+    # on the large point sets of the L^2 data restriction.
+    out = np.empty(s.shape + (4,))
+    for i, (a, b) in enumerate(((s1, t1), (s, t1), (s1, t), (s, t))):
+        np.multiply(a, b, out=out[..., i])
+    return out
 
 
 def shape_gradients(pts: np.ndarray) -> np.ndarray:
-    """Reference gradients, shape (npts, 4, 2)."""
-    s, t = pts[:, 0], pts[:, 1]
-    g = np.empty((len(pts), 4, 2))
-    g[:, 0, 0] = -(1 - t)
-    g[:, 1, 0] = 1 - t
-    g[:, 2, 0] = -t
-    g[:, 3, 0] = t
-    g[:, 0, 1] = -(1 - s)
-    g[:, 1, 1] = -s
-    g[:, 2, 1] = 1 - s
-    g[:, 3, 1] = s
-    return g
+    """Reference gradients at local points (..., 2), shape (..., 4, 2)."""
+    s, t = pts[..., 0], pts[..., 1]
+    ds = np.stack([-(1 - t), 1 - t, -t, t], axis=-1)
+    dt = np.stack([-(1 - s), -s, 1 - s, s], axis=-1)
+    return np.stack([ds, dt], axis=-1)
+
+
+def bilinear(corner_vals: np.ndarray, pts: np.ndarray, h=None):
+    """Q1 values at local cell points from the cell corner values.
+
+    ``corner_vals`` (..., 4) and ``pts`` (..., 2) broadcast against each
+    other.  Given the cell sizes ``h`` (broadcasting to the value shape),
+    also returns the physical gradients, shape (..., 2).
+    """
+    vals = np.einsum("...i,...i->...", corner_vals, shape_values(pts))
+    if h is None:
+        return vals
+    # One contraction per direction: einsum is several times slower on
+    # "...i,...id->...d", and optimize=True costs more than it saves on
+    # the small meshes of the adaptive loop.
+    g = shape_gradients(pts)
+    grads = np.stack([np.einsum("...i,...i->...", corner_vals, g[..., d])
+                      for d in (0, 1)], axis=-1)
+    return vals, grads / np.asarray(h)[..., None]
+
+
+# mesh -> {key: object derived from that mesh alone}; see the module
+# docstring.  No value may refer to its mesh, or the entry would never die.
+_CONTEXTS = weakref.WeakKeyDictionary()
+
+
+def _cached(mesh: QuadMesh, key: tuple, build):
+    """The per-mesh context entry under key, built by build() on first use."""
+    entries = _CONTEXTS.setdefault(mesh, {})
+    if key not in entries:
+        entries[key] = build()
+    return entries[key]
+
+
+def _condensation(mesh: QuadMesh, kind: str):
+    """Free vertices of a space and its inclusion matrix T."""
+    nv = mesh.n_vertices
+    free_mask = np.ones(nv, dtype=bool)
+    free_mask[list(mesh.hanging)] = False
+    if kind == "V":
+        free_mask &= ~mesh.boundary
+    free = np.nonzero(free_mask)[0]
+    col_of = -np.ones(nv, dtype=np.int64)
+    col_of[free] = np.arange(len(free))
+
+    rows, cols, vals = [], [], []
+    for v in range(nv):
+        if col_of[v] >= 0:
+            rows.append(v)
+            cols.append(col_of[v])
+            vals.append(1.0)
+        elif v in mesh.hanging:
+            for p in mesh.hanging[v]:
+                if col_of[p] >= 0:
+                    rows.append(v)
+                    cols.append(col_of[p])
+                    vals.append(0.5)
+    T = sp.csr_matrix((vals, (rows, cols)), shape=(nv, len(free)))
+    return free, T
 
 
 class Space:
     """Q1 space on a mesh with hanging constraints condensed.
 
     ``kind`` is "V" (zero trace on the boundary) or "Q" (free boundary).
+    The condensation and the operators live in the mesh's context, so
+    every Space of the same mesh and kind shares them.
     """
 
     def __init__(self, mesh: QuadMesh, kind: str):
@@ -87,35 +160,9 @@ class Space:
             raise ValueError("kind must be 'V' or 'Q'")
         self.mesh = mesh
         self.kind = kind
-
-        nv = mesh.n_vertices
-        free_mask = np.ones(nv, dtype=bool)
-        for h in mesh.hanging:
-            free_mask[h] = False
-        if kind == "V":
-            free_mask &= ~mesh.boundary
-        self.free = np.nonzero(free_mask)[0]
+        self.free, self.T = _cached(mesh, ("space", kind),
+                                    lambda: _condensation(mesh, kind))
         self.dim = len(self.free)
-        col_of = -np.ones(nv, dtype=np.int64)
-        col_of[self.free] = np.arange(self.dim)
-
-        rows, cols, vals = [], [], []
-        for v in range(nv):
-            if col_of[v] >= 0:
-                rows.append(v)
-                cols.append(col_of[v])
-                vals.append(1.0)
-            elif v in mesh.hanging:
-                for p in mesh.hanging[v]:
-                    if col_of[p] >= 0:
-                        rows.append(v)
-                        cols.append(col_of[p])
-                        vals.append(0.5)
-        self.T = sp.csr_matrix(
-            (vals, (rows, cols)), shape=(nv, self.dim)
-        )
-        self._col_of = col_of
-        self._cache = {}
 
     def expand(self, coeffs: np.ndarray) -> np.ndarray:
         """Free coefficients -> continuous all-vertex values."""
@@ -130,37 +177,41 @@ class Space:
         return Field(self, np.asarray(f(xy[:, 0], xy[:, 1]), dtype=float))
 
     def stiffness(self) -> sp.csr_matrix:
-        if "K" not in self._cache:
-            self._cache["K"] = assemble_stiffness(self)
-        return self._cache["K"]
+        return _cached(self.mesh, ("stiffness", self.kind),
+                       lambda: assemble_stiffness(self))
 
     def mass(self) -> sp.csr_matrix:
-        if "M" not in self._cache:
-            self._cache["M"] = assemble_mass(self, self)
-        return self._cache["M"]
+        return _cached(self.mesh, ("mass", self.kind),
+                       lambda: assemble_mass(self, self))
 
     def stiffness_solver(self):
-        if "Klu" not in self._cache:
-            self._cache["Klu"] = spla.splu(self.stiffness().tocsc())
-        return self._cache["Klu"]
+        return _cached(self.mesh, ("stiffness_lu", self.kind),
+                       lambda: spla.splu(self.stiffness().tocsc()))
+
+    def mass_solver(self):
+        return _cached(self.mesh, ("mass_lu", self.kind),
+                       lambda: spla.splu(self.mass().tocsc()))
 
     def __repr__(self):
         return f"Space({self.kind}, dim={self.dim}, mesh={self.mesh!r})"
 
 
-def _spaces(mesh: QuadMesh):
-    """Memoized (V, Q) space pair for a mesh."""
-    if not hasattr(mesh, "_space_pair"):
-        mesh._space_pair = (Space(mesh, "V"), Space(mesh, "Q"))
-    return mesh._space_pair
-
-
 def vspace(mesh: QuadMesh) -> Space:
-    return _spaces(mesh)[0]
+    return Space(mesh, "V")
 
 
 def qspace(mesh: QuadMesh) -> Space:
-    return _spaces(mesh)[1]
+    return Space(mesh, "Q")
+
+
+def v_to_q(mesh: QuadMesh) -> sp.csr_matrix:
+    """Inclusion of V coefficients into Q coefficients on one mesh.
+
+    Q coefficients are plain vertex values at Q's free vertices, so the
+    inclusion is the V expansion matrix restricted to those rows.
+    """
+    return _cached(mesh, ("v_to_q",), lambda: (
+        vspace(mesh).T.tocsr()[qspace(mesh).free, :]).tocsr())
 
 
 class Field:
@@ -189,20 +240,8 @@ class Field:
 
     def eval_points(self, points: np.ndarray) -> np.ndarray:
         """Pointwise evaluation anywhere in the closed unit square."""
-        full = self.full_values()
-        mesh = self.mesh
-        points = np.atleast_2d(points)
-        out = np.empty(len(points))
-        for i, p in enumerate(points):
-            cid, (s, t) = locate(mesh, p)
-            c = full[mesh.cell_corners[cid]]
-            out[i] = (
-                c[0] * (1 - s) * (1 - t)
-                + c[1] * s * (1 - t)
-                + c[2] * (1 - s) * t
-                + c[3] * s * t
-            )
-        return out
+        cids, locs = _locate_all(self.mesh, np.atleast_2d(points))
+        return bilinear(self.full_values()[self.mesh.cell_corners[cids]], locs)
 
     def norm_l2(self) -> float:
         M = self.space.mass()
@@ -217,68 +256,107 @@ class Field:
 
 
 # ---------------------------------------------------------------------------
+# point evaluation
+
+
+def _locate_all(mesh: QuadMesh, points: np.ndarray):
+    """(cell ids, local coordinates) of each point, uncached."""
+    located = [locate(mesh, p) for p in points]
+    cids = np.array([cid for cid, _ in located], dtype=np.int64)
+    locs = np.array([st for _, st in located], dtype=float).reshape(-1, 2)
+    return cids, locs
+
+
+def _points_key(points: np.ndarray) -> tuple:
+    points = np.ascontiguousarray(points, dtype=float)
+    return points.shape, points.tobytes()
+
+
+def point_locations(mesh: QuadMesh, points: np.ndarray):
+    """(cell ids, local coordinates) of observation points on a mesh.
+
+    Cached in the mesh's context under the point coordinates themselves.
+    """
+    return _cached(mesh, ("points",) + _points_key(points),
+                   lambda: _locate_all(mesh, points))
+
+
+def point_matrix(space: Space, points: np.ndarray) -> sp.csr_matrix:
+    """Sparse C with (C c)_i the value at points[i] of the field with
+    coefficients c on the space; cached like ``point_locations``."""
+    def build():
+        mesh = space.mesh
+        cids, locs = point_locations(mesh, points)
+        full = sp.csr_matrix(
+            (shape_values(locs).ravel(),
+             (np.repeat(np.arange(len(cids)), 4),
+              mesh.cell_corners[cids].ravel())),
+            shape=(len(cids), mesh.n_vertices))
+        full.eliminate_zeros()
+        return (full @ space.T).tocsr()
+
+    return _cached(space.mesh, ("point_matrix", space.kind)
+                   + _points_key(points), build)
+
+
+# ---------------------------------------------------------------------------
 # assembly
 
 
-def _mesh_cache(mesh: QuadMesh) -> dict:
-    cache = getattr(mesh, "_fem_cache", None)
-    if cache is None:
-        cache = mesh._fem_cache = {}
-    return cache
+@functools.cache
+def _cell_quad_data(nq: int):
+    """Reference-cell quadrature tables (points, weights, shapes, gradients).
 
-
-def _cell_quad_data(mesh: QuadMesh, nq: int):
-    """Cached per-mesh quadrature tables (points, weights, shapes)."""
-    cache = _mesh_cache(mesh)
-    key = ("quad", nq)
-    if key not in cache:
-        pts, wts = gauss_points(nq)
-        cache[key] = (pts, wts, shape_values(pts), shape_gradients(pts))
-    return cache[key]
+    They do not depend on the mesh, so they are built once per order.
+    """
+    pts, wts = gauss_points(nq)
+    return pts, wts, shape_values(pts), shape_gradients(pts)
 
 
 def _cell_origin_arrays(mesh: QuadMesh):
     """Cached (x0, y0, h) arrays over cells."""
-    cache = _mesh_cache(mesh)
-    if "origins" not in cache:
+    def build():
         h = mesh.cell_sizes()
         x0 = np.array([c[1] for c in mesh.cells]) * h
         y0 = np.array([c[2] for c in mesh.cells]) * h
-        cache["origins"] = (x0, y0, h)
-    return cache["origins"]
+        return x0, y0, h
+
+    return _cached(mesh, ("origins",), build)
 
 
 def _vertex_to_cell(mesh: QuadMesh) -> np.ndarray:
     """Cached map vertex -> one incident cell id."""
-    cache = _mesh_cache(mesh)
-    if "v2c" not in cache:
+    def build():
         v2c = np.full(mesh.n_vertices, -1, dtype=np.int64)
         ids = np.repeat(np.arange(mesh.n_cells)[::-1], 4)
         v2c[mesh.cell_corners[::-1].ravel()] = ids
-        cache["v2c"] = v2c
-    return cache["v2c"]
+        return v2c
+
+    return _cached(mesh, ("v2c",), build)
 
 
-def _assemble_full(mesh: QuadMesh, element_matrices: np.ndarray) -> sp.csr_matrix:
-    """Scatter (n_cells, 4, 4) element matrices into the all-vertex matrix."""
+def _assemble(space_row: Space, space_col: Space,
+              element_matrices: np.ndarray) -> sp.csr_matrix:
+    """Scatter (n_cells, 4, 4) element matrices into the all-vertex matrix
+    and condense it onto the two spaces of the same mesh."""
+    mesh = space_row.mesh
     corners = mesh.cell_corners
     rows = np.repeat(corners, 4, axis=1).ravel()
     cols = np.tile(corners, (1, 4)).ravel()
     A = sp.coo_matrix(
         (element_matrices.ravel(), (rows, cols)),
         shape=(mesh.n_vertices, mesh.n_vertices),
-    )
-    return A.tocsr()
+    ).tocsr()
+    return (space_row.T.T @ A @ space_col.T).tocsr()
 
 
 def assemble_stiffness(space: Space) -> sp.csr_matrix:
     """Condensed matrix of (grad u, grad v); independent of cell size."""
     mesh = space.mesh
-    pts, wts, _, grads = _cell_quad_data(mesh, NQ_BASE)
+    pts, wts, _, grads = _cell_quad_data(NQ_BASE)
     ref = np.einsum("q,qid,qjd->ij", wts, grads, grads)
     elems = np.broadcast_to(ref, (mesh.n_cells, 4, 4))
-    A = _assemble_full(mesh, np.ascontiguousarray(elems))
-    return (space.T.T @ A @ space.T).tocsr()
+    return _assemble(space, space, np.ascontiguousarray(elems))
 
 
 def assemble_mass(space_row: Space, space_col: Space) -> sp.csr_matrix:
@@ -287,12 +365,11 @@ def assemble_mass(space_row: Space, space_col: Space) -> sp.csr_matrix:
         raise ValueError("mass assembly requires one mesh; use cross-mesh "
                          "evaluation to move fields first")
     mesh = space_row.mesh
-    pts, wts, shapes, _ = _cell_quad_data(mesh, NQ_BASE)
+    pts, wts, shapes, _ = _cell_quad_data(NQ_BASE)
     ref = np.einsum("q,qi,qj->ij", wts, shapes, shapes)
     h2 = mesh.cell_sizes() ** 2
     elems = h2[:, None, None] * ref[None, :, :]
-    A = _assemble_full(mesh, elems)
-    return (space_row.T.T @ A @ space_col.T).tocsr()
+    return _assemble(space_row, space_col, elems)
 
 
 def assemble_weighted_mass(space: Space, weight: "Field", exponent: int) -> sp.csr_matrix:
@@ -305,19 +382,18 @@ def assemble_weighted_mass(space: Space, weight: "Field", exponent: int) -> sp.c
         raise ValueError("exponent must be 2 or 3")
     mesh = space.mesh
     wvals = _cell_values(weight, mesh, NQ_WEIGHTED)
-    pts, wts, shapes, _ = _cell_quad_data(mesh, NQ_WEIGHTED)
+    pts, wts, shapes, _ = _cell_quad_data(NQ_WEIGHTED)
     h2 = mesh.cell_sizes() ** 2
     elems = np.einsum(
         "c,cq,q,qi,qj->cij", h2, wvals**exponent, wts, shapes, shapes
     )
-    A = _assemble_full(mesh, elems)
-    return (space.T.T @ A @ space.T).tocsr()
+    return _assemble(space, space, elems)
 
 
 def _cell_values(field: "Field", mesh: QuadMesh, nq: int) -> np.ndarray:
     """Values of a field at every quadrature point of every cell of mesh."""
     f = field if field.mesh is mesh else interpolate_onto(field, mesh)
-    pts, wts, shapes, _ = _cell_quad_data(mesh, nq)
+    pts, wts, shapes, _ = _cell_quad_data(nq)
     corner_vals = f.full_values()[mesh.cell_corners]
     return corner_vals @ shapes.T
 
@@ -325,14 +401,22 @@ def _cell_values(field: "Field", mesh: QuadMesh, nq: int) -> np.ndarray:
 def assemble_functional(space: Space, f, nq: int = NQ_BASE) -> np.ndarray:
     """Vector of (f, phi_i) over free nodes; f is a callable or a Field."""
     mesh = space.mesh
-    pts, wts, shapes, _ = _cell_quad_data(mesh, nq)
     if isinstance(f, Field):
         fvals = _cell_values(f, mesh, nq)
     else:
+        pts = _cell_quad_data(nq)[0]
         x0, y0, h = _cell_origin_arrays(mesh)
         gx = x0[:, None] + h[:, None] * pts[None, :, 0]
         gy = y0[:, None] + h[:, None] * pts[None, :, 1]
         fvals = f(gx, gy)
+    return _load_vector(space, fvals, nq)
+
+
+def _load_vector(space: Space, fvals: np.ndarray, nq: int) -> np.ndarray:
+    """Vector of (f, phi_i) over free nodes from the values of f at every
+    quadrature point of every cell, (n_cells, nq*nq)."""
+    mesh = space.mesh
+    _, wts, shapes, _ = _cell_quad_data(nq)
     h2 = mesh.cell_sizes() ** 2
     cell_loads = np.einsum("c,cq,q,qi->ci", h2, fvals, wts, shapes)
     full = np.zeros(mesh.n_vertices)
@@ -361,15 +445,15 @@ def riesz_dual_norm(space: Space, functional: np.ndarray):
 # cross-mesh evaluation
 
 
-def _containment_map(src: QuadMesh, tgt: QuadMesh) -> tuple[np.ndarray, np.ndarray]:
+def _containment_map(src: QuadMesh, tgt: QuadMesh) -> np.ndarray:
     """For each target cell, the id of the source leaf containing it.
 
     Requires every target leaf to lie inside a source leaf (the target
-    refines the source); raises otherwise.  Cached on the target mesh.
+    refines the source); raises otherwise.  The map is kept with the
+    source, the coarser mesh of the pair, while both meshes live.
     """
-    cache = _mesh_cache(tgt)
-    key = ("contain", src.uid)
-    if key not in cache:
+    maps = _cached(src, ("containment",), weakref.WeakKeyDictionary)
+    if tgt not in maps:
         src_ids = np.full(tgt.n_cells, -1, dtype=np.int64)
         # Walk dyadic descendants of every source leaf and claim the
         # target leaves encountered; anything left unassigned is coarser
@@ -394,54 +478,29 @@ def _containment_map(src: QuadMesh, tgt: QuadMesh) -> tuple[np.ndarray, np.ndarr
         if np.any(src_ids < 0):
             raise ValueError("meshes are not nested: some target cells are "
                              "coarser than the source leaves covering them")
-        cache[key] = src_ids
-    return cache[key]
-
-
-def evaluate_cross_mesh(field: "Field", target_mesh: QuadMesh, points: np.ndarray) -> np.ndarray:
-    """Exact evaluation of a field at arbitrary points of the target mesh.
-
-    The target mesh only fixes the evaluation context (points are global
-    coordinates); values come from the field's own mesh, so no
-    projection error is introduced.
-    """
-    del target_mesh  # evaluation is pointwise on the field's own mesh
-    return field.eval_points(points)
+        maps[tgt] = src_ids
+    return maps[tgt]
 
 
 def interpolate_onto(field: "Field", mesh: QuadMesh) -> "Field":
     """Exact re-representation of a field on a nested finer mesh.
 
     The result has the same kind of space as the input and agrees with
-    the input pointwise everywhere.  Results are cached on the field.
+    the input pointwise everywhere.
     """
     if field.mesh is mesh:
         return field
-    cache = getattr(field, "_interp_cache", None)
-    if cache is None:
-        cache = field._interp_cache = {}
-    if mesh.uid not in cache:
-        space = vspace(mesh) if field.space.kind == "V" else qspace(mesh)
-        src = field.mesh
-        src_ids = _containment_map(src, mesh)
-        full_src = field.full_values()
-        # Evaluate each free vertex inside the source leaf that contains
-        # one of its incident target cells (the vertex lies in its closure).
-        cids = _vertex_to_cell(mesh)[space.free]
-        sids = src_ids[cids]
-        sx0, sy0, sh = _cell_origin_arrays(src)
-        xy = mesh.vertices[space.free]
-        s = (xy[:, 0] - sx0[sids]) / sh[sids]
-        t = (xy[:, 1] - sy0[sids]) / sh[sids]
-        c = full_src[src.cell_corners[sids]]
-        coeffs = (
-            c[:, 0] * (1 - s) * (1 - t)
-            + c[:, 1] * s * (1 - t)
-            + c[:, 2] * (1 - s) * t
-            + c[:, 3] * s * t
-        )
-        cache[mesh.uid] = Field(space, coeffs)
-    return cache[mesh.uid]
+    space = Space(mesh, field.space.kind)
+    src = field.mesh
+    # Evaluate each free vertex inside the source leaf that contains one
+    # of its incident target cells (the vertex lies in its closure).
+    sids = _containment_map(src, mesh)[_vertex_to_cell(mesh)[space.free]]
+    sx0, sy0, sh = _cell_origin_arrays(src)
+    xy = mesh.vertices[space.free]
+    local = np.column_stack([(xy[:, 0] - sx0[sids]) / sh[sids],
+                             (xy[:, 1] - sy0[sids]) / sh[sids]])
+    corner_vals = field.full_values()[src.cell_corners[sids]]
+    return Field(space, bilinear(corner_vals, local))
 
 
 # ---------------------------------------------------------------------------
@@ -508,66 +567,40 @@ class PatchWeight:
                 vals[j, i] = full[vi]
         return vals
 
-    def eval(self, cell_id: int, pts: np.ndarray):
-        """Weight values and physical gradients at local points of a cell.
-
-        Returns (w (n,), grad_w (n, 2)).
-        """
-        vals, grads = self._eval_cells(np.array([cell_id]), np.atleast_2d(pts))
-        return vals[0], grads[0]
-
     def eval_all(self, pts: np.ndarray):
         """Weight values/gradients at the same local points of every cell.
 
         Returns (w (n_cells, n_pts), grad_w (n_cells, n_pts, 2)).
         """
-        return self._eval_cells(np.arange(self.mesh.n_cells), pts)
+        return self._eval_cells(np.arange(self.mesh.n_cells), pts[None])
 
     def eval_pairs(self, cell_ids: np.ndarray, pts: np.ndarray):
         """One (cell, local point) pair per row; returns (w (n,), gw (n,2))."""
-        vals, grads = self._eval_cells(cell_ids, pts[:, None, :], paired=True)
+        vals, grads = self._eval_cells(cell_ids, pts[:, None, :])
         return vals[:, 0], grads[:, 0]
 
-    def _eval_cells(self, cell_ids: np.ndarray, pts: np.ndarray, paired=False):
-        if paired:
-            npts = pts.shape[1]
-            s, t = pts[..., 0], pts[..., 1]  # (nc, npts)
-        else:
-            npts = len(pts)
-            s, t = pts[None, :, 0], pts[None, :, 1]
+    def _eval_cells(self, cell_ids: np.ndarray, pts: np.ndarray):
+        """Values/gradients at local points (1 or n_cells, n_pts, 2)."""
+        n = len(cell_ids)
+        npts = pts.shape[1]
+        s, t = pts[..., 0], pts[..., 1]
         dxy = self.child_offset[cell_ids]  # (nc, 2)
-        ps = 0.5 * (s + dxy[:, 0, None])
-        pt = 0.5 * (t + dxy[:, 1, None])
-        ps = np.broadcast_to(ps, (len(cell_ids), npts))
-        pt = np.broadcast_to(pt, (len(cell_ids), npts))
-        ls = _quad1d(ps.ravel()).reshape(len(cell_ids), npts, 3)
-        lt = _quad1d(pt.ravel()).reshape(len(cell_ids), npts, 3)
-        dls = _quad1d_deriv(ps.ravel()).reshape(len(cell_ids), npts, 3)
-        dlt = _quad1d_deriv(pt.ravel()).reshape(len(cell_ids), npts, 3)
+        ps = np.broadcast_to(0.5 * (s + dxy[:, 0, None]), (n, npts))
+        pt = np.broadcast_to(0.5 * (t + dxy[:, 1, None]), (n, npts))
+        ls = _quad1d(ps.ravel()).reshape(n, npts, 3)
+        lt = _quad1d(pt.ravel()).reshape(n, npts, 3)
+        dls = _quad1d_deriv(ps.ravel()).reshape(n, npts, 3)
+        dlt = _quad1d_deriv(pt.ravel()).reshape(n, npts, 3)
         vals = self.patch_vals[cell_ids]
         quad = np.einsum("cji,cnj,cni->cn", vals, lt, ls)
         dquad_s = np.einsum("cji,cnj,cni->cn", vals, lt, dls)
         dquad_t = np.einsum("cji,cnj,cni->cn", vals, dlt, ls)
 
-        c = self.corner_vals[cell_ids]
-        one_s, one_t = 1 - s, 1 - t
-        lin = (
-            c[:, 0, None] * one_s * one_t + c[:, 1, None] * s * one_t
-            + c[:, 2, None] * one_s * t + c[:, 3, None] * s * t
-        )
-        dlin_s = (
-            (-c[:, 0, None] + c[:, 1, None]) * one_t
-            + (-c[:, 2, None] + c[:, 3, None]) * t
-        )
-        dlin_t = (
-            (-c[:, 0, None] + c[:, 2, None]) * one_s
-            + (-c[:, 1, None] + c[:, 3, None]) * s
-        )
-
         h = self.mesh.cell_sizes()[cell_ids][:, None]
+        lin, dlin = bilinear(self.corner_vals[cell_ids][:, None, :], pts, h)
         # Patch coordinate derivative: d(ps)/dx = 1/(2h).
-        gx = dquad_s * (0.5 / h) - dlin_s / h
-        gy = dquad_t * (0.5 / h) - dlin_t / h
+        gx = dquad_s * (0.5 / h) - dlin[..., 0]
+        gy = dquad_t * (0.5 / h) - dlin[..., 1]
         w = quad - lin
         mask = self.has_patch[cell_ids]
         w[~mask] = 0.0
@@ -594,40 +627,12 @@ class FieldWeight:
         self.corner_vals = field.full_values()[self.mesh.cell_corners]
 
     def eval_all(self, pts: np.ndarray):
-        c = self.corner_vals
-        s, t = pts[:, 0], pts[:, 1]
-        vals = (
-            np.outer(c[:, 0], (1 - s) * (1 - t)) + np.outer(c[:, 1], s * (1 - t))
-            + np.outer(c[:, 2], (1 - s) * t) + np.outer(c[:, 3], s * t)
-        )
-        gs = np.outer(-c[:, 0] + c[:, 1], (1 - t)) + np.outer(-c[:, 2] + c[:, 3], t)
-        gt = np.outer(-c[:, 0] + c[:, 2], (1 - s)) + np.outer(-c[:, 1] + c[:, 3], s)
         h = self.mesh.cell_sizes()[:, None]
-        return vals, np.stack([gs / h, gt / h], axis=-1)
-
-    def eval(self, cell_id: int, pts: np.ndarray):
-        c = self.corner_vals[cell_id]
-        s, t = pts[:, 0], pts[:, 1]
-        vals = (
-            c[0] * (1 - s) * (1 - t) + c[1] * s * (1 - t)
-            + c[2] * (1 - s) * t + c[3] * s * t
-        )
-        gs = (-c[0] + c[1]) * (1 - t) + (-c[2] + c[3]) * t
-        gt = (-c[0] + c[2]) * (1 - s) + (-c[1] + c[3]) * s
-        _, _, h = self.mesh.cell_geometry(cell_id)
-        return vals, np.column_stack([gs / h, gt / h])
+        return bilinear(self.corner_vals[:, None, :], pts[None], h)
 
     def eval_pairs(self, cell_ids: np.ndarray, pts: np.ndarray):
-        c = self.corner_vals[cell_ids]
-        s, t = pts[:, 0], pts[:, 1]
-        vals = (
-            c[:, 0] * (1 - s) * (1 - t) + c[:, 1] * s * (1 - t)
-            + c[:, 2] * (1 - s) * t + c[:, 3] * s * t
-        )
-        gs = (-c[:, 0] + c[:, 1]) * (1 - t) + (-c[:, 2] + c[:, 3]) * t
-        gt = (-c[:, 0] + c[:, 2]) * (1 - s) + (-c[:, 1] + c[:, 3]) * s
         h = self.mesh.cell_sizes()[cell_ids]
-        return vals, np.column_stack([gs / h, gt / h])
+        return bilinear(self.corner_vals[cell_ids], pts, h)
 
 
 # ---------------------------------------------------------------------------
@@ -636,23 +641,7 @@ class FieldWeight:
 
 def write_field_vtk(field: "Field", path, name: str = "value") -> None:
     """Mesh plus point data in legacy ASCII VTK."""
-    mesh = field.mesh
-    full = field.full_values()
-    with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 3.0\n")
-        fh.write("field\nASCII\nDATASET UNSTRUCTURED_GRID\n")
-        fh.write(f"POINTS {mesh.n_vertices} double\n")
-        for x, y in mesh.vertices:
-            fh.write(f"{x:.16g} {y:.16g} 0\n")
-        fh.write(f"CELLS {mesh.n_cells} {5 * mesh.n_cells}\n")
-        for sw, se, nw, ne in mesh.cell_corners:
-            fh.write(f"4 {sw} {se} {ne} {nw}\n")
-        fh.write(f"CELL_TYPES {mesh.n_cells}\n")
-        fh.write("".join("9\n" for _ in range(mesh.n_cells)))
-        fh.write(f"POINT_DATA {mesh.n_vertices}\n")
-        fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-        for v in full:
-            fh.write(f"{v:.16g}\n")
+    write_mesh_vtk(field.mesh, path, point_data=(name, field.full_values()))
 
 
 def write_field_csv(field: "Field", path) -> None:

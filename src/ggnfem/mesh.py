@@ -184,21 +184,6 @@ class QuadMesh:
     def contains_cell(self, cell: Cell) -> bool:
         return cell in self._leaf_set
 
-    def sibling_patch(self, cell_id: int):
-        """The 2x2 sibling quartet of a leaf, or None if incomplete.
-
-        Returns (parent, [ids of the four children in SW,SE,NW,NE order])
-        when the leaf's parent has all four children as leaves.
-        """
-        cell = self.cells[cell_id]
-        if cell[0] == 0:
-            return None
-        par = _parent(cell)
-        kids = _children(par)
-        if all(k in self._leaf_set for k in kids):
-            return par, [self._cell_id(k) for k in kids]
-        return None
-
     def _cell_id(self, cell: Cell) -> int:
         return self._cell_ids[cell]
 
@@ -287,8 +272,11 @@ def locate(mesh: QuadMesh, point) -> tuple[int, tuple[float, float]]:
     return mesh._cell_id(cell), (x * s - ix, y * s - iy)
 
 
-def write_mesh_vtk(mesh: QuadMesh, path) -> None:
-    """Legacy ASCII VTK unstructured grid with VTK_QUAD cells."""
+def write_mesh_vtk(mesh: QuadMesh, path, point_data=None) -> None:
+    """Legacy ASCII VTK unstructured grid with VTK_QUAD cells.
+
+    ``point_data`` is an optional (name, values per vertex) pair.
+    """
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write("quadtree mesh\nASCII\nDATASET UNSTRUCTURED_GRID\n")
@@ -296,8 +284,13 @@ def write_mesh_vtk(mesh: QuadMesh, path) -> None:
         for x, y in mesh.vertices:
             fh.write(f"{x:.16g} {y:.16g} 0\n")
         fh.write(f"CELLS {mesh.n_cells} {5 * mesh.n_cells}\n")
-        for corners in mesh.cell_corners:
-            sw, se, nw, ne = corners
+        for sw, se, nw, ne in mesh.cell_corners:
             fh.write(f"4 {sw} {se} {ne} {nw}\n")
         fh.write(f"CELL_TYPES {mesh.n_cells}\n")
         fh.write("".join("9\n" for _ in range(mesh.n_cells)))
+        if point_data is not None:
+            name, values = point_data
+            fh.write(f"POINT_DATA {mesh.n_vertices}\n")
+            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            for v in values:
+                fh.write(f"{v:.16g}\n")

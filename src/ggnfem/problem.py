@@ -27,7 +27,7 @@ import scipy.sparse as sp
 
 from . import fem
 from .fem import Field, Space, interpolate_onto, qspace, vspace
-from .mesh import locate, uniform_mesh
+from .mesh import uniform_mesh
 
 __all__ = [
     "ModelProblem",
@@ -83,32 +83,10 @@ class PointObs:
 
     def matrix(self, space: Space) -> sp.csr_matrix:
         """Sparse evaluation matrix C with (C v)_i = v_h(xi_i)."""
-        cache = space._cache
-        if "obs_matrix" not in cache:
-            mesh = space.mesh
-            rows, cols, vals = [], [], []
-            for i, p in enumerate(self.points):
-                cid, (s, t) = locate(mesh, p)
-                w = [(1 - s) * (1 - t), s * (1 - t), (1 - s) * t, s * t]
-                for loc, wv in zip(mesh.cell_corners[cid], w):
-                    if wv:
-                        rows.append(i)
-                        cols.append(loc)
-                        vals.append(wv)
-            full = sp.csr_matrix(
-                (vals, (rows, cols)), shape=(self.n_obs, mesh.n_vertices)
-            )
-            cache["obs_matrix"] = (full @ space.T).tocsr()
-        return cache["obs_matrix"]
+        return fem.point_matrix(space, self.points)
 
     def observe(self, u: Field) -> np.ndarray:
         return u.eval_points(self.points)
-
-    def norm(self, g: np.ndarray) -> float:
-        return float(np.linalg.norm(g))
-
-    def norm_sq(self, g: np.ndarray) -> float:
-        return float(g @ g)
 
 
 class L2Obs:
@@ -175,14 +153,8 @@ def semilinear_residual(problem: ModelProblem, q: Field, u: Field, space: Space)
 
 def _cubic_term(space: Space, u: Field) -> np.ndarray:
     """Vector of (u^3, phi_i) with same-mesh quadrature (exact for Q1)."""
-    mesh = space.mesh
-    pts, wts, shapes, _ = fem._cell_quad_data(mesh, fem.NQ_WEIGHTED)
-    uv = fem._cell_values(u, mesh, fem.NQ_WEIGHTED)
-    h2 = mesh.cell_sizes() ** 2
-    cell_loads = np.einsum("c,cq,q,qi->ci", h2, uv**3, wts, shapes)
-    full = np.zeros(mesh.n_vertices)
-    np.add.at(full, mesh.cell_corners.ravel(), cell_loads.ravel())
-    return space.T.T @ full
+    uv = fem._cell_values(u, space.mesh, fem.NQ_WEIGHTED)
+    return fem._load_vector(space, uv**3, fem.NQ_WEIGHTED)
 
 
 def linearized_state_operator(problem: ModelProblem, space: Space, u_base: Field) -> sp.csr_matrix:
@@ -328,12 +300,7 @@ def restrict_data(data: NoisyData, target_space: Space) -> Field:
     if g.mesh is target_space.mesh:
         return Field(target_space, g.coeffs.copy())
     rhs = _cross_mass_rhs(g, target_space)
-    import scipy.sparse.linalg as spla
-
-    cache = target_space._cache
-    if "mass_lu" not in cache:
-        cache["mass_lu"] = spla.splu(target_space.mass().tocsc())
-    return Field(target_space, cache["mass_lu"].solve(rhs))
+    return Field(target_space, target_space.mass_solver().solve(rhs))
 
 
 def _cross_mass_rhs(fine_field: Field, coarse_space: Space) -> np.ndarray:
@@ -341,7 +308,7 @@ def _cross_mass_rhs(fine_field: Field, coarse_space: Space) -> np.ndarray:
     fine = fine_field.mesh
     coarse = coarse_space.mesh
     src_ids = fem._containment_map(coarse, fine)
-    pts, wts, shapes, _ = fem._cell_quad_data(fine, fem.NQ_BASE)
+    pts, wts, shapes, _ = fem._cell_quad_data(fem.NQ_BASE)
     fvals = fem._cell_values(fine_field, fine, fem.NQ_BASE)
     fx0, fy0, fh = fem._cell_origin_arrays(fine)
     cx0, cy0, ch = fem._cell_origin_arrays(coarse)
@@ -349,9 +316,7 @@ def _cross_mass_rhs(fine_field: Field, coarse_space: Space) -> np.ndarray:
     gy = fy0[:, None] + fh[:, None] * pts[None, :, 1]
     s = (gx - cx0[src_ids][:, None]) / ch[src_ids][:, None]
     t = (gy - cy0[src_ids][:, None]) / ch[src_ids][:, None]
-    basis = np.stack(
-        [(1 - s) * (1 - t), s * (1 - t), (1 - s) * t, s * t], axis=-1
-    )  # (n_fine, nq, 4)
+    basis = fem.shape_values(np.stack([s, t], axis=-1))  # (n_fine, nq, 4)
     cell_loads = np.einsum("c,cq,q,cqi->ci", fh**2, fvals, wts, basis)
     full = np.zeros(coarse.n_vertices)
     np.add.at(full, coarse.cell_corners[src_ids].ravel(), cell_loads.ravel())

@@ -22,7 +22,7 @@ derivatives).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.sparse as sp
@@ -72,7 +72,7 @@ def _observation_blocks(obs, data, V: Space, Q: Space, u_old_h: Field):
     # restricted); the misfit is measured in the L^2 inner product.
     g_h = data
     MQ = Q.mass()
-    inc = _v_to_q(V, Q)
+    inc = fem.v_to_q(V.mesh)
     rg = inc @ u_old_h.coeffs - g_h.coeffs
     CtC = (inc.T @ MQ @ inc).tocsr()
     c_res = inc.T @ (MQ @ rg)
@@ -82,18 +82,6 @@ def _observation_blocks(obs, data, V: Space, Q: Space, u_old_h: Field):
         return float(m @ (MQ @ m)), m
 
     return CtC, c_res, rg, misfit
-
-
-def _v_to_q(V: Space, Q: Space) -> sp.csr_matrix:
-    """Inclusion of V coefficients into Q coefficients (same mesh).
-
-    Q coefficients are plain vertex values at Q's free vertices, so the
-    inclusion is the V expansion matrix restricted to those rows.
-    """
-    cache = V._cache
-    if "v_to_q" not in cache:
-        cache["v_to_q"] = (V.T.tocsr()[Q.free, :]).tocsr()
-    return cache["v_to_q"]
 
 
 @dataclass
@@ -120,17 +108,21 @@ class LinearizedSubproblem:
     beta: float
     obs: object
     data_g: object
+    # LU factors of the KKT matrix, built by the first solve; a copy made
+    # by dataclasses.replace (say, for another beta) starts without them.
+    lu: object = dc_field(default=None, init=False, repr=False,
+                          compare=False)
 
     def state_residual_norm(self) -> float:
         return fem.riesz_dual_norm(self.V, self.a_res)[0]
 
     def factorization(self):
-        if not hasattr(self, "_lu"):
+        if self.lu is None:
             try:
-                self._lu = spla.splu(_kkt_matrix(self))
+                self.lu = spla.splu(_kkt_matrix(self))
             except RuntimeError as exc:
                 raise KktError(f"KKT factorization failed: {exc}") from exc
-        return self._lu
+        return self.lu
 
 
 def build_subproblem(problem: pb.ModelProblem, mesh: QuadMesh,
@@ -224,7 +216,7 @@ def solve_kkt(sub: LinearizedSubproblem, check: bool = True) -> KktSolution:
     if check and max(norms) > 1e-8:
         raise KktError(
             f"stationarity residuals too large: {norms} (beta={sub.beta:g}, "
-            f"n={A.shape[0]})"
+            f"n={len(rhs)})"
         )
     u = Field(sub.V, sub.u_old_h.coeffs + v)
     return KktSolution(

@@ -46,7 +46,7 @@ def test_criterion_2_fem_kernel():
             V, lambda x, y: 2 * np.pi**2 * np.sin(np.pi * x)
             * np.sin(np.pi * y))
         u = Field(V, V.stiffness_solver().solve(load))
-        pts, wts, _, _ = fem._cell_quad_data(mesh, 4)
+        pts, wts, _, _ = fem._cell_quad_data(4)
         uv = fem._cell_values(u, mesh, 4)
         x0, y0, h = fem._cell_origin_arrays(mesh)
         gx = x0[:, None] + h[:, None] * pts[None, :, 0]

@@ -91,3 +91,13 @@ def test_usage_error_exit_code():
 
 def test_missing_config_is_reported():
     assert cli.main(["--config", "/nonexistent.cfg", "theory-check"]) == 1
+
+
+def test_table_failed_row_exit_code(tmp_path):
+    out = tmp_path / "bad"
+    rc = cli.main(["--fine-levels", "3", "--out", str(out), "table",
+                   "--sweep", "zeta", "--values", "-1"])
+    assert rc == 1
+    with open(out / "table_zeta.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows[0]["status"].startswith("failed:")

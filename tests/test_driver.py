@@ -1,9 +1,13 @@
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from ggnfem import driver as dv, problem as pb
-from ggnfem.fem import qspace, vspace
-from ggnfem.mesh import uniform_mesh
+from ggnfem import baseline as bl, driver as dv, fem, problem as pb
+from ggnfem.fem import Field, Space, qspace, vspace
+from ggnfem.mesh import QuadMesh, uniform_mesh
 
 
 def test_config_defaults_satisfy_assumptions():
@@ -184,3 +188,48 @@ def test_report_files(tmp_path, ggn_runs):
     for name in ("q_final.vtk", "u_final.vtk", "q_final.csv",
                  "mesh_final.vtk"):
         assert (tmp_path / "out" / name).exists()
+
+
+def _cache_entries(mesh):
+    entries = fem._CONTEXTS.get(mesh, {})
+    return sum(len(v) if isinstance(v, weakref.WeakKeyDictionary) else 1
+               for v in entries.values())
+
+
+def test_caches_flat_over_sequential_runs():
+    """Twenty L^2 runs sharing one truth: nothing accumulates on the
+    simulation mesh, and solver-mesh caches die with their meshes."""
+    prob = pb.ModelProblem(zeta=100.0)
+    case = pb.synthetic_case("a")
+    truth = pb.simulate_truth(prob, case, 5)
+    cfg = dv.GgnConfig(max_depth=4)
+    entries, contexts = [], []
+    for seed in range(20):
+        data = pb.simulate_data(prob, case, pb.L2Obs(), 5, 0.01, seed,
+                                truth=truth)
+        dv.run_ggn(prob, data, cfg)
+        del data
+        gc.collect()
+        entries.append(_cache_entries(truth[0].mesh))
+        contexts.append(len(fem._CONTEXTS))
+    assert entries[0] > 0
+    assert len(set(entries)) == 1
+    assert len(set(contexts)) == 1
+
+
+def test_runs_patch_no_attributes():
+    prob = pb.ModelProblem(zeta=100.0)
+    data = pb.simulate_data(prob, pb.synthetic_case("a"), pb.L2Obs(), 5,
+                            0.01, 1)
+    reports = [dv.run_ggn(prob, data, dv.GgnConfig(max_depth=4)),
+               bl.run_nt(prob, data, bl.NtConfig(max_depth=4))]
+    fields = [f for r in reports for f in (r.q_final, r.u_final)]
+    fields += [data.q_true, data.u_true, data.g_delta]
+    for f in fields:
+        fresh = Field(Space(f.mesh, f.space.kind), f.coeffs)
+        assert vars(f).keys() == vars(fresh).keys()
+        assert vars(f.space).keys() == vars(fresh.space).keys()
+        assert vars(f.mesh).keys() == vars(QuadMesh(f.mesh.cells)).keys()
+    names = {f.name for f in dataclasses.fields(dv.RunReport)}
+    for r in reports:
+        assert vars(r).keys() == names

@@ -1,6 +1,6 @@
 import numpy as np
 
-from ggnfem import estimators as est, fem, problem as pb, subsolver as ss
+from ggnfem import estimators as est, problem as pb, subsolver as ss
 from ggnfem.fem import Field, FieldWeight, qspace, vspace
 from ggnfem.mesh import refine, uniform_mesh
 
@@ -196,38 +196,3 @@ def test_qoi_invariant_under_renumbering():
         return q.i1h, q.i2h, q.i3h, q.i4h
 
     assert np.allclose(run(m1), run(m2), rtol=1e-13)
-
-
-def test_wstar_error_estimator():
-    mesh = uniform_mesh(3)
-    V = vspace(mesh)
-    pts, wts, _, _ = fem._cell_quad_data(mesh, fem.NQ_WEIGHTED)
-    x0, y0, h = fem._cell_origin_arrays(mesh)
-    gx = x0[:, None] + h[:, None] * pts[None, :, 0]
-    gy = y0[:, None] + h[:, None] * pts[None, :, 1]
-
-    # E = 0 -> 0
-    zero_g = np.zeros((mesh.n_cells, len(pts), 2))
-    zero_v = np.zeros((mesh.n_cells, len(pts)))
-    assert est.estimate_wstar_error(V, zero_g, zero_v) == 0.0
-
-    # E(phi) = (f, phi) with smooth f: estimate within a factor 10 of the
-    # true coarse-fine dual norm gap
-    fval = np.sin(np.pi * gx) * np.sin(2 * np.pi * gy)
-    estimate = est.estimate_wstar_error(V, zero_g, fval)
-
-    def dual_norm_on(m):
-        Vm = vspace(m)
-        load = fem.assemble_functional(
-            Vm, lambda x, y: np.sin(np.pi * x) * np.sin(2 * np.pi * y),
-            nq=fem.NQ_WEIGHTED)
-        return fem.riesz_dual_norm(Vm, load)[0]
-
-    coarse = dual_norm_on(mesh)
-    fine = dual_norm_on(uniform_mesh(5))
-    gap = fine - coarse
-    assert 0.1 <= estimate / gap <= 10.0
-
-    # homogeneity
-    est2 = est.estimate_wstar_error(V, zero_g, 2.0 * fval)
-    assert abs(est2 - 2.0 * estimate) < 1e-12 * max(1.0, abs(estimate))

@@ -102,7 +102,7 @@ def test_forward_strong_nonlinearity_vs_energy_oracle():
 
     Ks = V.stiffness()
     load = fem.assemble_functional(V, q)
-    pts, wts, _, _ = fem._cell_quad_data(m, 4)
+    pts, wts, _, _ = fem._cell_quad_data(4)
     h2 = m.cell_sizes() ** 2
 
     def fg(vec):
@@ -251,3 +251,18 @@ def test_save_data_bundle(tmp_path, sims):
     assert len(lines) == 1 + 81
     manifest = (out / "manifest.txt").read_text()
     assert "delta =" in manifest and "seed = 1" in manifest
+
+
+def test_point_matrix_keyed_by_points():
+    V = vspace(uniform_mesh(3))
+    assert pb.PointObs(9).matrix(V).shape[0] == 81
+    assert pb.PointObs(3).matrix(V).shape[0] == 9
+    assert pb.PointObs(9).matrix(V).shape[0] == 81
+
+
+def test_point_locations_keyed_by_points():
+    mesh = uniform_mesh(3)
+    for i in range(200):
+        obs = pb.PointObs(9 if i % 2 else 3)
+        cids, locs = fem.point_locations(mesh, obs.points)
+        assert len(cids) == len(locs) == obs.n_obs

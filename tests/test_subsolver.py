@@ -234,3 +234,14 @@ def test_matrix_market_dump(tmp_path):
     A = mmread(path)
     n = Q.dim + 2 * V.dim
     assert A.shape == (n, n)
+
+
+def test_bad_factorization_raises_kkt_error():
+    class OnesLU:
+        def solve(self, rhs):
+            return np.ones(len(rhs))
+
+    *_, sub = _point_instance()
+    sub.lu = OnesLU()
+    with pytest.raises(ss.KktError, match="stationarity"):
+        ss.solve_kkt(sub)
