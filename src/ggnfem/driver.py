@@ -247,10 +247,9 @@ class _Run:
         self.beta_floor = cfg.beta0
         self.mono_rhs = None
         self.sub = None  # subproblem at the current mesh and base point
-        z0 = ss.adjoint_at_base(problem, self.mesh, self.u_old, data.obs,
-                                self.observed())
-        self.rho = ss.adjoint_w_norm(z0)
-        self.i3h = est.compute_i3h(self.subproblem(), self.rho)
+        sub = self.subproblem()
+        self.rho = ss.adjoint_w_norm(ss.adjoint_at_base(sub))
+        self.i3h = est.compute_i3h(sub, self.rho)
         self.k = 0
 
     def observed(self):
@@ -414,9 +413,8 @@ def run_ggn(problem: pb.ModelProblem, data: pb.NoisyData, cfg: GgnConfig,
         run.u_old = sol.u
         run.beta_floor = max(run.beta_floor, run.beta)
         run.k += 1
-        z = ss.adjoint_at_base(problem, run.mesh, run.u_old, data.obs,
-                               run.observed())
-        run.rho = max(run.rho, ss.adjoint_w_norm(z))
+        base = run.subproblem()
+        run.rho = max(run.rho, ss.adjoint_w_norm(ss.adjoint_at_base(base)))
         qoi = est.compute_qoi(sub, sol, run.rho, i3h=run.i3h, eta1=eta1)
         run.log("accept", sub, sol, eta1=eta1, i4h=qoi.i4h)
         t_diag = time.perf_counter()
@@ -427,7 +425,7 @@ def run_ggn(problem: pb.ModelProblem, data: pb.NoisyData, cfg: GgnConfig,
             run.q_old, run.u_old, run.q0, vspace(run.mesh).zeros(), data,
             rhs=run.mono_rhs))
         run.t0 += time.perf_counter() - t_diag  # diagnostics are untimed
-        run.i3h = est.compute_i3h(run.subproblem(), run.rho)
+        run.i3h = est.compute_i3h(base, run.rho)
     return run.finalize("discrepancy")
 
 

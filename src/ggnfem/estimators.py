@@ -260,7 +260,9 @@ def _field_misfit_sq(sub: LinearizedSubproblem, sol: KktSolution) -> float:
     route keeps the I1h/I2h identity an actual check.
     """
     if isinstance(sub.obs, pb.PointObs):
-        vals = sol.u.eval_points(sub.obs.points)
+        cids, locs = fem.point_locations(sub.mesh, sub.obs.points)
+        vals = fem.bilinear(sol.u.full_values()[sub.mesh.cell_corners[cids]],
+                            locs)
         d = vals - sub.data_g
         return float(d @ d)
     mesh = sub.mesh

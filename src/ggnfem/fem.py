@@ -10,6 +10,10 @@ and stay symmetric.
 Old iterates keep their own (coarser) meshes; because refinement is
 nested, re-interpolating a field onto any refinement of its mesh is
 pointwise exact, so cross-mesh evaluation carries no projection error.
+The transpose of this prolongation restricts L^2 data without
+quadrature.  The source leaf containing each target cell is found by
+index arithmetic on the linear quadtree (Morton codes, one sorted
+search).
 
 Everything derived from one mesh -- the condensation of each space, its
 assembled operators and LU factors, the cell origin tables, observation
@@ -445,6 +449,20 @@ def riesz_dual_norm(space: Space, functional: np.ndarray):
 # cross-mesh evaluation
 
 
+def _morton_ranges(mesh: QuadMesh, top: int):
+    """First code and number of codes of each leaf in the Morton order of
+    the level-``top`` cells (top >= mesh.max_level).
+
+    The leaves partition the square in Morton order, so the first code of
+    a leaf is the number of level-``top`` cells in the leaves before it.
+    """
+    x = mesh.vertices[:, 0]
+    side = (np.take(x, mesh.cell_corners[:, 1])
+            - np.take(x, mesh.cell_corners[:, 0])) * float(1 << top)
+    size = side.astype(np.int64) ** 2
+    return np.cumsum(size) - size, size
+
+
 def _containment_map(src: QuadMesh, tgt: QuadMesh) -> np.ndarray:
     """For each target cell, the id of the source leaf containing it.
 
@@ -454,32 +472,36 @@ def _containment_map(src: QuadMesh, tgt: QuadMesh) -> np.ndarray:
     """
     maps = _cached(src, ("containment",), weakref.WeakKeyDictionary)
     if tgt not in maps:
-        src_ids = np.full(tgt.n_cells, -1, dtype=np.int64)
-        # Walk dyadic descendants of every source leaf and claim the
-        # target leaves encountered; anything left unassigned is coarser
-        # than the source there, i.e. the meshes are not nested.
-        is_leaf = tgt._cell_ids
-        cap = tgt.max_level
-        for sid, cell in enumerate(src.cells):
-            stack = [cell]
-            while stack:
-                node = stack.pop()
-                tid = is_leaf.get(node)
-                if tid is not None:
-                    src_ids[tid] = sid
-                elif node[0] < cap:
-                    level, ix, iy = node
-                    stack.extend((
-                        (level + 1, 2 * ix, 2 * iy),
-                        (level + 1, 2 * ix + 1, 2 * iy),
-                        (level + 1, 2 * ix, 2 * iy + 1),
-                        (level + 1, 2 * ix + 1, 2 * iy + 1),
-                    ))
-        if np.any(src_ids < 0):
+        top = max(src.max_level, tgt.max_level)
+        src_first, src_size = _morton_ranges(src, top)
+        tgt_first, tgt_size = _morton_ranges(tgt, top)
+        # In Morton order, the target cells starting inside a source
+        # leaf's code range form one run; the leaf contains them all iff
+        # none is larger (dyadic ranges are aligned to their size).
+        runs = np.diff(np.searchsorted(tgt_first, src_first),
+                       append=tgt.n_cells)
+        src_ids = np.repeat(np.arange(src.n_cells, dtype=np.int32), runs)
+        if np.any(src_size[src_ids] < tgt_size):
             raise ValueError("meshes are not nested: some target cells are "
                              "coarser than the source leaves covering them")
         maps[tgt] = src_ids
     return maps[tgt]
+
+
+def _prolongation(src: QuadMesh, space: Space):
+    """Rows of the prolongation from Q1 functions on ``src`` onto a space
+    on a nested refinement: for each free vertex of the space, the corners
+    of the source leaf containing it and their shape values there."""
+    mesh = space.mesh
+    # Each free vertex lies in the closure of the source leaf that
+    # contains one of its incident target cells.
+    sids = _containment_map(src, mesh)[_vertex_to_cell(mesh)[space.free]]
+    sx0, sy0, sh = _cell_origin_arrays(src)
+    # np.take: fancy indexing of 2-D arrays is several times slower.
+    origin = np.take(np.column_stack([sx0, sy0]), sids, axis=0)
+    local = ((np.take(mesh.vertices, space.free, axis=0) - origin)
+             / np.take(sh, sids)[:, None])
+    return np.take(src.cell_corners, sids, axis=0), shape_values(local)
 
 
 def interpolate_onto(field: "Field", mesh: QuadMesh) -> "Field":
@@ -491,16 +513,9 @@ def interpolate_onto(field: "Field", mesh: QuadMesh) -> "Field":
     if field.mesh is mesh:
         return field
     space = Space(mesh, field.space.kind)
-    src = field.mesh
-    # Evaluate each free vertex inside the source leaf that contains one
-    # of its incident target cells (the vertex lies in its closure).
-    sids = _containment_map(src, mesh)[_vertex_to_cell(mesh)[space.free]]
-    sx0, sy0, sh = _cell_origin_arrays(src)
-    xy = mesh.vertices[space.free]
-    local = np.column_stack([(xy[:, 0] - sx0[sids]) / sh[sids],
-                             (xy[:, 1] - sy0[sids]) / sh[sids]])
-    corner_vals = field.full_values()[src.cell_corners[sids]]
-    return Field(space, bilinear(corner_vals, local))
+    corners, shapes = _prolongation(field.mesh, space)
+    return Field(space, np.einsum("ki,ki->k", field.full_values()[corners],
+                                  shapes))
 
 
 # ---------------------------------------------------------------------------

@@ -290,37 +290,24 @@ def simulate_data(problem: ModelProblem, case: SyntheticCase, obs,
 def restrict_data(data: NoisyData, target_space: Space) -> Field:
     """L^2-projection of fine-mesh L^2 data onto a coarser Q1 space.
 
-    The right-hand side (g_delta, psi_i) is integrated exactly on the
-    fine mesh (the integrand is piecewise bilinear there), then a mass
-    solve on the target space yields the projection.
+    The meshes are nested, so each target basis function psi_i is the
+    fine Q1 function P e_i, with P the exact prolongation of
+    ``fem.interpolate_onto``.  Hence (g_delta, psi_i) = (P' M g_delta)_i
+    with the fine mass matrix M, and no quadrature is needed; a mass
+    solve on the target space then yields the projection.
     """
     if not isinstance(data.obs, L2Obs):
         raise TypeError("restrict_data applies to L^2 observations")
     g = data.g_delta
-    if g.mesh is target_space.mesh:
+    coarse = target_space.mesh
+    if g.mesh is coarse:
         return Field(target_space, g.coeffs.copy())
-    rhs = _cross_mass_rhs(g, target_space)
+    corners, shapes = fem._prolongation(coarse, g.space)
+    weights = shapes * (g.space.mass() @ g.coeffs)[:, None]
+    full = np.bincount(corners.ravel(), weights=weights.ravel(),
+                       minlength=coarse.n_vertices)
+    rhs = target_space.T.T @ full
     return Field(target_space, target_space.mass_solver().solve(rhs))
-
-
-def _cross_mass_rhs(fine_field: Field, coarse_space: Space) -> np.ndarray:
-    """Vector of (fine_field, psi_i) integrated cell by cell on the fine mesh."""
-    fine = fine_field.mesh
-    coarse = coarse_space.mesh
-    src_ids = fem._containment_map(coarse, fine)
-    pts, wts, shapes, _ = fem._cell_quad_data(fem.NQ_BASE)
-    fvals = fem._cell_values(fine_field, fine, fem.NQ_BASE)
-    fx0, fy0, fh = fem._cell_origin_arrays(fine)
-    cx0, cy0, ch = fem._cell_origin_arrays(coarse)
-    gx = fx0[:, None] + fh[:, None] * pts[None, :, 0]
-    gy = fy0[:, None] + fh[:, None] * pts[None, :, 1]
-    s = (gx - cx0[src_ids][:, None]) / ch[src_ids][:, None]
-    t = (gy - cy0[src_ids][:, None]) / ch[src_ids][:, None]
-    basis = fem.shape_values(np.stack([s, t], axis=-1))  # (n_fine, nq, 4)
-    cell_loads = np.einsum("c,cq,q,cqi->ci", fh**2, fvals, wts, basis)
-    full = np.zeros(coarse.n_vertices)
-    np.add.at(full, coarse.cell_corners[src_ids].ravel(), cell_loads.ravel())
-    return coarse_space.T.T @ full
 
 
 # ---------------------------------------------------------------------------

@@ -255,19 +255,15 @@ def solve_second_order(sub: LinearizedSubproblem, sol: KktSolution) -> AuxTriple
     )
 
 
-def adjoint_at_base(problem: pb.ModelProblem, mesh: QuadMesh,
-                    u_old: Field, obs, data) -> Field:
+def adjoint_at_base(sub: LinearizedSubproblem) -> Field:
     """Adjoint state of the optimality system at the base point itself.
 
-    Solves K' z = 2 C'* (C(u_old) - g_delta) with all operators frozen
-    at (q_old, u_old); the W-norm of z drives the penalty-weight update.
+    Solves K' z = 2 C'* (C(u_old) - g_delta) with the subproblem's
+    operators, frozen at (q_old, u_old); the W-norm of z drives the
+    penalty-weight update.
     """
-    V, Q = vspace(mesh), qspace(mesh)
-    u_old_h = interpolate_onto(u_old, mesh)
-    K = pb.linearized_state_operator(problem, V, u_old_h)
-    _, c_res, _, _ = _observation_blocks(obs, data, V, Q, u_old_h)
-    z = spla.splu(K.T.tocsc()).solve(2.0 * c_res)
-    return Field(V, z)
+    z = spla.splu(sub.K.T.tocsc()).solve(2.0 * sub.c_res)
+    return Field(sub.V, z)
 
 
 def adjoint_w_norm(z: Field) -> float:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ggnfem import fem
 from ggnfem.fem import (Field, assemble_functional, assemble_mass,
@@ -175,6 +176,50 @@ def test_cross_mesh_rejects_non_nested():
     f = qspace(m_fine).interpolate(lambda x, y: x * y)
     with pytest.raises(ValueError):
         interpolate_onto(f, uniform_mesh(1))
+
+
+def _descendant_walk(src, tgt):
+    """Reference containment map: walk the dyadic descendants of every
+    source leaf and claim the target leaves met on the way."""
+    ids = {}
+    for sid, cell in enumerate(src.cells):
+        stack = [cell]
+        while stack:
+            level, ix, iy = stack.pop()
+            if tgt.contains_cell((level, ix, iy)):
+                ids[tgt.cells.index((level, ix, iy))] = sid
+            elif level < tgt.max_level:
+                stack.extend((level + 1, 2 * ix + dx, 2 * iy + dy)
+                             for dy in (0, 1) for dx in (0, 1))
+    return np.array([ids.get(t, -1) for t in range(tgt.n_cells)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(start=st.integers(0, 2),
+       marks=st.lists(st.lists(st.integers(0, 10**6), min_size=1,
+                               max_size=6), min_size=1, max_size=4))
+def test_containment_map_matches_descendant_walk(start, marks):
+    meshes = [uniform_mesh(start)]
+    for picks in marks:
+        m = meshes[-1]
+        meshes.append(refine(m, {p % m.n_cells for p in picks}, max_level=6))
+    for i, src in enumerate(meshes):
+        for tgt in meshes[i:]:
+            got = fem._containment_map(src, tgt)
+            assert np.array_equal(got, _descendant_walk(src, tgt))
+        assert np.array_equal(fem._containment_map(src, src),
+                              np.arange(src.n_cells))
+    if meshes[-1].n_cells > meshes[0].n_cells:
+        with pytest.raises(ValueError):
+            fem._containment_map(meshes[-1], meshes[0])
+
+
+def test_containment_map_rejects_crossed_refinements():
+    base = uniform_mesh(1)
+    left, right = refine(base, {0}), refine(base, {3})
+    for src, tgt in ((left, right), (right, left)):
+        with pytest.raises(ValueError):
+            fem._containment_map(src, tgt)
 
 
 def test_mass_requires_single_mesh():

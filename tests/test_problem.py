@@ -4,7 +4,7 @@ from scipy.optimize import minimize
 
 from ggnfem import fem, problem as pb
 from ggnfem.fem import Field, qspace, riesz_dual_norm, vspace
-from ggnfem.mesh import uniform_mesh
+from ggnfem.mesh import locate, refine, uniform_mesh
 
 
 def test_case_constants():
@@ -225,6 +225,52 @@ def test_restrict_data_best_approximation_monotone():
         proj = pb.restrict_data(d, qspace(uniform_mesh(lev)))
         gaps.append(d.g_delta.norm_l2() ** 2 - proj.norm_l2() ** 2)
     assert gaps[0] > gaps[1] > gaps[2] > 0
+
+
+def _quadrature_mass_rhs(fine_field, coarse_space):
+    """Reference (fine_field, psi_i): 3x3 Gauss on every fine cell, which
+    is exact there because both factors are bilinear on the fine cell."""
+    fine, coarse = fine_field.mesh, coarse_space.mesh
+    x0, y0, h = fem._cell_origin_arrays(fine)
+    # Coarse leaf of each fine cell, found by point location at the centre.
+    src_ids = np.array([locate(coarse, (x + 0.5 * d, y + 0.5 * d))[0]
+                        for x, y, d in zip(x0, y0, h)])
+    pts, wts, shapes, _ = fem._cell_quad_data(fem.NQ_BASE)
+    fvals = fine_field.full_values()[fine.cell_corners] @ shapes.T
+    cx0, cy0, ch = fem._cell_origin_arrays(coarse)
+    gx = x0[:, None] + h[:, None] * pts[None, :, 0]
+    gy = y0[:, None] + h[:, None] * pts[None, :, 1]
+    s = (gx - cx0[src_ids][:, None]) / ch[src_ids][:, None]
+    t = (gy - cy0[src_ids][:, None]) / ch[src_ids][:, None]
+    basis = fem.shape_values(np.stack([s, t], axis=-1))
+    loads = np.einsum("c,cq,q,cqi->ci", h**2, fvals, wts, basis)
+    full = np.zeros(coarse.n_vertices)
+    np.add.at(full, coarse.cell_corners[src_ids].ravel(), loads.ravel())
+    return coarse_space.T.T @ full
+
+
+@pytest.mark.parametrize("seed,fine_level", [(0, 5), (1, 5), (2, 6)])
+def test_restrict_data_matches_fine_quadrature(seed, fine_level):
+    rng = np.random.default_rng(seed)
+
+    def graded(mesh, steps, cap):
+        for _ in range(steps):
+            marked = rng.choice(mesh.n_cells, max(1, mesh.n_cells // 4),
+                                replace=False)
+            mesh = refine(mesh, marked, max_level=cap)
+        return mesh
+
+    coarse = graded(uniform_mesh(1), 3, fine_level - 2)
+    fine = graded(coarse, 4, fine_level)
+    assert coarse.hanging and fine.hanging
+    g = Field(qspace(fine), rng.uniform(-1.0, 1.0, qspace(fine).dim))
+    data = pb.NoisyData(obs=pb.L2Obs(), g=g, g_delta=g, delta=0.0, p=0.0,
+                        seed=seed, case="a", zeta=0.0,
+                        fine_levels=fine_level, q_true=g, u_true=g)
+    Q = qspace(coarse)
+    ref = Q.mass_solver().solve(_quadrature_mass_rhs(g, Q))
+    got = pb.restrict_data(data, Q).coeffs
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_point_observation_adjoint_consistency():

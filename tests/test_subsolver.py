@@ -206,7 +206,8 @@ def test_adjoint_at_base_solves_optimality_row():
     obs = pb.PointObs(3)
     data = pb.simulate_data(prob, pb.synthetic_case("a"), obs, 5, 0.01, 2)
     u_old = V.interpolate(lambda x, y: x * (1 - x) * y * (1 - y))
-    z = ss.adjoint_at_base(prob, mesh, u_old, obs, data.g_delta)
+    z = ss.adjoint_at_base(ss.build_subproblem(
+        prob, mesh, Q.zeros(), u_old, Q.zeros(), obs, data.g_delta, 1.0))
     K = pb.linearized_state_operator(prob, V, u_old)
     C = obs.matrix(V)
     rg = C @ u_old.coeffs - data.g_delta
