@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimators as est, problem as pb, subsolver as ss
-from .driver import (RunReport, RunRow, _observed, log_beta_step,
-                     mark_fraction, relative_control_error)
+from .driver import (SOLVER_ERRORS, RunReport, RunRow, _observed,
+                     failure_reason, log_beta_step, mark_fraction,
+                     relative_control_error)
 from .fem import Field, interpolate_onto, qspace, vspace
 from .mesh import refine, uniform_mesh
 
@@ -115,6 +116,7 @@ def run_nt(problem: pb.ModelProblem, data: pb.NoisyData, cfg: NtConfig) -> RunRe
     monotonicity: list[bool] = []
     beta = cfg.beta0
     q = qspace(mesh).zeros()
+    u = vspace(mesh).zeros()
     u_warm = None
     delta2 = data.delta**2
     band = (cfg.tau_low**2 * delta2, cfg.tau_up**2 * delta2)
@@ -125,8 +127,13 @@ def run_nt(problem: pb.ModelProblem, data: pb.NoisyData, cfg: NtConfig) -> RunRe
     total_forward = 0
 
     for _ in range(cfg.max_passes):
-        q, u, sub, sol, disc2, nf = _gn_fit(problem, data, mesh, beta, q,
-                                            u_warm, cfg, data_cache)
+        try:
+            q, u, sub, sol, disc2, nf = _gn_fit(problem, data, mesh, beta, q,
+                                                u_warm, cfg, data_cache)
+        except SOLVER_ERRORS as exc:
+            warnings.append(str(exc))
+            termination = failure_reason(exc)
+            break
         total_forward += nf
         u_warm = u
         eta, ind = est.estimate_eta1(sol, sub)

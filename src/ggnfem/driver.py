@@ -38,6 +38,8 @@ __all__ = [
     "RunRow",
     "RunReport",
     "BetaSearchError",
+    "SOLVER_ERRORS",
+    "failure_reason",
     "mark_fraction",
     "log_beta_step",
     "run_ggn",
@@ -363,21 +365,47 @@ class _Run:
             warnings=self.warnings)
 
 
+# Solver errors that end a run (GGN or NT) with a report instead of a
+# traceback; see failure_reason.
+SOLVER_ERRORS = (ss.KktError, pb.ForwardSolveError)
+
+
+def failure_reason(exc: Exception) -> str:
+    """Termination reason of a run ended by one of SOLVER_ERRORS."""
+    return "kkt-failure" if isinstance(exc, ss.KktError) else "forward-failure"
+
+
 def run_ggn(problem: pb.ModelProblem, data: pb.NoisyData, cfg: GgnConfig,
             q0: Field | None = None) -> RunReport:
-    """Full adaptive Gauss-Newton run on one data set."""
+    """Full adaptive Gauss-Newton run on one data set.
+
+    A KKT or forward-solve failure inside the loop ends the run with the
+    termination "kkt-failure" or "forward-failure"; the message goes to
+    the warnings.
+    """
     if cfg.enforce_assumptions:
         cfg.validate()
     run = _Run(problem, data, cfg, q0)
-    tol = cfg.tau**2 * data.delta**2
     run.rows.append(RunRow(
         k=0, phase="init", nodes=run.mesh.n_vertices, beta=run.beta,
         rho=run.rho, i1h=float("nan"), i2h=float("nan"), i3h=run.i3h,
         i4h=float("nan"), eta1=float("nan"), eta2=float("nan")))
+    try:
+        termination = _iterate(run)
+    except SOLVER_ERRORS as exc:
+        run.warnings.append(str(exc))
+        termination = failure_reason(exc)
+    return run.finalize(termination)
+
+
+def _iterate(run: _Run) -> str:
+    """Outer loop of run_ggn; returns the termination reason."""
+    cfg, data = run.cfg, run.data
+    tol = cfg.tau**2 * data.delta**2
 
     while run.i3h > tol:
         if run.k >= cfg.max_outer:
-            return run.finalize("iteration-cap")
+            return "iteration-cap"
         accepted = False
         for _ in range(cfg.max_inner):
             sub, sol = run.solve()
@@ -387,7 +415,7 @@ def run_ggn(problem: pb.ModelProblem, data: pb.NoisyData, cfg: GgnConfig,
                     sub, sol = run.beta_search()
                 except BetaSearchError as exc:
                     run.warnings.append(str(exc))
-                    return run.finalize("beta-search-failure")
+                    return "beta-search-failure"
             eta1, ind1 = est.estimate_eta1(sol, sub)
             gate1 = cfg.eta1_gate_coefficient() * run.i3h
             if ind1.sum() > gate1:
@@ -406,7 +434,7 @@ def run_ggn(problem: pb.ModelProblem, data: pb.NoisyData, cfg: GgnConfig,
             break
         if not accepted:
             run.warnings.append("inner pass cap reached without a step")
-            return run.finalize("iteration-cap")
+            return "iteration-cap"
 
         # Accept the Gauss-Newton step.
         run.q_old = sol.q
@@ -426,7 +454,7 @@ def run_ggn(problem: pb.ModelProblem, data: pb.NoisyData, cfg: GgnConfig,
             rhs=run.mono_rhs))
         run.t0 += time.perf_counter() - t_diag  # diagnostics are untimed
         run.i3h = est.compute_i3h(base, run.rho)
-    return run.finalize("discrepancy")
+    return "discrepancy"
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,23 @@ quadrature.  The source leaf containing each target cell is found by
 index arithmetic on the linear quadtree (Morton codes, one sorted
 search).
 
-Everything derived from one mesh -- the condensation of each space, its
-assembled operators and LU factors, the cell origin tables, observation
-matrices and point locations, and the containment maps into finer
-meshes -- is cached in one per-mesh context (``_cached``).  Contexts sit
-in a ``WeakKeyDictionary`` keyed by the mesh and hold nothing that
-refers back to it, so each one dies with its mesh.  For the same reason
-a ``Space`` is a light view over its context entry and is rebuilt on
-demand rather than cached itself.
+Assembly is split into a symbolic and a numeric part.  The symbolic
+part, built once per mesh, is an assembly plan: the condensed CSR
+pattern and one sparse map P from element matrices to its data, which
+composes the scatter onto the vertices with the condensation T' . T
+(``_assembly_plan``; load vectors use the map T' S, ``_load_map``).
+Each assembly then only computes element data and applies P.  Matrices
+of one plan share its pattern arrays, so adding their data adds the
+matrices.
+
+Everything derived from one mesh -- the condensation of each space, the
+assembly plans, its assembled operators and LU factors, the cell origin
+tables, observation matrices and point locations, and the containment
+maps into finer meshes -- is cached in one per-mesh context
+(``_cached``).  Contexts sit in a ``WeakKeyDictionary`` keyed by the
+mesh and hold nothing that refers back to it, so each one dies with its
+mesh.  For the same reason a ``Space`` is a light view over its context
+entry and is rebuilt on demand rather than cached itself.
 """
 
 from __future__ import annotations
@@ -188,13 +197,17 @@ class Space:
         return _cached(self.mesh, ("mass", self.kind),
                        lambda: assemble_mass(self, self))
 
+    # Both matrices are SPD: a minimum-degree ordering of A' + A keeps
+    # their LU fill well below that of the default column ordering.
     def stiffness_solver(self):
         return _cached(self.mesh, ("stiffness_lu", self.kind),
-                       lambda: spla.splu(self.stiffness().tocsc()))
+                       lambda: spla.splu(self.stiffness().tocsc(),
+                                         permc_spec="MMD_AT_PLUS_A"))
 
     def mass_solver(self):
         return _cached(self.mesh, ("mass_lu", self.kind),
-                       lambda: spla.splu(self.mass().tocsc()))
+                       lambda: spla.splu(self.mass().tocsc(),
+                                         permc_spec="MMD_AT_PLUS_A"))
 
     def __repr__(self):
         return f"Space({self.kind}, dim={self.dim}, mesh={self.mesh!r})"
@@ -317,6 +330,15 @@ def _cell_quad_data(nq: int):
     return pts, wts, shape_values(pts), shape_gradients(pts)
 
 
+@functools.cache
+def _product_tables(nq: int):
+    """Weighted shape tables: wts_q phi_i, (nq*nq, 4), and the element
+    mass integrand R[q, 4i+j] = wts_q phi_i phi_j, (nq*nq, 16)."""
+    _, wts, shapes, _ = _cell_quad_data(nq)
+    load = wts[:, None] * shapes
+    return load, (load[:, :, None] * shapes[:, None, :]).reshape(-1, 16)
+
+
 def _cell_origin_arrays(mesh: QuadMesh):
     """Cached (x0, y0, h) arrays over cells."""
     def build():
@@ -339,28 +361,115 @@ def _vertex_to_cell(mesh: QuadMesh) -> np.ndarray:
     return _cached(mesh, ("v2c",), build)
 
 
+def _expand(T: sp.csr_matrix, verts: np.ndarray):
+    """Condense vertex references through T: one (reference index, free
+    column, weight) triple per nonzero of the referenced rows of T."""
+    counts = np.diff(T.indptr)[verts]
+    src = np.repeat(np.arange(len(verts), dtype=np.int32), counts)
+    first = T.indptr[verts] - (np.cumsum(counts, dtype=np.int32) - counts)
+    k = np.arange(len(src), dtype=np.int32) + np.repeat(first, counts)
+    return src, T.indices[k], T.data[k]
+
+
+def _q_dofs(mesh: QuadMesh, kind: str):
+    """Which Q dofs are dofs of the kind's space, and their index there.
+
+    V frees the vertices Q frees minus the boundary, in the same order,
+    and its T is Q's T restricted to those columns (hanging vertices are
+    interior and keep the weights of their interior parents).  So every
+    operator involving V is a row/column restriction of the Q operator.
+    """
+    def build():
+        keep = np.ones(qspace(mesh).dim, dtype=bool)
+        if kind == "V":
+            keep &= ~mesh.boundary[qspace(mesh).free]
+        return keep, np.cumsum(keep, dtype=np.int32) - 1
+
+    return _cached(mesh, ("q_dofs", kind), build)
+
+
+def _load_map(space: Space) -> sp.csr_matrix:
+    """Cached T' S, with S the scatter of (n_cells*4) cell loads onto the
+    vertices: the load vector is this map applied to the cell loads."""
+    mesh = space.mesh
+
+    def build():
+        if space.kind == "V":
+            return _load_map(qspace(mesh))[_q_dofs(mesh, "V")[0]]
+        e, r, w = _expand(space.T, mesh.cell_corners.ravel())
+        return sp.csr_matrix((w, (r, e)), shape=(space.dim, 4 * mesh.n_cells))
+
+    return _cached(mesh, ("load_map", space.kind), build)
+
+
+def _q_plan(mesh: QuadMesh):
+    """Symbolic assembly onto the Q space: (indptr, indices, P)."""
+    T = qspace(mesh).T
+    corners = mesh.cell_corners.astype(np.int32)
+    e, rows, w = _expand(T, np.repeat(corners, 4, axis=1).ravel())
+    k, cols, wc = _expand(T, np.tile(corners, (1, 4)).ravel()[e])
+    key = rows[k].astype(np.int64) * T.shape[1] + cols
+    del rows, cols
+    # Sorting the triples by their (row, col) key makes P's rows, the
+    # condensed entries, contiguous: P is then CSR by construction.
+    order = np.argsort(key)
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1)).astype(np.int32)
+    key = key[first]
+    P = sp.csr_matrix(
+        ((w[k] * wc)[order], e[k][order],
+         np.append(first, np.int32(len(order)))),
+        shape=(len(key), 16 * mesh.n_cells))
+    indptr = np.searchsorted(key, np.arange(T.shape[1] + 1) * T.shape[1])
+    return indptr.astype(np.int32), (key % T.shape[1]).astype(np.int32), P
+
+
+def _assembly_plan(space_row: Space, space_col: Space):
+    """Cached symbolic assembly onto two spaces of one mesh.
+
+    Returns (indptr, indices, P): the condensed CSR pattern and the
+    sparse map with condensed data = P @ element_matrices.ravel().  P
+    composes the element-to-vertex scatter with the condensation T' . T;
+    only the nonzeros of T generate entries, so a hanging vertex adds its
+    two parents and a regular one only itself.  The Q plan is built
+    once; plans involving V restrict its rows and columns.
+    """
+    mesh = space_row.mesh
+
+    def build():
+        if space_row.kind == space_col.kind == "Q":
+            indptr, indices, P = _q_plan(mesh)
+        else:
+            indptr, indices, P = _assembly_plan(qspace(mesh), qspace(mesh))
+            rows = np.repeat(np.arange(len(indptr) - 1, dtype=np.int32),
+                             np.diff(indptr))
+            row_keep, row_id = _q_dofs(mesh, space_row.kind)
+            col_keep, col_id = _q_dofs(mesh, space_col.kind)
+            sel = np.flatnonzero(row_keep[rows] & col_keep[indices])
+            counts = np.bincount(row_id[rows[sel]], minlength=space_row.dim)
+            indptr = np.append(np.int32(0), np.cumsum(counts, dtype=np.int32))
+            indices, P = col_id[indices[sel]], P[sel]
+        # Assembled matrices share these arrays; nothing may edit them.
+        indptr.flags.writeable = indices.flags.writeable = False
+        return indptr, indices, P
+
+    return _cached(mesh, ("plan", space_row.kind, space_col.kind), build)
+
+
 def _assemble(space_row: Space, space_col: Space,
               element_matrices: np.ndarray) -> sp.csr_matrix:
-    """Scatter (n_cells, 4, 4) element matrices into the all-vertex matrix
-    and condense it onto the two spaces of the same mesh."""
-    mesh = space_row.mesh
-    corners = mesh.cell_corners
-    rows = np.repeat(corners, 4, axis=1).ravel()
-    cols = np.tile(corners, (1, 4)).ravel()
-    A = sp.coo_matrix(
-        (element_matrices.ravel(), (rows, cols)),
-        shape=(mesh.n_vertices, mesh.n_vertices),
-    ).tocsr()
-    return (space_row.T.T @ A @ space_col.T).tocsr()
+    """Condensed matrix of (n_cells, 16) element matrices (rows 4i+j)
+    through the cached assembly plan of the two spaces of one mesh."""
+    indptr, indices, P = _assembly_plan(space_row, space_col)
+    return sp.csr_matrix((P @ element_matrices.ravel(), indices, indptr),
+                         shape=(space_row.dim, space_col.dim))
 
 
 def assemble_stiffness(space: Space) -> sp.csr_matrix:
     """Condensed matrix of (grad u, grad v); independent of cell size."""
-    mesh = space.mesh
     pts, wts, _, grads = _cell_quad_data(NQ_BASE)
     ref = np.einsum("q,qid,qjd->ij", wts, grads, grads)
-    elems = np.broadcast_to(ref, (mesh.n_cells, 4, 4))
-    return _assemble(space, space, np.ascontiguousarray(elems))
+    return _assemble(space, space, np.tile(ref.ravel(), space.mesh.n_cells))
 
 
 def assemble_mass(space_row: Space, space_col: Space) -> sp.csr_matrix:
@@ -368,12 +477,9 @@ def assemble_mass(space_row: Space, space_col: Space) -> sp.csr_matrix:
     if space_row.mesh is not space_col.mesh:
         raise ValueError("mass assembly requires one mesh; use cross-mesh "
                          "evaluation to move fields first")
-    mesh = space_row.mesh
-    pts, wts, shapes, _ = _cell_quad_data(NQ_BASE)
-    ref = np.einsum("q,qi,qj->ij", wts, shapes, shapes)
-    h2 = mesh.cell_sizes() ** 2
-    elems = h2[:, None, None] * ref[None, :, :]
-    return _assemble(space_row, space_col, elems)
+    ref = _product_tables(NQ_BASE)[1].sum(axis=0)
+    h2 = space_row.mesh.cell_sizes() ** 2
+    return _assemble(space_row, space_col, np.outer(h2, ref))
 
 
 def assemble_weighted_mass(space: Space, weight: "Field", exponent: int) -> sp.csr_matrix:
@@ -386,11 +492,8 @@ def assemble_weighted_mass(space: Space, weight: "Field", exponent: int) -> sp.c
         raise ValueError("exponent must be 2 or 3")
     mesh = space.mesh
     wvals = _cell_values(weight, mesh, NQ_WEIGHTED)
-    pts, wts, shapes, _ = _cell_quad_data(NQ_WEIGHTED)
     h2 = mesh.cell_sizes() ** 2
-    elems = np.einsum(
-        "c,cq,q,qi,qj->cij", h2, wvals**exponent, wts, shapes, shapes
-    )
+    elems = (h2[:, None] * wvals**exponent) @ _product_tables(NQ_WEIGHTED)[1]
     return _assemble(space, space, elems)
 
 
@@ -419,13 +522,9 @@ def assemble_functional(space: Space, f, nq: int = NQ_BASE) -> np.ndarray:
 def _load_vector(space: Space, fvals: np.ndarray, nq: int) -> np.ndarray:
     """Vector of (f, phi_i) over free nodes from the values of f at every
     quadrature point of every cell, (n_cells, nq*nq)."""
-    mesh = space.mesh
-    _, wts, shapes, _ = _cell_quad_data(nq)
-    h2 = mesh.cell_sizes() ** 2
-    cell_loads = np.einsum("c,cq,q,qi->ci", h2, fvals, wts, shapes)
-    full = np.zeros(mesh.n_vertices)
-    np.add.at(full, mesh.cell_corners.ravel(), cell_loads.ravel())
-    return space.T.T @ full
+    h2 = space.mesh.cell_sizes() ** 2
+    cell_loads = (h2[:, None] * fvals) @ _product_tables(nq)[0]
+    return _load_map(space) @ cell_loads.ravel()
 
 
 def riesz_dual_norm(space: Space, functional: np.ndarray):

@@ -118,6 +118,9 @@ class QuadMesh:
         self._cell_ids = {c: i for i, c in enumerate(self.cells)}
         self.max_level = max(c[0] for c in self.cells)
         scale = 1 << self.max_level
+        levels = np.array([c[0] for c in self.cells])
+        self._cell_sizes = np.ldexp(1.0, -levels)
+        self._cell_sizes.flags.writeable = False
 
         # Vertex keys are integer coordinates at the finest dyadic scale.
         keys = set()
@@ -176,7 +179,8 @@ class QuadMesh:
         return ix * h, iy * h, h
 
     def cell_sizes(self) -> np.ndarray:
-        return np.array([0.5 ** c[0] for c in self.cells])
+        """Side length of every leaf (read-only, computed once)."""
+        return self._cell_sizes
 
     def areas_sum(self) -> float:
         return float(sum(4.0 ** -c[0] for c in self.cells))

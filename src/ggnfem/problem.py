@@ -24,6 +24,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from . import fem
 from .fem import Field, Space, interpolate_onto, qspace, vspace
@@ -158,11 +159,18 @@ def _cubic_term(space: Space, u: Field) -> np.ndarray:
 
 
 def linearized_state_operator(problem: ModelProblem, space: Space, u_base: Field) -> sp.csr_matrix:
-    """A'_u at u_base: stiffness + 3 zeta (u_base^2 . , .)."""
+    """A'_u at u_base: stiffness + 3 zeta (u_base^2 . , .).
+
+    Both terms come from the space's assembly plan, so the sum adds their
+    data on the shared pattern; the pattern stays fixed even where the
+    weight vanishes (a sparse + would drop those entries).
+    """
     K = space.stiffness()
-    if problem.zeta:
-        K = K + 3.0 * problem.zeta * fem.assemble_weighted_mass(space, u_base, 2)
-    return K.tocsr()
+    if not problem.zeta:
+        return K
+    W = fem.assemble_weighted_mass(space, u_base, 2)
+    return sp.csr_matrix((K.data + 3.0 * problem.zeta * W.data, K.indices,
+                          K.indptr), shape=K.shape)
 
 
 def solve_forward(problem: ModelProblem, q: Field, space: Space,
@@ -173,8 +181,6 @@ def solve_forward(problem: ModelProblem, q: Field, space: Space,
     Terminates when the dual norm of the residual drops below tol;
     backtracking halves the step until the residual norm decreases.
     """
-    import scipy.sparse.linalg as spla
-
     u = np.zeros(space.dim) if u_init is None else interpolate_onto(u_init, space.mesh).coeffs.copy()
     load = fem.assemble_functional(space, interpolate_onto(q, space.mesh))
     Ks = space.stiffness()
@@ -192,7 +198,13 @@ def solve_forward(problem: ModelProblem, q: Field, space: Space,
         if rnorm <= tol:
             return Field(space, u)
         J = linearized_state_operator(problem, space, Field(space, u))
-        d = spla.splu(J.tocsc()).solve(-r)
+        # The factors are dropped right after the solve: keeping them
+        # would hold two LUs at once while the next Jacobian is factorized.
+        try:
+            d = spla.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(-r)
+        except RuntimeError as exc:
+            raise ForwardSolveError(f"Newton Jacobian factorization failed: "
+                                    f"{exc}", rnorm) from exc
         step = 1.0
         while True:
             r_new = resid(u + step * d)

@@ -18,6 +18,12 @@ block matrix
 and factorized directly; the adjoint of the optimality system is
 z = 2 z~ (the block system absorbs the factor 2 of the squared-misfit
 derivatives).
+
+Every block has a pattern fixed by the mesh (and the observation): M_Q,
+L = -M(V, Q) and C*C are cached in the mesh's context, and K keeps the
+pattern of the V assembly plan.  So the KKT pattern, and where each
+block's entries land in it, is cached per (mesh, observation) as well;
+assembling the KKT matrix gathers the block values into one data array.
 """
 
 from __future__ import annotations
@@ -50,6 +56,13 @@ class KktError(RuntimeError):
     pass
 
 
+def _obs_key(obs) -> tuple:
+    """Context key of what an observation operator depends on."""
+    if isinstance(obs, pb.PointObs):
+        return ("obs",) + fem._points_key(obs.points)
+    return ("obs", obs.kind)
+
+
 def _observation_blocks(obs, data, V: Space, Q: Space, u_old_h: Field):
     """Per-observation pieces: (CtC, c_residual, r_g, misfit_fn).
 
@@ -59,7 +72,8 @@ def _observation_blocks(obs, data, V: Space, Q: Space, u_old_h: Field):
     if isinstance(obs, pb.PointObs):
         C = obs.matrix(V)
         rg = C @ u_old_h.coeffs - np.asarray(data)
-        CtC = (C.T @ C).tocsr()
+        CtC = fem._cached(V.mesh, _obs_key(obs) + ("CtC",),
+                          lambda: (C.T @ C).tocsr())
         c_res = C.T @ rg
 
         def misfit(v):
@@ -74,7 +88,8 @@ def _observation_blocks(obs, data, V: Space, Q: Space, u_old_h: Field):
     MQ = Q.mass()
     inc = fem.v_to_q(V.mesh)
     rg = inc @ u_old_h.coeffs - g_h.coeffs
-    CtC = (inc.T @ MQ @ inc).tocsr()
+    CtC = fem._cached(V.mesh, _obs_key(obs) + ("CtC",),
+                      lambda: (inc.T @ MQ @ inc).tocsr())
     c_res = inc.T @ (MQ @ rg)
 
     def misfit(v):
@@ -138,7 +153,7 @@ def build_subproblem(problem: pb.ModelProblem, mesh: QuadMesh,
     q_old_h = interpolate_onto(q_old, mesh)
     u_old_h = interpolate_onto(u_old, mesh)
     K = pb.linearized_state_operator(problem, V, u_old_h)
-    L = (-fem.assemble_mass(V, Q)).tocsr()
+    L = fem._cached(mesh, ("L",), lambda: -fem.assemble_mass(V, Q))
     M_Q = Q.mass()
     if isinstance(obs, pb.L2Obs):
         data_h = data if isinstance(data, Field) and data.mesh is mesh else None
@@ -173,16 +188,47 @@ class KktSolution:
         return self.sub.misfit(self.v.coeffs)[0]
 
 
+def _kkt_layout(sub: LinearizedSubproblem):
+    """Cached KKT pattern of a mesh and observation: (indptr, indices,
+    slots, block patterns) with KKT data = concat(block data)[slots] for
+    the blocks (1/beta) M_Q, C*C, -L, -K."""
+    blocks = (sub.M_Q, sub.CtC, sub.L, sub.K)
+
+    def build():
+        # Number the entries of all blocks 1, 2, ... and read back where
+        # each number lands; L and K appear twice (with their transposes).
+        marks, start = [], 1
+        for B in blocks:
+            marks.append(sp.csr_matrix(
+                (np.arange(start, start + B.nnz, dtype=float), B.indices,
+                 B.indptr), shape=B.shape))
+            start += B.nnz
+        MQ, CtC, L, K = marks
+        A = sp.bmat([[MQ, None, L.T], [None, CtC, K.T], [L, K, None]],
+                    format="csc")
+        A.sum_duplicates()
+        slots = A.data.astype(np.int64) - 1
+        for a in (A.indptr, A.indices, slots):
+            a.flags.writeable = False
+        return (A.indptr, A.indices, slots,
+                [(B.indptr, B.indices) for B in blocks])
+
+    indptr, indices, slots, patterns = fem._cached(
+        sub.mesh, ("kkt",) + _obs_key(sub.obs), build)
+    for B, (ptr, ind) in zip(blocks, patterns):
+        if not (np.array_equal(B.indptr, ptr)
+                and np.array_equal(B.indices, ind)):
+            raise ValueError("KKT block pattern differs from the cached "
+                             "layout of its mesh")
+    return indptr, indices, slots
+
+
 def _kkt_matrix(sub: LinearizedSubproblem) -> sp.csc_matrix:
-    b = 1.0 / sub.beta
-    return sp.bmat(
-        [
-            [b * sub.M_Q, None, -sub.L.T],
-            [None, sub.CtC, -sub.K.T],
-            [-sub.L, -sub.K, None],
-        ],
-        format="csc",
-    )
+    indptr, indices, slots = _kkt_layout(sub)
+    data = np.concatenate([(1.0 / sub.beta) * sub.M_Q.data, sub.CtC.data,
+                           -sub.L.data, -sub.K.data])
+    n = sub.Q.dim + 2 * sub.V.dim
+    return sp.csc_matrix((data[slots], indices, indptr), shape=(n, n))
 
 
 def solve_kkt(sub: LinearizedSubproblem, check: bool = True) -> KktSolution:

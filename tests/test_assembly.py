@@ -1,0 +1,176 @@
+"""Cached assembly plans and the cached KKT layout against the direct
+constructions they replace: element matrices scattered through COO and
+condensed as T' A T, loads scattered with np.add.at, and the KKT matrix
+built by sp.bmat."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import assume, given, settings, strategies as st
+
+from ggnfem import fem, problem as pb, subsolver as ss
+from ggnfem.fem import Field, qspace, vspace
+from ggnfem.mesh import refine, uniform_mesh
+
+RTOL = 1e-13
+
+
+def _reference_assemble(space_row, space_col, elems):
+    mesh = space_row.mesh
+    corners = mesh.cell_corners
+    A = sp.coo_matrix(
+        (np.asarray(elems).ravel(),
+         (np.repeat(corners, 4, axis=1).ravel(),
+          np.tile(corners, (1, 4)).ravel())),
+        shape=(mesh.n_vertices, mesh.n_vertices)).tocsr()
+    return (space_row.T.T @ A @ space_col.T).tocsr()
+
+
+def _reference_stiffness(space):
+    _, wts, _, grads = fem._cell_quad_data(fem.NQ_BASE)
+    ref = np.einsum("q,qid,qjd->ij", wts, grads, grads)
+    return _reference_assemble(
+        space, space, np.broadcast_to(ref, (space.mesh.n_cells, 4, 4)))
+
+
+def _reference_mass(space_row, space_col):
+    _, wts, shapes, _ = fem._cell_quad_data(fem.NQ_BASE)
+    ref = np.einsum("q,qi,qj->ij", wts, shapes, shapes)
+    h2 = space_row.mesh.cell_sizes() ** 2
+    return _reference_assemble(space_row, space_col,
+                               h2[:, None, None] * ref[None])
+
+
+def _reference_weighted_mass(space, weight, exponent):
+    mesh = space.mesh
+    wvals = fem._cell_values(weight, mesh, fem.NQ_WEIGHTED)
+    _, wts, shapes, _ = fem._cell_quad_data(fem.NQ_WEIGHTED)
+    elems = np.einsum("c,cq,q,qi,qj->cij", mesh.cell_sizes() ** 2,
+                      wvals**exponent, wts, shapes, shapes)
+    return _reference_assemble(space, space, elems)
+
+
+def _reference_load(space, fvals, nq):
+    mesh = space.mesh
+    _, wts, shapes, _ = fem._cell_quad_data(nq)
+    loads = np.einsum("c,cq,q,qi->ci", mesh.cell_sizes() ** 2, fvals, wts,
+                      shapes)
+    full = np.zeros(mesh.n_vertices)
+    np.add.at(full, mesh.cell_corners.ravel(), loads.ravel())
+    return space.T.T @ full
+
+
+def _reference_kkt(sub, K, L, M_Q, CtC):
+    b = 1.0 / sub.beta
+    return sp.bmat([[b * M_Q, None, -L.T],
+                    [None, CtC, -K.T],
+                    [-L, -K, None]], format="csc")
+
+
+def _close(got, ref):
+    if sp.issparse(got):
+        assert got.shape == ref.shape
+        got, ref = got.toarray(), ref.toarray()
+    scale = max(np.abs(ref).max(), 1e-300)
+    assert np.abs(got - ref).max() <= RTOL * scale
+
+
+@st.composite
+def graded_meshes(draw):
+    """Random refinements of a coarse uniform mesh with hanging vertices."""
+    mesh = uniform_mesh(draw(st.integers(1, 2)))
+    for picks in draw(st.lists(st.lists(st.integers(0, 10**6), min_size=1,
+                                        max_size=5), min_size=2, max_size=4)):
+        mesh = refine(mesh, {p % mesh.n_cells for p in picks}, max_level=6)
+    assume(mesh.hanging)
+    return mesh
+
+
+@settings(max_examples=8, deadline=None)
+@given(mesh=graded_meshes(), seed=st.integers(0, 2**16))
+def test_plan_assembly_matches_reference(mesh, seed):
+    rng = np.random.default_rng(seed)
+    V, Q = vspace(mesh), qspace(mesh)
+    for space in (V, Q):
+        _close(fem.assemble_stiffness(space), _reference_stiffness(space))
+        _close(space.mass(), _reference_mass(space, space))
+        w = Field(space, rng.uniform(-1.0, 1.0, space.dim))
+        for exponent in (2, 3):
+            _close(fem.assemble_weighted_mass(space, w, exponent),
+                   _reference_weighted_mass(space, w, exponent))
+        _close(fem.assemble_functional(space, w),
+               _reference_load(space, fem._cell_values(w, mesh, fem.NQ_BASE),
+                               fem.NQ_BASE))
+    _close(fem.assemble_mass(V, Q), _reference_mass(V, Q))
+    u = Field(V, rng.uniform(-1.0, 1.0, V.dim))
+    uv = fem._cell_values(u, mesh, fem.NQ_WEIGHTED)
+    _close(pb._cubic_term(V, u), _reference_load(V, uv**3, fem.NQ_WEIGHTED))
+    # The callable branch of the load vector goes through the same map.
+    f = lambda x, y: np.sin(3 * x) * (1 + y)  # noqa: E731
+    x0, y0, h = fem._cell_origin_arrays(mesh)
+    pts = fem._cell_quad_data(fem.NQ_BASE)[0]
+    fvals = f(x0[:, None] + h[:, None] * pts[None, :, 0],
+              y0[:, None] + h[:, None] * pts[None, :, 1])
+    _close(fem.assemble_functional(Q, f),
+           _reference_load(Q, fvals, fem.NQ_BASE))
+
+
+@settings(max_examples=6, deadline=None)
+@given(mesh=graded_meshes(), seed=st.integers(0, 2**16),
+       point=st.booleans())
+def test_kkt_layout_matches_bmat(mesh, seed, point):
+    rng = np.random.default_rng(seed)
+    prob = pb.ModelProblem(zeta=100.0)
+    V, Q = vspace(mesh), qspace(mesh)
+    q_old = Field(Q, rng.uniform(-1.0, 1.0, Q.dim))
+    u_old = Field(V, rng.uniform(-0.5, 0.5, V.dim))
+    if point:
+        obs = pb.PointObs(3)
+        data = rng.uniform(-1.0, 1.0, obs.n_obs)
+        C = obs.matrix(V)
+        CtC = C.T @ C
+    else:
+        obs = pb.L2Obs()
+        data = Field(Q, rng.uniform(-1.0, 1.0, Q.dim))
+        inc = fem.v_to_q(mesh)
+        CtC = inc.T @ _reference_mass(Q, Q) @ inc
+    K = (_reference_stiffness(V)
+         + 300.0 * _reference_weighted_mass(V, u_old, 2))
+    L = -_reference_mass(V, Q)
+    M_Q = _reference_mass(Q, Q)
+    sub = ss.build_subproblem(prob, mesh, q_old, u_old, Q.zeros(), obs, data,
+                              beta=7.0)
+    for s in (sub, dataclasses.replace(sub, beta=0.03)):
+        _close(ss._kkt_matrix(s), _reference_kkt(s, K, L, M_Q, CtC))
+
+
+def test_linearized_operator_keeps_plan_pattern():
+    mesh = refine(refine(uniform_mesh(2), {1, 6}), {0, 3})
+    assert mesh.hanging
+    V = vspace(mesh)
+    indptr, indices, _ = fem._assembly_plan(V, V)
+    prob = pb.ModelProblem(zeta=100.0)
+    for u in (V.zeros(), V.interpolate(lambda x, y: x * y)):
+        J = pb.linearized_state_operator(prob, V, u)
+        assert np.array_equal(J.indptr, indptr)
+        assert np.array_equal(J.indices, indices)
+        # Data added on the plan's own arrays, not a sparse sum.
+        assert np.shares_memory(J.indices, indices)
+    J0 = pb.linearized_state_operator(prob, V, V.zeros())
+    _close(J0, _reference_stiffness(V))
+
+
+def test_kkt_layout_rejects_foreign_block_pattern():
+    mesh = refine(uniform_mesh(2), {0, 5})
+    V, Q = vspace(mesh), qspace(mesh)
+    obs = pb.PointObs(3)
+    sub = ss.build_subproblem(pb.ModelProblem(zeta=100.0), mesh, Q.zeros(),
+                              V.zeros(), Q.zeros(), obs,
+                              np.zeros(obs.n_obs), beta=1.0)
+    ss._kkt_matrix(sub)
+    corner = sp.csr_matrix(([1.0], ([0], [V.dim - 1])), shape=sub.K.shape)
+    assert corner.multiply(sub.K).nnz == 0  # an entry outside the pattern
+    with pytest.raises(ValueError, match="pattern"):
+        ss._kkt_matrix(dataclasses.replace(sub, K=(sub.K + corner).tocsr()))

@@ -1,8 +1,10 @@
 import csv
+import types
 
 import pytest
+import scipy.sparse.linalg as spla
 
-from ggnfem import cli
+from ggnfem import cli, problem as pb, subsolver as ss
 
 
 def test_config_roundtrip(tmp_path):
@@ -101,3 +103,45 @@ def test_table_failed_row_exit_code(tmp_path):
     with open(out / "table_zeta.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert rows[0]["status"].startswith("failed:")
+
+
+def _singular(A, **kwargs):
+    raise RuntimeError("Factor is exactly singular")
+
+
+def _singular_kkt(A, **kwargs):
+    """splu that fails on the KKT matrix (its multiplier block has a zero
+    diagonal) and factorizes every SPD matrix as usual."""
+    if (A.diagonal() == 0).any():
+        _singular(A)
+    return spla.splu(A, **kwargs)
+
+
+def _fail_after_simulation(monkeypatch, module, splu):
+    """Replace splu as the module sees it once the data exist, so the
+    fault hits the solver run and not the forward simulation."""
+    simulate = cli._simulate
+
+    def simulate_then_fail(exp):
+        data = simulate(exp)
+        monkeypatch.setattr(module, "spla", types.SimpleNamespace(splu=splu))
+        return data
+
+    monkeypatch.setattr(cli, "_simulate", simulate_then_fail)
+
+
+@pytest.mark.parametrize("command,module,splu,termination", [
+    ("run-ggn", ss, _singular_kkt, "kkt-failure"),
+    ("run-nt", ss, _singular_kkt, "kkt-failure"),
+    ("run-nt", pb, _singular, "forward-failure"),
+])
+def test_solver_failure_ends_run_cleanly(tmp_path, monkeypatch, command,
+                                         module, splu, termination):
+    _fail_after_simulation(monkeypatch, module, splu)
+    out = tmp_path / "failed"
+    rc = cli.main(["--zeta", "100", "--noise", "0.01", "--fine-levels", "5",
+                   "--seed", "3", "--out", str(out), command])
+    assert rc == 1
+    manifest = (out / "manifest.txt").read_text()
+    assert f"termination = {termination}" in manifest
+    assert "warning = " in manifest and "singular" in manifest
