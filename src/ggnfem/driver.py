@@ -249,10 +249,19 @@ class _Run:
         self.beta_floor = cfg.beta0
         self.mono_rhs = None
         self.sub = None  # subproblem at the current mesh and base point
+        self.rho = self.i3h = float("nan")  # set by start()
+        self.k = 0
+
+    def start(self):
+        """Penalty weight rho and gate I3h at the initial point, logged
+        as the init row."""
         sub = self.subproblem()
         self.rho = ss.adjoint_w_norm(ss.adjoint_at_base(sub))
         self.i3h = est.compute_i3h(sub, self.rho)
-        self.k = 0
+        self.rows.append(RunRow(
+            k=0, phase="init", nodes=self.mesh.n_vertices, beta=self.beta,
+            rho=self.rho, i1h=float("nan"), i2h=float("nan"), i3h=self.i3h,
+            i4h=float("nan"), eta1=float("nan"), eta2=float("nan")))
 
     def observed(self):
         return _observed(self.data, self.mesh, self.data_cache)
@@ -379,18 +388,15 @@ def run_ggn(problem: pb.ModelProblem, data: pb.NoisyData, cfg: GgnConfig,
             q0: Field | None = None) -> RunReport:
     """Full adaptive Gauss-Newton run on one data set.
 
-    A KKT or forward-solve failure inside the loop ends the run with the
-    termination "kkt-failure" or "forward-failure"; the message goes to
-    the warnings.
+    A KKT or forward-solve failure, at the start or inside the loop,
+    ends the run with the termination "kkt-failure" or
+    "forward-failure"; the message goes to the warnings.
     """
     if cfg.enforce_assumptions:
         cfg.validate()
     run = _Run(problem, data, cfg, q0)
-    run.rows.append(RunRow(
-        k=0, phase="init", nodes=run.mesh.n_vertices, beta=run.beta,
-        rho=run.rho, i1h=float("nan"), i2h=float("nan"), i3h=run.i3h,
-        i4h=float("nan"), eta1=float("nan"), eta2=float("nan")))
     try:
+        run.start()
         termination = _iterate(run)
     except SOLVER_ERRORS as exc:
         run.warnings.append(str(exc))

@@ -14,9 +14,12 @@ code paths, not a tautology.
 The estimators eta1 (for I1) and eta2 (for I2) pair Lagrangian
 derivatives at the discrete stationary point with patchwise-biquadratic
 interpolation defects; cellwise absolute contributions serve as
-refinement indicators.  eta3 is identically zero by convention (the
-state-residual dual norm is taken as computed on the evaluation mesh)
-and eta4 is not computed.
+refinement indicators.  The Lagrangian of the subproblem is quadratic,
+so its derivative L'(x)(w) is the linear part L''(x, w) plus the
+base-point terms L'(0)(w); both are written once, and eta2 reuses them
+for its Hessian and auxiliary-weight terms.  eta3 is identically zero
+by convention (the state-residual dual norm is taken as computed on the
+evaluation mesh) and eta4 is not computed.
 """
 
 from __future__ import annotations
@@ -64,20 +67,18 @@ class Qoi:
 
 
 class _CellData:
-    """Per-cell quadrature values of the fields entering the pairings."""
+    """Quadrature on every cell, with the base-point data of the pairings."""
 
-    def __init__(self, sub: LinearizedSubproblem, sol: KktSolution):
+    def __init__(self, sub: LinearizedSubproblem):
         self.mesh = sub.mesh
-        self.pts, self.wts, _, self.grads_ref = fem._cell_quad_data(_NQ)
+        _, self.wts, _, grads_ref = fem._cell_quad_data(_NQ)
+        # (4, n_qp*2): the gradients at all points are one product with it.
+        self.grads_ref = grads_ref.transpose(1, 0, 2).reshape(4, -1)
         self.h = self.mesh.cell_sizes()
         self.h2 = self.h**2
-        self.q_h = self.vals(sol.q)
         self.q0 = self.vals(sub.q0)
         self.u_old = self.vals(sub.u_old_h)
-        self.v = self.vals(sol.v)
-        self.z = self.vals(sol.z)
-        self.grad_z = self.grads(sol.z)
-        self.grad_u = self.grads(sol.u)
+        self.grad_u_old = self.grads(sub.u_old_h)
 
     def vals(self, field: Field) -> np.ndarray:
         """Values at the quadrature points, (n_cells, n_qp)."""
@@ -86,12 +87,24 @@ class _CellData:
     def grads(self, field: Field) -> np.ndarray:
         """Physical gradients at the quadrature points, (n_cells, n_qp, 2)."""
         cv = field.full_values()[self.mesh.cell_corners]
-        g = np.einsum("ci,qid->cqd", cv, self.grads_ref)
+        g = (cv @ self.grads_ref).reshape(len(cv), -1, 2)
         return g / self.h[:, None, None]
 
     def integrate(self, integrand: np.ndarray) -> np.ndarray:
         """Cellwise integrals of (n_cells, n_qp) integrand values."""
-        return np.einsum("c,cq,q->c", self.h2, integrand, self.wts)
+        return self.h2 * (integrand @ self.wts)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("cqd,cqd->cq", a, b)
+
+
+def _observe(sub: LinearizedSubproblem, v: Field) -> np.ndarray:
+    """C v: values at the observation points for point data, the Q
+    coefficients of v for L^2 data."""
+    if isinstance(sub.obs, pb.PointObs):
+        return sub.obs.matrix(sub.V) @ v.coeffs
+    return fem.v_to_q(sub.mesh) @ v.coeffs
 
 
 def _obs_pairing(sub: LinearizedSubproblem, gvec, weight, cells: _CellData) -> np.ndarray:
@@ -104,43 +117,49 @@ def _obs_pairing(sub: LinearizedSubproblem, gvec, weight, cells: _CellData) -> n
     if isinstance(sub.obs, pb.PointObs):
         out = np.zeros(sub.mesh.n_cells)
         cids, locs = fem.point_locations(sub.mesh, sub.obs.points)
-        wv, _ = weight.eval_pairs(cids, locs)
-        np.add.at(out, cids, np.asarray(gvec) * wv)
+        np.add.at(out, cids, np.asarray(gvec) * weight.at(cids, locs)[0])
         return out
     gq = cells.vals(Field(sub.Q, np.asarray(gvec, dtype=float)))
-    wv, _ = weight.eval_all(cells.pts)
-    return cells.integrate(gq * wv)
+    return cells.integrate(gq * weight.vals)
 
 
-def _lagrangian_cells(sub: LinearizedSubproblem, sol: KktSolution,
-                      cells: _CellData, weights) -> np.ndarray:
-    """Cellwise L'(x_h) applied to a weight triple (wq, wu, wz)."""
+def _hessian_cells(sub: LinearizedSubproblem, cells: _CellData, x,
+                   weights, r=0.0) -> np.ndarray:
+    """Cellwise L''(x, w) for fields x = (q, v, z) and weights (wq, wu, wz),
+
+        (2/beta)(q, wq) + (z, wq) + 2 (C v + r, C wu)_G - (grad wu, grad z)
+        - 3 zeta (u_old^2 wu, z) + (q, wz) - (grad v, grad wz)
+        - 3 zeta (u_old^2 v, wz)
+
+    with r = 0.  A vector r of observation residuals adds the misfit term
+    2 (r, C wu)_G to the same pairing, so wu is evaluated at the
+    observations once.  The Lagrangian is quadratic, so L'' does not
+    depend on the point.
+    """
     wq, wu, wz = weights
-    wq_v, _ = wq.eval_all(cells.pts)
-    wu_v, wu_g = wu.eval_all(cells.pts)
-    wz_v, wz_g = wz.eval_all(cells.pts)
-    zeta = sub.problem.zeta
-    beta = sub.beta
+    q, v, z = (cells.vals(f) for f in x)
+    grad_v, grad_z = cells.grads(x[1]), cells.grads(x[2])
+    react = 3.0 * sub.problem.zeta * cells.u_old**2
+    integrand = (((2.0 / sub.beta) * q + z) * wq.vals
+                 + (q - react * v) * wz.vals - react * z * wu.vals
+                 - _dot(wu.grads, grad_z) - _dot(grad_v, wz.grads))
+    return (cells.integrate(integrand)
+            + 2.0 * _obs_pairing(sub, _observe(sub, x[1]) + r, wu, cells))
 
-    # q-block: (2/beta)(q - q0, wq) + (wq, z)
-    t_q = cells.integrate(((2.0 / beta) * (cells.q_h - cells.q0) + cells.z) * wq_v)
 
-    # u-block: 2 (r_lin, C wu)_G - (grad wu, grad z) - 3 zeta (u_old^2 wu, z)
-    r_lin = sub.misfit(sol.v.coeffs)[1]
-    t_u = 2.0 * _obs_pairing(sub, r_lin, wu, cells)
-    t_u -= cells.integrate(np.einsum("cqd,cqd->cq", wu_g, cells.grad_z))
-    if zeta:
-        t_u -= 3.0 * zeta * cells.integrate(cells.u_old**2 * wu_v * cells.z)
+def _lagrangian_cells(sub: LinearizedSubproblem, cells: _CellData, x,
+                      weights) -> np.ndarray:
+    """Cellwise L'(x)(w) = L''(x, w) + L'(0)(w), with the base-point terms
 
-    # z-block: -[(grad u_h, grad wz) + zeta (u_old^3 + 3 u_old^2 v, wz)
-    #           - (q_h, wz)]
-    t_z = -cells.integrate(np.einsum("cqd,cqd->cq", cells.grad_u, wz_g))
-    if zeta:
-        t_z -= zeta * cells.integrate(
-            (cells.u_old**3 + 3.0 * cells.u_old**2 * cells.v) * wz_v
-        )
-    t_z += cells.integrate(cells.q_h * wz_v)
-    return t_q + t_u + t_z
+        L'(0)(w) = -(2/beta)(q0, wq) + 2 (r_g, C wu)_G
+                   - (grad u_old, grad wz) - zeta (u_old^3, wz).
+    """
+    wq, _, wz = weights
+    base = (-(2.0 / sub.beta) * cells.q0 * wq.vals
+            - _dot(cells.grad_u_old, wz.grads)
+            - sub.problem.zeta * cells.u_old**3 * wz.vals)
+    return (_hessian_cells(sub, cells, x, weights, r=sub.r_g)
+            + cells.integrate(base))
 
 
 def _patch_weights(*fields):
@@ -149,67 +168,40 @@ def _patch_weights(*fields):
 
 def estimate_eta1(sol: KktSolution, sub: LinearizedSubproblem,
                   weights=None):
-    """DWR estimate of I1 - I1h with cellwise refinement indicators.
+    """DWR estimate of I1 - I1h with cellwise refinement indicators:
+    0.5 L'(x_h)(w) for the weights w of x_h.
 
     Returns (signed estimate, |cell contribution| array).  A custom
     weight triple may be injected to check Galerkin orthogonality.
     """
-    cells = _CellData(sub, sol)
+    cells = _CellData(sub)
     if weights is None:
         weights = _patch_weights(sol.q, sol.u, sol.z)
-    contrib = 0.5 * _lagrangian_cells(sub, sol, cells, weights)
+    contrib = 0.5 * _lagrangian_cells(sub, cells, (sol.q, sol.v, sol.z),
+                                      weights)
     return float(contrib.sum()), np.abs(contrib)
 
 
 def estimate_eta2(sol: KktSolution, sub: LinearizedSubproblem, aux: AuxTriple,
                   weights=None, aux_weights=None):
-    """DWR estimate of I2 - I2h via the auxiliary Lagrangian.
+    """DWR estimate of I2 - I2h via the auxiliary Lagrangian:
 
-    Combines I2'(u_h), the Lagrangian Hessian applied to the auxiliary
-    triple, and L' at the auxiliary weights; cellwise magnitudes drive
-    refinement in the regularization-parameter search.
+        0.5 [I2'(u_h)(wu) + L''(x1, w) + L'(x_h)(w1)]
+
+    for the auxiliary triple x1, the weights w of x_h and w1 of x1;
+    cellwise magnitudes drive refinement in the regularization-parameter
+    search.
     """
-    cells = _CellData(sub, sol)
+    cells = _CellData(sub)
     if weights is None:
         weights = _patch_weights(sol.q, sol.u, sol.z)
     if aux_weights is None:
         aux_weights = _patch_weights(aux.q, aux.v, aux.z)
-    wq, wu, wz = weights
-    wq_v, _ = wq.eval_all(cells.pts)
-    wu_v, wu_g = wu.eval_all(cells.pts)
-    wz_v, wz_g = wz.eval_all(cells.pts)
-    zeta = sub.problem.zeta
-
-    q1 = cells.vals(aux.q)
-    v1 = cells.vals(aux.v)
-    z1 = cells.vals(aux.z)
-    gv1 = cells.grads(aux.v)
-    gz1 = cells.grads(aux.z)
-
+    # I2'(u_h)(wu) = 2 (C v_h + r_g, C wu)_G joins the Hessian's pairing.
     r_lin = sub.misfit(sol.v.coeffs)[1]
-
-    # I2'(u_h)(wu)
-    contrib = 2.0 * _obs_pairing(sub, r_lin, wu, cells)
-
-    # L''(x_h)(x1, w)
-    contrib += cells.integrate((2.0 / sub.beta) * q1 * wq_v + z1 * wq_v)
-    if isinstance(sub.obs, pb.PointObs):
-        Cv1 = sub.obs.matrix(sub.V) @ aux.v.coeffs
-        contrib += 2.0 * _obs_pairing(sub, Cv1, wu, cells)
-    else:
-        contrib += 2.0 * cells.integrate(v1 * wu_v)
-    contrib -= cells.integrate(np.einsum("cqd,cqd->cq", wu_g, gz1))
-    if zeta:
-        contrib -= 3.0 * zeta * cells.integrate(cells.u_old**2 * wu_v * z1)
-    contrib += cells.integrate(q1 * wz_v)
-    contrib -= cells.integrate(np.einsum("cqd,cqd->cq", gv1, wz_g))
-    if zeta:
-        contrib -= 3.0 * zeta * cells.integrate(cells.u_old**2 * v1 * wz_v)
-
-    # L'(x_h)(w1)
-    contrib += _lagrangian_cells(sub, sol, cells, aux_weights)
-
-    contrib *= 0.5
+    contrib = 0.5 * (
+        _hessian_cells(sub, cells, (aux.q, aux.v, aux.z), weights, r=r_lin)
+        + _lagrangian_cells(sub, cells, (sol.q, sol.v, sol.z), aux_weights))
     return float(contrib.sum()), np.abs(contrib)
 
 

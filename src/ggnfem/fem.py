@@ -19,19 +19,22 @@ Assembly is split into a symbolic and a numeric part.  The symbolic
 part, built once per mesh, is an assembly plan: the condensed CSR
 pattern and one sparse map P from element matrices to its data, which
 composes the scatter onto the vertices with the condensation T' . T
-(``_assembly_plan``; load vectors use the map T' S, ``_load_map``).
-Each assembly then only computes element data and applies P.  Matrices
-of one plan share its pattern arrays, so adding their data adds the
-matrices.
+(``_q_plan``; load vectors use the map T' S, ``_load_map``).  P is
+built for the Q space only: a plan involving V is the list of Q entries
+it keeps (``_assembly_plan``), and a V load vector is the Q one
+restricted to V's dofs.  Each assembly then only computes element data
+and applies P.  Matrices of one plan share its pattern arrays, so adding
+their data adds the matrices.
 
 Everything derived from one mesh -- the condensation of each space, the
 assembly plans, its assembled operators and LU factors, the cell origin
-tables, observation matrices and point locations, and the containment
-maps into finer meshes -- is cached in one per-mesh context
-(``_cached``).  Contexts sit in a ``WeakKeyDictionary`` keyed by the
-mesh and hold nothing that refers back to it, so each one dies with its
-mesh.  For the same reason a ``Space`` is a light view over its context
-entry and is rebuilt on demand rather than cached itself.
+tables, the patch table of the DWR weights, observation matrices and
+point locations, and the containment maps into finer meshes -- is cached
+in one per-mesh context (``_cached``).  Contexts sit in a
+``WeakKeyDictionary`` keyed by the mesh and hold nothing that refers
+back to it, so each one dies with its mesh.  For the same reason a
+``Space`` is a light view over its context entry and is rebuilt on
+demand rather than cached itself.
 """
 
 from __future__ import annotations
@@ -101,23 +104,13 @@ def shape_gradients(pts: np.ndarray) -> np.ndarray:
     return np.stack([ds, dt], axis=-1)
 
 
-def bilinear(corner_vals: np.ndarray, pts: np.ndarray, h=None):
+def bilinear(corner_vals: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Q1 values at local cell points from the cell corner values.
 
     ``corner_vals`` (..., 4) and ``pts`` (..., 2) broadcast against each
-    other.  Given the cell sizes ``h`` (broadcasting to the value shape),
-    also returns the physical gradients, shape (..., 2).
+    other.
     """
-    vals = np.einsum("...i,...i->...", corner_vals, shape_values(pts))
-    if h is None:
-        return vals
-    # One contraction per direction: einsum is several times slower on
-    # "...i,...id->...d", and optimize=True costs more than it saves on
-    # the small meshes of the adaptive loop.
-    g = shape_gradients(pts)
-    grads = np.stack([np.einsum("...i,...i->...", corner_vals, g[..., d])
-                      for d in (0, 1)], axis=-1)
-    return vals, grads / np.asarray(h)[..., None]
+    return np.einsum("...i,...i->...", corner_vals, shape_values(pts))
 
 
 # mesh -> {key: object derived from that mesh alone}; see the module
@@ -388,81 +381,86 @@ def _q_dofs(mesh: QuadMesh, kind: str):
     return _cached(mesh, ("q_dofs", kind), build)
 
 
-def _load_map(space: Space) -> sp.csr_matrix:
-    """Cached T' S, with S the scatter of (n_cells*4) cell loads onto the
-    vertices: the load vector is this map applied to the cell loads."""
-    mesh = space.mesh
-
+def _load_map(mesh: QuadMesh) -> sp.csr_matrix:
+    """Cached T' S onto the Q space, with S the scatter of (n_cells*4)
+    cell loads onto the vertices: the load vector is this map applied to
+    the cell loads.  V load vectors are its restriction (``_q_dofs``)."""
     def build():
-        if space.kind == "V":
-            return _load_map(qspace(mesh))[_q_dofs(mesh, "V")[0]]
-        e, r, w = _expand(space.T, mesh.cell_corners.ravel())
-        return sp.csr_matrix((w, (r, e)), shape=(space.dim, 4 * mesh.n_cells))
+        e, r, w = _expand(qspace(mesh).T, mesh.cell_corners.ravel())
+        return sp.csr_matrix((w, (r, e)),
+                             shape=(qspace(mesh).dim, 4 * mesh.n_cells))
 
-    return _cached(mesh, ("load_map", space.kind), build)
+    return _cached(mesh, ("load_map",), build)
 
 
 def _q_plan(mesh: QuadMesh):
-    """Symbolic assembly onto the Q space: (indptr, indices, P)."""
-    T = qspace(mesh).T
-    corners = mesh.cell_corners.astype(np.int32)
-    e, rows, w = _expand(T, np.repeat(corners, 4, axis=1).ravel())
-    k, cols, wc = _expand(T, np.tile(corners, (1, 4)).ravel()[e])
-    key = rows[k].astype(np.int64) * T.shape[1] + cols
-    del rows, cols
-    # Sorting the triples by their (row, col) key makes P's rows, the
-    # condensed entries, contiguous: P is then CSR by construction.
-    order = np.argsort(key)
-    key = key[order]
-    first = np.flatnonzero(np.diff(key, prepend=-1)).astype(np.int32)
-    key = key[first]
-    P = sp.csr_matrix(
-        ((w[k] * wc)[order], e[k][order],
-         np.append(first, np.int32(len(order)))),
-        shape=(len(key), 16 * mesh.n_cells))
-    indptr = np.searchsorted(key, np.arange(T.shape[1] + 1) * T.shape[1])
-    return indptr.astype(np.int32), (key % T.shape[1]).astype(np.int32), P
+    """Cached symbolic assembly onto the Q space: (indptr, indices, P)."""
+    def build():
+        T = qspace(mesh).T
+        corners = mesh.cell_corners.astype(np.int32)
+        e, rows, w = _expand(T, np.repeat(corners, 4, axis=1).ravel())
+        k, cols, wc = _expand(T, np.tile(corners, (1, 4)).ravel()[e])
+        key = rows[k].astype(np.int64) * T.shape[1] + cols
+        del rows, cols
+        # Sorting the triples by their (row, col) key makes P's rows, the
+        # condensed entries, contiguous: P is then CSR by construction.
+        order = np.argsort(key)
+        key = key[order]
+        first = np.flatnonzero(np.diff(key, prepend=-1)).astype(np.int32)
+        key = key[first]
+        P = sp.csr_matrix(
+            ((w[k] * wc)[order], e[k][order],
+             np.append(first, np.int32(len(order)))),
+            shape=(len(key), 16 * mesh.n_cells))
+        indptr = np.searchsorted(key, np.arange(T.shape[1] + 1) * T.shape[1])
+        indices = (key % T.shape[1]).astype(np.int32)
+        return indptr.astype(np.int32), indices, P
+
+    return _cached(mesh, ("plan", "Q", "Q"), build)
 
 
 def _assembly_plan(space_row: Space, space_col: Space):
     """Cached symbolic assembly onto two spaces of one mesh.
 
-    Returns (indptr, indices, P): the condensed CSR pattern and the
-    sparse map with condensed data = P @ element_matrices.ravel().  P
+    Returns (indptr, indices, slots): the condensed CSR pattern and the
+    entries of the Q plan it selects, so that condensed data =
+    (P @ element_matrices.ravel())[slots] for the Q plan's map P.  P
     composes the element-to-vertex scatter with the condensation T' . T;
     only the nonzeros of T generate entries, so a hanging vertex adds its
     two parents and a regular one only itself.  The Q plan is built
-    once; plans involving V restrict its rows and columns.
+    once; plans involving V select its rows and columns.
     """
     mesh = space_row.mesh
 
     def build():
+        indptr, indices, _ = _q_plan(mesh)
         if space_row.kind == space_col.kind == "Q":
-            indptr, indices, P = _q_plan(mesh)
+            slots = slice(None)
         else:
-            indptr, indices, P = _assembly_plan(qspace(mesh), qspace(mesh))
             rows = np.repeat(np.arange(len(indptr) - 1, dtype=np.int32),
                              np.diff(indptr))
             row_keep, row_id = _q_dofs(mesh, space_row.kind)
             col_keep, col_id = _q_dofs(mesh, space_col.kind)
-            sel = np.flatnonzero(row_keep[rows] & col_keep[indices])
-            counts = np.bincount(row_id[rows[sel]], minlength=space_row.dim)
+            slots = np.flatnonzero(row_keep[rows] & col_keep[indices])
+            slots = slots.astype(np.int32)
+            counts = np.bincount(row_id[rows[slots]], minlength=space_row.dim)
             indptr = np.append(np.int32(0), np.cumsum(counts, dtype=np.int32))
-            indices, P = col_id[indices[sel]], P[sel]
+            indices = col_id[indices[slots]]
         # Assembled matrices share these arrays; nothing may edit them.
         indptr.flags.writeable = indices.flags.writeable = False
-        return indptr, indices, P
+        return indptr, indices, slots
 
-    return _cached(mesh, ("plan", space_row.kind, space_col.kind), build)
+    return _cached(mesh, ("slots", space_row.kind, space_col.kind), build)
 
 
 def _assemble(space_row: Space, space_col: Space,
               element_matrices: np.ndarray) -> sp.csr_matrix:
     """Condensed matrix of (n_cells, 16) element matrices (rows 4i+j)
     through the cached assembly plan of the two spaces of one mesh."""
-    indptr, indices, P = _assembly_plan(space_row, space_col)
-    return sp.csr_matrix((P @ element_matrices.ravel(), indices, indptr),
-                         shape=(space_row.dim, space_col.dim))
+    indptr, indices, slots = _assembly_plan(space_row, space_col)
+    P = _q_plan(space_row.mesh)[2]
+    return sp.csr_matrix(((P @ element_matrices.ravel())[slots], indices,
+                          indptr), shape=(space_row.dim, space_col.dim))
 
 
 def assemble_stiffness(space: Space) -> sp.csr_matrix:
@@ -524,7 +522,8 @@ def _load_vector(space: Space, fvals: np.ndarray, nq: int) -> np.ndarray:
     quadrature point of every cell, (n_cells, nq*nq)."""
     h2 = space.mesh.cell_sizes() ** 2
     cell_loads = (h2[:, None] * fvals) @ _product_tables(nq)[0]
-    return _load_map(space) @ cell_loads.ravel()
+    keep = _q_dofs(space.mesh, space.kind)[0]
+    return (_load_map(space.mesh) @ cell_loads.ravel())[keep]
 
 
 def riesz_dual_norm(space: Space, functional: np.ndarray):
@@ -621,15 +620,79 @@ def interpolate_onto(field: "Field", mesh: QuadMesh) -> "Field":
 # patchwise biquadratic recovery for DWR weights
 
 
-def _quad1d(t: np.ndarray) -> np.ndarray:
-    """1D quadratic Lagrange basis at nodes {0, 1/2, 1}; shape (n, 3)."""
-    return np.column_stack(
-        [2 * (t - 0.5) * (t - 1.0), -4 * t * (t - 1.0), 2 * t * (t - 0.5)]
-    )
+def _patch_table(mesh: QuadMesh):
+    """Cached patch of every leaf: (nodes (n_cells, 9), child position
+    (n_cells,), has_patch (n_cells,)).
+
+    A leaf's patch is its parent's 3x3 vertex grid (corners, edge
+    midpoints, center), numbered 3 j + i from the SW corner; the child
+    position is ix % 2 + 2 (iy % 2).  The root cell has no parent, and
+    a patch with a node missing from the mesh is unusable.
+    """
+    def build():
+        level, ix, iy = np.array(mesh.cells, dtype=np.int64).reshape(-1, 3).T
+        # Integer vertex keys at the finest scale; the vertices are sorted
+        # by (y, x), so the keys ky (2^L + 1) + kx are ascending.
+        side = (1 << mesh.max_level) + 1
+        kxy = np.rint(mesh.vertices * (side - 1)).astype(np.int64)
+        vkeys = kxy[:, 1] * side + kxy[:, 0]
+        half = np.left_shift(1, mesh.max_level - level)[:, None]  # leaf size
+        grid = np.arange(3)
+        # Patch nodes: the parent's SW corner plus multiples of half.
+        kx = (ix - ix % 2)[:, None] * half + np.tile(grid, 3) * half
+        ky = (iy - iy % 2)[:, None] * half + np.repeat(grid, 3) * half
+        keys = ky * side + kx
+        nodes = np.minimum(np.searchsorted(vkeys, keys), len(vkeys) - 1)
+        has_patch = (level > 0) & (vkeys[nodes] == keys).all(axis=1)
+        return nodes, ix % 2 + 2 * (iy % 2), has_patch
+
+    return _cached(mesh, ("patch",), build)
 
 
-def _quad1d_deriv(t: np.ndarray) -> np.ndarray:
-    return np.column_stack([4 * t - 3.0, -8 * t + 4.0, 4 * t - 1.0])
+def _patch_basis(pos: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Biquadratic patch basis minus the bilinear leaf basis, (..., 9, 3).
+
+    For leaves at child positions ``pos`` (...) and local points ``pts``
+    (..., 2): the values and the reference derivatives d/ds, d/dt of the
+    nine functions whose combination with the patch node values is the
+    weight.  The leaf corners are patch nodes, so the bilinear part is
+    subtracted at those four.
+    """
+    dx, dy = pos % 2, pos // 2
+
+    def lagrange(t):
+        """1D quadratic basis at {0, 1/2, 1} of the patch coordinate
+        t = (leaf coordinate + offset) / 2, and its leaf derivative."""
+        return (np.stack([2 * (t - 0.5) * (t - 1.0), -4 * t * (t - 1.0),
+                          2 * t * (t - 0.5)], axis=-1),
+                np.stack([2 * t - 1.5, 2.0 - 4 * t, 2 * t - 0.5], axis=-1))
+
+    ls, dls = lagrange(0.5 * (pts[..., 0] + dx))
+    lt, dlt = lagrange(0.5 * (pts[..., 1] + dy))
+    shape = pos.shape + (9,)
+    out = np.stack([np.einsum("...j,...i->...ji", a, b).reshape(shape)
+                    for a, b in ((lt, ls), (lt, dls), (dlt, ls))], axis=-1)
+    corners = (3 * (dy[..., None] + np.array([0, 0, 1, 1]))
+               + dx[..., None] + np.array([0, 1, 0, 1]))
+    bilin = np.concatenate([shape_values(pts)[..., None],
+                            shape_gradients(pts)], axis=-1)
+    return out - np.einsum("...cn,...ck->...nk",
+                           corners[..., None] == np.arange(9), bilin)
+
+
+@functools.cache
+def _patch_basis_table(nq: int):
+    """``_patch_basis`` at the quadrature points for the 4 child
+    positions: the values (9, 4 * nq*nq) and the derivatives
+    (9, 4 * nq*nq * 2), laid out for one product each with the patch
+    node values."""
+    pts = _cell_quad_data(nq)[0]
+    table = _patch_basis(np.repeat(np.arange(4), len(pts)),
+                         np.tile(pts, (4, 1))).transpose(1, 0, 2)
+    vals = np.ascontiguousarray(table[..., 0])
+    grads = np.ascontiguousarray(table[..., 1:]).reshape(9, -1)
+    vals.flags.writeable = grads.flags.writeable = False
+    return vals, grads
 
 
 class PatchWeight:
@@ -642,111 +705,37 @@ class PatchWeight:
     weight on the cell is that biquadratic minus the bilinear field;
     cells whose patch is unavailable (the root cell, or a missing patch
     node) fall back to the identity, i.e. zero weight.
+
+    ``vals`` (n_cells, n_qp) and ``grads`` (n_cells, n_qp, 2) hold the
+    weight at the NQ_WEIGHTED quadrature points of every cell; ``at``
+    evaluates it at given (cell, local point) pairs.
     """
 
     def __init__(self, field: "Field"):
         mesh = field.mesh
-        self.mesh = mesh
-        full = field.full_values()
-        self.corner_vals = full[mesh.cell_corners]
+        nodes, self._pos, has_patch = _patch_table(mesh)
+        self._h = mesh.cell_sizes()
+        self._patch_vals = np.where(has_patch[:, None],
+                                    field.full_values()[nodes], 0.0)
+        # All 4 child positions in one product each, then each cell's own;
+        # scaling the node values by 1/h makes the derivatives physical.
+        tv, tg = _patch_basis_table(NQ_WEIGHTED)
         n = mesh.n_cells
-        self.has_patch = np.zeros(n, dtype=bool)
-        self.patch_vals = np.zeros((n, 3, 3))
-        self.child_offset = np.zeros((n, 2), dtype=np.int64)
-        patch_cache = {}
-        for cid, (level, ix, iy) in enumerate(mesh.cells):
-            if level == 0:
-                continue
-            parent = (level - 1, ix // 2, iy // 2)
-            if parent not in patch_cache:
-                patch_cache[parent] = self._patch_values(mesh, full, parent)
-            vals = patch_cache[parent]
-            if vals is None:
-                continue
-            self.has_patch[cid] = True
-            self.patch_vals[cid] = vals
-            self.child_offset[cid] = (ix % 2, iy % 2)
+        cells = np.arange(n)
+        self.vals = (self._patch_vals @ tv).reshape(n, 4, -1)[cells, self._pos]
+        self.grads = ((self._patch_vals / self._h[:, None]) @ tg).reshape(
+            n, 4, -1, 2)[cells, self._pos]
 
-    @staticmethod
-    def _patch_values(mesh, full, parent):
-        level, ix, iy = parent
-        step = 1 << (mesh.max_level - level)
-        half = step // 2
-        vals = np.empty((3, 3))
-        for j in range(3):
-            for i in range(3):
-                vi = mesh.vertex_key_index(ix * step + i * half, iy * step + j * half)
-                if vi is None:
-                    return None
-                vals[j, i] = full[vi]
-        return vals
-
-    def eval_all(self, pts: np.ndarray):
-        """Weight values/gradients at the same local points of every cell.
-
-        Returns (w (n_cells, n_pts), grad_w (n_cells, n_pts, 2)).
-        """
-        return self._eval_cells(np.arange(self.mesh.n_cells), pts[None])
-
-    def eval_pairs(self, cell_ids: np.ndarray, pts: np.ndarray):
+    def at(self, cell_ids: np.ndarray, pts: np.ndarray):
         """One (cell, local point) pair per row; returns (w (n,), gw (n,2))."""
-        vals, grads = self._eval_cells(cell_ids, pts[:, None, :])
-        return vals[:, 0], grads[:, 0]
-
-    def _eval_cells(self, cell_ids: np.ndarray, pts: np.ndarray):
-        """Values/gradients at local points (1 or n_cells, n_pts, 2)."""
-        n = len(cell_ids)
-        npts = pts.shape[1]
-        s, t = pts[..., 0], pts[..., 1]
-        dxy = self.child_offset[cell_ids]  # (nc, 2)
-        ps = np.broadcast_to(0.5 * (s + dxy[:, 0, None]), (n, npts))
-        pt = np.broadcast_to(0.5 * (t + dxy[:, 1, None]), (n, npts))
-        ls = _quad1d(ps.ravel()).reshape(n, npts, 3)
-        lt = _quad1d(pt.ravel()).reshape(n, npts, 3)
-        dls = _quad1d_deriv(ps.ravel()).reshape(n, npts, 3)
-        dlt = _quad1d_deriv(pt.ravel()).reshape(n, npts, 3)
-        vals = self.patch_vals[cell_ids]
-        quad = np.einsum("cji,cnj,cni->cn", vals, lt, ls)
-        dquad_s = np.einsum("cji,cnj,cni->cn", vals, lt, dls)
-        dquad_t = np.einsum("cji,cnj,cni->cn", vals, dlt, ls)
-
-        h = self.mesh.cell_sizes()[cell_ids][:, None]
-        lin, dlin = bilinear(self.corner_vals[cell_ids][:, None, :], pts, h)
-        # Patch coordinate derivative: d(ps)/dx = 1/(2h).
-        gx = dquad_s * (0.5 / h) - dlin[..., 0]
-        gy = dquad_t * (0.5 / h) - dlin[..., 1]
-        w = quad - lin
-        mask = self.has_patch[cell_ids]
-        w[~mask] = 0.0
-        gx[~mask] = 0.0
-        gy[~mask] = 0.0
-        return w, np.stack([gx, gy], axis=-1)
+        w = np.einsum("ci,cik->ck", self._patch_vals[cell_ids],
+                      _patch_basis(self._pos[cell_ids], pts))
+        return w[:, 0], w[:, 1:] / self._h[cell_ids, None]
 
 
 def patch_interpolate(field: "Field") -> PatchWeight:
     """DWR weight object for a field (see PatchWeight)."""
     return PatchWeight(field)
-
-
-class FieldWeight:
-    """A discrete field presented through the weight-evaluation interface.
-
-    Substituting such a weight into a Lagrangian-derivative pairing must
-    annihilate it at a stationary point (Galerkin orthogonality); used
-    for consistency checks.
-    """
-
-    def __init__(self, field: "Field"):
-        self.mesh = field.mesh
-        self.corner_vals = field.full_values()[self.mesh.cell_corners]
-
-    def eval_all(self, pts: np.ndarray):
-        h = self.mesh.cell_sizes()[:, None]
-        return bilinear(self.corner_vals[:, None, :], pts[None], h)
-
-    def eval_pairs(self, cell_ids: np.ndarray, pts: np.ndarray):
-        h = self.mesh.cell_sizes()[cell_ids]
-        return bilinear(self.corner_vals[cell_ids], pts, h)
 
 
 # ---------------------------------------------------------------------------

@@ -191,9 +191,6 @@ class QuadMesh:
     def _cell_id(self, cell: Cell) -> int:
         return self._cell_ids[cell]
 
-    def vertex_key_index(self, kx: int, ky: int):
-        return self._vertex_index.get((kx, ky))
-
     def neighbor_levels_ok(self) -> bool:
         """Exhaustive edge scan of the 1-irregularity invariant."""
         for cell in self.cells:

@@ -308,8 +308,11 @@ def adjoint_at_base(sub: LinearizedSubproblem) -> Field:
     operators, frozen at (q_old, u_old); the W-norm of z drives the
     penalty-weight update.
     """
-    z = spla.splu(sub.K.T.tocsc()).solve(2.0 * sub.c_res)
-    return Field(sub.V, z)
+    try:
+        lu = spla.splu(sub.K.T.tocsc())
+    except RuntimeError as exc:
+        raise KktError(f"adjoint factorization failed: {exc}") from exc
+    return Field(sub.V, lu.solve(2.0 * sub.c_res))
 
 
 def adjoint_w_norm(z: Field) -> float:

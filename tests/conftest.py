@@ -1,9 +1,17 @@
 """Shared fixtures: forward simulations are expensive, so exact pairs
-and noisy bundles are cached per configuration for the whole session."""
+and noisy bundles are cached per configuration for the whole session.
+
+Also the hypothesis profile of the suite, derandomized so every run
+draws the same examples, and the shared mesh strategy."""
 
 import pytest
+from hypothesis import assume, settings, strategies as st
 
 from ggnfem import baseline as bl, driver as dv, problem as pb
+from ggnfem.mesh import refine, uniform_mesh
+
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 DESK_FINE = 8  # 257 x 257 simulation mesh
 DESK_DEPTH = 6  # solver meshes at most 6 levels deep
@@ -66,3 +74,14 @@ def nt_runs(sims):
         return cache[key]
 
     return get
+
+
+@st.composite
+def graded_meshes(draw):
+    """Random refinements of a coarse uniform mesh with hanging vertices."""
+    mesh = uniform_mesh(draw(st.integers(1, 2)))
+    for picks in draw(st.lists(st.lists(st.integers(0, 10**6), min_size=1,
+                                        max_size=5), min_size=2, max_size=4)):
+        mesh = refine(mesh, {p % mesh.n_cells for p in picks}, max_level=6)
+    assume(mesh.hanging)
+    return mesh

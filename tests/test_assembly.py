@@ -8,11 +8,13 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ggnfem import fem, problem as pb, subsolver as ss
 from ggnfem.fem import Field, qspace, vspace
 from ggnfem.mesh import refine, uniform_mesh
+
+from conftest import graded_meshes
 
 RTOL = 1e-13
 
@@ -75,17 +77,6 @@ def _close(got, ref):
         got, ref = got.toarray(), ref.toarray()
     scale = max(np.abs(ref).max(), 1e-300)
     assert np.abs(got - ref).max() <= RTOL * scale
-
-
-@st.composite
-def graded_meshes(draw):
-    """Random refinements of a coarse uniform mesh with hanging vertices."""
-    mesh = uniform_mesh(draw(st.integers(1, 2)))
-    for picks in draw(st.lists(st.lists(st.integers(0, 10**6), min_size=1,
-                                        max_size=5), min_size=2, max_size=4)):
-        mesh = refine(mesh, {p % mesh.n_cells for p in picks}, max_level=6)
-    assume(mesh.hanging)
-    return mesh
 
 
 @settings(max_examples=8, deadline=None)

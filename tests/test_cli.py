@@ -132,6 +132,7 @@ def _fail_after_simulation(monkeypatch, module, splu):
 
 @pytest.mark.parametrize("command,module,splu,termination", [
     ("run-ggn", ss, _singular_kkt, "kkt-failure"),
+    ("run-ggn", ss, _singular, "kkt-failure"),
     ("run-nt", ss, _singular_kkt, "kkt-failure"),
     ("run-nt", pb, _singular, "forward-failure"),
 ])

@@ -1,8 +1,35 @@
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
-from ggnfem import estimators as est, problem as pb, subsolver as ss
-from ggnfem.fem import Field, FieldWeight, qspace, vspace
+from ggnfem import estimators as est, fem, problem as pb, subsolver as ss
+from ggnfem.fem import Field, patch_interpolate, qspace, vspace
 from ggnfem.mesh import refine, uniform_mesh
+
+from conftest import graded_meshes
+
+
+class FieldWeight:
+    """A discrete field presented through the weight interface of
+    ``fem.PatchWeight``.
+
+    Substituting such a weight into a Lagrangian-derivative pairing must
+    annihilate it at a stationary point (Galerkin orthogonality).
+    """
+
+    def __init__(self, field):
+        mesh = field.mesh
+        self.h = mesh.cell_sizes()
+        self.corner_vals = field.full_values()[mesh.cell_corners]
+        pts = fem._cell_quad_data(fem.NQ_WEIGHTED)[0]
+        self.vals = self.corner_vals @ fem.shape_values(pts).T
+        self.grads = np.einsum("ci,qid->cqd", self.corner_vals,
+                               fem.shape_gradients(pts)) / self.h[:, None, None]
+
+    def at(self, cell_ids, pts):
+        cv = self.corner_vals[cell_ids]
+        return (fem.bilinear(cv, pts),
+                np.einsum("ci,cid->cd", cv, fem.shape_gradients(pts))
+                / self.h[cell_ids, None])
 
 
 def _instance(zeta=100.0, beta=10.0, levels=3, n_side=5, seed=1, p=0.01):
@@ -196,3 +223,99 @@ def test_qoi_invariant_under_renumbering():
         return q.i1h, q.i2h, q.i3h, q.i4h
 
     assert np.allclose(run(m1), run(m2), rtol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# the term-by-term estimators that the shared Hessian routine replaced
+
+
+def _reference_etas(sub, sol, aux):
+    """Cellwise eta1 and eta2 contributions, every term written out."""
+    mesh = sub.mesh
+    _, wts, _, grads_ref = fem._cell_quad_data(fem.NQ_WEIGHTED)
+    h = mesh.cell_sizes()
+
+    def vals(f):
+        return fem._cell_values(f, mesh, fem.NQ_WEIGHTED)
+
+    def grads(f):
+        cv = f.full_values()[mesh.cell_corners]
+        return np.einsum("ci,qid->cqd", cv, grads_ref) / h[:, None, None]
+
+    def integrate(x):
+        return np.einsum("c,cq,q->c", h**2, x, wts)
+
+    def dot(a, b):
+        return np.einsum("cqd,cqd->cq", a, b)
+
+    def obs_pairing(gvec, w):
+        if isinstance(sub.obs, pb.PointObs):
+            out = np.zeros(mesh.n_cells)
+            cids, locs = fem.point_locations(mesh, sub.obs.points)
+            np.add.at(out, cids, gvec * w.at(cids, locs)[0])
+            return out
+        return integrate(vals(Field(sub.Q, gvec)) * w.vals)
+
+    zeta, beta = sub.problem.zeta, sub.beta
+    q_h, q0, u_old = vals(sol.q), vals(sub.q0), vals(sub.u_old_h)
+    v, z = vals(sol.v), vals(sol.z)
+    grad_z, grad_u = grads(sol.z), grads(sol.u)
+    r_lin = sub.misfit(sol.v.coeffs)[1]
+
+    def lagrangian(w):
+        wq, wu, wz = w
+        t = integrate(((2.0 / beta) * (q_h - q0) + z) * wq.vals)
+        t += 2.0 * obs_pairing(r_lin, wu)
+        t -= integrate(dot(wu.grads, grad_z))
+        t -= 3.0 * zeta * integrate(u_old**2 * wu.vals * z)
+        t -= integrate(dot(grad_u, wz.grads))
+        t -= zeta * integrate((u_old**3 + 3.0 * u_old**2 * v) * wz.vals)
+        t += integrate(q_h * wz.vals)
+        return t
+
+    w = tuple(patch_interpolate(f) for f in (sol.q, sol.u, sol.z))
+    w1 = tuple(patch_interpolate(f) for f in (aux.q, aux.v, aux.z))
+    wq, wu, wz = w
+    q1, v1, z1 = vals(aux.q), vals(aux.v), vals(aux.z)
+    gv1, gz1 = grads(aux.v), grads(aux.z)
+    eta2 = 2.0 * obs_pairing(r_lin, wu)
+    eta2 += integrate((2.0 / beta) * q1 * wq.vals + z1 * wq.vals)
+    if isinstance(sub.obs, pb.PointObs):
+        eta2 += 2.0 * obs_pairing(sub.obs.matrix(sub.V) @ aux.v.coeffs, wu)
+    else:
+        eta2 += 2.0 * integrate(v1 * wu.vals)
+    eta2 -= integrate(dot(wu.grads, gz1))
+    eta2 -= 3.0 * zeta * integrate(u_old**2 * wu.vals * z1)
+    eta2 += integrate(q1 * wz.vals)
+    eta2 -= integrate(dot(gv1, wz.grads))
+    eta2 -= 3.0 * zeta * integrate(u_old**2 * v1 * wz.vals)
+    eta2 += lagrangian(w1)
+    return 0.5 * lagrangian(w), 0.5 * eta2
+
+
+def _close_cells(got, ref, rtol=1e-12):
+    eta, ind = got
+    scale = np.abs(ref).max()
+    assert np.abs(ind - np.abs(ref)).max() <= rtol * scale
+    assert abs(eta - ref.sum()) <= rtol * np.abs(ref).sum()
+
+
+@settings(max_examples=6)
+@given(mesh=graded_meshes(), seed=st.integers(0, 2**16))
+def test_etas_match_term_by_term_reference(mesh, seed):
+    rng = np.random.default_rng(seed)
+    prob = pb.ModelProblem(zeta=100.0)
+    V, Q = vspace(mesh), qspace(mesh)
+    q_old = Field(Q, rng.uniform(-1.0, 1.0, Q.dim))
+    u_old = Field(V, rng.uniform(-0.5, 0.5, V.dim))
+    q0 = Field(Q, rng.uniform(-1.0, 1.0, Q.dim))
+    point = pb.PointObs(5)
+    for obs, data in ((point, rng.uniform(-1.0, 1.0, point.n_obs)),
+                      (pb.L2Obs(), Field(Q, rng.uniform(-1.0, 1.0, Q.dim)))):
+        sub = ss.build_subproblem(prob, mesh, q_old, u_old, q0, obs, data,
+                                  beta=3.0)
+        sol = ss.solve_kkt(sub)
+        aux = ss.solve_second_order(sub, sol)
+        ref1, ref2 = _reference_etas(sub, sol, aux)
+        _close_cells(est.estimate_eta1(sol, sub), ref1)
+        _close_cells(est.estimate_eta2(sol, sub, aux), ref2)

@@ -9,6 +9,8 @@ from ggnfem.fem import (Field, assemble_functional, assemble_mass,
                         write_field_csv, write_field_vtk)
 from ggnfem.mesh import refine, uniform_mesh
 
+from conftest import graded_meshes
+
 
 def _l2_error(u: Field, exact):
     mesh = u.mesh
@@ -250,8 +252,8 @@ def test_patch_interpolation_biquadratic_exactness():
 
     f = Q.interpolate(biquad)
     W = patch_interpolate(f)
-    pts, _, _, _ = fem._cell_quad_data(3)
-    wv, _ = W.eval_all(pts)
+    pts, _, _, _ = fem._cell_quad_data(fem.NQ_WEIGHTED)
+    wv = W.vals
     corner = f.full_values()[mesh.cell_corners]
     s, t = pts[:, 0], pts[:, 1]
     lin = (np.outer(corner[:, 0], (1 - s) * (1 - t))
@@ -272,14 +274,102 @@ def test_patch_interpolation_zero_cases():
     Q = qspace(mesh)
     const = Q.interpolate(lambda x, y: np.full_like(x, 7.0))
     W = patch_interpolate(const)
-    pts, _, _, _ = fem._cell_quad_data(3)
-    wv, wg = W.eval_all(pts)
+    wv, wg = W.vals, W.grads
     assert np.abs(wv).max() < 1e-13
     assert np.abs(wg).max() < 1e-12
     # globally bilinear fields also vanish under the defect
     lin = Q.interpolate(lambda x, y: 1 + x - 2 * y + 3 * x * y)
-    wv2, _ = patch_interpolate(lin).eval_all(pts)
+    wv2 = patch_interpolate(lin).vals
     assert np.abs(wv2).max() < 1e-12
+
+
+class _LoopPatchWeight:
+    """Reference: the per-cell construction of the DWR weight that the
+    patch table replaced, one 3x3 vertex lookup per parent patch."""
+
+    def __init__(self, field):
+        mesh = field.mesh
+        self.mesh = mesh
+        full = field.full_values()
+        self.corner_vals = full[mesh.cell_corners]
+        scale = 1 << mesh.max_level
+        index = {(int(round(x * scale)), int(round(y * scale))): i
+                 for i, (x, y) in enumerate(mesh.vertices)}
+        n = mesh.n_cells
+        self.has_patch = np.zeros(n, dtype=bool)
+        self.patch_vals = np.zeros((n, 3, 3))
+        self.child_offset = np.zeros((n, 2), dtype=np.int64)
+        for cid, (level, ix, iy) in enumerate(mesh.cells):
+            if level == 0:
+                continue
+            step = 1 << (mesh.max_level - level + 1)
+            half = step // 2
+            keys = [((ix // 2) * step + i * half, (iy // 2) * step + j * half)
+                    for j in range(3) for i in range(3)]
+            if any(k not in index for k in keys):
+                continue
+            self.has_patch[cid] = True
+            self.patch_vals[cid] = full[[index[k] for k in keys]].reshape(3, 3)
+            self.child_offset[cid] = (ix % 2, iy % 2)
+
+    def eval_cells(self, cell_ids, pts):
+        """Values/gradients at local points (1 or len(cell_ids), n_pts, 2)."""
+        def quad1d(t):
+            return np.column_stack([2 * (t - 0.5) * (t - 1.0),
+                                    -4 * t * (t - 1.0), 2 * t * (t - 0.5)])
+
+        def quad1d_deriv(t):
+            return np.column_stack([4 * t - 3.0, -8 * t + 4.0, 4 * t - 1.0])
+
+        n, npts = len(cell_ids), pts.shape[1]
+        s, t = pts[..., 0], pts[..., 1]
+        dxy = self.child_offset[cell_ids]
+        ps = np.broadcast_to(0.5 * (s + dxy[:, 0, None]), (n, npts)).ravel()
+        pt = np.broadcast_to(0.5 * (t + dxy[:, 1, None]), (n, npts)).ravel()
+        ls, lt = (quad1d(x).reshape(n, npts, 3) for x in (ps, pt))
+        dls, dlt = (quad1d_deriv(x).reshape(n, npts, 3) for x in (ps, pt))
+        vals = self.patch_vals[cell_ids]
+        quad = np.einsum("cji,cnj,cni->cn", vals, lt, ls)
+        dquad_s = np.einsum("cji,cnj,cni->cn", vals, lt, dls)
+        dquad_t = np.einsum("cji,cnj,cni->cn", vals, dlt, ls)
+        h = self.mesh.cell_sizes()[cell_ids][:, None]
+        corner_vals = self.corner_vals[cell_ids][:, None, :]
+        lin = fem.bilinear(corner_vals, pts)
+        dlin = np.einsum("...i,...id->...d", corner_vals,
+                         fem.shape_gradients(pts)) / h[..., None]
+        w = quad - lin
+        gx = dquad_s * (0.5 / h) - dlin[..., 0]
+        gy = dquad_t * (0.5 / h) - dlin[..., 1]
+        mask = self.has_patch[cell_ids]
+        w[~mask] = gx[~mask] = gy[~mask] = 0.0
+        return w, np.stack([gx, gy], axis=-1)
+
+
+@settings(max_examples=10)
+@given(mesh=graded_meshes(), seed=st.integers(0, 2**16))
+def test_patch_weight_matches_per_cell_reference(mesh, seed):
+    rng = np.random.default_rng(seed)
+    pts = fem._cell_quad_data(fem.NQ_WEIGHTED)[0]
+    ids = rng.integers(0, mesh.n_cells, 50)
+    locs = rng.uniform(0.0, 1.0, (50, 2))
+    for space in (vspace(mesh), qspace(mesh)):
+        f = Field(space, rng.uniform(-1.0, 1.0, space.dim))
+        W, ref = patch_interpolate(f), _LoopPatchWeight(f)
+        assert ref.has_patch.all()
+        rv, rg = ref.eval_cells(np.arange(mesh.n_cells), pts[None])
+        scale = np.abs(rg).max()
+        assert np.abs(W.vals - rv).max() <= 1e-13 * np.abs(rv).max()
+        assert np.abs(W.grads - rg).max() <= 1e-13 * scale
+        rv, rg = ref.eval_cells(ids, locs[:, None, :])
+        wv, wg = W.at(ids, locs)
+        assert np.abs(wv - rv[:, 0]).max() <= 1e-13 * np.abs(rv).max()
+        assert np.abs(wg - rg[:, 0]).max() <= 1e-13 * scale
+
+
+def test_patch_weight_zero_on_root_cell():
+    f = qspace(uniform_mesh(0)).interpolate(lambda x, y: x * y)
+    W = patch_interpolate(f)
+    assert not W.vals.any() and not W.grads.any()
 
 
 def test_field_export(tmp_path):
