@@ -30,8 +30,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import estimators as est, fem, problem as pb, subsolver as ss
-from .fem import Field, interpolate_onto, qspace, vspace
-from .mesh import QuadMesh, refine, uniform_mesh, write_mesh_vtk
+from .fem import Field, interpolate_onto, qspace, vspace, write_mesh_vtk
+from .mesh import QuadMesh, refine, uniform_mesh
 
 __all__ = [
     "GgnConfig",
@@ -183,9 +183,9 @@ def _observed(data: pb.NoisyData, mesh: QuadMesh, cache: dict):
     """Data in the form build_subproblem expects, per mesh."""
     if isinstance(data.obs, pb.PointObs):
         return data.g_delta
-    if mesh.uid not in cache:
-        cache[mesh.uid] = pb.restrict_data(data, qspace(mesh))
-    return cache[mesh.uid]
+    if mesh not in cache:
+        cache[mesh] = pb.restrict_data(data, qspace(mesh))
+    return cache[mesh]
 
 
 def _minus(a: Field, b: Field) -> Field:

@@ -47,7 +47,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.polynomial.legendre import leggauss
 
-from .mesh import QuadMesh, locate, write_mesh_vtk
+from .mesh import QuadMesh, locate
 
 __all__ = [
     "Space",
@@ -65,6 +65,7 @@ __all__ = [
     "v_to_q",
     "patch_interpolate",
     "PatchWeight",
+    "write_mesh_vtk",
     "write_field_vtk",
     "write_field_csv",
 ]
@@ -129,27 +130,22 @@ def _cached(mesh: QuadMesh, key: tuple, build):
 def _condensation(mesh: QuadMesh, kind: str):
     """Free vertices of a space and its inclusion matrix T."""
     nv = mesh.n_vertices
+    hanging, parents = mesh.hanging[:, 0], mesh.hanging[:, 1:]
     free_mask = np.ones(nv, dtype=bool)
-    free_mask[list(mesh.hanging)] = False
+    free_mask[hanging] = False
     if kind == "V":
         free_mask &= ~mesh.boundary
     free = np.nonzero(free_mask)[0]
-    col_of = -np.ones(nv, dtype=np.int64)
+    col_of = np.full(nv, -1, dtype=np.int64)
     col_of[free] = np.arange(len(free))
-
-    rows, cols, vals = [], [], []
-    for v in range(nv):
-        if col_of[v] >= 0:
-            rows.append(v)
-            cols.append(col_of[v])
-            vals.append(1.0)
-        elif v in mesh.hanging:
-            for p in mesh.hanging[v]:
-                if col_of[p] >= 0:
-                    rows.append(v)
-                    cols.append(col_of[p])
-                    vals.append(0.5)
-    T = sp.csr_matrix((vals, (rows, cols)), shape=(nv, len(free)))
+    # A free vertex is its own column; a hanging one takes half of each
+    # parent that is free.
+    rows = np.concatenate([free, np.repeat(hanging, 2)])
+    cols = np.concatenate([col_of[free], col_of[parents].ravel()])
+    vals = np.concatenate([np.ones(len(free)), np.full(parents.size, 0.5)])
+    keep = cols >= 0
+    T = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
+                      shape=(nv, len(free)))
     return free, T
 
 
@@ -250,7 +246,7 @@ class Field:
 
     def eval_points(self, points: np.ndarray) -> np.ndarray:
         """Pointwise evaluation anywhere in the closed unit square."""
-        cids, locs = _locate_all(self.mesh, np.atleast_2d(points))
+        cids, locs = locate(self.mesh, points)
         return bilinear(self.full_values()[self.mesh.cell_corners[cids]], locs)
 
     def norm_l2(self) -> float:
@@ -269,14 +265,6 @@ class Field:
 # point evaluation
 
 
-def _locate_all(mesh: QuadMesh, points: np.ndarray):
-    """(cell ids, local coordinates) of each point, uncached."""
-    located = [locate(mesh, p) for p in points]
-    cids = np.array([cid for cid, _ in located], dtype=np.int64)
-    locs = np.array([st for _, st in located], dtype=float).reshape(-1, 2)
-    return cids, locs
-
-
 def _points_key(points: np.ndarray) -> tuple:
     points = np.ascontiguousarray(points, dtype=float)
     return points.shape, points.tobytes()
@@ -288,7 +276,7 @@ def point_locations(mesh: QuadMesh, points: np.ndarray):
     Cached in the mesh's context under the point coordinates themselves.
     """
     return _cached(mesh, ("points",) + _points_key(points),
-                   lambda: _locate_all(mesh, points))
+                   lambda: locate(mesh, points))
 
 
 def point_matrix(space: Space, points: np.ndarray) -> sp.csr_matrix:
@@ -336,9 +324,7 @@ def _cell_origin_arrays(mesh: QuadMesh):
     """Cached (x0, y0, h) arrays over cells."""
     def build():
         h = mesh.cell_sizes()
-        x0 = np.array([c[1] for c in mesh.cells]) * h
-        y0 = np.array([c[2] for c in mesh.cells]) * h
-        return x0, y0, h
+        return mesh.cells[:, 1] * h, mesh.cells[:, 2] * h, h
 
     return _cached(mesh, ("origins",), build)
 
@@ -547,20 +533,6 @@ def riesz_dual_norm(space: Space, functional: np.ndarray):
 # cross-mesh evaluation
 
 
-def _morton_ranges(mesh: QuadMesh, top: int):
-    """First code and number of codes of each leaf in the Morton order of
-    the level-``top`` cells (top >= mesh.max_level).
-
-    The leaves partition the square in Morton order, so the first code of
-    a leaf is the number of level-``top`` cells in the leaves before it.
-    """
-    x = mesh.vertices[:, 0]
-    side = (np.take(x, mesh.cell_corners[:, 1])
-            - np.take(x, mesh.cell_corners[:, 0])) * float(1 << top)
-    size = side.astype(np.int64) ** 2
-    return np.cumsum(size) - size, size
-
-
 def _containment_map(src: QuadMesh, tgt: QuadMesh) -> np.ndarray:
     """For each target cell, the id of the source leaf containing it.
 
@@ -570,16 +542,11 @@ def _containment_map(src: QuadMesh, tgt: QuadMesh) -> np.ndarray:
     """
     maps = _cached(src, ("containment",), weakref.WeakKeyDictionary)
     if tgt not in maps:
-        top = max(src.max_level, tgt.max_level)
-        src_first, src_size = _morton_ranges(src, top)
-        tgt_first, tgt_size = _morton_ranges(tgt, top)
-        # In Morton order, the target cells starting inside a source
-        # leaf's code range form one run; the leaf contains them all iff
-        # none is larger (dyadic ranges are aligned to their size).
-        runs = np.diff(np.searchsorted(tgt_first, src_first),
-                       append=tgt.n_cells)
-        src_ids = np.repeat(np.arange(src.n_cells, dtype=np.int32), runs)
-        if np.any(src_size[src_ids] < tgt_size):
+        # The source leaf covering a target leaf's first descendant
+        # contains the target leaf iff it is not finer.
+        src_ids = (np.searchsorted(src.codes, tgt.codes, side="right")
+                   - 1).astype(np.int32)
+        if np.any(src.cells[src_ids, 0] > tgt.cells[:, 0]):
             raise ValueError("meshes are not nested: some target cells are "
                              "coarser than the source leaves covering them")
         maps[tgt] = src_ids
@@ -630,20 +597,14 @@ def _patch_table(mesh: QuadMesh):
     a patch with a node missing from the mesh is unusable.
     """
     def build():
-        level, ix, iy = np.array(mesh.cells, dtype=np.int64).reshape(-1, 3).T
-        # Integer vertex keys at the finest scale; the vertices are sorted
-        # by (y, x), so the keys ky (2^L + 1) + kx are ascending.
-        side = (1 << mesh.max_level) + 1
-        kxy = np.rint(mesh.vertices * (side - 1)).astype(np.int64)
-        vkeys = kxy[:, 1] * side + kxy[:, 0]
+        level, ix, iy = mesh.cells.T
         half = np.left_shift(1, mesh.max_level - level)[:, None]  # leaf size
         grid = np.arange(3)
         # Patch nodes: the parent's SW corner plus multiples of half.
-        kx = (ix - ix % 2)[:, None] * half + np.tile(grid, 3) * half
-        ky = (iy - iy % 2)[:, None] * half + np.repeat(grid, 3) * half
-        keys = ky * side + kx
-        nodes = np.minimum(np.searchsorted(vkeys, keys), len(vkeys) - 1)
-        has_patch = (level > 0) & (vkeys[nodes] == keys).all(axis=1)
+        nodes = mesh.vertex_ids(
+            (ix - ix % 2)[:, None] * half + np.tile(grid, 3) * half,
+            (iy - iy % 2)[:, None] * half + np.repeat(grid, 3) * half)
+        has_patch = (level > 0) & (nodes >= 0).all(axis=1)
         return nodes, ix % 2 + 2 * (iy % 2), has_patch
 
     return _cached(mesh, ("patch",), build)
@@ -740,6 +701,30 @@ def patch_interpolate(field: "Field") -> PatchWeight:
 
 # ---------------------------------------------------------------------------
 # export
+
+
+def write_mesh_vtk(mesh: QuadMesh, path, point_data=None) -> None:
+    """Legacy ASCII VTK unstructured grid with VTK_QUAD cells.
+
+    ``point_data`` is an optional (name, values per vertex) pair.
+    """
+    with open(path, "w") as fh:
+        fh.write("# vtk DataFile Version 3.0\n")
+        fh.write("quadtree mesh\nASCII\nDATASET UNSTRUCTURED_GRID\n")
+        fh.write(f"POINTS {mesh.n_vertices} double\n")
+        for x, y in mesh.vertices:
+            fh.write(f"{x:.16g} {y:.16g} 0\n")
+        fh.write(f"CELLS {mesh.n_cells} {5 * mesh.n_cells}\n")
+        for sw, se, nw, ne in mesh.cell_corners:
+            fh.write(f"4 {sw} {se} {ne} {nw}\n")
+        fh.write(f"CELL_TYPES {mesh.n_cells}\n")
+        fh.write("".join("9\n" for _ in range(mesh.n_cells)))
+        if point_data is not None:
+            name, values = point_data
+            fh.write(f"POINT_DATA {mesh.n_vertices}\n")
+            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            for v in values:
+                fh.write(f"{v:.16g}\n")
 
 
 def write_field_vtk(field: "Field", path, name: str = "value") -> None:

@@ -1,13 +1,26 @@
-"""Adaptive quadtree meshes on the unit square.
+"""Adaptive quadtree meshes on the unit square, as a linear quadtree.
 
-Cells are axis-aligned dyadic squares addressed by ``(level, ix, iy)``:
-the cell occupies ``[ix*h, (ix+1)*h] x [iy*h, (iy+1)*h]`` with
-``h = 2**-level``.  A mesh is a set of leaf cells covering ``(0,1)^2``.
-Refinement splits a leaf into its four children and re-establishes
-1-irregularity (edge-adjacent leaves differ by at most one level) by
-closure splits, so hanging vertices always sit at the midpoint of a full
-edge of exactly one coarser leaf and their two parent vertices are
-regular.
+Cells are dyadic squares ``(level, ix, iy)``, occupying ``[ix*h,
+(ix+1)*h] x [iy*h, (iy+1)*h]`` with ``h = 2**-level``.  A mesh holds the
+leaves covering ``(0,1)^2`` in integer arrays (Gargantini, CACM 25, 1982).
+A leaf's Morton code interleaves the ix and iy bits of its first
+descendant at level ``DEPTH``, y bit high (int64 codes limit leaves to
+that level).  Sorting by code is the Morton order, and the leaf covering
+any cell is the last leaf whose code does not exceed the cell's: one
+``searchsorted`` answers many containment queries.  The vertex at
+``(kx, ky) / 2^L``, ``L`` the finest level of the mesh, has the key
+``ky (2^L + 1) + kx``; vertices are sorted by key, i.e. by (y, x).
+
+Refinement splits the marked leaves and closes to a 1-irregular mesh
+(edge-adjacent leaves differ by at most one level) in rounds: a round
+finds the leaf across each edge of the children it made, by one search on
+the codes, and splits those more than one level coarser; a round that
+splits nothing ends it.  So a hanging vertex is the midpoint of a full
+edge of exactly one coarser leaf, and its two parents are regular.
+
+Point location takes a point to the finest-level cell below and left of
+it, index ``max(ceil(p 2^L) - 1, 0)``, then to the leaf containing that
+cell: a point on shared edges goes to the Morton-smallest leaf holding it.
 """
 
 from __future__ import annotations
@@ -15,79 +28,56 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "Cell",
     "QuadMesh",
     "uniform_mesh",
     "refine",
     "locate",
-    "write_mesh_vtk",
 ]
 
-# A cell is the tuple (level, ix, iy).
-Cell = tuple
+DEPTH = 30  # level the Morton codes count in; the deepest leaf level
 
-# Local corner order used throughout: SW, SE, NW, NE (tensor ordering).
-_CORNER_OFFSETS = ((0, 0), (1, 0), (0, 1), (1, 1))
-
-_next_uid = iter(range(1, 1 << 62)).__next__
-
-
-def _morton_key(cell: Cell) -> tuple:
-    """Path of child indices from the root; sorting by it is Morton order."""
-    level, ix, iy = cell
-    return tuple(
-        (((iy >> (level - d)) & 1) << 1) | ((ix >> (level - d)) & 1)
-        for d in range(1, level + 1)
-    )
+# Corner offsets in the local order used throughout: SW, SE, NW, NE.
+_CORNERS = np.array([(0, 0), (1, 0), (0, 1), (1, 1)])
+# Corner pairs of the bottom, top, left and right edges of a cell.
+_EDGE_A, _EDGE_B = [0, 2, 0, 1], [1, 3, 2, 3]
+# Offsets to the same-level neighbours across the left, right, bottom, top.
+_STEPS = np.array([(-1, 0), (1, 0), (0, -1), (0, 1)])
 
 
-def _children(cell: Cell):
-    level, ix, iy = cell
-    return (
-        (level + 1, 2 * ix, 2 * iy),
-        (level + 1, 2 * ix + 1, 2 * iy),
-        (level + 1, 2 * ix, 2 * iy + 1),
-        (level + 1, 2 * ix + 1, 2 * iy + 1),
-    )
+def _spread(v):
+    """The bits of v (< 2^32) moved to the even bit positions."""
+    for shift, mask in ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF),
+                        (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333),
+                        (1, 0x5555555555555555)):
+        v = (v | (v << shift)) & mask
+    return v
 
 
-def _parent(cell: Cell) -> Cell:
-    level, ix, iy = cell
-    return (level - 1, ix // 2, iy // 2)
+def _codes(level, ix, iy):
+    """Morton codes of the cells (level, ix, iy)."""
+    shift = DEPTH - level
+    return _spread(ix << shift) | (_spread(iy << shift) << 1)
 
 
-def _neighbor_leaves(leaves: set, cell: Cell, direction: int, max_level: int):
-    """Leaves edge-adjacent to ``cell`` across one side.
+def _sort(cells):
+    """Cells in Morton order, and their codes."""
+    if cells[:, 0].max() > DEPTH:
+        raise ValueError(f"leaf levels are limited to {DEPTH}")
+    codes = _codes(*cells.T)
+    order = np.argsort(codes, kind="stable")
+    return cells[order], codes[order]
 
-    ``direction``: 0=left, 1=right, 2=down, 3=up.  Returns [] on the
-    domain boundary.
-    """
-    level, ix, iy = cell
-    n = 1 << level
-    dx, dy = ((-1, 0), (1, 0), (0, -1), (0, 1))[direction]
-    jx, jy = ix + dx, iy + dy
-    if not (0 <= jx < n and 0 <= jy < n):
-        return []
-    cand = (level, jx, jy)
-    # Same level or coarser ancestor.
-    c = cand
-    while c[0] >= 0:
-        if c in leaves:
-            return [c]
-        c = _parent(c)
-    # Otherwise the candidate is subdivided: collect the descendant leaves
-    # along the shared edge (the two children facing back toward ``cell``).
-    facing = {0: (1, 3), 1: (0, 2), 2: (2, 3), 3: (0, 1)}[direction]
-    out = []
-    stack = [cand]
-    while stack:
-        node = stack.pop()
-        if node in leaves:
-            out.append(node)
-        elif node[0] < max_level + 2:
-            kids = _children(node)
-            stack.extend(kids[i] for i in facing)
-    return out
+
+def _too_coarse(cells, codes, query):
+    """Ids of the leaves (rows of ``cells``, sorted by ``codes``) that are
+    edge-adjacent to a ``query`` cell and more than one level coarser."""
+    level = np.repeat(query[:, 0], 4)
+    j = (query[:, None, 1:] + _STEPS).reshape(-1, 2)
+    inside = ((j >= 0) & (j < (1 << level)[:, None])).all(axis=1)
+    level, j = level[inside], j[inside]
+    found = np.searchsorted(codes, _codes(level, j[:, 0], j[:, 1]),
+                            side="right") - 1
+    return np.unique(found[cells[found, 0] < level - 1])
 
 
 class QuadMesh:
@@ -95,203 +85,116 @@ class QuadMesh:
 
     Attributes
     ----------
-    cells : list of (level, ix, iy)
-        Leaf cells in Morton order; the list index is the cell id.
-    vertices : ndarray, shape (n_vertices, 2)
-        Corner coordinates of all leaves, sorted by (y, x).
+    cells, codes : ndarray of int64, shapes (n_cells, 3) and (n_cells,)
+        Leaf rows (level, ix, iy) and their Morton codes, ascending; the
+        row is the cell id.
+    vertices, keys : ndarray, shapes (n_vertices, 2) and (n_vertices,)
+        Corner coordinates of all leaves and their keys, ascending.
     cell_corners : ndarray, shape (n_cells, 4)
         Vertex indices per cell in SW, SE, NW, NE order.
-    hanging : dict
-        vertex index -> (parent index, parent index); the hanging value
-        is the average of the parents.
+    hanging : ndarray of int64, shape (n_hanging, 3)
+        Rows [vertex, parent a, parent b], sorted by vertex; the hanging
+        value is the average of the two parents.
     boundary : ndarray of bool
         Marks vertices on the boundary of the unit square.
-    generation : int
-        Incremented by refine(); identical generation means "same mesh".
     """
 
-    def __init__(self, leaves, generation: int = 0):
-        self.cells = sorted(leaves, key=_morton_key)
-        self.generation = generation
-        self.uid = _next_uid()
-        self._leaf_set = frozenset(self.cells)
-        self._cell_ids = {c: i for i, c in enumerate(self.cells)}
-        self.max_level = max(c[0] for c in self.cells)
-        scale = 1 << self.max_level
-        levels = np.array([c[0] for c in self.cells])
-        self._cell_sizes = np.ldexp(1.0, -levels)
+    def __init__(self, cells):
+        cells = np.asarray(cells, dtype=np.int64).reshape(-1, 3)
+        self.cells, self.codes = _sort(cells)
+        self.n_cells = len(cells)
+        level = self.cells[:, 0]
+        self.max_level = int(level.max())
+        self._cell_sizes = np.ldexp(1.0, -level)
         self._cell_sizes.flags.writeable = False
 
-        # Vertex keys are integer coordinates at the finest dyadic scale.
-        keys = set()
-        for level, ix, iy in self.cells:
-            step = 1 << (self.max_level - level)
-            for ox, oy in _CORNER_OFFSETS:
-                keys.add(((ix + ox) * step, (iy + oy) * step))
-        ordered = sorted(keys, key=lambda k: (k[1], k[0]))
-        self._vertex_index = {k: i for i, k in enumerate(ordered)}
-        self.vertices = np.array(ordered, dtype=float) / scale
-        self.n_vertices = len(ordered)
-
-        corners = np.empty((len(self.cells), 4), dtype=np.int64)
-        for ci, (level, ix, iy) in enumerate(self.cells):
-            step = 1 << (self.max_level - level)
-            for li, (ox, oy) in enumerate(_CORNER_OFFSETS):
-                corners[ci, li] = self._vertex_index[
-                    ((ix + ox) * step, (iy + oy) * step)
-                ]
-        self.cell_corners = corners
-
-        kx = np.array([k[0] for k in ordered])
-        ky = np.array([k[1] for k in ordered])
-        self.boundary = (kx == 0) | (kx == scale) | (ky == 0) | (ky == scale)
+        # Corner coordinates at the finest scale, (n_cells, 4, 2).
+        self._side = (1 << self.max_level) + 1
+        step = (1 << (self.max_level - level))[:, None, None]
+        xy = (self.cells[:, None, 1:] + _CORNERS) * step
+        self.keys, corners = np.unique(xy[..., 1] * self._side + xy[..., 0],
+                                       return_inverse=True)
+        self.cell_corners = corners.reshape(-1, 4)
+        self.n_vertices = len(self.keys)
+        ky, kx = np.divmod(self.keys, self._side)
+        self.vertices = np.column_stack([kx, ky]) / float(self._side - 1)
+        self.boundary = ((kx == 0) | (kx == self._side - 1)
+                         | (ky == 0) | (ky == self._side - 1))
 
         # A vertex strictly inside a leaf edge is hanging; 1-irregularity
         # puts it at the edge midpoint, parents are the edge endpoints.
-        hanging = {}
-        for ci, (level, ix, iy) in enumerate(self.cells):
-            step = 1 << (self.max_level - level)
-            if step % 2:
-                continue
-            half = step // 2
-            x0, y0 = ix * step, iy * step
-            edges = (
-                ((x0, y0), (x0 + step, y0)),
-                ((x0, y0 + step), (x0 + step, y0 + step)),
-                ((x0, y0), (x0, y0 + step)),
-                ((x0 + step, y0), (x0 + step, y0 + step)),
-            )
-            for a, b in edges:
-                mid = ((a[0] + b[0]) // 2, (a[1] + b[1]) // 2)
-                mi = self._vertex_index.get(mid)
-                if mi is not None:
-                    hanging[mi] = (self._vertex_index[a], self._vertex_index[b])
-        self.hanging = hanging
+        coarse = level < self.max_level
+        mid = (xy[coarse][:, _EDGE_A] + xy[coarse][:, _EDGE_B]) // 2
+        mid = self.vertex_ids(mid[..., 0], mid[..., 1])
+        ends = self.cell_corners[coarse]
+        rows = np.stack([mid, ends[:, _EDGE_A], ends[:, _EDGE_B]], -1)[mid >= 0]
+        self.hanging = rows[np.argsort(rows[:, 0])]
 
-    @property
-    def n_cells(self) -> int:
-        return len(self.cells)
-
-    def cell_geometry(self, cell_id: int):
-        """Origin (x0, y0) and side length h of a leaf."""
-        level, ix, iy = self.cells[cell_id]
-        h = 0.5**level
-        return ix * h, iy * h, h
+    def vertex_ids(self, kx, ky) -> np.ndarray:
+        """Index of the vertex at (kx, ky) / 2^max_level, -1 where none."""
+        keys = ky * self._side + kx
+        i = np.minimum(np.searchsorted(self.keys, keys), self.n_vertices - 1)
+        return np.where(self.keys[i] == keys, i, -1)
 
     def cell_sizes(self) -> np.ndarray:
         """Side length of every leaf (read-only, computed once)."""
         return self._cell_sizes
 
-    def areas_sum(self) -> float:
-        return float(sum(4.0 ** -c[0] for c in self.cells))
-
-    def contains_cell(self, cell: Cell) -> bool:
-        return cell in self._leaf_set
-
-    def _cell_id(self, cell: Cell) -> int:
-        return self._cell_ids[cell]
-
     def neighbor_levels_ok(self) -> bool:
         """Exhaustive edge scan of the 1-irregularity invariant."""
-        for cell in self.cells:
-            for d in range(4):
-                for nb in _neighbor_leaves(self._leaf_set, cell, d, self.max_level):
-                    if abs(nb[0] - cell[0]) > 1:
-                        return False
-        return True
+        return _too_coarse(self.cells, self.codes, self.cells).size == 0
 
     def __repr__(self):
-        return (
-            f"QuadMesh(cells={self.n_cells}, vertices={self.n_vertices}, "
-            f"max_level={self.max_level}, generation={self.generation})"
-        )
+        return (f"QuadMesh(cells={self.n_cells}, vertices={self.n_vertices}, "
+                f"max_level={self.max_level})")
 
 
 def uniform_mesh(levels: int) -> QuadMesh:
     """Uniform mesh with 4**levels equal square leaves."""
     if levels < 0:
         raise ValueError("levels must be >= 0")
-    n = 1 << levels
-    leaves = [(levels, ix, iy) for iy in range(n) for ix in range(n)]
-    return QuadMesh(leaves, generation=0)
+    iy, ix = np.divmod(np.arange(1 << 2 * levels), 1 << levels)
+    return QuadMesh(np.column_stack([np.full_like(ix, levels), ix, iy]))
 
 
 def refine(mesh: QuadMesh, marked, max_level: int | None = None) -> QuadMesh:
     """Split the marked leaves and close to a 1-irregular mesh.
 
-    Marked cells already at ``max_level`` are skipped.  An effectively
-    empty marking returns the input mesh itself (same generation id).
+    ``marked`` holds cell ids in ``[0, n_cells)``; others raise
+    ValueError.  Marked cells already at ``max_level`` are skipped.  An
+    effectively empty marking returns the input mesh itself.
     """
-    to_split = []
-    for cid in sorted(set(marked)):
-        cell = mesh.cells[cid]
-        if max_level is None or cell[0] < max_level:
-            to_split.append(cell)
-    if not to_split:
+    ids = np.unique(np.fromiter(marked, dtype=np.int64))
+    if ids.size and (ids[0] < 0 or ids[-1] >= mesh.n_cells):
+        raise ValueError(f"cell ids must lie in [0, {mesh.n_cells})")
+    cells = mesh.cells
+    if max_level is not None:
+        ids = ids[cells[ids, 0] < max_level]
+    if not ids.size:
         return mesh
-
-    leaves = set(mesh.cells)
-    queue = list(to_split)
-    cap = max(mesh.max_level, max(c[0] for c in to_split) + 1)
-    while queue:
-        cell = queue.pop()
-        if cell not in leaves:
-            continue
-        leaves.remove(cell)
-        leaves.update(_children(cell))
-        cap = max(cap, cell[0] + 1)
-        # Coarser edge neighbors now face level+1 children: close them.
-        for d in range(4):
-            for nb in _neighbor_leaves(leaves, cell, d, cap):
-                if nb[0] < cell[0]:
-                    queue.append(nb)
-    return QuadMesh(leaves, generation=mesh.generation + 1)
+    while ids.size:  # closure rounds
+        kids = np.repeat(cells[ids] * [1, 2, 2] + [1, 0, 0], 4, axis=0)
+        kids[:, 1:] += np.tile(_CORNERS, (len(ids), 1))
+        cells = np.concatenate([np.delete(cells, ids, axis=0), kids])
+        cells, codes = _sort(cells)
+        ids = _too_coarse(cells, codes, kids)
+    return QuadMesh(cells)
 
 
-def locate(mesh: QuadMesh, point) -> tuple[int, tuple[float, float]]:
-    """Leaf containing a point, with local coordinates in [0,1]^2.
+def locate(mesh: QuadMesh, points):
+    """Leaf containing each point, with local coordinates in [0,1]^2.
 
-    Points on shared edges resolve to the Morton-smallest containing
-    leaf (deterministic tie-break); points outside the closed unit
-    square raise ValueError.
+    ``points`` is (n, 2), or one point; returns the cell ids (n,) and the
+    local coordinates (n, 2).  A point on shared edges goes to the
+    Morton-smallest leaf holding it; a point outside the closed unit
+    square, or NaN, raises ValueError.
     """
-    x, y = float(point[0]), float(point[1])
-    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-        raise ValueError(f"point {point!r} outside the unit square")
-    cell = (0, 0, 0)
-    while not mesh.contains_cell(cell):
-        for child in _children(cell):
-            level, ix, iy = child
-            s = float(1 << level)
-            if ix <= x * s <= ix + 1 and iy <= y * s <= iy + 1:
-                cell = child
-                break
-        else:  # pragma: no cover - full quadtree guarantees a child
-            raise RuntimeError("descent failed")
-    level, ix, iy = cell
-    s = float(1 << level)
-    return mesh._cell_id(cell), (x * s - ix, y * s - iy)
-
-
-def write_mesh_vtk(mesh: QuadMesh, path, point_data=None) -> None:
-    """Legacy ASCII VTK unstructured grid with VTK_QUAD cells.
-
-    ``point_data`` is an optional (name, values per vertex) pair.
-    """
-    with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 3.0\n")
-        fh.write("quadtree mesh\nASCII\nDATASET UNSTRUCTURED_GRID\n")
-        fh.write(f"POINTS {mesh.n_vertices} double\n")
-        for x, y in mesh.vertices:
-            fh.write(f"{x:.16g} {y:.16g} 0\n")
-        fh.write(f"CELLS {mesh.n_cells} {5 * mesh.n_cells}\n")
-        for sw, se, nw, ne in mesh.cell_corners:
-            fh.write(f"4 {sw} {se} {ne} {nw}\n")
-        fh.write(f"CELL_TYPES {mesh.n_cells}\n")
-        fh.write("".join("9\n" for _ in range(mesh.n_cells)))
-        if point_data is not None:
-            name, values = point_data
-            fh.write(f"POINT_DATA {mesh.n_vertices}\n")
-            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            for v in values:
-                fh.write(f"{v:.16g}\n")
+    p = np.asarray(points, dtype=float).reshape(-1, 2)
+    outside = ~((p >= 0.0) & (p <= 1.0)).all(axis=1)
+    if outside.any():
+        raise ValueError(f"point {p[outside][0]!r} outside the unit square")
+    k = np.maximum(np.ceil(np.ldexp(p, mesh.max_level)) - 1, 0).astype(np.int64)
+    cids = np.searchsorted(mesh.codes, _codes(mesh.max_level, k[:, 0], k[:, 1]),
+                           side="right") - 1
+    cells = mesh.cells[cids]
+    return cids, np.ldexp(p, cells[:, :1]) - cells[:, 1:]

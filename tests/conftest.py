@@ -2,13 +2,14 @@
 and noisy bundles are cached per configuration for the whole session.
 
 Also the hypothesis profile of the suite, derandomized so every run
-draws the same examples, and the shared mesh strategy."""
+draws the same examples, and the shared mesh strategies: refinement
+sequences, their replay on a mesh module, and graded meshes."""
 
 import pytest
 from hypothesis import assume, settings, strategies as st
 
 from ggnfem import baseline as bl, driver as dv, problem as pb
-from ggnfem.mesh import refine, uniform_mesh
+from ggnfem import mesh as mesh_module
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
@@ -76,12 +77,27 @@ def nt_runs(sims):
     return get
 
 
+def replay(module, start, marks):
+    """Uniform mesh of level ``start`` refined by each list of picks in
+    turn (picks taken modulo the cell count, depth capped at 6), built
+    with the uniform_mesh and refine of the mesh module ``module``."""
+    mesh = module.uniform_mesh(start)
+    for picks in marks:
+        mesh = module.refine(mesh, {p % mesh.n_cells for p in picks},
+                             max_level=6)
+    return mesh
+
+
+# (start level, lists of picks) for replay.
+refinements = st.tuples(
+    st.integers(1, 2),
+    st.lists(st.lists(st.integers(0, 10**6), min_size=1, max_size=5),
+             min_size=2, max_size=4))
+
+
 @st.composite
 def graded_meshes(draw):
     """Random refinements of a coarse uniform mesh with hanging vertices."""
-    mesh = uniform_mesh(draw(st.integers(1, 2)))
-    for picks in draw(st.lists(st.lists(st.integers(0, 10**6), min_size=1,
-                                        max_size=5), min_size=2, max_size=4)):
-        mesh = refine(mesh, {p % mesh.n_cells for p in picks}, max_level=6)
-    assume(mesh.hanging)
+    mesh = replay(mesh_module, *draw(refinements))
+    assume(len(mesh.hanging))
     return mesh

@@ -139,7 +139,7 @@ def test_kkt_layout_matches_bmat(mesh, seed, point):
 
 def test_linearized_operator_keeps_plan_pattern():
     mesh = refine(refine(uniform_mesh(2), {1, 6}), {0, 3})
-    assert mesh.hanging
+    assert len(mesh.hanging)
     V = vspace(mesh)
     indptr, indices, _ = fem._assembly_plan(V, V)
     prob = pb.ModelProblem(zeta=100.0)

@@ -1,4 +1,5 @@
 import csv
+import functools
 import types
 
 import pytest
@@ -117,17 +118,27 @@ def _singular_kkt(A, **kwargs):
     return spla.splu(A, **kwargs)
 
 
-def _fail_after_simulation(monkeypatch, module, splu):
-    """Replace splu as the module sees it once the data exist, so the
+def _fail_after_simulation(monkeypatch, module, name, value):
+    """Replace ``module.name`` by ``value`` once the data exist, so the
     fault hits the solver run and not the forward simulation."""
     simulate = cli._simulate
 
     def simulate_then_fail(exp):
         data = simulate(exp)
-        monkeypatch.setattr(module, "spla", types.SimpleNamespace(splu=splu))
+        monkeypatch.setattr(module, name, value)
         return data
 
     monkeypatch.setattr(cli, "_simulate", simulate_then_fail)
+
+
+def _run_failing(tmp_path, command, *options):
+    """Run a command that must fail; returns its manifest text."""
+    out = tmp_path / "failed"
+    rc = cli.main([*options, "--zeta", "100", "--noise", "0.01",
+                   "--fine-levels", "5", "--seed", "3", "--out", str(out),
+                   command])
+    assert rc == 1
+    return (out / "manifest.txt").read_text()
 
 
 @pytest.mark.parametrize("command,module,splu,termination", [
@@ -138,11 +149,24 @@ def _fail_after_simulation(monkeypatch, module, splu):
 ])
 def test_solver_failure_ends_run_cleanly(tmp_path, monkeypatch, command,
                                          module, splu, termination):
-    _fail_after_simulation(monkeypatch, module, splu)
-    out = tmp_path / "failed"
-    rc = cli.main(["--zeta", "100", "--noise", "0.01", "--fine-levels", "5",
-                   "--seed", "3", "--out", str(out), command])
-    assert rc == 1
-    manifest = (out / "manifest.txt").read_text()
+    _fail_after_simulation(monkeypatch, module, "spla",
+                           types.SimpleNamespace(splu=splu))
+    manifest = _run_failing(tmp_path, command)
     assert f"termination = {termination}" in manifest
     assert "warning = " in manifest and "singular" in manifest
+
+
+def test_beta_search_failure_ends_run_cleanly(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("[ggn]\nmax_beta_steps = 0\n")
+    manifest = _run_failing(tmp_path, "run-ggn", "--config", str(cfg))
+    assert "termination = beta-search-failure" in manifest
+    assert "warning = no beta found in 0 updates" in manifest
+
+
+def test_forward_failure_ends_nt_run_cleanly(tmp_path, monkeypatch):
+    _fail_after_simulation(monkeypatch, pb, "solve_forward",
+                           functools.partial(pb.solve_forward, max_iter=1))
+    manifest = _run_failing(tmp_path, "run-nt")
+    assert "termination = forward-failure" in manifest
+    assert "warning = Newton did not converge" in manifest

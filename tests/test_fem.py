@@ -183,13 +183,14 @@ def test_cross_mesh_rejects_non_nested():
 def _descendant_walk(src, tgt):
     """Reference containment map: walk the dyadic descendants of every
     source leaf and claim the target leaves met on the way."""
+    tgt_ids = {cell: i for i, cell in enumerate(map(tuple, tgt.cells.tolist()))}
     ids = {}
-    for sid, cell in enumerate(src.cells):
+    for sid, cell in enumerate(map(tuple, src.cells.tolist())):
         stack = [cell]
         while stack:
             level, ix, iy = stack.pop()
-            if tgt.contains_cell((level, ix, iy)):
-                ids[tgt.cells.index((level, ix, iy))] = sid
+            if (level, ix, iy) in tgt_ids:
+                ids[tgt_ids[level, ix, iy]] = sid
             elif level < tgt.max_level:
                 stack.extend((level + 1, 2 * ix + dx, 2 * iy + dy)
                              for dy in (0, 1) for dx in (0, 1))
