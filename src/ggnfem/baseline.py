@@ -141,7 +141,8 @@ def run_nt(problem: pb.ModelProblem, data: pb.NoisyData, cfg: NtConfig) -> RunRe
         rows.append(RunRow(k=n_beta + n_ref, phase="solve",
                            nodes=mesh.n_vertices, beta=beta, rho=float("nan"),
                            i1h=disc2 + reg, i2h=disc2, i3h=float("nan"),
-                           i4h=float("nan"), eta1=eta, eta2=float("nan")))
+                           i4h=float("nan"), eta1=eta, eta2=float("nan"),
+                           stationarity=sol.stationarity))
         # Accuracy gate: relative while the discrepancy is large, anchored
         # at the noise scale once decisions happen near the band.
         gate = cfg.tau_tilde * max(disc2, cfg.tau_low**2 * delta2)

@@ -75,10 +75,8 @@ def load_config(path=None):
         if section not in _SECTIONS:
             raise KeyError(f"unknown config section [{section}]")
         cls = type(out[section])
-        updates = {}
-        for key, raw in parser.items(section):
-            updates[key] = _coerce(cls, key, raw)
-        out[section] = replace(out[section], **updates)
+        out[section] = replace(out[section], **{
+            key: _coerce(cls, key, raw) for key, raw in parser.items(section)})
     return out["experiment"], out["ggn"], out["nt"]
 
 
@@ -114,33 +112,31 @@ def cmd_simulate(exp, ggn, nt, args) -> int:
     return 0
 
 
-def cmd_run_ggn(exp, ggn, nt, args) -> int:
+def cmd_run(exp, ggn, nt, args) -> int:
+    """run-ggn (which also saves the data bundle) or run-nt."""
     data = _simulate(exp)
     problem = pb.ModelProblem(zeta=exp.zeta)
-    report = dv.run_ggn(problem, data, ggn)
+    if args.command == "run-ggn":
+        report, steps = dv.run_ggn(problem, data, ggn), "iterations"
+        pb.save_data_bundle(data, os.path.join(exp.out, "data"))
+    else:
+        report, steps = bl.run_nt(problem, data, nt), "beta updates"
     dv.write_run_report(report, exp.out, config_text(exp, ggn, nt))
-    pb.save_data_bundle(data, os.path.join(exp.out, "data"))
-    print(f"GGN: {report.termination} after {report.outer_iterations} "
-          f"iterations, error {report.control_error:.4f}, "
-          f"beta {report.beta_final:.6g}, {report.nodes_final} nodes, "
-          f"{report.wall_time:.2f} s")
-    return 0 if report.termination == "discrepancy" else 1
-
-
-def cmd_run_nt(exp, ggn, nt, args) -> int:
-    data = _simulate(exp)
-    problem = pb.ModelProblem(zeta=exp.zeta)
-    report = bl.run_nt(problem, data, nt)
-    dv.write_run_report(report, exp.out, config_text(exp, ggn, nt))
-    print(f"NT: {report.termination} after {report.outer_iterations} "
-          f"beta updates, error {report.control_error:.4f}, "
-          f"beta {report.beta_final:.6g}, {report.nodes_final} nodes, "
-          f"{report.wall_time:.2f} s")
+    print(f"{report.method}: {report.termination} after "
+          f"{report.outer_iterations} {steps}, error "
+          f"{report.control_error:.4f}, beta {report.beta_final:.6g}, "
+          f"{report.nodes_final} nodes, {report.wall_time:.2f} s")
     return 0 if report.termination == "discrepancy" else 1
 
 
 _TABLE_COLUMNS = ["value", "method", "status", "error", "beta", "nodes",
                   "iterations", "wall_time", "ctr"]
+
+
+def _table_row(v, rep, ctr=""):
+    return [v, rep.method, rep.termination, f"{rep.control_error:.6g}",
+            f"{rep.beta_final:.6g}", rep.nodes_final, rep.outer_iterations,
+            f"{rep.wall_time:.3f}", ctr]
 
 
 def _sweep_row(payload):
@@ -151,17 +147,11 @@ def _sweep_row(payload):
         data = _simulate(e)
         problem = pb.ModelProblem(zeta=e.zeta)
         rep_g = dv.run_ggn(problem, data, ggn)
-        rows = [[v, "GGN", rep_g.termination, f"{rep_g.control_error:.6g}",
-                 f"{rep_g.beta_final:.6g}", rep_g.nodes_final,
-                 rep_g.outer_iterations, f"{rep_g.wall_time:.3f}", ""]]
+        rows = [_table_row(v, rep_g)]
         if with_nt:
             rep_n = bl.run_nt(problem, data, nt)
             ctr = 1.0 - rep_g.wall_time / rep_n.wall_time
-            rows.append([v, "NT", rep_n.termination,
-                         f"{rep_n.control_error:.6g}",
-                         f"{rep_n.beta_final:.6g}", rep_n.nodes_final,
-                         rep_n.outer_iterations,
-                         f"{rep_n.wall_time:.3f}", f"{ctr:.3f}"])
+            rows.append(_table_row(v, rep_n, f"{ctr:.3f}"))
         return rows
     except Exception as exc:  # keep sweeping on per-row failures
         return [[v, "GGN", f"failed: {exc}", "", "", "", "", "", ""]]
@@ -226,19 +216,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         exp, ggn, nt = load_config(args.config)
-        overrides = {}
-        for flag, key in (("seed", "seed"), ("out", "out"),
-                          ("fine_levels", "fine_levels"), ("zeta", "zeta"),
-                          ("noise", "noise"), ("case", "case"),
-                          ("obs", "observation")):
-            v = getattr(args, flag, None)
-            if v is not None:
-                overrides[key] = v
-        exp = replace(exp, **overrides)
+        flags = (("seed", "seed"), ("out", "out"),
+                 ("fine_levels", "fine_levels"), ("zeta", "zeta"),
+                 ("noise", "noise"), ("case", "case"), ("obs", "observation"))
+        exp = replace(exp, **{key: getattr(args, flag) for flag, key in flags
+                              if getattr(args, flag, None) is not None})
         handler = {
             "simulate": cmd_simulate,
-            "run-ggn": cmd_run_ggn,
-            "run-nt": cmd_run_nt,
+            "run-ggn": cmd_run,
+            "run-nt": cmd_run,
             "table": cmd_table,
             "theory-check": cmd_theory_check,
         }[args.command]

@@ -116,8 +116,8 @@ def _obs_pairing(sub: LinearizedSubproblem, gvec, weight, cells: _CellData) -> n
     """
     if isinstance(sub.obs, pb.PointObs):
         out = np.zeros(sub.mesh.n_cells)
-        cids, locs = fem.point_locations(sub.mesh, sub.obs.points)
-        np.add.at(out, cids, np.asarray(gvec) * weight.at(cids, locs)[0])
+        cids, w, _ = weight.at_points(sub.obs.points)
+        np.add.at(out, cids, np.asarray(gvec) * w)
         return out
     gq = cells.vals(Field(sub.Q, np.asarray(gvec, dtype=float)))
     return cells.integrate(gq * weight.vals)
@@ -237,7 +237,8 @@ def compute_i1h(sub: LinearizedSubproblem, sol: KktSolution):
 def compute_i3h(sub: LinearizedSubproblem, rho: float) -> float:
     """I3h at the subproblem's base point: the misfit of u_old plus rho
     times the dual norm of the state residual A(q_old, u_old) - f."""
-    return sub.misfit(np.zeros(sub.V.dim))[0] + rho * sub.state_residual_norm()
+    return (sub.misfit(np.zeros(sub.V.dim))[0]
+            + rho * fem.riesz_dual_norm(sub.V, sub.a_res)[0])
 
 
 def _reg_term(sub: LinearizedSubproblem, sol: KktSolution) -> float:

@@ -10,10 +10,12 @@ and stay symmetric.
 Old iterates keep their own (coarser) meshes; because refinement is
 nested, re-interpolating a field onto any refinement of its mesh is
 pointwise exact, so cross-mesh evaluation carries no projection error.
-The transpose of this prolongation restricts L^2 data without
-quadrature.  The source leaf containing each target cell is found by
-index arithmetic on the linear quadtree (Morton codes, one sorted
-search).
+The source leaf containing each target cell is found by index
+arithmetic on the linear quadtree (Morton codes, one sorted search).
+The other way, a fine field's mass or stiffness moments against the
+corner shapes of every coarser dyadic cell follow from its own cells'
+moments level by level (``cell_moments``); they give L^2 restriction
+and fine-mesh norms of differences in O(coarse cells).
 
 Assembly is split into a symbolic and a numeric part.  The symbolic
 part, built once per mesh, is an assembly plan: the condensed CSR
@@ -30,9 +32,10 @@ Everything derived from one mesh -- the condensation of each space, the
 assembly plans, its assembled operators and LU factors, the cell origin
 tables, the patch table of the DWR weights, observation matrices and
 point locations, and the containment maps into finer meshes -- is cached
-in one per-mesh context (``_cached``).  Contexts sit in a
-``WeakKeyDictionary`` keyed by the mesh and hold nothing that refers
-back to it, so each one dies with its mesh.  For the same reason a
+in one per-mesh context (``_cached``); a field's moment table is kept in
+a context of the field.  Contexts sit in a ``WeakKeyDictionary`` keyed
+by their owner and hold nothing that refers back to it, so each one
+dies with its owner.  For the same reason a
 ``Space`` is a light view over its context entry and is rebuilt on
 demand rather than cached itself.
 """
@@ -47,7 +50,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.polynomial.legendre import leggauss
 
-from .mesh import QuadMesh, locate
+from .mesh import _CORNERS, DEPTH, QuadMesh, locate
 
 __all__ = [
     "Space",
@@ -62,6 +65,7 @@ __all__ = [
     "point_locations",
     "point_matrix",
     "interpolate_onto",
+    "cell_moments",
     "v_to_q",
     "patch_interpolate",
     "PatchWeight",
@@ -90,7 +94,7 @@ def shape_values(pts: np.ndarray) -> np.ndarray:
     s, t = pts[..., 0], pts[..., 1]
     s1, t1 = 1 - s, 1 - t
     # Filling a preallocated array is several times faster than np.stack
-    # on the large point sets of the L^2 data restriction.
+    # on large point sets.
     out = np.empty(s.shape + (4,))
     for i, (a, b) in enumerate(((s1, t1), (s, t1), (s1, t), (s, t))):
         np.multiply(a, b, out=out[..., i])
@@ -114,14 +118,14 @@ def bilinear(corner_vals: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", corner_vals, shape_values(pts))
 
 
-# mesh -> {key: object derived from that mesh alone}; see the module
-# docstring.  No value may refer to its mesh, or the entry would never die.
+# owner (mesh or field) -> {key: object derived from the owner alone}; see
+# the module docstring.  No value may refer to its owner, or it never dies.
 _CONTEXTS = weakref.WeakKeyDictionary()
 
 
-def _cached(mesh: QuadMesh, key: tuple, build):
-    """The per-mesh context entry under key, built by build() on first use."""
-    entries = _CONTEXTS.setdefault(mesh, {})
+def _cached(owner, key: tuple, build):
+    """The owner's context entry under key, built by build() on first use."""
+    entries = _CONTEXTS.setdefault(owner, {})
     if key not in entries:
         entries[key] = build()
     return entries[key]
@@ -165,10 +169,6 @@ class Space:
         self.free, self.T = _cached(mesh, ("space", kind),
                                     lambda: _condensation(mesh, kind))
         self.dim = len(self.free)
-
-    def expand(self, coeffs: np.ndarray) -> np.ndarray:
-        """Free coefficients -> continuous all-vertex values."""
-        return self.T @ coeffs
 
     def zeros(self) -> "Field":
         return Field(self, np.zeros(self.dim))
@@ -241,7 +241,7 @@ class Field:
 
     def full_values(self) -> np.ndarray:
         if self._full is None:
-            self._full = self.space.expand(self.coeffs)
+            self._full = self.space.T @ self.coeffs  # all-vertex values
         return self._full
 
     def eval_points(self, points: np.ndarray) -> np.ndarray:
@@ -449,11 +449,19 @@ def _assemble(space_row: Space, space_col: Space,
                           indptr), shape=(space_row.dim, space_col.dim))
 
 
+@functools.cache
+def _element_matrix(form: str) -> np.ndarray:
+    """(4, 4) "mass" (times h^2) or "stiffness" matrix of a cell."""
+    _, wts, _, grads = _cell_quad_data(NQ_BASE)
+    if form == "mass":
+        return _product_tables(NQ_BASE)[1].sum(axis=0).reshape(4, 4)
+    return np.einsum("q,qid,qjd->ij", wts, grads, grads)
+
+
 def assemble_stiffness(space: Space) -> sp.csr_matrix:
     """Condensed matrix of (grad u, grad v); independent of cell size."""
-    pts, wts, _, grads = _cell_quad_data(NQ_BASE)
-    ref = np.einsum("q,qid,qjd->ij", wts, grads, grads)
-    return _assemble(space, space, np.tile(ref.ravel(), space.mesh.n_cells))
+    ref = _element_matrix("stiffness").ravel()
+    return _assemble(space, space, np.tile(ref, space.mesh.n_cells))
 
 
 def assemble_mass(space_row: Space, space_col: Space) -> sp.csr_matrix:
@@ -461,9 +469,9 @@ def assemble_mass(space_row: Space, space_col: Space) -> sp.csr_matrix:
     if space_row.mesh is not space_col.mesh:
         raise ValueError("mass assembly requires one mesh; use cross-mesh "
                          "evaluation to move fields first")
-    ref = _product_tables(NQ_BASE)[1].sum(axis=0)
     h2 = space_row.mesh.cell_sizes() ** 2
-    return _assemble(space_row, space_col, np.outer(h2, ref))
+    return _assemble(space_row, space_col,
+                     np.outer(h2, _element_matrix("mass").ravel()))
 
 
 def assemble_weighted_mass(space: Space, weight: "Field", exponent: int) -> sp.csr_matrix:
@@ -583,6 +591,55 @@ def interpolate_onto(field: "Field", mesh: QuadMesh) -> "Field":
                                   shapes))
 
 
+def _corner_moments(corner_vals: np.ndarray, form: str, h: np.ndarray):
+    """Cell moments (n, 4) of bilinears given by (n, 4) corner values."""
+    moments = corner_vals @ _element_matrix(form)
+    return moments * h[:, None] ** 2 if form == "mass" else moments
+
+
+def _moment_table(field: "Field", form: str):
+    """(offsets, table, |field|^2): a field's moments over all dyadic cells
+    of level <= its mesh's finest, kept in the field's context.  Level l
+    fills rows offsets[l] + Morton index, so a parent's moments are its 4
+    consecutive children's through R[4c + j, k], parent shape k at corner j
+    of child c (at corner offset c).  NaN marks cells inside a leaf."""
+    def build():
+        mesh, top = field.mesh, field.mesh.max_level
+        level = mesh.cells[:, 0]
+        offsets = (4 ** np.arange(top + 2) - 1) // 3
+        table = np.full((offsets[-1], 4), np.nan)
+        cv = field.full_values()[mesh.cell_corners]
+        moments = _corner_moments(cv, form, mesh.cell_sizes())
+        table[offsets[level] + (mesh.codes >> 2 * (DEPTH - level))] = moments
+        R = shape_values((_CORNERS[:, None] + _CORNERS) / 2).reshape(16, 4)
+        for lev in range(top - 1, -1, -1):
+            cells = table[offsets[lev]:offsets[lev + 1]]
+            children = table[offsets[lev + 1]:offsets[lev + 2]].reshape(-1, 16)
+            np.copyto(cells, children @ R, where=np.isnan(cells))
+        table.flags.writeable = False
+        return offsets, table, float(np.sum(moments * cv))
+
+    return _cached(field, ("moments", form), build)
+
+
+def cell_moments(field: "Field", form: str, mesh: QuadMesh):
+    """((n_cells, 4) moments, |field|^2) of a field over any mesh's cells:
+    (field, phi_k)_c for ``form`` "mass", (grad field, grad phi_k)_c for
+    "stiffness", k over the cell corners.  Unions of the field's leaves
+    read its moment table; a cell inside a leaf, where the field is
+    bilinear, uses the field's values at the cell corners."""
+    offsets, table, own = _moment_table(field, form)
+    top = len(offsets) - 2
+    level = np.minimum(mesh.cells[:, 0], top)
+    rows = table[offsets[level] + (mesh.codes >> 2 * (DEPTH - level))]
+    inner = np.isnan(rows[:, 0]) | (mesh.cells[:, 0] > top)
+    if inner.any():
+        xy = mesh.vertices[mesh.cell_corners[inner]].reshape(-1, 2)
+        rows[inner] = _corner_moments(field.eval_points(xy).reshape(-1, 4),
+                                      form, mesh.cell_sizes()[inner])
+    return rows, own
+
+
 # ---------------------------------------------------------------------------
 # patchwise biquadratic recovery for DWR weights
 
@@ -669,11 +726,12 @@ class PatchWeight:
 
     ``vals`` (n_cells, n_qp) and ``grads`` (n_cells, n_qp, 2) hold the
     weight at the NQ_WEIGHTED quadrature points of every cell; ``at``
-    evaluates it at given (cell, local point) pairs.
+    evaluates it at given (cell, local point) pairs, ``at_points`` at
+    observation points (patch basis cached in the mesh's context).
     """
 
     def __init__(self, field: "Field"):
-        mesh = field.mesh
+        self._mesh = mesh = field.mesh
         nodes, self._pos, has_patch = _patch_table(mesh)
         self._h = mesh.cell_sizes()
         self._patch_vals = np.where(has_patch[:, None],
@@ -687,11 +745,19 @@ class PatchWeight:
         self.grads = ((self._patch_vals / self._h[:, None]) @ tg).reshape(
             n, 4, -1, 2)[cells, self._pos]
 
-    def at(self, cell_ids: np.ndarray, pts: np.ndarray):
+    def at(self, cell_ids: np.ndarray, pts: np.ndarray, basis=None):
         """One (cell, local point) pair per row; returns (w (n,), gw (n,2))."""
-        w = np.einsum("ci,cik->ck", self._patch_vals[cell_ids],
-                      _patch_basis(self._pos[cell_ids], pts))
+        if basis is None:
+            basis = _patch_basis(self._pos[cell_ids], pts)
+        w = np.einsum("ci,cik->ck", self._patch_vals[cell_ids], basis)
         return w[:, 0], w[:, 1:] / self._h[cell_ids, None]
+
+    def at_points(self, points: np.ndarray):
+        """(cell ids, w, gw) at the cells of ``point_locations``."""
+        cids, locs = point_locations(self._mesh, points)
+        basis = _cached(self._mesh, ("patch_basis",) + _points_key(points),
+                        lambda: _patch_basis(self._pos[cids], locs))
+        return (cids,) + self.at(cids, locs, basis)
 
 
 def patch_interpolate(field: "Field") -> PatchWeight:

@@ -13,7 +13,8 @@ derivative is A'_u = -lap + 3 zeta u^2.
 
 Observations are either point evaluations at a uniform interior lattice
 (G = R^n with the Euclidean product) or the identity into L^2 with data
-restricted between nested meshes by L^2-projection.
+restricted between nested meshes by L^2-projection, assembled from a
+table of the data's cell moments.
 """
 
 from __future__ import annotations
@@ -302,10 +303,9 @@ def simulate_data(problem: ModelProblem, case: SyntheticCase, obs,
 def restrict_data(data: NoisyData, target_space: Space) -> Field:
     """L^2-projection of fine-mesh L^2 data onto a coarser Q1 space.
 
-    The meshes are nested, so each target basis function psi_i is the
-    fine Q1 function P e_i, with P the exact prolongation of
-    ``fem.interpolate_onto``.  Hence (g_delta, psi_i) = (P' M g_delta)_i
-    with the fine mass matrix M, and no quadrature is needed; a mass
+    The load (g_delta, psi_i) assembles from the mass moments of g_delta
+    over the target's cells, read from a table built once per data set
+    (``fem.cell_moments``): O(target cells), no fine-mesh work.  A mass
     solve on the target space then yields the projection.
     """
     if not isinstance(data.obs, L2Obs):
@@ -314,11 +314,9 @@ def restrict_data(data: NoisyData, target_space: Space) -> Field:
     coarse = target_space.mesh
     if g.mesh is coarse:
         return Field(target_space, g.coeffs.copy())
-    corners, shapes = fem._prolongation(coarse, g.space)
-    weights = shapes * (g.space.mass() @ g.coeffs)[:, None]
-    full = np.bincount(corners.ravel(), weights=weights.ravel(),
-                       minlength=coarse.n_vertices)
-    rhs = target_space.T.T @ full
+    moments = fem.cell_moments(g, "mass", coarse)[0]
+    rhs = (fem._load_map(coarse) @ moments.ravel())[
+        fem._q_dofs(coarse, target_space.kind)[0]]
     return Field(target_space, target_space.mass_solver().solve(rhs))
 
 

@@ -128,9 +128,6 @@ class LinearizedSubproblem:
     lu: object = dc_field(default=None, init=False, repr=False,
                           compare=False)
 
-    def state_residual_norm(self) -> float:
-        return fem.riesz_dual_norm(self.V, self.a_res)[0]
-
     def factorization(self):
         if self.lu is None:
             try:

@@ -63,19 +63,13 @@ class BlockSystem:
         return self.K.shape[1]
 
     def T(self) -> np.ndarray:
-        m = self.C.shape[0]
-        top = np.hstack([np.zeros((m, self.n_q)), self.C])
-        bot = np.hstack([self.L, self.K])
-        return np.vstack([top, bot])
+        return np.block([[np.zeros((self.C.shape[0], self.n_q)), self.C],
+                         [self.L, self.K]])
 
     def Y(self) -> np.ndarray:
         T = self.T()
-        D = np.diag(
-            np.concatenate([
-                np.full(self.n_q, self.alpha), np.full(self.n_v, self.mu)
-            ])
-        )
-        return T.T @ T + D
+        shifts = np.repeat([self.alpha, self.mu], [self.n_q, self.n_v])
+        return T.T @ T + np.diag(shifts)
 
 
 def random_system(rng, n_q: int, n_v: int, m: int,
@@ -125,10 +119,8 @@ def build_O(sys: BlockSystem) -> np.ndarray:
 
 def verify_inverse_identity(sys: BlockSystem) -> float:
     """Spectral norm of O Y - I."""
-    O = build_O(sys)
     Y = sys.Y()
-    n = Y.shape[0]
-    return float(np.linalg.norm(O @ Y - np.eye(n), 2))
+    return _norm2(build_O(sys) @ Y - np.eye(len(Y)))
 
 
 def _norm2(A) -> float:
@@ -166,12 +158,11 @@ def verify_bound_iii(sys_factory, alpha_grid, mus=(0.0, 0.5, 1.0)):
             T = sys.T()
             lhs_ii = _norm2(Yinv @ (T.T @ T))
             rhs_ii = 1.0 + max(alpha, fac * alpha) * ny
-            worst["proof_bound"] = max(worst["proof_bound"],
-                                       ny / np.sqrt(proof_sq))
-            worst["ct_bound"] = max(worst["ct_bound"],
-                                    ny / (c_t * (1.0 / alpha + 1.0)))
-            worst["identity_ii"] = max(worst["identity_ii"], lhs_ii / rhs_ii)
-            worst["alpha_yinv_max"] = max(worst["alpha_yinv_max"], alpha * ny)
+            for key, val in (("proof_bound", ny / np.sqrt(proof_sq)),
+                             ("ct_bound", ny / (c_t * (1.0 / alpha + 1.0))),
+                             ("identity_ii", lhs_ii / rhs_ii),
+                             ("alpha_yinv_max", alpha * ny)):
+                worst[key] = max(worst[key], val)
     worst["ok"] = all(worst[k] <= 1.0 + 1e-12
                       for k in ("proof_bound", "ct_bound", "identity_ii"))
     return worst

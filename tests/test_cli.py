@@ -1,5 +1,6 @@
 import csv
 import functools
+import math
 import types
 
 import pytest
@@ -46,10 +47,23 @@ def test_run_ggn_cli(tmp_path):
     rc = cli.main(["--zeta", "100", "--noise", "0.01", "--fine-levels", "6",
                    "--seed", "3", "--out", str(out), "run-ggn"])
     assert rc == 0
-    assert (out / "report.csv").exists()
     assert (out / "manifest.txt").exists()
     manifest = (out / "manifest.txt").read_text()
     assert "control_error" in manifest
+    rows = _report_rows(out)
+    assert rows[0]["phase"] == "init"
+    assert all(math.isnan(x) for x in _stationarity(rows[0]))
+    assert all(0.0 <= x <= 1e-8 for r in rows[1:] for x in _stationarity(r))
+
+
+def _report_rows(outdir):
+    with open(outdir / "report.csv") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _stationarity(row):
+    """The KKT stationarity residuals (q, v, z) of a report row."""
+    return [float(row[k]) for k in ("stat_q", "stat_v", "stat_z")]
 
 
 def test_run_nt_cli(tmp_path):
@@ -58,6 +72,9 @@ def test_run_nt_cli(tmp_path):
                    "--seed", "3", "--out", str(out), "run-nt"])
     assert rc == 0
     assert "method = NT" in (out / "manifest.txt").read_text()
+    rows = _report_rows(out)
+    assert rows and rows[-1]["phase"] == "accept"
+    assert all(0.0 <= x <= 1e-8 for r in rows for x in _stationarity(r))
 
 
 def test_table_sweep(tmp_path):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from ggnfem import baseline as bl, driver as dv, fem, problem as pb
-from ggnfem.fem import Field, Space, qspace, vspace
-from ggnfem.mesh import QuadMesh, uniform_mesh
+from ggnfem.fem import Field, Space, interpolate_onto, qspace, vspace
+from ggnfem.mesh import QuadMesh, refine, uniform_mesh
 
 
 def test_config_defaults_satisfy_assumptions():
@@ -233,3 +233,114 @@ def test_runs_patch_no_attributes():
     names = {f.name for f in dataclasses.fields(dv.RunReport)}
     for r in reports:
         assert vars(r).keys() == names
+
+
+def _fine_route_control_error(q_h, data):
+    """Reference: |q_true - q_h| with q_h interpolated onto the
+    simulation mesh, or q_true onto q_h's mesh where that is finer."""
+    qt = data.q_true
+    try:
+        return dv._minus(qt, q_h).norm_l2() / qt.norm_l2()
+    except ValueError:
+        qt_c = interpolate_onto(qt, q_h.mesh)
+        return dv._minus(q_h, qt_c).norm_l2() / qt_c.norm_l2()
+
+
+def _fine_route_monotonicity_rhs(q0, u0, data):
+    return (dv._minus(data.q_true, q0).norm_l2() ** 2
+            + dv._minus(data.u_true, u0).norm_h1semi() ** 2)
+
+
+def test_moment_diagnostics_match_fine_mesh_route(ggn_runs, sims):
+    rep = ggn_runs(zeta=100.0, p=0.01, seed=1)
+    data = sims(zeta=100.0, p=0.01, seed=1)
+    assert len(rep.q_final.mesh.hanging)
+    ref = _fine_route_control_error(rep.q_final, data)
+    got = dv.relative_control_error(rep.q_final, data)
+    assert abs(got - ref) <= 1e-10 * ref
+    coarse = uniform_mesh(3)
+    pairs = [(qspace(coarse).interpolate(lambda x, y: 40.0 * x * (1 - y)),
+              vspace(coarse).interpolate(lambda x, y: np.sin(7 * x) * y)),
+             (rep.q_final, rep.u_final)]
+    for q0, u0 in pairs:
+        ref = _fine_route_monotonicity_rhs(q0, u0, data)
+        got = dv.monotonicity_rhs(q0, u0, data)
+        assert abs(got - ref) <= 1e-10 * ref
+
+
+def _cellwise_dist_sq(f, g, mesh):
+    """|f - g|^2 summed over the cells of a mesh on which both are
+    bilinear, from their values at the cell corners."""
+    xy = mesh.vertices[mesh.cell_corners].reshape(-1, 2)
+    d = (f.eval_points(xy) - g.eval_points(xy)).reshape(-1, 4)
+    return np.einsum("c,ci,ij,cj->", mesh.cell_sizes() ** 2, d,
+                     fem._element_matrix("mass"), d)
+
+
+def test_control_error_on_leaves_finer_than_the_truth():
+    prob = pb.ModelProblem(zeta=1.0)
+    data = pb.simulate_data(prob, pb.synthetic_case("a"), pb.PointObs(5), 3,
+                            0.0, 1)
+    qt = data.q_true
+
+    def q_on(mesh):
+        return qspace(mesh).interpolate(lambda x, y: 30.0 * np.sin(9 * x * y))
+
+    # Finer everywhere: the fine-mesh route compares on q_h's mesh.
+    finer = refine(uniform_mesh(4), [0, 17])
+    q_h = q_on(finer)
+    ref = _fine_route_control_error(q_h, data)
+    assert abs(dv.relative_control_error(q_h, data) - ref) <= 1e-10 * ref
+    # Finer in places, coarser in others: neither mesh refines the other,
+    # and the reference integrates over the cells of their common refinement.
+    mixed = refine(uniform_mesh(2), [0, 1])
+    mixed = refine(mixed, [0])
+    q_h = q_on(mixed)
+    assert mixed.max_level > qt.mesh.max_level > mixed.cells[:, 0].min()
+    with pytest.raises(ValueError):
+        _fine_route_control_error(q_h, data)
+    common = QuadMesh(np.unique(np.concatenate(
+        [mixed.cells[mixed.cells[:, 0] >= 3], qt.mesh.cells[
+            mixed.cells[np.searchsorted(mixed.codes, qt.mesh.codes,
+                                        side="right") - 1, 0] < 3]]), axis=0))
+    ref = np.sqrt(_cellwise_dist_sq(qt, q_h, common)
+                  / _cellwise_dist_sq(qt, qt.space.zeros(), qt.mesh))
+    assert abs(dv.relative_control_error(q_h, data) - ref) <= 1e-10 * ref
+
+
+def test_run_with_solver_leaves_finer_than_the_truth():
+    prob = pb.ModelProblem(zeta=1.0)
+    data = pb.simulate_data(prob, pb.synthetic_case("a"), pb.PointObs(5), 4,
+                            0.01, 1)
+    rep = dv.run_ggn(prob, data, dv.GgnConfig(max_depth=6))
+    assert rep.termination == "discrepancy"
+    assert rep.q_final.mesh.max_level > 4 and all(rep.monotonicity)
+    assert 0.0 < rep.control_error < 1.0
+
+
+def test_solver_mesh_contexts_stay_few_over_refinements(monkeypatch):
+    """Only the current mesh's restricted data is kept: the solver meshes
+    alive at the end of an L^2 run (GGN or NT) do not grow with the
+    number of refinements."""
+    prob = pb.ModelProblem(zeta=100.0)
+    data = pb.simulate_data(prob, pb.synthetic_case("a"), pb.L2Obs(), 5,
+                            0.003, 1)
+    before = weakref.WeakSet(
+        k for k in list(fem._CONTEXTS.keys()) if isinstance(k, QuadMesh))
+    live = []
+
+    def count():
+        gc.collect()
+        live.append(sum(isinstance(k, QuadMesh) and k not in before
+                        for k in list(fem._CONTEXTS.keys())))
+
+    finalize, control_error = dv._Run.finalize, bl.relative_control_error
+    monkeypatch.setattr(dv._Run, "finalize",
+                        lambda run, term: count() or finalize(run, term))
+    monkeypatch.setattr(bl, "relative_control_error",
+                        lambda q, d: count() or control_error(q, d))
+    reports = [dv.run_ggn(prob, data, dv.GgnConfig(max_depth=5)),
+               bl.run_nt(prob, data, bl.NtConfig(max_depth=5))]
+    for rep, n_live in zip(reports, live):
+        assert sum(r.phase.startswith("refine") for r in rep.rows) >= 8
+        assert n_live <= 2  # the start mesh of q0 and the current mesh

@@ -17,7 +17,7 @@ class FieldWeight:
     """
 
     def __init__(self, field):
-        mesh = field.mesh
+        self.mesh = mesh = field.mesh
         self.h = mesh.cell_sizes()
         self.corner_vals = field.full_values()[mesh.cell_corners]
         pts = fem._cell_quad_data(fem.NQ_WEIGHTED)[0]
@@ -30,6 +30,10 @@ class FieldWeight:
         return (fem.bilinear(cv, pts),
                 np.einsum("ci,cid->cd", cv, fem.shape_gradients(pts))
                 / self.h[cell_ids, None])
+
+    def at_points(self, points):
+        cids, locs = fem.point_locations(self.mesh, points)
+        return (cids,) + self.at(cids, locs)
 
 
 def _instance(zeta=100.0, beta=10.0, levels=3, n_side=5, seed=1, p=0.01):

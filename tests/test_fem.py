@@ -367,6 +367,22 @@ def test_patch_weight_matches_per_cell_reference(mesh, seed):
         assert np.abs(wg - rg[:, 0]).max() <= 1e-13 * scale
 
 
+@given(mesh=graded_meshes(), seed=st.integers(0, 2**16))
+def test_patch_weight_at_points_matches_at_bitwise(mesh, seed):
+    """The patch basis at observation points is cached in the mesh's
+    context; the weights it gives are those of ``at``, bit for bit."""
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(0.0, 1.0, (30, 2))
+    cids, locs = fem.point_locations(mesh, points)
+    for space in (vspace(mesh), qspace(mesh)):
+        W = patch_interpolate(Field(space, rng.uniform(-1, 1, space.dim)))
+        ref = W.at(cids, locs)
+        for _ in range(2):  # building the cached basis, then reading it
+            ids, w, gw = W.at_points(points)
+            assert np.array_equal(ids, cids)
+            assert np.array_equal(w, ref[0]) and np.array_equal(gw, ref[1])
+
+
 def test_patch_weight_zero_on_root_cell():
     f = qspace(uniform_mesh(0)).interpolate(lambda x, y: x * y)
     W = patch_interpolate(f)

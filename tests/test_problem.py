@@ -1,7 +1,13 @@
+import functools
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given
 from scipy.optimize import minimize
 
+from conftest import graded_meshes
 from ggnfem import fem, problem as pb
 from ggnfem.fem import Field, qspace, riesz_dual_norm, vspace
 from ggnfem.mesh import locate, refine, uniform_mesh
@@ -270,6 +276,72 @@ def test_restrict_data_matches_fine_quadrature(seed, fine_level):
     ref = Q.mass_solver().solve(_quadrature_mass_rhs(g, Q))
     got = pb.restrict_data(data, Q).coeffs
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def prolongation_restrict(data, target_space):
+    """Reference restriction through the fine mesh: P' M_fine g_delta
+    scattered onto the target vertices, P the nested prolongation of
+    ``fem.interpolate_onto``, then a mass solve on the target space."""
+    g = data.g_delta
+    coarse = target_space.mesh
+    corners, shapes = fem._prolongation(coarse, g.space)
+    weights = shapes * (g.space.mass() @ g.coeffs)[:, None]
+    full = np.bincount(corners.ravel(), weights=weights.ravel(),
+                       minlength=coarse.n_vertices)
+    return target_space.mass_solver().solve(target_space.T.T @ full)
+
+
+@functools.cache
+def _level6_data():
+    """Random L^2 data on the level-6 uniform mesh, which every graded
+    test mesh (depth <= 6) coarsens."""
+    Q = qspace(uniform_mesh(6))
+    g = Field(Q, np.random.default_rng(7).uniform(-1.0, 1.0, Q.dim))
+    return pb.NoisyData(obs=pb.L2Obs(), g=g, g_delta=g, delta=0.0, p=0.0,
+                        seed=0, case="a", zeta=0.0, fine_levels=6,
+                        q_true=g, u_true=g)
+
+
+@given(mesh=graded_meshes())
+def test_restrict_data_matches_prolongation_route(mesh):
+    data = _level6_data()
+    Q = qspace(mesh)
+    ref = prolongation_restrict(data, Q)
+    got = pb.restrict_data(data, Q).coeffs
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_restrict_data_onto_finer_leaves_is_exact():
+    """Leaves finer than the data's take their moments from the data's
+    corner values; the data lie in a space that refines theirs, so the
+    projection reproduces them."""
+    data = pb.simulate_data(pb.ModelProblem(zeta=0.0), pb.synthetic_case("a"),
+                            pb.L2Obs(), 3, 0.01, 1)
+    Q = qspace(refine(refine(uniform_mesh(3), [0, 9]), [1, 30]))
+    assert Q.mesh.max_level == 5
+    got = pb.restrict_data(data, Q).coeffs
+    ref = fem.interpolate_onto(data.g_delta, Q.mesh).coeffs
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_moment_table_dies_with_its_data():
+    """The table is kept under the data field, not the simulation mesh,
+    and goes when the data set goes."""
+    prob = pb.ModelProblem(zeta=10.0)
+    case = pb.synthetic_case("a")
+    truth = pb.simulate_truth(prob, case, 5)
+    coarse = qspace(uniform_mesh(3))
+    data = pb.simulate_data(prob, case, pb.L2Obs(), 5, 0.01, 1, truth=truth)
+    mesh_entries = dict(fem._CONTEXTS[truth[0].mesh])
+    pb.restrict_data(data, coarse)
+    assert ("moments", "mass") in fem._CONTEXTS[data.g_delta]
+    assert fem._CONTEXTS[truth[0].mesh].keys() == mesh_entries.keys()
+    owner = weakref.ref(data.g_delta)
+    n_contexts = len(fem._CONTEXTS)
+    del data
+    gc.collect()
+    assert owner() is None
+    assert len(fem._CONTEXTS) == n_contexts - 1
 
 
 def test_point_observation_adjoint_consistency():
