@@ -99,9 +99,11 @@ class QuadMesh:
         Marks vertices on the boundary of the unit square.
     """
 
-    def __init__(self, cells):
+    def __init__(self, cells, _codes=None):
+        # refine passes the codes of cells already in Morton order.
         cells = np.asarray(cells, dtype=np.int64).reshape(-1, 3)
-        self.cells, self.codes = _sort(cells)
+        self.cells, self.codes = (_sort(cells) if _codes is None
+                                  else (cells, _codes))
         self.n_cells = len(cells)
         level = self.cells[:, 0]
         self.max_level = int(level.max())
@@ -178,7 +180,7 @@ def refine(mesh: QuadMesh, marked, max_level: int | None = None) -> QuadMesh:
         cells = np.concatenate([np.delete(cells, ids, axis=0), kids])
         cells, codes = _sort(cells)
         ids = _too_coarse(cells, codes, kids)
-    return QuadMesh(cells)
+    return QuadMesh(cells, codes)
 
 
 def locate(mesh: QuadMesh, points):

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import fem
 from .fem import Field, Space, interpolate_onto, qspace, vspace
@@ -99,8 +98,7 @@ class L2Obs:
     def observe(self, u: Field) -> Field:
         # State as an L^2 element on its own mesh (boundary values zero).
         q = qspace(u.mesh)
-        full = u.full_values()
-        return Field(q, full[q.free])
+        return Field(q, u.full_values()[q.free])
 
 
 @dataclass
@@ -177,47 +175,72 @@ def linearized_state_operator(problem: ModelProblem, space: Space, u_base: Field
 def solve_forward(problem: ModelProblem, q: Field, space: Space,
                   tol: float = 1e-10, max_iter: int = 50,
                   u_init: Field | None = None) -> Field:
-    """Damped Newton solve of the semilinear PDE for a given source.
+    """Damped inexact Newton solve of the semilinear PDE for a given source.
 
-    Terminates when the dual norm of the residual drops below tol;
-    backtracking halves the step until the residual norm decreases.
+    Stops when the residual's dual norm sqrt(r' K^-1 r), K the stiffness
+    matrix, is at most tol; backtracking halves the step until that norm
+    decreases.  Each step solves J d = -r, J = K + 3 zeta u^2 M, by
+    ``_stiffness_cg`` to eta |r|, eta = min(0.1, |r|) (Eisenstat & Walker,
+    SISC 1996), but not below tol / 1000.  A failed stiffness
+    factorization or a CG breakdown raises ForwardSolveError.
     """
     u = np.zeros(space.dim) if u_init is None else interpolate_onto(u_init, space.mesh).coeffs.copy()
     load = fem.assemble_functional(space, interpolate_onto(q, space.mesh))
     Ks = space.stiffness()
-    lu_s = space.stiffness_solver()
+    try:
+        lu_s = space.stiffness_solver()
+    except RuntimeError as exc:
+        raise ForwardSolveError(f"stiffness factorization failed: {exc}",
+                                float("nan")) from exc
 
-    def resid(uvec):
+    def resid(uvec):  # r, K^-1 r and the dual norm of r
         r = Ks @ uvec - load
         if problem.zeta:
             r = r + problem.zeta * _cubic_term(space, Field(space, uvec))
-        return r
+        s = lu_s.solve(r)
+        return r, s, np.sqrt(max(r @ s, 0.0))
 
-    r = resid(u)
-    rnorm = np.sqrt(max(r @ lu_s.solve(r), 0.0))
-    for _ in range(max_iter):
+    r, s, rnorm = resid(u)
+    for it in range(max_iter + 1):
         if rnorm <= tol:
             return Field(space, u)
+        if it == max_iter:
+            raise ForwardSolveError("Newton did not converge", rnorm)
         J = linearized_state_operator(problem, space, Field(space, u))
-        # The factors are dropped right after the solve: keeping them
-        # would hold two LUs at once while the next Jacobian is factorized.
-        try:
-            d = spla.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(-r)
-        except RuntimeError as exc:
-            raise ForwardSolveError(f"Newton Jacobian factorization failed: "
-                                    f"{exc}", rnorm) from exc
+        d = _stiffness_cg(space, J, -r, -s,
+                          max(min(0.1, rnorm) * rnorm, 1e-3 * tol))
+        if d is None:
+            raise ForwardSolveError("Newton-step CG broke down", rnorm)
         step = 1.0
         while True:
-            r_new = resid(u + step * d)
-            rnorm_new = np.sqrt(max(r_new @ lu_s.solve(r_new), 0.0))
-            if rnorm_new < rnorm or step < 1e-10:
+            new = resid(u + step * d)
+            if new[2] < rnorm or step < 1e-10:
                 break
             step *= 0.5
-        u = u + step * d
-        r, rnorm = r_new, rnorm_new
-    if rnorm <= tol:
-        return Field(space, u)
-    raise ForwardSolveError("Newton did not converge", rnorm)
+        u, (r, s, rnorm) = u + step * d, new
+
+
+def _stiffness_cg(space: Space, A, b: np.ndarray, z: np.ndarray,
+                  atol: float):
+    """x with A x = b, A SPD, by CG preconditioned with the stiffness
+    factorization K of the space, from x = 0 and z = K^-1 b, until
+    sqrt(r' K^-1 r) <= atol.  None on a breakdown: p' A p <= 0, a
+    non-finite value, or more than dim + 1 steps."""
+    lu = space.stiffness_solver()
+    x, r, p, rz = np.zeros_like(b), b.copy(), z.copy(), b @ z
+    for _ in range(len(b) + 2):
+        if rz <= atol**2:
+            return x
+        Ap = A @ p
+        pAp = p @ Ap
+        if not 0.0 < pAp < np.inf:
+            return None
+        x += rz / pAp * p
+        r -= rz / pAp * Ap
+        z = lu.solve(r)
+        rz, rz_old = r @ z, rz
+        p = z + rz / rz_old * p
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -275,20 +298,13 @@ def simulate_data(problem: ModelProblem, case: SyntheticCase, obs,
 
     if isinstance(obs, PointObs):
         g = obs.observe(u_true)
-        if p > 0:
-            noise = rng.uniform(-1.0, 1.0, obs.n_obs) * (p * np.abs(g).max())
-        else:
-            noise = np.zeros(obs.n_obs)
-        g_delta = g + noise
+        g_delta = g + rng.uniform(-1.0, 1.0, obs.n_obs) * (p * np.abs(g).max())
         delta = float(np.linalg.norm(g_delta - g))
     elif isinstance(obs, L2Obs):
         g = obs.observe(u_true)
-        if p > 0:
-            r = rng.uniform(-1.0, 1.0, g.space.dim)
-            rf = Field(g.space, r)
-            g_delta = Field(g.space, g.coeffs + p * g.norm_l2() / rf.norm_l2() * r)
-        else:
-            g_delta = Field(g.space, g.coeffs.copy())
+        r = rng.uniform(-1.0, 1.0, g.space.dim)
+        scale = p * g.norm_l2() / Field(g.space, r).norm_l2()
+        g_delta = Field(g.space, g.coeffs + scale * r)
         delta = Field(g.space, g_delta.coeffs - g.coeffs).norm_l2()
     else:
         raise TypeError(f"unsupported observation {obs!r}")

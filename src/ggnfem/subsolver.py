@@ -303,13 +303,15 @@ def adjoint_at_base(sub: LinearizedSubproblem) -> Field:
 
     Solves K' z = 2 C'* (C(u_old) - g_delta) with the subproblem's
     operators, frozen at (q_old, u_old); the W-norm of z drives the
-    penalty-weight update.
+    penalty-weight update.  K = A'_u is SPD: CG as in the forward solve.
     """
-    try:
-        lu = spla.splu(sub.K.T.tocsc())
-    except RuntimeError as exc:
-        raise KktError(f"adjoint factorization failed: {exc}") from exc
-    return Field(sub.V, lu.solve(2.0 * sub.c_res))
+    rhs = 2.0 * sub.c_res
+    z0 = sub.V.stiffness_solver().solve(rhs)
+    z = pb._stiffness_cg(sub.V, sub.K, rhs, z0,
+                         1e-13 * np.sqrt(max(rhs @ z0, 0.0)))
+    if z is None:
+        raise KktError("adjoint CG broke down")
+    return Field(sub.V, z)
 
 
 def adjoint_w_norm(z: Field) -> float:

@@ -6,7 +6,7 @@ import types
 import pytest
 import scipy.sparse.linalg as spla
 
-from ggnfem import cli, problem as pb, subsolver as ss
+from ggnfem import cli, fem, problem as pb, subsolver as ss
 
 
 def test_config_roundtrip(tmp_path):
@@ -162,7 +162,8 @@ def _run_failing(tmp_path, command, *options):
     ("run-ggn", ss, _singular_kkt, "kkt-failure"),
     ("run-ggn", ss, _singular, "kkt-failure"),
     ("run-nt", ss, _singular_kkt, "kkt-failure"),
-    ("run-nt", pb, _singular, "forward-failure"),
+    # The forward solve factorizes only the stiffness matrix, in fem.
+    ("run-nt", fem, _singular, "forward-failure"),
 ])
 def test_solver_failure_ends_run_cleanly(tmp_path, monkeypatch, command,
                                          module, splu, termination):

@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
 from conftest import graded_meshes
@@ -145,40 +145,123 @@ def test_forward_uniqueness_from_different_starts():
     assert np.abs(u1.coeffs - u2.coeffs).max() < 1e-9
 
 
-def test_forward_monotone_residual_decrease():
-    prob = pb.ModelProblem(zeta=1000.0)
-    m = uniform_mesh(4)
-    V, Q = vspace(m), qspace(m)
-    q = Q.interpolate(pb.synthetic_case("a").source)
-    norms = []
-    orig = pb.solve_forward.__wrapped__ if hasattr(pb.solve_forward, "__wrapped__") else None
-    # track residual norms through a manual Newton replay
+def lu_newton(prob, q, V, tol=1e-10, max_iter=50, u_init=None):
+    """Oracle: the forward solve with a fresh LU of the Jacobian at every
+    Newton step, backtracking as in ``solve_forward``.  Returns the
+    coefficients and the dual residual norm of every iterate."""
     import scipy.sparse.linalg as spla
 
-    load = fem.assemble_functional(V, q)
+    load = fem.assemble_functional(V, fem.interpolate_onto(q, V.mesh))
     lu_s = V.stiffness_solver()
-    u = np.zeros(V.dim)
+    u = (np.zeros(V.dim) if u_init is None
+         else fem.interpolate_onto(u_init, V.mesh).coeffs.copy())
 
     def dual_norm(vec):
         r = V.stiffness() @ vec - load + prob.zeta * pb._cubic_term(V, Field(V, vec))
         return np.sqrt(max(r @ lu_s.solve(r), 0.0)), r
 
     n, r = dual_norm(u)
-    for _ in range(30):
-        if n <= 1e-10:
+    norms = [n]
+    for _ in range(max_iter):
+        if n <= tol:
             break
         J = pb.linearized_state_operator(prob, V, Field(V, u))
-        d = spla.splu(J.tocsc()).solve(-r)
+        d = spla.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(-r)
         step = 1.0
         while True:
             n_new, r_new = dual_norm(u + step * d)
             if n_new < n or step < 1e-10:
                 break
             step *= 0.5
-        norms.append(n)
         u, n, r = u + step * d, n_new, r_new
-    assert all(a > b for a, b in zip(norms, norms[1:]))
-    assert n <= 1e-10
+        norms.append(n)
+    return u, norms
+
+
+def test_forward_monotone_residual_decrease():
+    prob = pb.ModelProblem(zeta=1000.0)
+    m = uniform_mesh(4)
+    V, Q = vspace(m), qspace(m)
+    q = Q.interpolate(pb.synthetic_case("a").source)
+    _, norms = lu_newton(prob, q, V, max_iter=30)
+    assert all(a > b for a, b in zip(norms[:-1], norms[1:-1]))
+    assert norms[-1] <= 1e-10
+
+
+def _assert_matches_lu_newton(prob, q, V, u_init=None):
+    """solve_forward against the LU-Newton oracle: equal to 1e-10
+    relative, with a final dual residual within the tolerance."""
+    u = pb.solve_forward(prob, q, V, u_init=u_init)
+    ref, _ = lu_newton(prob, q, V, u_init=u_init)
+    assert np.abs(u.coeffs - ref).max() <= 1e-10 * np.abs(ref).max()
+    assert riesz_dual_norm(V, pb.semilinear_residual(prob, q, u, V))[0] <= 1e-10
+
+
+@pytest.mark.parametrize("zeta", [0.0, 100.0, 1000.0, 1e4])
+def test_forward_matches_lu_newton_on_uniform_mesh(zeta):
+    prob = pb.ModelProblem(zeta=zeta)
+    m = uniform_mesh(5)
+    V, Q = vspace(m), qspace(m)
+    source = pb.synthetic_case("a").source
+    _assert_matches_lu_newton(prob, Q.interpolate(source), V)
+    # warm start from the solution for a scaled source on a coarser mesh
+    coarse = uniform_mesh(3)
+    start = pb.solve_forward(
+        prob, qspace(coarse).interpolate(lambda x, y: 0.8 * source(x, y)),
+        vspace(coarse))
+    _assert_matches_lu_newton(prob, Q.interpolate(source), V, u_init=start)
+
+
+@settings(max_examples=12)
+@given(mesh=graded_meshes(), seed=st.integers(0, 2**16),
+       zeta=st.sampled_from([0.0, 100.0, 1000.0, 1e4]))
+def test_forward_matches_lu_newton_on_graded_meshes(mesh, seed, zeta):
+    rng = np.random.default_rng(seed)
+    prob = pb.ModelProblem(zeta=zeta)
+    V, Q = vspace(mesh), qspace(mesh)
+    q = Field(Q, rng.uniform(-50.0, 150.0, Q.dim))
+    _assert_matches_lu_newton(prob, q, V)
+    _assert_matches_lu_newton(prob, q, V,
+                              u_init=Field(V, rng.uniform(-1, 1, V.dim)))
+
+
+def test_truth_factorizes_once(monkeypatch):
+    """One level-6 truth build makes one LU: the stiffness factor, which
+    preconditions every Newton step."""
+    calls = []
+    splu = fem.spla.splu
+    monkeypatch.setattr(fem.spla, "splu",
+                        lambda A, **kw: calls.append(A.shape) or splu(A, **kw))
+    pb.simulate_truth(pb.ModelProblem(zeta=100.0), pb.synthetic_case("a"), 6)
+    assert calls == [(63**2, 63**2)]
+
+
+def _negative_jacobian(problem, space, u_base):
+    return -space.stiffness()
+
+
+@pytest.mark.parametrize("fault", ["indefinite", "nan"])
+def test_forward_cg_breakdown_raises(monkeypatch, fault):
+    prob = pb.ModelProblem(zeta=100.0)
+    m = uniform_mesh(3)
+    q = qspace(m).interpolate(pb.synthetic_case("a").source)
+    if fault == "indefinite":
+        monkeypatch.setattr(pb, "linearized_state_operator", _negative_jacobian)
+    else:
+        q.coeffs[3] = np.nan
+    with pytest.raises(pb.ForwardSolveError, match="CG broke down"):
+        pb.solve_forward(prob, q, vspace(m))
+
+
+def test_forward_stiffness_factorization_failure_raises(monkeypatch):
+    def singular(A, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(fem.spla, "splu", singular)
+    m = uniform_mesh(2)
+    with pytest.raises(pb.ForwardSolveError, match="singular"):
+        pb.solve_forward(pb.ModelProblem(zeta=100.0), qspace(m).zeros(),
+                         vspace(m))
 
 
 def test_simulate_point_noise_determinism(sims):

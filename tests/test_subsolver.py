@@ -4,7 +4,7 @@ import scipy.sparse.linalg as spla
 
 from ggnfem import problem as pb, subsolver as ss
 from ggnfem.fem import Field, qspace, vspace
-from ggnfem.mesh import uniform_mesh
+from ggnfem.mesh import refine, uniform_mesh
 
 
 def _point_instance(zeta=100.0, beta=25.0, n_side=1, levels=2, shift=0.05):
@@ -213,6 +213,25 @@ def test_adjoint_at_base_solves_optimality_row():
     rg = C @ u_old.coeffs - data.g_delta
     resid = K.T @ z.coeffs - 2.0 * (C.T @ rg)
     assert np.abs(resid).max() < 1e-10 * max(1.0, np.abs(z.coeffs).max())
+
+
+@pytest.mark.parametrize("zeta", [0.0, 100.0, 1e4])
+def test_adjoint_at_base_matches_lu_solve(zeta):
+    """The CG adjoint against an LU solve of K' z = 2 C'(C u_old - g) on
+    a graded mesh: rho = |grad z| equal to 1e-12 relative."""
+    prob = pb.ModelProblem(zeta=zeta)
+    mesh = refine(refine(uniform_mesh(3), [0, 5, 20]), [1, 2, 40])
+    V, Q = vspace(mesh), qspace(mesh)
+    obs = pb.PointObs(5)
+    u_old = pb.solve_forward(prob, Q.interpolate(pb.synthetic_case("a").source), V)
+    g = obs.observe(u_old) * 1.1
+    sub = ss.build_subproblem(prob, mesh, Q.zeros(), u_old, Q.zeros(), obs,
+                              g, 1.0)
+    z = ss.adjoint_at_base(sub)
+    ref = Field(V, spla.splu(sub.K.T.tocsc()).solve(2.0 * sub.c_res))
+    assert np.abs(z.coeffs - ref.coeffs).max() <= 1e-12 * np.abs(ref.coeffs).max()
+    rho, rho_ref = ss.adjoint_w_norm(z), ss.adjoint_w_norm(ref)
+    assert abs(rho - rho_ref) <= 1e-12 * rho_ref
 
 
 def test_l2_requires_restricted_data():
