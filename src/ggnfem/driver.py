@@ -301,8 +301,9 @@ class _Run:
         return (self.cfg.theta_low * self.i3h <= i2h
                 <= self.cfg.theta_high * self.i3h)
 
-    def beta_search(self):
-        """Bracket/bisect on log10(beta) until I2h lands in the band.
+    def beta_search(self, sub, sol):
+        """Bracket/bisect on log10(beta) until I2h lands in the band,
+        starting from the solution ``sol`` of ``sub`` at the current beta.
 
         I2h is nonincreasing in beta, so factor-10 expansion brackets
         the band and bisection closes in; when |eta2| exceeds its
@@ -322,7 +323,6 @@ class _Run:
         gate2 = 0.5 * cfg.tau_beta_tilde**2 * delta_beta_sq
         n_beta = 0
         n_ref = 0
-        sub, sol = self.solve()
         while True:
             i2h = sol.misfit_sq()
             aux = ss.solve_second_order(sub, sol)
@@ -378,19 +378,20 @@ class _Run:
 
 # Solver errors that end a run (GGN or NT) with a report instead of a
 # traceback; see failure_reason.
-SOLVER_ERRORS = (ss.KktError, pb.ForwardSolveError)
+SOLVER_ERRORS = (ss.KktError, pb.ForwardSolveError, fem.FactorizationError)
 
 
 def failure_reason(exc: Exception) -> str:
     """Termination reason of a run ended by one of SOLVER_ERRORS."""
-    return "kkt-failure" if isinstance(exc, ss.KktError) else "forward-failure"
+    return ("forward-failure" if isinstance(exc, pb.ForwardSolveError)
+            else "kkt-failure")
 
 
 def run_ggn(problem: pb.ModelProblem, data: pb.NoisyData, cfg: GgnConfig,
             q0: Field | None = None) -> RunReport:
     """Full adaptive Gauss-Newton run on one data set.
 
-    A KKT or forward-solve failure, at the start or inside the loop,
+    A failed solve or factorization, at the start or inside the loop,
     ends the run with the termination "kkt-failure" or
     "forward-failure"; the message goes to the warnings.
     """
@@ -420,7 +421,7 @@ def _iterate(run: _Run) -> str:
             run.log("solve", sub, sol, check_identity=True)
             if not run.in_band(sol.misfit_sq()):
                 try:
-                    sub, sol = run.beta_search()
+                    sub, sol = run.beta_search(sub, sol)
                 except BetaSearchError as exc:
                     run.warnings.append(str(exc))
                     return "beta-search-failure"

@@ -53,6 +53,7 @@ from numpy.polynomial.legendre import leggauss
 from .mesh import _CORNERS, DEPTH, QuadMesh, locate
 
 __all__ = [
+    "FactorizationError",
     "Space",
     "Field",
     "gauss_points",
@@ -116,6 +117,10 @@ def bilinear(corner_vals: np.ndarray, pts: np.ndarray) -> np.ndarray:
     other.
     """
     return np.einsum("...i,...i->...", corner_vals, shape_values(pts))
+
+
+class FactorizationError(RuntimeError):
+    """The LU factorization of a space's stiffness or mass matrix failed."""
 
 
 # owner (mesh or field) -> {key: object derived from the owner alone}; see
@@ -188,15 +193,20 @@ class Space:
 
     # Both matrices are SPD: a minimum-degree ordering of A' + A keeps
     # their LU fill well below that of the default column ordering.
+    def _spd_solver(self, name: str, matrix):
+        def build():
+            try:
+                return spla.splu(matrix().tocsc(), permc_spec="MMD_AT_PLUS_A")
+            except RuntimeError as exc:
+                raise FactorizationError(
+                    f"{name} factorization failed: {exc}") from exc
+        return _cached(self.mesh, (f"{name}_lu", self.kind), build)
+
     def stiffness_solver(self):
-        return _cached(self.mesh, ("stiffness_lu", self.kind),
-                       lambda: spla.splu(self.stiffness().tocsc(),
-                                         permc_spec="MMD_AT_PLUS_A"))
+        return self._spd_solver("stiffness", self.stiffness)
 
     def mass_solver(self):
-        return _cached(self.mesh, ("mass_lu", self.kind),
-                       lambda: spla.splu(self.mass().tocsc(),
-                                         permc_spec="MMD_AT_PLUS_A"))
+        return self._spd_solver("mass", self.mass)
 
     def __repr__(self):
         return f"Space({self.kind}, dim={self.dim}, mesh={self.mesh!r})"

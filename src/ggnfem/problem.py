@@ -189,9 +189,8 @@ def solve_forward(problem: ModelProblem, q: Field, space: Space,
     Ks = space.stiffness()
     try:
         lu_s = space.stiffness_solver()
-    except RuntimeError as exc:
-        raise ForwardSolveError(f"stiffness factorization failed: {exc}",
-                                float("nan")) from exc
+    except fem.FactorizationError as exc:
+        raise ForwardSolveError(str(exc), float("nan")) from exc
 
     def resid(uvec):  # r, K^-1 r and the dual norm of r
         r = Ks @ uvec - load

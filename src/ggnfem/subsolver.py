@@ -8,22 +8,27 @@ the current mesh reads
 
 with K = A'_u and L = A'_q frozen at the base point and u = u_old + v.
 The u-regularization term is dropped (its role is purely theoretical).
-The first-order system is assembled as one symmetric indefinite sparse
-block matrix
+Its first-order system, with the adjoint z = 2 z~, reads
 
-    [ (1/beta) M_Q   0      -L'  ] [q]
-    [ 0              C*C    -K'  ] [v]
-    [ -L             -K      0   ] [z~]
+    (1/beta) M_Q q - L' z~ = (1/beta) M_Q q0
+    C*C v - K' z~          = -c_res
+    -L q - K v             = a_res - L q_old.
 
-and factorized directly; the adjoint of the optimality system is
-z = 2 z~ (the block system absorbs the factor 2 of the squared-misfit
-derivatives).
+V is a subspace of Q and every V operator is a row/column restriction
+of the Q operator (``fem._q_dofs``), so L = -inc' M_Q and inc' M_Q inc =
+M_V exactly, with inc = ``fem.v_to_q``.  The first row then gives the
+control without a solve, q = q0 - beta inc z~, and the other two become
+the state/adjoint system (Rees, Dollar & Wathen, SISC 32, 2010; Pearson
+& Wathen, NLAA 19, 2012)
 
-Every block has a pattern fixed by the mesh (and the observation): M_Q,
-L = -M(V, Q) and C*C are cached in the mesh's context, and K keeps the
-pattern of the V assembly plan.  So the KKT pattern, and where each
-block's entries land in it, is cached per (mesh, observation) as well;
-assembling the KKT matrix gathers the block values into one data array.
+    [ C*C  -K'       ] [v ]   [ -c_res                 ]
+    [ -K   -beta M_V ] [z~] = [ a_res + L (q0 - q_old) ],
+
+factorized once per subproblem and beta; the second-order auxiliary
+system has the same matrix.  Every solution is re-substituted into the
+three rows above.  The blocks' patterns are fixed by the mesh (and the
+observation), so the pattern of the reduced matrix, and where each
+block's entries land in it, is cached per (mesh, observation).
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ __all__ = [
     "solve_second_order",
     "adjoint_at_base",
     "adjoint_w_norm",
-    "dump_kkt",
 ]
 
 
@@ -83,13 +87,12 @@ def _observation_blocks(obs, data, V: Space, Q: Space, u_old_h: Field):
         return CtC, c_res, rg, misfit
 
     # L^2 observation: data is a Field on the current mesh (already
-    # restricted); the misfit is measured in the L^2 inner product.
-    g_h = data
+    # restricted); the misfit is measured in the L^2 inner product, and
+    # C*C = inc' M_Q inc is M_V entry for entry.
     MQ = Q.mass()
     inc = fem.v_to_q(V.mesh)
-    rg = inc @ u_old_h.coeffs - g_h.coeffs
-    CtC = fem._cached(V.mesh, _obs_key(obs) + ("CtC",),
-                      lambda: (inc.T @ MQ @ inc).tocsr())
+    rg = inc @ u_old_h.coeffs - data.coeffs
+    CtC = V.mass()
     c_res = inc.T @ (MQ @ rg)
 
     def misfit(v):
@@ -123,7 +126,7 @@ class LinearizedSubproblem:
     beta: float
     obs: object
     data_g: object
-    # LU factors of the KKT matrix, built by the first solve; a copy made
+    # LU factors of the reduced matrix, built by the first solve; a copy
     # by dataclasses.replace (say, for another beta) starts without them.
     lu: object = dc_field(default=None, init=False, repr=False,
                           compare=False)
@@ -131,7 +134,7 @@ class LinearizedSubproblem:
     def factorization(self):
         if self.lu is None:
             try:
-                self.lu = spla.splu(_kkt_matrix(self))
+                self.lu = spla.splu(_reduced_matrix(self))
             except RuntimeError as exc:
                 raise KktError(f"KKT factorization failed: {exc}") from exc
         return self.lu
@@ -185,24 +188,23 @@ class KktSolution:
         return self.sub.misfit(self.v.coeffs)[0]
 
 
-def _kkt_layout(sub: LinearizedSubproblem):
-    """Cached KKT pattern of a mesh and observation: (indptr, indices,
-    slots, block patterns) with KKT data = concat(block data)[slots] for
-    the blocks (1/beta) M_Q, C*C, -L, -K."""
-    blocks = (sub.M_Q, sub.CtC, sub.L, sub.K)
+def _reduced_layout(sub: LinearizedSubproblem):
+    """Cached pattern of the reduced matrix of a mesh and observation:
+    (indptr, indices, slots) with matrix data = concat(block data)[slots]
+    for the blocks C*C, -K and -beta M_V."""
+    blocks = (sub.CtC, sub.K, sub.V.mass())
 
     def build():
         # Number the entries of all blocks 1, 2, ... and read back where
-        # each number lands; L and K appear twice (with their transposes).
+        # each number lands; K appears twice (with its transpose).
         marks, start = [], 1
         for B in blocks:
             marks.append(sp.csr_matrix(
                 (np.arange(start, start + B.nnz, dtype=float), B.indices,
                  B.indptr), shape=B.shape))
             start += B.nnz
-        MQ, CtC, L, K = marks
-        A = sp.bmat([[MQ, None, L.T], [None, CtC, K.T], [L, K, None]],
-                    format="csc")
+        CtC, K, MV = marks
+        A = sp.bmat([[CtC, K.T], [K, MV]], format="csc")
         A.sum_duplicates()
         slots = A.data.astype(np.int64) - 1
         for a in (A.indptr, A.indices, slots):
@@ -211,7 +213,7 @@ def _kkt_layout(sub: LinearizedSubproblem):
                 [(B.indptr, B.indices) for B in blocks])
 
     indptr, indices, slots, patterns = fem._cached(
-        sub.mesh, ("kkt",) + _obs_key(sub.obs), build)
+        sub.mesh, ("reduced_kkt",) + _obs_key(sub.obs), build)
     for B, (ptr, ind) in zip(blocks, patterns):
         if not (np.array_equal(B.indptr, ptr)
                 and np.array_equal(B.indices, ind)):
@@ -220,46 +222,46 @@ def _kkt_layout(sub: LinearizedSubproblem):
     return indptr, indices, slots
 
 
-def _kkt_matrix(sub: LinearizedSubproblem) -> sp.csc_matrix:
-    indptr, indices, slots = _kkt_layout(sub)
-    data = np.concatenate([(1.0 / sub.beta) * sub.M_Q.data, sub.CtC.data,
-                           -sub.L.data, -sub.K.data])
-    n = sub.Q.dim + 2 * sub.V.dim
+def _reduced_matrix(sub: LinearizedSubproblem) -> sp.csc_matrix:
+    indptr, indices, slots = _reduced_layout(sub)
+    data = np.concatenate([sub.CtC.data, -sub.K.data,
+                           -sub.beta * sub.V.mass().data])
+    n = 2 * sub.V.dim
     return sp.csc_matrix((data[slots], indices, indptr), shape=(n, n))
 
 
-def solve_kkt(sub: LinearizedSubproblem, check: bool = True) -> KktSolution:
-    """Direct sparse factorization of the saddle-point system.
+def _solve_reduced(sub: LinearizedSubproblem, rhs_v, rhs_z, q0):
+    """(q, v, z) from the reduced system with right-hand side
+    (rhs_v, rhs_z) and the control q = q0 - beta inc z~."""
+    nv = sub.V.dim
+    x = sub.factorization().solve(np.concatenate([rhs_v, rhs_z]))
+    q = q0 - sub.beta * (fem.v_to_q(sub.mesh) @ x[nv:])
+    return q, x[:nv], 2.0 * x[nv:]
+
+
+def solve_kkt(sub: LinearizedSubproblem) -> KktSolution:
+    """Solve the subproblem through its reduced state/adjoint system.
 
     Verifies the three stationarity residuals by re-substitution and
     raises KktError beyond a 1e-8 relative tolerance.
     """
-    nq, nv = sub.Q.dim, sub.V.dim
-    rhs = np.concatenate([
-        (1.0 / sub.beta) * (sub.M_Q @ sub.q0.coeffs),
-        -sub.c_res,
-        sub.a_res - sub.L @ sub.q_old_h.coeffs,
-    ])
-    x = sub.factorization().solve(rhs)
-    q = x[:nq]
-    v = x[nq:nq + nv]
-    z = 2.0 * x[nq + nv:]
+    q0, q_old = sub.q0.coeffs, sub.q_old_h.coeffs
+    rhs_z = sub.a_res - sub.L @ q_old
+    q, v, z = _solve_reduced(sub, -sub.c_res, rhs_z + sub.L @ q0, q0)
 
-    res_q = (2.0 / sub.beta) * (sub.M_Q @ (q - sub.q0.coeffs)) - sub.L.T @ z
+    res_q = (2.0 / sub.beta) * (sub.M_Q @ (q - q0)) - sub.L.T @ z
     res_v = 2.0 * (sub.CtC @ v + sub.c_res) - sub.K.T @ z
-    res_z = sub.L @ (q - sub.q_old_h.coeffs) + sub.K @ v + sub.a_res
-    scale = max(
-        np.abs(rhs).max(), np.abs(z).max(), np.abs(q).max(), np.abs(v).max(), 1.0
+    res_z = sub.L @ (q - q_old) + sub.K @ v + sub.a_res
+    scale = max(  # of the right-hand side above and the solution
+        np.abs((1.0 / sub.beta) * (sub.M_Q @ q0)).max(),
+        np.abs(sub.c_res).max(), np.abs(rhs_z).max(),
+        np.abs(z).max(), np.abs(q).max(), np.abs(v).max(), 1.0
     )
-    norms = (
-        np.abs(res_q).max() / scale,
-        np.abs(res_v).max() / scale,
-        np.abs(res_z).max() / scale,
-    )
-    if check and max(norms) > 1e-8:
+    norms = tuple(np.abs(r).max() / scale for r in (res_q, res_v, res_z))
+    if max(norms) > 1e-8:
         raise KktError(
             f"stationarity residuals too large: {norms} (beta={sub.beta:g}, "
-            f"n={len(rhs)})"
+            f"n={sub.Q.dim + 2 * sub.V.dim})"
         )
     u = Field(sub.V, sub.u_old_h.coeffs + v)
     return KktSolution(
@@ -284,18 +286,9 @@ def solve_second_order(sub: LinearizedSubproblem, sol: KktSolution) -> AuxTriple
     constant KKT operator; one extra solve with right-hand side built
     from -I2'(u_h) yields the auxiliary triple.
     """
-    nq, nv = sub.Q.dim, sub.V.dim
-    rhs = np.concatenate([
-        np.zeros(nq),
-        -(sub.CtC @ sol.v.coeffs + sub.c_res),
-        np.zeros(nv),
-    ])
-    x = sub.factorization().solve(rhs)
-    return AuxTriple(
-        q=Field(sub.Q, x[:nq]),
-        v=Field(sub.V, x[nq:nq + nv]),
-        z=Field(sub.V, 2.0 * x[nq + nv:]),
-    )
+    q, v, z = _solve_reduced(sub, -(sub.CtC @ sol.v.coeffs + sub.c_res),
+                             np.zeros(sub.V.dim), np.zeros(sub.Q.dim))
+    return AuxTriple(q=Field(sub.Q, q), v=Field(sub.V, v), z=Field(sub.V, z))
 
 
 def adjoint_at_base(sub: LinearizedSubproblem) -> Field:
@@ -318,9 +311,3 @@ def adjoint_w_norm(z: Field) -> float:
     """|grad z| -- the W-norm under the H^1_0 identification."""
     return z.norm_h1semi()
 
-
-def dump_kkt(sub: LinearizedSubproblem, path) -> None:
-    """Matrix Market dump of the assembled KKT operator (debugging)."""
-    from scipy.io import mmwrite
-
-    mmwrite(path, _kkt_matrix(sub).tocoo())

@@ -1,7 +1,7 @@
-"""Cached assembly plans and the cached KKT layout against the direct
-constructions they replace: element matrices scattered through COO and
-condensed as T' A T, loads scattered with np.add.at, and the KKT matrix
-built by sp.bmat."""
+"""Cached assembly plans and the cached layouts of the reduced and the
+full KKT matrix against the direct constructions they replace: element
+matrices scattered through COO and condensed as T' A T, loads scattered
+with np.add.at, and block matrices built by sp.bmat."""
 
 import dataclasses
 
@@ -14,6 +14,7 @@ from ggnfem import fem, problem as pb, subsolver as ss
 from ggnfem.fem import Field, qspace, vspace
 from ggnfem.mesh import refine, uniform_mesh
 
+import kkt_oracle
 from conftest import graded_meshes
 
 RTOL = 1e-13
@@ -69,6 +70,10 @@ def _reference_kkt(sub, K, L, M_Q, CtC):
     return sp.bmat([[b * M_Q, None, -L.T],
                     [None, CtC, -K.T],
                     [-L, -K, None]], format="csc")
+
+
+def _reference_reduced(sub, K, M_V, CtC):
+    return sp.bmat([[CtC, -K.T], [-K, -sub.beta * M_V]], format="csc")
 
 
 def _close(got, ref):
@@ -133,8 +138,10 @@ def test_kkt_layout_matches_bmat(mesh, seed, point):
     M_Q = _reference_mass(Q, Q)
     sub = ss.build_subproblem(prob, mesh, q_old, u_old, Q.zeros(), obs, data,
                               beta=7.0)
+    M_V = _reference_mass(V, V)
     for s in (sub, dataclasses.replace(sub, beta=0.03)):
-        _close(ss._kkt_matrix(s), _reference_kkt(s, K, L, M_Q, CtC))
+        _close(ss._reduced_matrix(s), _reference_reduced(s, K, M_V, CtC))
+        _close(kkt_oracle.kkt_matrix(s), _reference_kkt(s, K, L, M_Q, CtC))
 
 
 def test_linearized_operator_keeps_plan_pattern():
@@ -160,8 +167,9 @@ def test_kkt_layout_rejects_foreign_block_pattern():
     sub = ss.build_subproblem(pb.ModelProblem(zeta=100.0), mesh, Q.zeros(),
                               V.zeros(), Q.zeros(), obs,
                               np.zeros(obs.n_obs), beta=1.0)
-    ss._kkt_matrix(sub)
+    ss._reduced_matrix(sub)
     corner = sp.csr_matrix(([1.0], ([0], [V.dim - 1])), shape=sub.K.shape)
     assert corner.multiply(sub.K).nnz == 0  # an entry outside the pattern
     with pytest.raises(ValueError, match="pattern"):
-        ss._kkt_matrix(dataclasses.replace(sub, K=(sub.K + corner).tocsr()))
+        ss._reduced_matrix(
+            dataclasses.replace(sub, K=(sub.K + corner).tocsr()))

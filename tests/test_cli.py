@@ -128,9 +128,10 @@ def _singular(A, **kwargs):
 
 
 def _singular_kkt(A, **kwargs):
-    """splu that fails on the KKT matrix (its multiplier block has a zero
-    diagonal) and factorizes every SPD matrix as usual."""
-    if (A.diagonal() == 0).any():
+    """splu that fails on the KKT matrix (its -beta M_V block has a
+    negative diagonal) and factorizes every SPD matrix as usual (their
+    diagonals are positive)."""
+    if (A.diagonal() < 0).any():
         _singular(A)
     return spla.splu(A, **kwargs)
 
@@ -164,6 +165,8 @@ def _run_failing(tmp_path, command, *options):
     ("run-nt", ss, _singular_kkt, "kkt-failure"),
     # The forward solve factorizes only the stiffness matrix, in fem.
     ("run-nt", fem, _singular, "forward-failure"),
+    # GGN first factorizes it for the adjoint at the base point.
+    ("run-ggn", fem, _singular, "kkt-failure"),
 ])
 def test_solver_failure_ends_run_cleanly(tmp_path, monkeypatch, command,
                                          module, splu, termination):

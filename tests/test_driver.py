@@ -128,7 +128,7 @@ def test_beta_search_grid_oracle():
     # driver search from beta0=10 on the same frozen instance
     run = dv._Run(prob, data, dv.GgnConfig(max_depth=3), None)
     run.i3h = i3
-    sub, sol = run.beta_search()
+    sub, sol = run.beta_search(*run.solve())
     assert lo <= sol.misfit_sq() <= hi
     # consistency with the monotone scan: the accepted beta is inside the
     # beta-interval bracketed by the grid's band membership

@@ -1,10 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
-from ggnfem import problem as pb, subsolver as ss
+from ggnfem import fem, problem as pb, subsolver as ss
 from ggnfem.fem import Field, qspace, vspace
 from ggnfem.mesh import refine, uniform_mesh
+
+import kkt_oracle
+from conftest import graded_meshes
 
 
 def _point_instance(zeta=100.0, beta=25.0, n_side=1, levels=2, shift=0.05):
@@ -245,17 +251,6 @@ def test_l2_requires_restricted_data():
                             data.obs, data.g_delta, 10.0)
 
 
-def test_matrix_market_dump(tmp_path):
-    prob, mesh, V, Q, obs, sub = _point_instance()
-    path = tmp_path / "kkt.mtx"
-    ss.dump_kkt(sub, path)
-    from scipy.io import mmread
-
-    A = mmread(path)
-    n = Q.dim + 2 * V.dim
-    assert A.shape == (n, n)
-
-
 def test_bad_factorization_raises_kkt_error():
     class OnesLU:
         def solve(self, rhs):
@@ -265,3 +260,58 @@ def test_bad_factorization_raises_kkt_error():
     sub.lu = OnesLU()
     with pytest.raises(ss.KktError, match="stationarity"):
         ss.solve_kkt(sub)
+
+
+def _random_subproblem(mesh, seed, point, zeta):
+    rng = np.random.default_rng(seed)
+    V, Q = vspace(mesh), qspace(mesh)
+    if point:
+        obs = pb.PointObs(3)
+        data = rng.uniform(-1.0, 1.0, obs.n_obs)
+    else:
+        obs = pb.L2Obs()
+        data = Field(Q, rng.uniform(-1.0, 1.0, Q.dim))
+    return ss.build_subproblem(
+        pb.ModelProblem(zeta=zeta), mesh, Field(Q, rng.uniform(-1, 1, Q.dim)),
+        Field(V, rng.uniform(-0.5, 0.5, V.dim)),
+        Field(Q, rng.uniform(-1, 1, Q.dim)), obs, data, beta=1.0)
+
+
+def _assert_blocks_close(got, ref, rtol):
+    for g, r in zip(got, ref):
+        assert np.abs(g - r).max() <= rtol * np.abs(r).max()
+
+
+@settings(max_examples=8, deadline=None)
+@given(mesh=graded_meshes(), seed=st.integers(0, 2**16),
+       point=st.booleans(), zeta=st.sampled_from([0.0, 1000.0]))
+def test_reduced_solves_match_refined_kkt(mesh, seed, point, zeta):
+    """solve_kkt and solve_second_order, which factorize the reduced
+    state/adjoint system, against the full KKT system solved with
+    extended-precision refinement: 1e-8 relative in each of q, v and z."""
+    sub = _random_subproblem(mesh, seed, point, zeta)
+    for beta in (1e-10, 1e-2, 1e2, 1e6, 1e10):
+        s = dataclasses.replace(sub, beta=beta)
+        sol = ss.solve_kkt(s)
+        _assert_blocks_close(
+            (sol.q.coeffs, sol.v.coeffs, sol.z.coeffs),
+            kkt_oracle.refined_solve(s, kkt_oracle.kkt_rhs(s)), 1e-8)
+        aux = ss.solve_second_order(s, sol)
+        _assert_blocks_close(
+            (aux.q.coeffs, aux.v.coeffs, aux.z.coeffs),
+            kkt_oracle.refined_solve(
+                s, kkt_oracle.second_order_rhs(s, sol.v.coeffs)), 1e-8)
+
+
+@settings(max_examples=8, deadline=None)
+@given(mesh=graded_meshes(), seed=st.integers(0, 2**16))
+def test_control_elimination_premise_is_exact(mesh, seed):
+    """The reduction rests on L = -inc' M_Q and inc' M_Q inc = M_V, which
+    is also C*C for L^2 data; both hold entry for entry."""
+    inc = fem.v_to_q(mesh)
+    for point in (True, False):
+        sub = _random_subproblem(mesh, seed, point, 100.0)
+        assert (sub.L != -(inc.T @ sub.M_Q)).nnz == 0
+        assert (inc.T @ sub.M_Q @ inc != sub.V.mass()).nnz == 0
+        if not point:
+            assert (sub.CtC != inc.T @ sub.M_Q @ inc).nnz == 0
