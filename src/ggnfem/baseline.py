@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import estimators as est, problem as pb, subsolver as ss
-from .driver import (SOLVER_ERRORS, RunReport, RunRow, _observed,
-                     failure_reason, log_beta_step, mark_fraction,
-                     relative_control_error)
+from . import estimators as est, fem, problem as pb, subsolver as ss
+from .driver import (BetaSearchError, RunReport, RunRow, log_beta_step,
+                     mark_fraction, relative_control_error)
 from .fem import Field, interpolate_onto, qspace, vspace
 from .mesh import refine, uniform_mesh
 
@@ -34,11 +33,7 @@ class NtConfig:
 
     tau_tilde: float = 0.1
     tau_low: float = 3.1
-    tau_mid: float = 4.0
     tau_up: float = 5.0
-    c_tc: float = 1e-7
-    c1: float = 0.9
-    c2: float = 0.4
     beta0: float = 10.0
     coarse_levels: int = 2
     max_depth: int = 6
@@ -53,11 +48,11 @@ class NtConfig:
     forward_tol: float = 1e-10
 
     def __post_init__(self):
-        if not self.tau_low < self.tau_mid < self.tau_up:
-            raise ValueError("need tau_low < tau_mid < tau_up")
+        if not self.tau_low < self.tau_up:
+            raise ValueError("need tau_low < tau_up")
 
 
-def _gn_fit(problem, data, mesh, beta, q_start, u_warm, cfg, data_cache):
+def _gn_fit(problem, data, mesh, beta, q_start, u_warm, cfg):
     """Damped Gauss-Newton on the reduced Tikhonov functional.
 
     Every iteration solves the nonlinear state equation; the step is the
@@ -68,22 +63,23 @@ def _gn_fit(problem, data, mesh, beta, q_start, u_warm, cfg, data_cache):
     V, Q = vspace(mesh), qspace(mesh)
     q = interpolate_onto(q_start, mesh)
     q0 = Q.zeros()
-    obs_data = _observed(data, mesh, data_cache)
+    obs = data.obs
+    obs_data = obs.restrict(data, mesh)
+    C = obs.matrix(V)
+    g = obs_data.coeffs if isinstance(obs_data, Field) else obs_data
     u = pb.solve_forward(problem, q, V, tol=cfg.forward_tol, u_init=u_warm)
 
-    # |C u - g_delta|_G^2 is the linearized misfit about the zero state.
-    misfit = ss._observation_blocks(data.obs, obs_data, V, Q, V.zeros())[3]
-
     def j_value(q_f, u_f):
-        mis = misfit(u_f.coeffs)[0]
+        m = C @ u_f.coeffs - g
+        mis = float(m @ obs.gram(Q, m))
         dq = q_f.coeffs - q0.coeffs
         return mis + (dq @ (Q.mass() @ dq)) / beta, mis
 
     j_old, disc2 = j_value(q, u)
     n_forward = 1
     for _ in range(cfg.gn_cap):
-        sub = ss.build_subproblem(problem, mesh, q, u, q0, data.obs,
-                                  obs_data, beta)
+        sub = ss.build_subproblem(problem, mesh, q, u, q0, obs, obs_data,
+                                  beta)
         sol = ss.solve_kkt(sub)
         dq = sol.q.coeffs - q.coeffs
         step = 1.0
@@ -100,8 +96,7 @@ def _gn_fit(problem, data, mesh, beta, q_start, u_warm, cfg, data_cache):
         q, u, j_old, disc2 = q_c, u_c, j_new, disc2_c
         if rel_change <= cfg.gn_tol:
             break
-    sub = ss.build_subproblem(problem, mesh, q, u, q0, data.obs, obs_data,
-                              beta)
+    sub = ss.build_subproblem(problem, mesh, q, u, q0, obs, obs_data, beta)
     sol = ss.solve_kkt(sub)  # fixed-point triple for the indicator
     return q, u, sub, sol, disc2, n_forward
 
@@ -110,10 +105,8 @@ def run_nt(problem: pb.ModelProblem, data: pb.NoisyData, cfg: NtConfig) -> RunRe
     """Nonlinear-Tikhonov run on the same data as the linearized solver."""
     t0 = time.perf_counter()
     mesh = uniform_mesh(cfg.coarse_levels)
-    data_cache: dict = {}
     rows: list[RunRow] = []
-    warnings: list[str] = list(data.warnings)
-    monotonicity: list[bool] = []
+    warnings: list[str] = []
     beta = cfg.beta0
     q = qspace(mesh).zeros()
     u = vspace(mesh).zeros()
@@ -126,53 +119,51 @@ def run_nt(problem: pb.ModelProblem, data: pb.NoisyData, cfg: NtConfig) -> RunRe
     termination = "iteration-cap"
     total_forward = 0
 
-    for _ in range(cfg.max_passes):
-        try:
+    try:
+        for _ in range(cfg.max_passes):
             q, u, sub, sol, disc2, nf = _gn_fit(problem, data, mesh, beta, q,
-                                                u_warm, cfg, data_cache)
-        except SOLVER_ERRORS as exc:
-            warnings.append(str(exc))
-            termination = failure_reason(exc)
-            break
-        total_forward += nf
-        u_warm = u
-        eta, ind = est.estimate_eta1(sol, sub)
-        reg = est._reg_term(sub, sol)
-        rows.append(RunRow(k=n_beta + n_ref, phase="solve",
-                           nodes=mesh.n_vertices, beta=beta, rho=float("nan"),
-                           i1h=disc2 + reg, i2h=disc2, i3h=float("nan"),
-                           i4h=float("nan"), eta1=eta, eta2=float("nan"),
-                           stationarity=sol.stationarity))
-        # Accuracy gate: relative while the discrepancy is large, anchored
-        # at the noise scale once decisions happen near the band.
-        gate = cfg.tau_tilde * max(disc2, cfg.tau_low**2 * delta2)
-        if ind.sum() > gate and n_ref < cfg.max_refines:
-            new_mesh = refine(mesh, mark_fraction(ind, cfg.marking_fraction),
-                              max_level=cfg.max_depth)
-            if new_mesh is not mesh:
-                rows[-1].phase = "refine1"
-                mesh = new_mesh
-                n_ref += 1
-                lo = hi = None
-                u_warm = None
-                continue
-        if band[0] <= disc2 <= band[1]:
-            termination = "discrepancy"
-            rows[-1].phase = "accept"
-            break
-        n_beta += 1
-        if n_beta > cfg.max_beta_steps:
-            warnings.append("beta search exhausted in the reduced solver")
-            termination = "beta-search-failure"
-            break
-        rows[-1].phase = "beta"
-        lb_new, lo, hi = log_beta_step(np.log10(beta), disc2 > band[1],
-                                       lo, hi)
-        beta = 10.0**lb_new
-        if not (cfg.beta_min <= beta <= cfg.beta_max):
-            warnings.append(f"beta left the search range at {beta:.3e}")
-            termination = "beta-search-failure"
-            break
+                                                u_warm, cfg)
+            total_forward += nf
+            u_warm = u
+            eta, ind = est.estimate_eta1(sol, sub)
+            reg = est._reg_term(sub, sol)
+            rows.append(RunRow(
+                k=n_beta + n_ref, phase="solve", nodes=mesh.n_vertices,
+                beta=beta, rho=float("nan"), i1h=disc2 + reg, i2h=disc2,
+                i3h=float("nan"), i4h=float("nan"), eta1=eta,
+                eta2=float("nan"), stationarity=sol.stationarity))
+            # Accuracy gate: relative while the discrepancy is large, at
+            # the noise scale once decisions happen near the band.
+            gate = cfg.tau_tilde * max(disc2, cfg.tau_low**2 * delta2)
+            if ind.sum() > gate and n_ref < cfg.max_refines:
+                new_mesh = refine(mesh,
+                                  mark_fraction(ind, cfg.marking_fraction),
+                                  max_level=cfg.max_depth)
+                if new_mesh is not mesh:
+                    rows[-1].phase = "refine1"
+                    mesh = new_mesh
+                    n_ref += 1
+                    lo = hi = None
+                    u_warm = None
+                    continue
+            if band[0] <= disc2 <= band[1]:
+                termination = "discrepancy"
+                rows[-1].phase = "accept"
+                break
+            n_beta += 1
+            if n_beta > cfg.max_beta_steps:
+                raise BetaSearchError(
+                    "beta search exhausted in the reduced solver")
+            rows[-1].phase = "beta"
+            lb_new, lo, hi = log_beta_step(np.log10(beta), disc2 > band[1],
+                                           lo, hi)
+            beta = 10.0**lb_new
+            if not (cfg.beta_min <= beta <= cfg.beta_max):
+                raise BetaSearchError(
+                    f"beta left the search range at {beta:.3e}")
+    except fem.SolverError as exc:
+        warnings.append(str(exc))
+        termination = exc.reason
 
     wall = time.perf_counter() - t0  # reporting excluded
     return RunReport(

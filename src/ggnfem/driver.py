@@ -33,15 +33,13 @@ import numpy as np
 
 from . import estimators as est, fem, problem as pb, subsolver as ss
 from .fem import Field, interpolate_onto, qspace, vspace, write_mesh_vtk
-from .mesh import QuadMesh, refine, uniform_mesh
+from .mesh import refine, uniform_mesh
 
 __all__ = [
     "GgnConfig",
     "RunRow",
     "RunReport",
     "BetaSearchError",
-    "SOLVER_ERRORS",
-    "failure_reason",
     "mark_fraction",
     "log_beta_step",
     "run_ggn",
@@ -51,8 +49,8 @@ __all__ = [
 ]
 
 
-class BetaSearchError(RuntimeError):
-    pass
+class BetaSearchError(fem.SolverError):
+    reason = "beta-search-failure"
 
 
 @dataclass
@@ -176,17 +174,6 @@ def log_beta_step(lb: float, raise_beta: bool, lo, hi):
     return (0.5 * (lo + hi) if lo is not None else lb - 1.0), lo, hi
 
 
-def _observed(data: pb.NoisyData, mesh: QuadMesh, cache: dict):
-    """Data in the form build_subproblem expects, cached for the current
-    mesh only (an entry would keep its mesh alive)."""
-    if isinstance(data.obs, pb.PointObs):
-        return data.g_delta
-    if mesh not in cache:
-        cache.clear()
-        cache[mesh] = pb.restrict_data(data, qspace(mesh))
-    return cache[mesh]
-
-
 def _minus(a: Field, b: Field) -> Field:
     """a - b on a's mesh, which must refine b's."""
     return Field(a.space, a.coeffs - interpolate_onto(b, a.mesh).coeffs)
@@ -239,7 +226,7 @@ class _Run:
         self.rows: list[RunRow] = []
         self.identity_devs: list[float] = []
         self.monotonicity: list[bool] = []
-        self.warnings: list[str] = list(data.warnings)
+        self.warnings: list[str] = []
         if data.fine_levels <= cfg.max_depth:
             self.warnings.append(
                 f"fine mesh level {data.fine_levels} does not exceed "
@@ -266,7 +253,12 @@ class _Run:
             i4h=float("nan"), eta1=float("nan"), eta2=float("nan")))
 
     def observed(self):
-        return _observed(self.data, self.mesh, self.data_cache)
+        """Data restricted to the current mesh, cached for that mesh only
+        (an entry would keep its mesh alive)."""
+        if self.mesh not in self.data_cache:
+            self.data_cache = {
+                self.mesh: self.data.obs.restrict(self.data, self.mesh)}
+        return self.data_cache[self.mesh]
 
     def subproblem(self):
         # Operators depend on (mesh, base point) only; across beta trials
@@ -376,24 +368,14 @@ class _Run:
             warnings=self.warnings)
 
 
-# Solver errors that end a run (GGN or NT) with a report instead of a
-# traceback; see failure_reason.
-SOLVER_ERRORS = (ss.KktError, pb.ForwardSolveError, fem.FactorizationError)
-
-
-def failure_reason(exc: Exception) -> str:
-    """Termination reason of a run ended by one of SOLVER_ERRORS."""
-    return ("forward-failure" if isinstance(exc, pb.ForwardSolveError)
-            else "kkt-failure")
-
-
 def run_ggn(problem: pb.ModelProblem, data: pb.NoisyData, cfg: GgnConfig,
             q0: Field | None = None) -> RunReport:
     """Full adaptive Gauss-Newton run on one data set.
 
-    A failed solve or factorization, at the start or inside the loop,
-    ends the run with the termination "kkt-failure" or
-    "forward-failure"; the message goes to the warnings.
+    A failed solve, factorization or beta search, at the start or inside
+    the loop, ends the run with the error's termination ("kkt-failure",
+    "forward-failure" or "beta-search-failure"); the message goes to the
+    warnings.
     """
     if cfg.enforce_assumptions:
         cfg.validate()
@@ -401,9 +383,9 @@ def run_ggn(problem: pb.ModelProblem, data: pb.NoisyData, cfg: GgnConfig,
     try:
         run.start()
         termination = _iterate(run)
-    except SOLVER_ERRORS as exc:
+    except fem.SolverError as exc:
         run.warnings.append(str(exc))
-        termination = failure_reason(exc)
+        termination = exc.reason
     return run.finalize(termination)
 
 
@@ -420,11 +402,7 @@ def _iterate(run: _Run) -> str:
             sub, sol = run.solve()
             run.log("solve", sub, sol, check_identity=True)
             if not run.in_band(sol.misfit_sq()):
-                try:
-                    sub, sol = run.beta_search(sub, sol)
-                except BetaSearchError as exc:
-                    run.warnings.append(str(exc))
-                    return "beta-search-failure"
+                sub, sol = run.beta_search(sub, sol)
             eta1, ind1 = est.estimate_eta1(sol, sub)
             gate1 = cfg.eta1_gate_coefficient() * run.i3h
             if ind1.sum() > gate1:

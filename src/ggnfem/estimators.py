@@ -99,14 +99,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("cqd,cqd->cq", a, b)
 
 
-def _observe(sub: LinearizedSubproblem, v: Field) -> np.ndarray:
-    """C v: values at the observation points for point data, the Q
-    coefficients of v for L^2 data."""
-    if isinstance(sub.obs, pb.PointObs):
-        return sub.obs.matrix(sub.V) @ v.coeffs
-    return fem.v_to_q(sub.mesh) @ v.coeffs
-
-
 def _obs_pairing(sub: LinearizedSubproblem, gvec, weight, cells: _CellData) -> np.ndarray:
     """Cellwise values of (gvec, C w)_G for a weight object.
 
@@ -144,7 +136,7 @@ def _hessian_cells(sub: LinearizedSubproblem, cells: _CellData, x,
                  + (q - react * v) * wz.vals - react * z * wu.vals
                  - _dot(wu.grads, grad_z) - _dot(grad_v, wz.grads))
     return (cells.integrate(integrand)
-            + 2.0 * _obs_pairing(sub, _observe(sub, x[1]) + r, wu, cells))
+            + 2.0 * _obs_pairing(sub, sub.C @ x[1].coeffs + r, wu, cells))
 
 
 def _lagrangian_cells(sub: LinearizedSubproblem, cells: _CellData, x,

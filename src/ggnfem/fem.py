@@ -53,6 +53,7 @@ from numpy.polynomial.legendre import leggauss
 from .mesh import _CORNERS, DEPTH, QuadMesh, locate
 
 __all__ = [
+    "SolverError",
     "FactorizationError",
     "Space",
     "Field",
@@ -119,8 +120,17 @@ def bilinear(corner_vals: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", corner_vals, shape_values(pts))
 
 
-class FactorizationError(RuntimeError):
+class SolverError(RuntimeError):
+    """A failed solve or factorization that ends a solver run; ``reason``
+    is the run's termination, set by each subclass."""
+
+    reason: str
+
+
+class FactorizationError(SolverError):
     """The LU factorization of a space's stiffness or mass matrix failed."""
+
+    reason = "kkt-failure"
 
 
 # owner (mesh or field) -> {key: object derived from the owner alone}; see

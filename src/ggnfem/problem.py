@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -57,7 +57,9 @@ class ModelProblem:
             raise ValueError("zeta must be nonnegative")
 
 
-class ForwardSolveError(RuntimeError):
+class ForwardSolveError(fem.SolverError):
+    reason = "forward-failure"
+
     def __init__(self, msg, residual_norm):
         super().__init__(f"{msg} (last residual dual norm {residual_norm:.3e})")
         self.residual_norm = residual_norm
@@ -65,6 +67,12 @@ class ForwardSolveError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # observation operators
+#
+# Each kind gives the Gauss-Newton step what depends on it: the matrix C
+# from V coefficients to the data space, the Gram weight G of that space
+# (misfit |C v + r|_G^2 = m' G m), the normal matrix C*C = C' G C, the
+# data in the form the subproblem on a mesh takes, and the context key of
+# what C depends on.
 
 
 class PointObs:
@@ -82,18 +90,52 @@ class PointObs:
     def n_obs(self) -> int:
         return len(self.points)
 
+    @property
+    def key(self) -> tuple:
+        return ("obs",) + fem._points_key(self.points)
+
     def matrix(self, space: Space) -> sp.csr_matrix:
         """Sparse evaluation matrix C with (C v)_i = v_h(xi_i)."""
         return fem.point_matrix(space, self.points)
+
+    def gram(self, Q: Space, m: np.ndarray) -> np.ndarray:
+        return m  # the Euclidean product
+
+    def normal_matrix(self, V: Space) -> sp.csr_matrix:
+        def build():
+            C = self.matrix(V)
+            return (C.T @ C).tocsr()
+
+        return fem._cached(V.mesh, self.key + ("CtC",), build)
+
+    def restrict(self, data: "NoisyData", mesh) -> np.ndarray:
+        return data.g_delta
 
     def observe(self, u: Field) -> np.ndarray:
         return u.eval_points(self.points)
 
 
 class L2Obs:
-    """Identity observation into L^2; data live on the simulation mesh."""
+    """Identity observation into L^2; data live on the simulation mesh.
+
+    C is the inclusion of V into Q, G the Q mass matrix, and C*C = M_V
+    exactly; data are L^2-projected onto the solver mesh's Q space.
+    """
 
     kind = "l2"
+    key = ("obs", "l2")
+
+    def matrix(self, space: Space) -> sp.csr_matrix:
+        return fem.v_to_q(space.mesh)
+
+    def gram(self, Q: Space, m: np.ndarray) -> np.ndarray:
+        return Q.mass() @ m
+
+    def normal_matrix(self, V: Space) -> sp.csr_matrix:
+        return V.mass()
+
+    def restrict(self, data: "NoisyData", mesh) -> Field:
+        return restrict_data(data, qspace(mesh))
 
     def observe(self, u: Field) -> Field:
         # State as an L^2 element on its own mesh (boundary values zero).
@@ -264,7 +306,6 @@ class NoisyData:
     fine_levels: int
     q_true: Field
     u_true: Field
-    warnings: list = dc_field(default_factory=list)
 
 
 def simulate_truth(problem: ModelProblem, case: SyntheticCase,
@@ -363,5 +404,3 @@ def save_data_bundle(data: NoisyData, outdir: str) -> None:
         fh.write(f"seed = {data.seed}\n")
         fh.write(f"fine_levels = {data.fine_levels}\n")
         fh.write(f"delta = {data.delta:.16g}\n")
-        for wmsg in data.warnings:
-            fh.write(f"warning = {wmsg}\n")

@@ -56,50 +56,8 @@ __all__ = [
 ]
 
 
-class KktError(RuntimeError):
-    pass
-
-
-def _obs_key(obs) -> tuple:
-    """Context key of what an observation operator depends on."""
-    if isinstance(obs, pb.PointObs):
-        return ("obs",) + fem._points_key(obs.points)
-    return ("obs", obs.kind)
-
-
-def _observation_blocks(obs, data, V: Space, Q: Space, u_old_h: Field):
-    """Per-observation pieces: (CtC, c_residual, r_g, misfit_fn).
-
-    c_residual is the vector of (r_g, C phi_i)_G over V dofs; misfit_fn
-    maps a v-coefficient vector to |C v + r_g|_G^2.
-    """
-    if isinstance(obs, pb.PointObs):
-        C = obs.matrix(V)
-        rg = C @ u_old_h.coeffs - np.asarray(data)
-        CtC = fem._cached(V.mesh, _obs_key(obs) + ("CtC",),
-                          lambda: (C.T @ C).tocsr())
-        c_res = C.T @ rg
-
-        def misfit(v):
-            m = C @ v + rg
-            return float(m @ m), m
-
-        return CtC, c_res, rg, misfit
-
-    # L^2 observation: data is a Field on the current mesh (already
-    # restricted); the misfit is measured in the L^2 inner product, and
-    # C*C = inc' M_Q inc is M_V entry for entry.
-    MQ = Q.mass()
-    inc = fem.v_to_q(V.mesh)
-    rg = inc @ u_old_h.coeffs - data.coeffs
-    CtC = V.mass()
-    c_res = inc.T @ (MQ @ rg)
-
-    def misfit(v):
-        m = inc @ v + rg
-        return float(m @ (MQ @ m)), m
-
-    return CtC, c_res, rg, misfit
+class KktError(fem.SolverError):
+    reason = "kkt-failure"
 
 
 @dataclass
@@ -118,10 +76,10 @@ class LinearizedSubproblem:
     K: sp.csr_matrix
     L: sp.csr_matrix
     M_Q: sp.csr_matrix
+    C: sp.csr_matrix
     CtC: sp.csr_matrix
     c_res: np.ndarray
-    r_g: object
-    misfit: object
+    r_g: np.ndarray
     a_res: np.ndarray
     beta: float
     obs: object
@@ -139,6 +97,11 @@ class LinearizedSubproblem:
                 raise KktError(f"KKT factorization failed: {exc}") from exc
         return self.lu
 
+    def misfit(self, v: np.ndarray):
+        """(|C v + r_g|_G^2, C v + r_g) for V coefficients v."""
+        m = self.C @ v + self.r_g
+        return float(m @ self.obs.gram(self.Q, m)), m
+
 
 def build_subproblem(problem: pb.ModelProblem, mesh: QuadMesh,
                      q_old: Field, u_old: Field, q0: Field,
@@ -146,29 +109,30 @@ def build_subproblem(problem: pb.ModelProblem, mesh: QuadMesh,
     """Assemble all operators of the linearized problem on a mesh.
 
     ``data`` is the observation vector for point measurements or the
-    (fine-mesh) data field for L^2 measurements, which is restricted to
-    the current mesh here.
+    data field restricted to the mesh (``obs.restrict``) for L^2
+    measurements.  With C = obs.matrix(V) and G the Gram weight of the
+    data space, r_g = C u_old - g and c_res = C' G r_g.
     """
     V, Q = vspace(mesh), qspace(mesh)
     q_old_h = interpolate_onto(q_old, mesh)
     u_old_h = interpolate_onto(u_old, mesh)
     K = pb.linearized_state_operator(problem, V, u_old_h)
     L = fem._cached(mesh, ("L",), lambda: -fem.assemble_mass(V, Q))
-    M_Q = Q.mass()
-    if isinstance(obs, pb.L2Obs):
-        data_h = data if isinstance(data, Field) and data.mesh is mesh else None
-        if data_h is None:
+    if isinstance(data, Field):
+        if data.mesh is not mesh:
             raise ValueError("L2 data must be restricted to the mesh first")
+        g = data.coeffs
     else:
-        data_h = np.asarray(data, dtype=float)
-    CtC, c_res, r_g, misfit = _observation_blocks(obs, data_h, V, Q, u_old_h)
-    a_res = pb.semilinear_residual(problem, q_old, u_old, V)
+        data = g = np.asarray(data, dtype=float)
+    C = obs.matrix(V)
+    r_g = C @ u_old_h.coeffs - g
+    a_res = pb.semilinear_residual(problem, q_old_h, u_old_h, V)
     q0_h = interpolate_onto(q0, mesh)
     return LinearizedSubproblem(
         problem=problem, mesh=mesh, V=V, Q=Q, q_old=q_old, u_old=u_old,
-        q_old_h=q_old_h, u_old_h=u_old_h, q0=q0_h, K=K, L=L, M_Q=M_Q,
-        CtC=CtC, c_res=c_res, r_g=r_g, misfit=misfit, a_res=a_res,
-        beta=beta, obs=obs, data_g=data_h,
+        q_old_h=q_old_h, u_old_h=u_old_h, q0=q0_h, K=K, L=L, M_Q=Q.mass(),
+        C=C, CtC=obs.normal_matrix(V), c_res=C.T @ obs.gram(Q, r_g),
+        r_g=r_g, a_res=a_res, beta=beta, obs=obs, data_g=data,
     )
 
 
@@ -213,7 +177,7 @@ def _reduced_layout(sub: LinearizedSubproblem):
                 [(B.indptr, B.indices) for B in blocks])
 
     indptr, indices, slots, patterns = fem._cached(
-        sub.mesh, ("reduced_kkt",) + _obs_key(sub.obs), build)
+        sub.mesh, ("reduced_kkt",) + sub.obs.key, build)
     for B, (ptr, ind) in zip(blocks, patterns):
         if not (np.array_equal(B.indptr, ptr)
                 and np.array_equal(B.indices, ind)):

@@ -44,7 +44,7 @@ def kkt_layout(sub):
                 [(B.indptr, B.indices) for B in blocks])
 
     indptr, indices, slots, patterns = fem._cached(
-        sub.mesh, ("kkt",) + ss._obs_key(sub.obs), build)
+        sub.mesh, ("kkt",) + sub.obs.key, build)
     for B, (ptr, ind) in zip(blocks, patterns):
         if not (np.array_equal(B.indptr, ptr)
                 and np.array_equal(B.indices, ind)):

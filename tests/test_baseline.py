@@ -9,7 +9,7 @@ from ggnfem.mesh import uniform_mesh
 def test_nt_config_validation():
     bl.NtConfig()
     with pytest.raises(ValueError):
-        bl.NtConfig(tau_low=5.0, tau_mid=4.0)
+        bl.NtConfig(tau_low=5.0, tau_up=4.0)
 
 
 def test_linear_case_matches_single_linearization():
@@ -25,7 +25,7 @@ def test_linear_case_matches_single_linearization():
                               obs, data.g_delta, beta)
     sol = ss.solve_kkt(sub)
     q_nt, u_nt, _, _, _, _ = bl._gn_fit(prob, data, mesh, beta, Q.zeros(),
-                                        None, bl.NtConfig(coarse_levels=3), {})
+                                        None, bl.NtConfig(coarse_levels=3))
     assert np.abs(q_nt.coeffs - sol.q.coeffs).max() < 1e-6
 
 

@@ -177,12 +177,18 @@ def test_solver_failure_ends_run_cleanly(tmp_path, monkeypatch, command,
     assert "warning = " in manifest and "singular" in manifest
 
 
-def test_beta_search_failure_ends_run_cleanly(tmp_path):
+@pytest.mark.parametrize("command,config,warning", [
+    ("run-ggn", "[ggn]\nmax_beta_steps = 0\n", "no beta found in 0 updates"),
+    ("run-nt", "[nt]\nmax_beta_steps = 0\n",
+     "beta search exhausted in the reduced solver"),
+], ids=["run-ggn", "run-nt"])
+def test_beta_search_failure_ends_run_cleanly(tmp_path, command, config,
+                                              warning):
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text("[ggn]\nmax_beta_steps = 0\n")
-    manifest = _run_failing(tmp_path, "run-ggn", "--config", str(cfg))
+    cfg.write_text(config)
+    manifest = _run_failing(tmp_path, command, "--config", str(cfg))
     assert "termination = beta-search-failure" in manifest
-    assert "warning = no beta found in 0 updates" in manifest
+    assert f"warning = {warning}" in manifest
 
 
 def test_forward_failure_ends_nt_run_cleanly(tmp_path, monkeypatch):

@@ -1,0 +1,77 @@
+"""Acceptance lines pinned to a recorded run.
+
+Eight small runs: GGN and NT on point and L^2 data, fine level 5, solver
+depth 4, zeta = 100, p = 1 %, noise seeds 1 and 2.  Every report row's
+k, phase and node count and each run's termination must match the record
+in ``pinned_rows.json`` exactly, and every beta to 1e-12 relative.  A
+refactoring that claims to leave the solvers' outputs alone is checked
+by this test.
+
+Regenerate the record, only for a change that is meant to move these
+lines, with ``PYTHONPATH=src python tests/test_pinned_rows.py``.
+"""
+
+import json
+import os
+
+import pytest
+
+from ggnfem import baseline as bl, driver as dv, problem as pb
+
+RECORD = os.path.join(os.path.dirname(__file__), "pinned_rows.json")
+FINE, DEPTH, ZETA, NOISE, SEEDS = 5, 4, 100.0, 0.01, (1, 2)
+
+
+def _runs():
+    """{"<method>-<obs>-<seed>": report} of the eight pinned runs."""
+    problem = pb.ModelProblem(zeta=ZETA)
+    case = pb.synthetic_case("a")
+    truth = pb.simulate_truth(problem, case, FINE)
+    out = {}
+    for kind, obs in (("point", pb.PointObs(9)), ("l2", pb.L2Obs())):
+        for seed in SEEDS:
+            data = pb.simulate_data(problem, case, obs, FINE, NOISE, seed,
+                                    truth=truth)
+            out[f"ggn-{kind}-{seed}"] = dv.run_ggn(
+                problem, data, dv.GgnConfig(max_depth=DEPTH))
+            out[f"nt-{kind}-{seed}"] = bl.run_nt(
+                problem, data, bl.NtConfig(max_depth=DEPTH))
+    return out
+
+
+def _lines(report) -> dict:
+    return {"termination": report.termination,
+            "rows": [[r.k, r.phase, r.nodes, r.beta] for r in report.rows]}
+
+
+@pytest.fixture(scope="module")
+def pinned():
+    with open(RECORD) as fh:
+        return json.load(fh)
+
+
+@pytest.fixture(scope="module")
+def reports():
+    return _runs()
+
+
+def test_pinned_acceptance_lines(pinned, reports):
+    assert sorted(reports) == sorted(pinned)
+    for name, report in reports.items():
+        want, got = pinned[name], _lines(report)
+        assert got["termination"] == want["termination"], name
+        assert len(got["rows"]) == len(want["rows"]), name
+        for i, (g, w) in enumerate(zip(got["rows"], want["rows"])):
+            assert g[:3] == w[:3], (name, i)
+            assert g[3] == pytest.approx(w[3], rel=1e-12, abs=0.0), (name, i)
+
+
+if __name__ == "__main__":
+    runs = []  # one report row per line
+    for name, report in sorted(_runs().items()):
+        lines = _lines(report)
+        rows = ",\n  ".join(json.dumps(r) for r in lines["rows"])
+        runs.append(f'"{name}": {{"termination": "{lines["termination"]}", '
+                    f'"rows": [\n  {rows}]}}')
+    with open(RECORD, "w") as fh:
+        fh.write("{\n" + ",\n".join(runs) + "\n}\n")
