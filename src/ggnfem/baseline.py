@@ -52,7 +52,7 @@ class NtConfig:
             raise ValueError("need tau_low < tau_up")
 
 
-def _gn_fit(problem, data, mesh, beta, q_start, u_warm, cfg):
+def _gn_fit(problem, obs, obs_data, mesh, beta, q_start, u_warm, cfg):
     """Damped Gauss-Newton on the reduced Tikhonov functional.
 
     Every iteration solves the nonlinear state equation; the step is the
@@ -63,8 +63,6 @@ def _gn_fit(problem, data, mesh, beta, q_start, u_warm, cfg):
     V, Q = vspace(mesh), qspace(mesh)
     q = interpolate_onto(q_start, mesh)
     q0 = Q.zeros()
-    obs = data.obs
-    obs_data = obs.restrict(data, mesh)
     C = obs.matrix(V)
     g = obs_data.coeffs if isinstance(obs_data, Field) else obs_data
     u = pb.solve_forward(problem, q, V, tol=cfg.forward_tol, u_init=u_warm)
@@ -118,11 +116,14 @@ def run_nt(problem: pb.ModelProblem, data: pb.NoisyData, cfg: NtConfig) -> RunRe
     n_ref = 0
     termination = "iteration-cap"
     total_forward = 0
+    observed = {}  # data restricted to the current mesh, that mesh only
 
     try:
         for _ in range(cfg.max_passes):
-            q, u, sub, sol, disc2, nf = _gn_fit(problem, data, mesh, beta, q,
-                                                u_warm, cfg)
+            if mesh not in observed:
+                observed = {mesh: data.obs.restrict(data, mesh)}
+            q, u, sub, sol, disc2, nf = _gn_fit(
+                problem, data.obs, observed[mesh], mesh, beta, q, u_warm, cfg)
             total_forward += nf
             u_warm = u
             eta, ind = est.estimate_eta1(sol, sub)

@@ -55,6 +55,7 @@ from .mesh import _CORNERS, DEPTH, QuadMesh, locate
 __all__ = [
     "SolverError",
     "FactorizationError",
+    "symmetric_lu",
     "Space",
     "Field",
     "gauss_points",
@@ -128,9 +129,23 @@ class SolverError(RuntimeError):
 
 
 class FactorizationError(SolverError):
-    """The LU factorization of a space's stiffness or mass matrix failed."""
+    """A factorization by ``symmetric_lu`` failed."""
 
     reason = "kkt-failure"
+
+
+def symmetric_lu(A, name: str):
+    """LU factors, with diagonal pivots in a minimum-degree ordering of
+    A' + A, of a symmetric matrix that is SPD or quasi-definite
+    [[H, -B'], [-B, -D]], H and D SPD: every symmetric ordering of those
+    has such a factorization (Vanderbei, SIAM J. Optim. 5, 1995)."""
+    try:
+        return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise FactorizationError(
+            f"{name} factorization failed: {exc}") from exc
 
 
 # owner (mesh or field) -> {key: object derived from the owner alone}; see
@@ -201,16 +216,11 @@ class Space:
         return _cached(self.mesh, ("mass", self.kind),
                        lambda: assemble_mass(self, self))
 
-    # Both matrices are SPD: a minimum-degree ordering of A' + A keeps
-    # their LU fill well below that of the default column ordering.
+    # Both matrices are SPD, so diagonal pivots in a minimum-degree order
+    # factorize them stably, with no pivot search.
     def _spd_solver(self, name: str, matrix):
-        def build():
-            try:
-                return spla.splu(matrix().tocsc(), permc_spec="MMD_AT_PLUS_A")
-            except RuntimeError as exc:
-                raise FactorizationError(
-                    f"{name} factorization failed: {exc}") from exc
-        return _cached(self.mesh, (f"{name}_lu", self.kind), build)
+        return _cached(self.mesh, (f"{name}_lu", self.kind),
+                       lambda: symmetric_lu(matrix(), name))
 
     def stiffness_solver(self):
         return self._spd_solver("stiffness", self.stiffness)

@@ -71,14 +71,15 @@ class ForwardSolveError(fem.SolverError):
 # Each kind gives the Gauss-Newton step what depends on it: the matrix C
 # from V coefficients to the data space, the Gram weight G of that space
 # (misfit |C v + r|_G^2 = m' G m), the normal matrix C*C = C' G C, the
-# data in the form the subproblem on a mesh takes, and the context key of
-# what C depends on.
+# data in the form the subproblem on a mesh takes (``obs.restrict``), the
+# context key of what C depends on, and whether C*C is SPD.
 
 
 class PointObs:
     """Point functionals at an n x n interior lattice; G = R^(n*n)."""
 
     kind = "point"
+    spd_normal = False  # C*C has rank at most n_obs
 
     def __init__(self, n_side: int = 9):
         self.n_side = n_side
@@ -124,6 +125,7 @@ class L2Obs:
 
     kind = "l2"
     key = ("obs", "l2")
+    spd_normal = True
 
     def matrix(self, space: Space) -> sp.csr_matrix:
         return fem.v_to_q(space.mesh)

@@ -25,10 +25,15 @@ the state/adjoint system (Rees, Dollar & Wathen, SISC 32, 2010; Pearson
     [ -K   -beta M_V ] [z~] = [ a_res + L (q0 - q_old) ],
 
 factorized once per subproblem and beta; the second-order auxiliary
-system has the same matrix.  Every solution is re-substituted into the
-three rows above.  The blocks' patterns are fixed by the mesh (and the
-observation), so the pattern of the reduced matrix, and where each
-block's entries land in it, is cached per (mesh, observation).
+system has the same matrix.  Where C*C is SPD (L^2 data: C*C = M_V) the
+matrix is symmetric quasi-definite, so it is factorized with diagonal
+pivots in a symmetric ordering (``fem.symmetric_lu``) and each solve
+takes one step of iterative refinement.  For point data C*C has rank at
+most n_obs, the matrix is not quasi-definite, and SuperLU pivots as
+usual.  Every solution is re-substituted into the three rows above.
+The blocks' patterns are fixed by the mesh (and the observation), so
+the pattern of the reduced matrix, and where each block's entries land
+in it, is cached per (mesh, observation).
 """
 
 from __future__ import annotations
@@ -84,17 +89,24 @@ class LinearizedSubproblem:
     beta: float
     obs: object
     data_g: object
-    # LU factors of the reduced matrix, built by the first solve; a copy
-    # by dataclasses.replace (say, for another beta) starts without them.
+    # The reduced matrix and its LU factors, built by the first solve; a
+    # copy by dataclasses.replace (say, for another beta) starts without.
+    A: sp.csc_matrix = dc_field(default=None, init=False, repr=False,
+                                compare=False)
     lu: object = dc_field(default=None, init=False, repr=False,
                           compare=False)
 
     def factorization(self):
         if self.lu is None:
-            try:
-                self.lu = spla.splu(_reduced_matrix(self))
-            except RuntimeError as exc:
-                raise KktError(f"KKT factorization failed: {exc}") from exc
+            self.A = _reduced_matrix(self)
+            if self.obs.spd_normal:
+                self.lu = fem.symmetric_lu(self.A, "KKT")
+            else:
+                try:
+                    self.lu = spla.splu(self.A)
+                except RuntimeError as exc:
+                    raise KktError(
+                        f"KKT factorization failed: {exc}") from exc
         return self.lu
 
     def misfit(self, v: np.ndarray):
@@ -198,7 +210,10 @@ def _solve_reduced(sub: LinearizedSubproblem, rhs_v, rhs_z, q0):
     """(q, v, z) from the reduced system with right-hand side
     (rhs_v, rhs_z) and the control q = q0 - beta inc z~."""
     nv = sub.V.dim
-    x = sub.factorization().solve(np.concatenate([rhs_v, rhs_z]))
+    lu, b = sub.factorization(), np.concatenate([rhs_v, rhs_z])
+    x = lu.solve(b)
+    if sub.obs.spd_normal:  # diagonal pivots: refine once
+        x += lu.solve(b - sub.A @ x)
     q = q0 - sub.beta * (fem.v_to_q(sub.mesh) @ x[nv:])
     return q, x[:nv], 2.0 * x[nv:]
 

@@ -24,8 +24,9 @@ def test_linear_case_matches_single_linearization():
     sub = ss.build_subproblem(prob, mesh, Q.zeros(), V.zeros(), Q.zeros(),
                               obs, data.g_delta, beta)
     sol = ss.solve_kkt(sub)
-    q_nt, u_nt, _, _, _, _ = bl._gn_fit(prob, data, mesh, beta, Q.zeros(),
-                                        None, bl.NtConfig(coarse_levels=3))
+    q_nt, u_nt, _, _, _, _ = bl._gn_fit(prob, obs, data.g_delta, mesh, beta,
+                                        Q.zeros(), None,
+                                        bl.NtConfig(coarse_levels=3))
     assert np.abs(q_nt.coeffs - sol.q.coeffs).max() < 1e-6
 
 
@@ -54,3 +55,16 @@ def test_nt_report_rows(nt_runs):
     nodes = [r.nodes for r in rep.rows]
     assert all(a <= b for a, b in zip(nodes, nodes[1:]))
     assert rep.total_forward_solves > 0
+
+
+def test_nt_restricts_l2_data_once_per_mesh(sims, monkeypatch):
+    data = sims(obs="l2", fine=5)
+    meshes = []
+    restrict = pb.restrict_data
+    monkeypatch.setattr(pb, "restrict_data", lambda d, space: (
+        meshes.append(space.mesh) or restrict(d, space)))
+    rep = bl.run_nt(pb.ModelProblem(zeta=100.0), data,
+                    bl.NtConfig(max_depth=4))
+    n_meshes = 1 + sum(r.phase == "refine1" for r in rep.rows)
+    assert n_meshes < len(rep.rows)  # some passes keep their mesh
+    assert len(meshes) == len({id(m) for m in meshes}) == n_meshes

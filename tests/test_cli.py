@@ -127,13 +127,30 @@ def _singular(A, **kwargs):
     raise RuntimeError("Factor is exactly singular")
 
 
+def _splu_failing_if(fails, A, kwargs):
+    if fails:
+        _singular(A)
+    return spla.splu(A, **kwargs)
+
+
 def _singular_kkt(A, **kwargs):
     """splu that fails on the KKT matrix (its -beta M_V block has a
     negative diagonal) and factorizes every SPD matrix as usual (their
     diagonals are positive)."""
-    if (A.diagonal() < 0).any():
-        _singular(A)
-    return spla.splu(A, **kwargs)
+    return _splu_failing_if((A.diagonal() < 0).any(), A, kwargs)
+
+
+def _singular_mass(A, **kwargs):
+    """splu that fails on mass matrices, the only ones with no negative
+    entry."""
+    return _splu_failing_if((A.data > 0).all(), A, kwargs)
+
+
+def _singular_stiffness(A, **kwargs):
+    """splu that fails on stiffness matrices, the only ones with a
+    positive diagonal and negative entries."""
+    return _splu_failing_if(
+        (A.diagonal() > 0).all() and (A.data < 0).any(), A, kwargs)
 
 
 def _fail_after_simulation(monkeypatch, module, name, value):
@@ -159,22 +176,37 @@ def _run_failing(tmp_path, command, *options):
     return (out / "manifest.txt").read_text()
 
 
-@pytest.mark.parametrize("command,module,splu,termination", [
-    ("run-ggn", ss, _singular_kkt, "kkt-failure"),
-    ("run-ggn", ss, _singular, "kkt-failure"),
-    ("run-nt", ss, _singular_kkt, "kkt-failure"),
+_SOLVER_FAILURES = [
+    ((), "run-ggn", ss, _singular_kkt, "kkt-failure", "KKT"),
+    ((), "run-ggn", ss, _singular, "kkt-failure", "KKT"),
+    ((), "run-nt", ss, _singular_kkt, "kkt-failure", "KKT"),
     # The forward solve factorizes only the stiffness matrix, in fem.
-    ("run-nt", fem, _singular, "forward-failure"),
+    ((), "run-nt", fem, _singular, "forward-failure", "stiffness"),
     # GGN first factorizes it for the adjoint at the base point.
-    ("run-ggn", fem, _singular, "kkt-failure"),
-])
-def test_solver_failure_ends_run_cleanly(tmp_path, monkeypatch, command,
-                                         module, splu, termination):
+    ((), "run-ggn", fem, _singular, "kkt-failure", "stiffness"),
+    # On L^2 data every matrix is symmetric and factorized in fem: the
+    # reduced KKT matrix, the Q mass matrix of the data restriction and
+    # the stiffness matrix of NT's forward solve.
+    (("--obs", "l2"), "run-ggn", fem, _singular_kkt, "kkt-failure", "KKT"),
+    (("--obs", "l2"), "run-ggn", fem, _singular_mass, "kkt-failure", "mass"),
+    (("--obs", "l2"), "run-nt", fem, _singular_stiffness, "forward-failure",
+     "stiffness"),
+]
+
+
+@pytest.mark.parametrize(
+    "options,command,module,splu,termination,matrix", _SOLVER_FAILURES,
+    ids=["-".join([*o[1:], c, m.__name__, s.__name__, t])
+         for o, c, m, s, t, _ in _SOLVER_FAILURES])
+def test_solver_failure_ends_run_cleanly(tmp_path, monkeypatch, options,
+                                         command, module, splu, termination,
+                                         matrix):
     _fail_after_simulation(monkeypatch, module, "spla",
                            types.SimpleNamespace(splu=splu))
-    manifest = _run_failing(tmp_path, command)
+    manifest = _run_failing(tmp_path, command, *options)
     assert f"termination = {termination}" in manifest
     assert "warning = " in manifest and "singular" in manifest
+    assert f"{matrix} factorization failed" in manifest
 
 
 @pytest.mark.parametrize("command,config,warning", [

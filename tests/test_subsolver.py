@@ -1,9 +1,10 @@
 import dataclasses
+import types
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ggnfem import fem, problem as pb, subsolver as ss
 from ggnfem.fem import Field, qspace, vspace
@@ -315,3 +316,70 @@ def test_control_elimination_premise_is_exact(mesh, seed):
         assert (inc.T @ sub.M_Q @ inc != sub.V.mass()).nnz == 0
         if not point:
             assert (sub.CtC != inc.T @ sub.M_Q @ inc).nnz == 0
+
+
+_SYMMETRIC = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+              "options": {"SymmetricMode": True}}
+
+
+def test_factorization_routes(monkeypatch):
+    """SPD stiffness and mass matrices and the quasi-definite reduced
+    matrix of L^2 data take diagonal pivots in a symmetric ordering; the
+    reduced matrix of point data keeps SuperLU's pivoting."""
+    calls = []
+
+    def splu(A, **kwargs):
+        calls.append(kwargs)
+        return spla.splu(A, **kwargs)
+
+    for module in (fem, ss):
+        monkeypatch.setattr(module, "spla", types.SimpleNamespace(splu=splu))
+    mesh = refine(uniform_mesh(2), {0, 5}, max_level=4)
+    l2, point = (_random_subproblem(mesh, 0, p, 100.0) for p in (False, True))
+    for factorize, kwargs in ((vspace(mesh).stiffness_solver, _SYMMETRIC),
+                              (qspace(mesh).mass_solver, _SYMMETRIC),
+                              (l2.factorization, _SYMMETRIC),
+                              (point.factorization, {})):
+        calls.clear()
+        factorize()
+        assert calls == [kwargs]
+
+
+def _hanging_mesh():
+    """Graded mesh with 528 hanging vertices (1,201 vertices)."""
+    mesh = uniform_mesh(3)
+    for _ in range(3):
+        mesh = refine(mesh, set(range(0, mesh.n_cells, 3)), max_level=7)
+    return mesh
+
+
+@settings(max_examples=6, deadline=None)
+@given(mesh=graded_meshes(), seed=st.integers(0, 2**16))
+@example(mesh=_hanging_mesh(), seed=1)
+def test_symmetric_factorizations_are_accurate(mesh, seed):
+    """Stiffness and mass solves to |b - A x| <= 1e-13 |b|.  The reduced
+    L^2 solve (diagonal pivots, one refinement step) to a normwise
+    backward error |b - A x| / (|A| |x| + |b|) of 1e-12 in the max norm,
+    and within 1e-8 per block of the refined full KKT solve.  (|b - A x|
+    / |b| cannot reach 1e-12 there: at beta = 1e10 |x| >> |b|, and a
+    pivoted LU also stops at 2e-12.)"""
+    rng = np.random.default_rng(seed)
+    V, Q = vspace(mesh), qspace(mesh)
+    for A, solver in ((V.stiffness(), V.stiffness_solver()),
+                      (Q.mass(), Q.mass_solver())):
+        b = rng.standard_normal(A.shape[0])
+        r = b - A @ solver.solve(b)
+        assert np.linalg.norm(r) <= 1e-13 * np.linalg.norm(b)
+    sub = _random_subproblem(mesh, seed, False, 1000.0)
+    nv = V.dim
+    for beta in 10.0 ** np.arange(0, 11, 2):
+        s = dataclasses.replace(sub, beta=beta)
+        sol = ss.solve_kkt(s)
+        _assert_blocks_close(
+            (sol.q.coeffs, sol.v.coeffs, sol.z.coeffs),
+            kkt_oracle.refined_solve(s, kkt_oracle.kkt_rhs(s)), 1e-8)
+        b = rng.standard_normal(2 * nv)
+        _, v, z = ss._solve_reduced(s, b[:nv], b[nv:], Q.zeros().coeffs)
+        x = np.concatenate([v, z / 2])
+        assert np.abs(b - s.A @ x).max() <= 1e-12 * (
+            spla.norm(s.A, np.inf) * np.abs(x).max() + np.abs(b).max())
