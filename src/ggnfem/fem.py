@@ -28,8 +28,12 @@ restricted to V's dofs.  Each assembly then only computes element data
 and applies P.  Matrices of one plan share its pattern arrays, so adding
 their data adds the matrices.
 
+Stiffness and mass solves use one ``symmetric_lu`` factorization per
+mesh, except V stiffness solves on a fine uniform mesh: sine transforms
+diagonalize that matrix (``_SineSolver``), so nothing is factorized.
+
 Everything derived from one mesh -- the condensation of each space, the
-assembly plans, its assembled operators and LU factors, the cell origin
+assembly plans, its assembled operators and solvers, the cell origin
 tables, the patch table of the DWR weights, observation matrices and
 point locations, and the containment maps into finer meshes -- is cached
 in one per-mesh context (``_cached``); a field's moment table is kept in
@@ -148,6 +152,38 @@ def symmetric_lu(A, name: str):
             f"{name} factorization failed: {exc}") from exc
 
 
+# Uniform meshes from this level on solve stiffness systems by sine
+# transforms; on coarser ones a sparse LU solve is faster.
+SINE_MIN_LEVEL = 5
+
+
+class _SineSolver:
+    """K^-1 for the V stiffness matrix of a uniform mesh with 2^L cells a
+    side, by fast diagonalization (Lynch, Rice & Thomas, Numer. Math. 6,
+    1964).  On the interior grid K = A (x) M + M (x) A, with A =
+    tridiag(-1, 2, -1) and M = tridiag(1, 4, 1) / 6 (h cancels), and the
+    DST-I S diagonalizes both: x = S^-1 diag(1 / lam) S b, lam_jk = a_j m_k
+    + m_j a_k, a_j = 2 - 2 cos(j pi / 2^L), m_j = (4 + 2 cos(j pi / 2^L)) / 6.
+    Each free vertex goes to its grid position by its key."""
+
+    def __init__(self, space: "Space"):
+        n = 1 << space.mesh.max_level
+        ky, kx = np.divmod(space.mesh.keys[space.free], n + 1)
+        self._at = (ky - 1) * (n - 1) + (kx - 1)  # row-major, as the keys
+        c = np.cos(np.arange(1, n) * np.pi / n)
+        a, m = 2.0 - 2.0 * c, (4.0 + 2.0 * c) / 6.0
+        self._lam = np.outer(a, m) + np.outer(m, a)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        from scipy.fft import dstn, idstn  # kept out of the package import
+
+        x = np.zeros(self._lam.shape)
+        x.reshape(-1)[self._at] = b
+        x = dstn(x, type=1, overwrite_x=True)
+        x /= self._lam
+        return idstn(x, type=1, overwrite_x=True).reshape(-1)[self._at]
+
+
 # owner (mesh or field) -> {key: object derived from the owner alone}; see
 # the module docstring.  No value may refer to its owner, or it never dies.
 _CONTEXTS = weakref.WeakKeyDictionary()
@@ -223,6 +259,13 @@ class Space:
                        lambda: symmetric_lu(matrix(), name))
 
     def stiffness_solver(self):
+        """Solver of the stiffness matrix, built once per mesh: fast sine
+        transforms (``_SineSolver``) on the V space of a uniform mesh of
+        level >= SINE_MIN_LEVEL, else a ``symmetric_lu`` factorization."""
+        mesh = self.mesh
+        uniform = mesh.n_cells == 4 ** mesh.max_level  # all leaves that deep
+        if self.kind == "V" and uniform and mesh.max_level >= SINE_MIN_LEVEL:
+            return _cached(mesh, ("stiffness_dst",), lambda: _SineSolver(self))
         return self._spd_solver("stiffness", self.stiffness)
 
     def mass_solver(self):
@@ -804,23 +847,23 @@ def write_mesh_vtk(mesh: QuadMesh, path, point_data=None) -> None:
 
     ``point_data`` is an optional (name, values per vertex) pair.
     """
+    sw, se, nw, ne = mesh.cell_corners.T.tolist()
+    text = ("# vtk DataFile Version 3.0\n"
+            "quadtree mesh\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+            f"POINTS {mesh.n_vertices} double\n"
+            + "".join(map("{:.16g} {:.16g} 0\n".format,
+                          *mesh.vertices.T.tolist()))
+            + f"CELLS {mesh.n_cells} {5 * mesh.n_cells}\n"
+            + "".join(map("4 {} {} {} {}\n".format, sw, se, ne, nw))
+            + f"CELL_TYPES {mesh.n_cells}\n" + "9\n" * mesh.n_cells)
+    if point_data is not None:
+        name, values = point_data
+        text += (f"POINT_DATA {mesh.n_vertices}\n"
+                 f"SCALARS {name} double 1\nLOOKUP_TABLE default\n"
+                 + "".join(map("{:.16g}\n".format,
+                               np.asarray(values).tolist())))
     with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 3.0\n")
-        fh.write("quadtree mesh\nASCII\nDATASET UNSTRUCTURED_GRID\n")
-        fh.write(f"POINTS {mesh.n_vertices} double\n")
-        for x, y in mesh.vertices:
-            fh.write(f"{x:.16g} {y:.16g} 0\n")
-        fh.write(f"CELLS {mesh.n_cells} {5 * mesh.n_cells}\n")
-        for sw, se, nw, ne in mesh.cell_corners:
-            fh.write(f"4 {sw} {se} {ne} {nw}\n")
-        fh.write(f"CELL_TYPES {mesh.n_cells}\n")
-        fh.write("".join("9\n" for _ in range(mesh.n_cells)))
-        if point_data is not None:
-            name, values = point_data
-            fh.write(f"POINT_DATA {mesh.n_vertices}\n")
-            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            for v in values:
-                fh.write(f"{v:.16g}\n")
+        fh.write(text)
 
 
 def write_field_vtk(field: "Field", path, name: str = "value") -> None:
@@ -830,9 +873,7 @@ def write_field_vtk(field: "Field", path, name: str = "value") -> None:
 
 def write_field_csv(field: "Field", path) -> None:
     """CSV of (x, y, value) triples over all vertices."""
-    mesh = field.mesh
-    full = field.full_values()
+    lines = map("{:.16g},{:.16g},{:.16g}\n".format,
+                *field.mesh.vertices.T.tolist(), field.full_values().tolist())
     with open(path, "w") as fh:
-        fh.write("x,y,value\n")
-        for (x, y), v in zip(mesh.vertices, full):
-            fh.write(f"{x:.16g},{y:.16g},{v:.16g}\n")
+        fh.write("x,y,value\n" + "".join(lines))

@@ -225,8 +225,10 @@ def solve_forward(problem: ModelProblem, q: Field, space: Space,
     matrix, is at most tol; backtracking halves the step until that norm
     decreases.  Each step solves J d = -r, J = K + 3 zeta u^2 M, by
     ``_stiffness_cg`` to eta |r|, eta = min(0.1, |r|) (Eisenstat & Walker,
-    SISC 1996), but not below tol / 1000.  A failed stiffness
-    factorization or a CG breakdown raises ForwardSolveError.
+    SISC 1996), but not below tol / 1000.  K^-1 is the space's stiffness
+    solver: sine transforms on a fine uniform mesh, else a factorization.
+    A failed stiffness factorization or a CG breakdown raises
+    ForwardSolveError.
     """
     u = np.zeros(space.dim) if u_init is None else interpolate_onto(u_init, space.mesh).coeffs.copy()
     load = fem.assemble_functional(space, interpolate_onto(q, space.mesh))
@@ -266,7 +268,7 @@ def solve_forward(problem: ModelProblem, q: Field, space: Space,
 def _stiffness_cg(space: Space, A, b: np.ndarray, z: np.ndarray,
                   atol: float):
     """x with A x = b, A SPD, by CG preconditioned with the stiffness
-    factorization K of the space, from x = 0 and z = K^-1 b, until
+    solver K^-1 of the space, from x = 0 and z = K^-1 b, until
     sqrt(r' K^-1 r) <= atol.  None on a breakdown: p' A p <= 0, a
     non-finite value, or more than dim + 1 steps."""
     lu = space.stiffness_solver()

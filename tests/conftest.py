@@ -3,7 +3,8 @@ and noisy bundles are cached per configuration for the whole session.
 
 Also the hypothesis profile of the suite, derandomized so every run
 draws the same examples, and the shared mesh strategies: refinement
-sequences, their replay on a mesh module, and graded meshes."""
+sequences, their replay on a mesh module, graded meshes, and one fixed
+graded mesh with many hanging vertices."""
 
 import pytest
 from hypothesis import assume, settings, strategies as st
@@ -100,4 +101,13 @@ def graded_meshes(draw):
     """Random refinements of a coarse uniform mesh with hanging vertices."""
     mesh = replay(mesh_module, *draw(refinements))
     assume(len(mesh.hanging))
+    return mesh
+
+
+def hanging_mesh():
+    """Graded mesh with 528 hanging vertices (1,201 vertices)."""
+    mesh = mesh_module.uniform_mesh(3)
+    for _ in range(3):
+        mesh = mesh_module.refine(mesh, set(range(0, mesh.n_cells, 3)),
+                                  max_level=7)
     return mesh

@@ -9,7 +9,8 @@ from ggnfem.fem import (Field, assemble_functional, assemble_mass,
                         write_field_csv, write_field_vtk)
 from ggnfem.mesh import refine, uniform_mesh
 
-from conftest import graded_meshes
+import reference_writers
+from conftest import graded_meshes, hanging_mesh
 
 
 def _l2_error(u: Field, exact):
@@ -399,3 +400,23 @@ def test_field_export(tmp_path):
     rows = (tmp_path / "f.csv").read_text().splitlines()
     assert rows[0] == "x,y,value"
     assert len(rows) == 1 + f.mesh.n_vertices
+
+
+@pytest.mark.parametrize("make_mesh", [hanging_mesh, lambda: uniform_mesh(6)],
+                         ids=["graded", "uniform-6"])
+def test_writers_match_reference_bytes(tmp_path, make_mesh):
+    """The writers' output equals, byte for byte, that of the reference
+    writers, which write one line per call."""
+    mesh = make_mesh()
+    writes = {"mesh.vtk": lambda w, path: w.write_mesh_vtk(mesh, path)}
+    for S in (qspace(mesh), vspace(mesh)):
+        f = S.interpolate(lambda x, y: np.sin(7 * x) * np.exp(y) / 3 - x)
+        writes[f"{S.kind}.vtk"] = (
+            lambda w, path, f=f: w.write_field_vtk(f, path, name="f"))
+        writes[f"{S.kind}.csv"] = (
+            lambda w, path, f=f: w.write_field_csv(f, path))
+    for name, write in writes.items():
+        write(fem, tmp_path / name)
+        write(reference_writers, tmp_path / f"reference-{name}")
+        assert ((tmp_path / name).read_bytes()
+                == (tmp_path / f"reference-{name}").read_bytes()), name

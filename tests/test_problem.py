@@ -225,15 +225,20 @@ def test_forward_matches_lu_newton_on_graded_meshes(mesh, seed, zeta):
                               u_init=Field(V, rng.uniform(-1, 1, V.dim)))
 
 
-def test_truth_factorizes_once(monkeypatch):
-    """One level-6 truth build makes one LU: the stiffness factor, which
-    preconditions every Newton step."""
+def test_truth_makes_no_factorization(monkeypatch):
+    """A level-6 truth build solves its stiffness systems by sine
+    transforms and makes no LU; after simulate_data the simulation
+    mesh's context holds no factorization."""
     calls = []
     splu = fem.spla.splu
     monkeypatch.setattr(fem.spla, "splu",
                         lambda A, **kw: calls.append(A.shape) or splu(A, **kw))
-    pb.simulate_truth(pb.ModelProblem(zeta=100.0), pb.synthetic_case("a"), 6)
-    assert calls == [(63**2, 63**2)]
+    prob, case = pb.ModelProblem(zeta=100.0), pb.synthetic_case("a")
+    truth = pb.simulate_truth(prob, case, 6)
+    assert calls == []
+    data = pb.simulate_data(prob, case, pb.L2Obs(), 6, 0.01, 1, truth=truth)
+    entries = fem._CONTEXTS[data.u_true.mesh].values()
+    assert not any(isinstance(e, fem.spla.SuperLU) for e in entries)
 
 
 def _negative_jacobian(problem, space, u_base):

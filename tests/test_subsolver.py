@@ -11,7 +11,7 @@ from ggnfem.fem import Field, qspace, vspace
 from ggnfem.mesh import refine, uniform_mesh
 
 import kkt_oracle
-from conftest import graded_meshes
+from conftest import graded_meshes, hanging_mesh as _hanging_mesh
 
 
 def _point_instance(zeta=100.0, beta=25.0, n_side=1, levels=2, shift=0.05):
@@ -345,12 +345,49 @@ def test_factorization_routes(monkeypatch):
         assert calls == [kwargs]
 
 
-def _hanging_mesh():
-    """Graded mesh with 528 hanging vertices (1,201 vertices)."""
-    mesh = uniform_mesh(3)
-    for _ in range(3):
-        mesh = refine(mesh, set(range(0, mesh.n_cells, 3)), max_level=7)
-    return mesh
+def test_stiffness_solver_routes(monkeypatch):
+    """Uniform meshes from level fem.SINE_MIN_LEVEL on solve stiffness
+    systems by sine transforms, with no splu call; coarser uniform meshes
+    and graded meshes take diagonal pivots in a symmetric ordering."""
+    calls = []
+
+    def splu(A, **kwargs):
+        calls.append(kwargs)
+        return spla.splu(A, **kwargs)
+
+    monkeypatch.setattr(fem, "spla", types.SimpleNamespace(splu=splu))
+    top = fem.SINE_MIN_LEVEL
+    routes = [(uniform_mesh(top), []), (uniform_mesh(top + 1), []),
+              (uniform_mesh(1), [_SYMMETRIC]),
+              (uniform_mesh(top - 1), [_SYMMETRIC]),
+              (refine(uniform_mesh(top), {0}), [_SYMMETRIC]),
+              (refine(uniform_mesh(2), {0, 5}, max_level=4), [_SYMMETRIC])]
+    for mesh, expected in routes:
+        calls.clear()
+        V = vspace(mesh)
+        V.stiffness_solver().solve(np.ones(V.dim))
+        assert calls == expected, mesh
+
+
+@pytest.mark.parametrize("level", range(1, 10))
+def test_uniform_stiffness_solves_are_accurate(level):
+    """The stiffness solver of a uniform mesh, and the sine solver also
+    below the switch, solve to |b - K x| <= 1e-13 |b| and agree with a
+    symmetric_lu solve to 1e-12 relative.  The agreement is measured at
+    b = K x*, x* random: for b with little high-frequency content the
+    forward error of either solve grows like cond(K) eps, which is about
+    1e-12 at level 9."""
+    rng = np.random.default_rng(level)
+    mesh = uniform_mesh(level)
+    V = vspace(mesh)
+    K = V.stiffness()
+    lu = fem.symmetric_lu(K, "stiffness")
+    b, b_x = rng.standard_normal(V.dim), K @ rng.standard_normal(V.dim)
+    for solver in (V.stiffness_solver(), fem._SineSolver(V)):
+        r = b - K @ solver.solve(b)
+        assert np.linalg.norm(r) <= 1e-13 * np.linalg.norm(b)
+        x = solver.solve(b_x)
+        assert np.abs(x - lu.solve(b_x)).max() <= 1e-12 * np.abs(x).max()
 
 
 @settings(max_examples=6, deadline=None)
