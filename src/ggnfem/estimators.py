@@ -77,7 +77,8 @@ class _CellData:
         self.h = self.mesh.cell_sizes()
         self.h2 = self.h**2
         self.q0 = self.vals(sub.q0)
-        self.u_old = self.vals(sub.u_old_h)
+        self.u_old = fem._weighted_values(sub.u_old_h)
+        self.u_old3 = fem._cached(sub.u_old_h, ("cube",), lambda: self.u_old**3)
         self.grad_u_old = self.grads(sub.u_old_h)
 
     def vals(self, field: Field) -> np.ndarray:
@@ -149,7 +150,7 @@ def _lagrangian_cells(sub: LinearizedSubproblem, cells: _CellData, x,
     wq, _, wz = weights
     base = (-(2.0 / sub.beta) * cells.q0 * wq.vals
             - _dot(cells.grad_u_old, wz.grads)
-            - sub.problem.zeta * cells.u_old**3 * wz.vals)
+            - sub.problem.zeta * cells.u_old3 * wz.vals)
     return (_hessian_cells(sub, cells, x, weights, r=sub.r_g)
             + cells.integrate(base))
 

@@ -36,12 +36,12 @@ Everything derived from one mesh -- the condensation of each space, the
 assembly plans, its assembled operators and solvers, the cell origin
 tables, the patch table of the DWR weights, observation matrices and
 point locations, and the containment maps into finer meshes -- is cached
-in one per-mesh context (``_cached``); a field's moment table is kept in
-a context of the field.  Contexts sit in a ``WeakKeyDictionary`` keyed
-by their owner and hold nothing that refers back to it, so each one
-dies with its owner.  For the same reason a
-``Space`` is a light view over its context entry and is rebuilt on
-demand rather than cached itself.
+in one per-mesh context (``_cached``); a field's moment table, load
+vector and quadrature values are kept in a context of the field.
+Contexts sit in a ``WeakKeyDictionary`` keyed by their owner and hold
+nothing that refers back to it, so each one dies with its owner.  For
+the same reason a ``Space`` is a light view over its context entry and
+is rebuilt on demand rather than cached itself.
 """
 
 from __future__ import annotations
@@ -556,7 +556,7 @@ def assemble_weighted_mass(space: Space, weight: "Field", exponent: int) -> sp.c
     if exponent not in (2, 3):
         raise ValueError("exponent must be 2 or 3")
     mesh = space.mesh
-    wvals = _cell_values(weight, mesh, NQ_WEIGHTED)
+    wvals = _weighted_values(interpolate_onto(weight, mesh))
     h2 = mesh.cell_sizes() ** 2
     elems = (h2[:, None] * wvals**exponent) @ _product_tables(NQ_WEIGHTED)[1]
     return _assemble(space, space, elems)
@@ -570,18 +570,28 @@ def _cell_values(field: "Field", mesh: QuadMesh, nq: int) -> np.ndarray:
     return corner_vals @ shapes.T
 
 
+def _weighted_values(field: "Field") -> np.ndarray:
+    """The field at its cells' NQ_WEIGHTED points, kept in its context."""
+    return _cached(field, ("values", NQ_WEIGHTED),
+                   lambda: _cell_values(field, field.mesh, NQ_WEIGHTED))
+
+
+def _drop_weighted_values(field: "Field") -> None:
+    _CONTEXTS.get(field, {}).pop(("values", NQ_WEIGHTED), None)
+
+
 def assemble_functional(space: Space, f, nq: int = NQ_BASE) -> np.ndarray:
     """Vector of (f, phi_i) over free nodes; f is a callable or a Field."""
     mesh = space.mesh
-    if isinstance(f, Field):
-        fvals = _cell_values(f, mesh, nq)
-    else:
-        pts = _cell_quad_data(nq)[0]
-        x0, y0, h = _cell_origin_arrays(mesh)
-        gx = x0[:, None] + h[:, None] * pts[None, :, 0]
-        gy = y0[:, None] + h[:, None] * pts[None, :, 1]
-        fvals = f(gx, gy)
-    return _load_vector(space, fvals, nq)
+    if isinstance(f, Field):  # its vector is kept in its context on mesh
+        f = interpolate_onto(f, mesh)
+        return _cached(f, ("load", space.kind, nq), lambda: _load_vector(
+            space, _cell_values(f, mesh, nq), nq))
+    pts = _cell_quad_data(nq)[0]
+    x0, y0, h = _cell_origin_arrays(mesh)
+    gx = x0[:, None] + h[:, None] * pts[None, :, 0]
+    gy = y0[:, None] + h[:, None] * pts[None, :, 1]
+    return _load_vector(space, f(gx, gy), nq)
 
 
 def _load_vector(space: Space, fvals: np.ndarray, nq: int) -> np.ndarray:

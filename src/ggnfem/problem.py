@@ -86,14 +86,11 @@ class PointObs:
         t = np.arange(1, n_side + 1) / (n_side + 1)
         gx, gy = np.meshgrid(t, t, indexing="ij")
         self.points = np.column_stack([gx.ravel(), gy.ravel()])
+        self.key = ("obs",) + fem._points_key(self.points)
 
     @property
     def n_obs(self) -> int:
         return len(self.points)
-
-    @property
-    def key(self) -> tuple:
-        return ("obs",) + fem._points_key(self.points)
 
     def matrix(self, space: Space) -> sp.csr_matrix:
         """Sparse evaluation matrix C with (C v)_i = v_h(xi_i)."""
@@ -196,24 +193,25 @@ def semilinear_residual(problem: ModelProblem, q: Field, u: Field, space: Space)
 
 
 def _cubic_term(space: Space, u: Field) -> np.ndarray:
-    """Vector of (u^3, phi_i) with same-mesh quadrature (exact for Q1)."""
-    uv = fem._cell_values(u, space.mesh, fem.NQ_WEIGHTED)
-    return fem._load_vector(space, uv**3, fem.NQ_WEIGHTED)
+    """(u^3, phi_i) by same-mesh quadrature (exact), kept in u's context."""
+    return fem._cached(u, ("cubic", space.kind), lambda: fem._load_vector(
+        space, fem._weighted_values(u)**3, fem.NQ_WEIGHTED))
 
 
 def linearized_state_operator(problem: ModelProblem, space: Space, u_base: Field) -> sp.csr_matrix:
     """A'_u at u_base: stiffness + 3 zeta (u_base^2 . , .).
 
-    Both terms come from the space's assembly plan, so the sum adds their
-    data on the shared pattern; the pattern stays fixed even where the
+    Both terms come from the space's assembly plan, so the data of the fresh
+    weighted mass take the sum; the pattern stays fixed even where the
     weight vanishes (a sparse + would drop those entries).
     """
     K = space.stiffness()
     if not problem.zeta:
         return K
-    W = fem.assemble_weighted_mass(space, u_base, 2)
-    return sp.csr_matrix((K.data + 3.0 * problem.zeta * W.data, K.indices,
-                          K.indptr), shape=K.shape)
+    J = fem.assemble_weighted_mass(space, u_base, 2)
+    J.data *= 3.0 * problem.zeta
+    J.data += K.data
+    return J
 
 
 def solve_forward(problem: ModelProblem, q: Field, space: Space,
@@ -230,7 +228,7 @@ def solve_forward(problem: ModelProblem, q: Field, space: Space,
     A failed stiffness factorization or a CG breakdown raises
     ForwardSolveError.
     """
-    u = np.zeros(space.dim) if u_init is None else interpolate_onto(u_init, space.mesh).coeffs.copy()
+    uf = space.zeros() if u_init is None else interpolate_onto(u_init, space.mesh)
     load = fem.assemble_functional(space, interpolate_onto(q, space.mesh))
     Ks = space.stiffness()
     try:
@@ -238,31 +236,33 @@ def solve_forward(problem: ModelProblem, q: Field, space: Space,
     except fem.FactorizationError as exc:
         raise ForwardSolveError(str(exc), float("nan")) from exc
 
-    def resid(uvec):  # r, K^-1 r and the dual norm of r
-        r = Ks @ uvec - load
+    def resid(f):  # r, K^-1 r and the dual norm of r at the iterate f
+        r = Ks @ f.coeffs - load
         if problem.zeta:
-            r = r + problem.zeta * _cubic_term(space, Field(space, uvec))
+            r = r + problem.zeta * _cubic_term(space, f)
         s = lu_s.solve(r)
         return r, s, np.sqrt(max(r @ s, 0.0))
 
-    r, s, rnorm = resid(u)
+    u, (r, s, rnorm) = uf.coeffs, resid(uf)
     for it in range(max_iter + 1):
         if rnorm <= tol:
-            return Field(space, u)
+            fem._drop_weighted_values(uf)
+            return uf
         if it == max_iter:
             raise ForwardSolveError("Newton did not converge", rnorm)
-        J = linearized_state_operator(problem, space, Field(space, u))
+        J = linearized_state_operator(problem, space, uf)
+        fem._drop_weighted_values(uf)
         d = _stiffness_cg(space, J, -r, -s,
                           max(min(0.1, rnorm) * rnorm, 1e-3 * tol))
         if d is None:
             raise ForwardSolveError("Newton-step CG broke down", rnorm)
         step = 1.0
         while True:
-            new = resid(u + step * d)
+            new = resid(uf := Field(space, u + step * d))
             if new[2] < rnorm or step < 1e-10:
                 break
             step *= 0.5
-        u, (r, s, rnorm) = u + step * d, new
+        u, (r, s, rnorm) = uf.coeffs, new
 
 
 def _stiffness_cg(space: Space, A, b: np.ndarray, z: np.ndarray,

@@ -32,8 +32,8 @@ takes one step of iterative refinement.  For point data C*C has rank at
 most n_obs, the matrix is not quasi-definite, and SuperLU pivots as
 usual.  Every solution is re-substituted into the three rows above.
 The blocks' patterns are fixed by the mesh (and the observation), so
-the pattern of the reduced matrix, and where each block's entries land
-in it, is cached per (mesh, observation).
+the pattern of the reduced matrix, where each block's entries land in
+it, and the CSR transposes L' and C' are cached per (mesh, observation).
 """
 
 from __future__ import annotations
@@ -137,13 +137,14 @@ def build_subproblem(problem: pb.ModelProblem, mesh: QuadMesh,
     else:
         data = g = np.asarray(data, dtype=float)
     C = obs.matrix(V)
+    Ct = fem._cached(mesh, obs.key + ("Ct",), lambda: C.T.tocsr())
     r_g = C @ u_old_h.coeffs - g
     a_res = pb.semilinear_residual(problem, q_old_h, u_old_h, V)
     q0_h = interpolate_onto(q0, mesh)
     return LinearizedSubproblem(
         problem=problem, mesh=mesh, V=V, Q=Q, q_old=q_old, u_old=u_old,
         q_old_h=q_old_h, u_old_h=u_old_h, q0=q0_h, K=K, L=L, M_Q=Q.mass(),
-        C=C, CtC=obs.normal_matrix(V), c_res=C.T @ obs.gram(Q, r_g),
+        C=C, CtC=obs.normal_matrix(V), c_res=Ct @ obs.gram(Q, r_g),
         r_g=r_g, a_res=a_res, beta=beta, obs=obs, data_g=data,
     )
 
@@ -171,28 +172,28 @@ def _reduced_layout(sub: LinearizedSubproblem):
     blocks = (sub.CtC, sub.K, sub.V.mass())
 
     def build():
-        # Number the entries of all blocks 1, 2, ... and read back where
-        # each number lands; K appears twice (with its transpose).
-        marks, start = [], 1
-        for B in blocks:
-            marks.append(sp.csr_matrix(
-                (np.arange(start, start + B.nnz, dtype=float), B.indices,
-                 B.indptr), shape=B.shape))
-            start += B.nnz
-        CtC, K, MV = marks
-        A = sp.bmat([[CtC, K.T], [K, MV]], format="csc")
-        A.sum_duplicates()
-        slots = A.data.astype(np.int64) - 1
-        for a in (A.indptr, A.indices, slots):
+        # Entry k of concat(block data) sits at (rows[k], cols[k]), K's
+        # twice (as K' and as K); in column, then row order they are A.
+        n, k0, k1 = sub.V.dim, blocks[0].nnz, blocks[0].nnz + blocks[1].nnz
+        (r0, c0), (rk, ck), (rm, cm) = [
+            (np.repeat(np.arange(n), np.diff(B.indptr)), B.indices)
+            for B in blocks]
+        rows = np.concatenate([r0, ck, rk + n, rm + n])
+        cols = np.concatenate([c0, rk + n, ck, cm + n])
+        order = np.lexsort((rows, cols))
+        slots = np.r_[:k1, k0:k1 + blocks[2].nnz][order]
+        indices = rows[order].astype(np.int32)
+        indptr = np.append(np.int32(0), np.cumsum(
+            np.bincount(cols, minlength=2 * n), dtype=np.int32))
+        for a in (indptr, indices, slots):
             a.flags.writeable = False
-        return (A.indptr, A.indices, slots,
-                [(B.indptr, B.indices) for B in blocks])
+        return indptr, indices, slots, [(B.indptr, B.indices) for B in blocks]
 
     indptr, indices, slots, patterns = fem._cached(
         sub.mesh, ("reduced_kkt",) + sub.obs.key, build)
     for B, (ptr, ind) in zip(blocks, patterns):
-        if not (np.array_equal(B.indptr, ptr)
-                and np.array_equal(B.indices, ind)):
+        if not ((B.indptr is ptr or np.array_equal(B.indptr, ptr))
+                and (B.indices is ind or np.array_equal(B.indices, ind))):
             raise ValueError("KKT block pattern differs from the cached "
                              "layout of its mesh")
     return indptr, indices, slots
@@ -225,14 +226,17 @@ def solve_kkt(sub: LinearizedSubproblem) -> KktSolution:
     raises KktError beyond a 1e-8 relative tolerance.
     """
     q0, q_old = sub.q0.coeffs, sub.q_old_h.coeffs
-    rhs_z = sub.a_res - sub.L @ q_old
-    q, v, z = _solve_reduced(sub, -sub.c_res, rhs_z + sub.L @ q0, q0)
+    L_old, L_0 = (sub.L @ np.column_stack([q_old, q0])).T
+    rhs_z = sub.a_res - L_old
+    q, v, z = _solve_reduced(sub, -sub.c_res, rhs_z + L_0, q0)
 
-    res_q = (2.0 / sub.beta) * (sub.M_Q @ (q - q0)) - sub.L.T @ z
+    M_dq, M_0 = (sub.M_Q @ np.column_stack([q - q0, q0])).T
+    Lt = fem._cached(sub.mesh, ("Lt",), lambda: sub.L.T.tocsr())
+    res_q = (2.0 / sub.beta) * M_dq - Lt @ z
     res_v = 2.0 * (sub.CtC @ v + sub.c_res) - sub.K.T @ z
     res_z = sub.L @ (q - q_old) + sub.K @ v + sub.a_res
     scale = max(  # of the right-hand side above and the solution
-        np.abs((1.0 / sub.beta) * (sub.M_Q @ q0)).max(),
+        np.abs((1.0 / sub.beta) * M_0).max(),
         np.abs(sub.c_res).max(), np.abs(rhs_z).max(),
         np.abs(z).max(), np.abs(q).max(), np.abs(v).max(), 1.0
     )

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
+import reference_forward
 from conftest import graded_meshes
 from ggnfem import fem, problem as pb
 from ggnfem.fem import Field, qspace, riesz_dual_norm, vspace
@@ -225,6 +226,53 @@ def test_forward_matches_lu_newton_on_graded_meshes(mesh, seed, zeta):
                               u_init=Field(V, rng.uniform(-1, 1, V.dim)))
 
 
+def _assert_matches_reference(prob, q, V, u_init=None):
+    """solve_forward against tests/reference_forward.py: bitwise equal
+    coefficients after as many Jacobians."""
+    calls = {pb: [], reference_forward: []}
+    with pytest.MonkeyPatch.context() as mp:
+        for module, log in calls.items():
+            lso = module.linearized_state_operator
+            mp.setattr(module, "linearized_state_operator",
+                       lambda *a, lso=lso, log=log: log.append(1) or lso(*a))
+        got = pb.solve_forward(prob, q, V, u_init=u_init)
+        ref = reference_forward.solve_forward(prob, q, V, u_init=u_init)
+    assert np.array_equal(got.coeffs, ref.coeffs)
+    assert len(calls[pb]) == len(calls[reference_forward]) > 0
+    # The solution keeps its cubic term, not its quadrature values.
+    assert ("values", fem.NQ_WEIGHTED) not in fem._CONTEXTS.get(got, {})
+
+
+@pytest.mark.parametrize("zeta", [0.0, 100.0, 1000.0])
+@pytest.mark.parametrize("level", [4, 6])
+def test_forward_matches_reference_on_uniform_mesh(level, zeta):
+    """Level 4 solves stiffness systems by LU, level 6 by sine transforms;
+    cold and warm starts."""
+    prob = pb.ModelProblem(zeta=zeta)
+    m = uniform_mesh(level)
+    V, Q = vspace(m), qspace(m)
+    assert isinstance(V.stiffness_solver(), fem._SineSolver) == (level == 6)
+    source = pb.synthetic_case("a").source
+    coarse = uniform_mesh(level - 2)
+    start = pb.solve_forward(
+        prob, qspace(coarse).interpolate(lambda x, y: 0.8 * source(x, y)),
+        vspace(coarse))
+    for u_init in (None, start):
+        _assert_matches_reference(prob, Q.interpolate(source), V, u_init)
+
+
+@settings(max_examples=12)
+@given(mesh=graded_meshes(), seed=st.integers(0, 2**16),
+       zeta=st.sampled_from([0.0, 100.0, 1000.0]))
+def test_forward_matches_reference_on_graded_meshes(mesh, seed, zeta):
+    rng = np.random.default_rng(seed)
+    prob = pb.ModelProblem(zeta=zeta)
+    V, Q = vspace(mesh), qspace(mesh)
+    q = Field(Q, rng.uniform(-50.0, 150.0, Q.dim))
+    for u_init in (None, Field(V, rng.uniform(-1, 1, V.dim))):
+        _assert_matches_reference(prob, q, V, u_init)
+
+
 def test_truth_makes_no_factorization(monkeypatch):
     """A level-6 truth build solves its stiffness systems by sine
     transforms and makes no LU; after simulate_data the simulation
@@ -425,6 +473,7 @@ def test_moment_table_dies_with_its_data():
     assert ("moments", "mass") in fem._CONTEXTS[data.g_delta]
     assert fem._CONTEXTS[truth[0].mesh].keys() == mesh_entries.keys()
     owner = weakref.ref(data.g_delta)
+    gc.collect()  # contexts of garbage left by earlier tests go first
     n_contexts = len(fem._CONTEXTS)
     del data
     gc.collect()

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -316,6 +318,43 @@ def test_control_elimination_premise_is_exact(mesh, seed):
         assert (inc.T @ sub.M_Q @ inc != sub.V.mass()).nnz == 0
         if not point:
             assert (sub.CtC != inc.T @ sub.M_Q @ inc).nnz == 0
+
+
+def test_jacobian_sum_leaves_cached_arrays_alone():
+    """The Jacobian K + 3 zeta W is summed in the data of the fresh W:
+    after a forward solve and a subproblem build the cached stiffness
+    matrix is the same object with the same data."""
+    mesh = _hanging_mesh()
+    prob, V, Q = pb.ModelProblem(zeta=1000.0), vspace(mesh), qspace(mesh)
+    K = V.stiffness()
+    data = K.data.copy()
+    q = Q.interpolate(pb.synthetic_case("a").source)
+    u = pb.solve_forward(prob, q, V)
+    sub = ss.build_subproblem(prob, mesh, q, u, Q.zeros(), pb.PointObs(3),
+                              np.zeros(9), 10.0)
+    assert V.stiffness() is K and sub.K is not K
+    assert np.array_equal(K.data, data)
+
+
+@pytest.mark.parametrize("point", [True, False])
+def test_cached_transposes_match_and_die_with_their_mesh(point):
+    """L' and C' are kept in the mesh context; their products equal the
+    transposed products bit for bit, and they go when the mesh goes."""
+    mesh = refine(uniform_mesh(2), {0, 5, 9})
+    sub = _random_subproblem(mesh, 7, point, 100.0)
+    ss.solve_kkt(sub)
+    entries = fem._CONTEXTS[mesh]
+    Lt, Ct = entries[("Lt",)], entries[sub.obs.key + ("Ct",)]
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        z, w = rng.standard_normal(sub.V.dim), rng.standard_normal(
+            sub.C.shape[0])
+        assert np.array_equal(Lt @ z, sub.L.T @ z)
+        assert np.array_equal(Ct @ w, sub.C.T @ w)
+    dead = [weakref.ref(x) for x in (mesh, Lt, Ct)]
+    del mesh, sub, entries, Lt, Ct
+    gc.collect()
+    assert all(ref() is None for ref in dead)
 
 
 _SYMMETRIC = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
