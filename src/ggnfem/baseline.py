@@ -2,13 +2,16 @@
 
 Minimizes |C(S(q)) - g_delta|_G^2 + (1/beta) |q - q0|_Q^2 over the
 parameter alone, so every inner Gauss-Newton iteration pays for a full
-nonlinear forward solve; beta is driven by the same bracket/bisection
-into the band [tau_low^2 delta^2, tau_up^2 delta^2] on the nonlinear
-discrepancy, and the mesh is refined by a dual-weighted indicator of
-the Tikhonov functional at the Gauss-Newton fixed point.  The stopping
-threshold matches the linearized solver's comparison protocol; the
-estimator cascade here is deliberately simpler than the historical
-reduced algorithm it stands in for.
+nonlinear forward solve.  Each such solve starts Newton from the best
+state at hand: the linearized state of the Gauss-Newton step, or the
+last state, interpolated onto a refined mesh (exact: the meshes are
+nested).  beta is driven by the same bracket/bisection into the band
+[tau_low^2 delta^2, tau_up^2 delta^2] on the nonlinear discrepancy, and
+the mesh is refined by a dual-weighted indicator of the Tikhonov
+functional at the Gauss-Newton fixed point.  The stopping threshold
+matches the linearized solver's comparison protocol; the estimator
+cascade here is deliberately simpler than the historical reduced
+algorithm it stands in for.
 """
 
 from __future__ import annotations
@@ -58,7 +61,11 @@ def _gn_fit(problem, obs, obs_data, mesh, beta, q_start, u_warm, cfg):
     Every iteration solves the nonlinear state equation; the step is the
     all-at-once KKT solve at the exactly-solved base point (the state
     residual vanishes there, which makes the two formulations agree).
-    Returns the fixed point with a subproblem/solution pair at it.
+    The forward solve at q + t dq starts Newton from u + t v, v the state
+    increment of that KKT solve, which is S(q + t dq) to O(t^2).
+    Returns the fixed point with a subproblem/solution pair at it, the
+    number of forward solves, and whether the step fell to gn_tol before
+    gn_cap iterations.
     """
     V, Q = vspace(mesh), qspace(mesh)
     q = interpolate_onto(q_start, mesh)
@@ -74,7 +81,7 @@ def _gn_fit(problem, obs, obs_data, mesh, beta, q_start, u_warm, cfg):
         return mis + (dq @ (Q.mass() @ dq)) / beta, mis
 
     j_old, disc2 = j_value(q, u)
-    n_forward = 1
+    n_forward, rel_change = 1, np.inf
     for _ in range(cfg.gn_cap):
         sub = ss.build_subproblem(problem, mesh, q, u, q0, obs, obs_data,
                                   beta)
@@ -83,8 +90,9 @@ def _gn_fit(problem, obs, obs_data, mesh, beta, q_start, u_warm, cfg):
         step = 1.0
         while True:
             q_c = Field(Q, q.coeffs + step * dq)
-            u_c = pb.solve_forward(problem, q_c, V, tol=cfg.forward_tol,
-                                   u_init=u)
+            u_c = pb.solve_forward(
+                problem, q_c, V, tol=cfg.forward_tol,
+                u_init=Field(V, u.coeffs + step * sol.v.coeffs))
             n_forward += 1
             j_new, disc2_c = j_value(q_c, u_c)
             if j_new <= j_old or step < 1.0 / 16.0:
@@ -96,7 +104,7 @@ def _gn_fit(problem, obs, obs_data, mesh, beta, q_start, u_warm, cfg):
             break
     sub = ss.build_subproblem(problem, mesh, q, u, q0, obs, obs_data, beta)
     sol = ss.solve_kkt(sub)  # fixed-point triple for the indicator
-    return q, u, sub, sol, disc2, n_forward
+    return q, u, sub, sol, disc2, n_forward, rel_change <= cfg.gn_tol
 
 
 def run_nt(problem: pb.ModelProblem, data: pb.NoisyData, cfg: NtConfig) -> RunReport:
@@ -108,7 +116,6 @@ def run_nt(problem: pb.ModelProblem, data: pb.NoisyData, cfg: NtConfig) -> RunRe
     beta = cfg.beta0
     q = qspace(mesh).zeros()
     u = vspace(mesh).zeros()
-    u_warm = None
     delta2 = data.delta**2
     band = (cfg.tau_low**2 * delta2, cfg.tau_up**2 * delta2)
     lo = hi = None
@@ -122,10 +129,14 @@ def run_nt(problem: pb.ModelProblem, data: pb.NoisyData, cfg: NtConfig) -> RunRe
         for _ in range(cfg.max_passes):
             if mesh not in observed:
                 observed = {mesh: data.obs.restrict(data, mesh)}
-            q, u, sub, sol, disc2, nf = _gn_fit(
-                problem, data.obs, observed[mesh], mesh, beta, q, u_warm, cfg)
+            q, u, sub, sol, disc2, nf, converged = _gn_fit(
+                problem, data.obs, observed[mesh], mesh, beta, q, u, cfg)
             total_forward += nf
-            u_warm = u
+            if not converged:
+                warnings.append(
+                    f"k={n_beta + n_ref}: Gauss-Newton fit stopped at "
+                    f"gn_cap={cfg.gn_cap} without meeting "
+                    f"gn_tol={cfg.gn_tol:g}")
             eta, ind = est.estimate_eta1(sol, sub)
             reg = est._reg_term(sub, sol)
             rows.append(RunRow(
@@ -145,7 +156,6 @@ def run_nt(problem: pb.ModelProblem, data: pb.NoisyData, cfg: NtConfig) -> RunRe
                     mesh = new_mesh
                     n_ref += 1
                     lo = hi = None
-                    u_warm = None
                     continue
             if band[0] <= disc2 <= band[1]:
                 termination = "discrepancy"

@@ -474,6 +474,7 @@ def write_run_report(report: RunReport, outdir, config_text: str = "") -> None:
         fh.write(f"nodes = {report.nodes_final}\n")
         fh.write(f"delta = {report.delta:.16g}\n")
         fh.write(f"control_error = {report.control_error:.16g}\n")
+        fh.write(f"forward_solves = {report.total_forward_solves}\n")
         fh.write(f"wall_time_s = {report.wall_time:.3f}\n")
         fh.write(f"max_identity_dev = {report.max_identity_dev:.3e}\n")
         fh.write(f"monotonicity_ok = {all(report.monotonicity)}\n")

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from ggnfem import baseline as bl, problem as pb, subsolver as ss
-from ggnfem.fem import qspace, vspace
-from ggnfem.mesh import uniform_mesh
+from ggnfem.fem import Field, qspace, vspace
+from ggnfem.mesh import refine, uniform_mesh
+from test_pinned_rows import _runs as pinned_runs
 
 
 def test_nt_config_validation():
@@ -24,9 +25,8 @@ def test_linear_case_matches_single_linearization():
     sub = ss.build_subproblem(prob, mesh, Q.zeros(), V.zeros(), Q.zeros(),
                               obs, data.g_delta, beta)
     sol = ss.solve_kkt(sub)
-    q_nt, u_nt, _, _, _, _ = bl._gn_fit(prob, obs, data.g_delta, mesh, beta,
-                                        Q.zeros(), None,
-                                        bl.NtConfig(coarse_levels=3))
+    q_nt, u_nt, *_ = bl._gn_fit(prob, obs, data.g_delta, mesh, beta,
+                                Q.zeros(), None, bl.NtConfig(coarse_levels=3))
     assert np.abs(q_nt.coeffs - sol.q.coeffs).max() < 1e-6
 
 
@@ -68,3 +68,83 @@ def test_nt_restricts_l2_data_once_per_mesh(sims, monkeypatch):
     n_meshes = 1 + sum(r.phase == "refine1" for r in rep.rows)
     assert n_meshes < len(rep.rows)  # some passes keep their mesh
     assert len(meshes) == len({id(m) for m in meshes}) == n_meshes
+
+
+def test_linearized_state_predicts_the_forward_solution():
+    """u + t v, v the state increment of the KKT step at an exactly
+    solved (q, u), is S(q + t dq) to O(t^2): the start of NT's
+    line-search forward solves."""
+    prob = pb.ModelProblem(zeta=1000.0)
+    obs = pb.PointObs(9)
+    mesh = refine(uniform_mesh(3), set(range(0, 64, 5)), max_level=5)
+    V, Q = vspace(mesh), qspace(mesh)
+    q = Q.interpolate(pb.synthetic_case("a").source)
+    u = pb.solve_forward(prob, q, V, tol=1e-13)
+    g = obs.observe(u) + np.random.default_rng(1).normal(0.0, 0.01,
+                                                          obs.n_obs)
+    sol = ss.solve_kkt(ss.build_subproblem(prob, mesh, q, u, Q.zeros(),
+                                           obs, g, 10.0))
+    dq, v = sol.q.coeffs - q.coeffs, sol.v.coeffs
+    ts = np.array([0.1, 0.01, 0.001])
+    pred_err, old_err = [], []
+    for t in ts:
+        u_t = pb.solve_forward(prob, Field(Q, q.coeffs + t * dq), V,
+                               tol=1e-13).coeffs
+        pred_err.append(np.abs(u_t - (u.coeffs + t * v)).max())
+        old_err.append(np.abs(u_t - u.coeffs).max())
+    pred_err, old_err = np.array(pred_err), np.array(old_err)
+    assert np.all(pred_err <= 2.0 * pred_err[0] * (ts / ts[0])**2)
+    assert np.all(pred_err[1:] / pred_err[:-1] > 1e-3)  # not O(t^3)
+    assert np.all(pred_err < 0.1 * old_err)
+
+
+def test_linear_line_search_solves_take_no_newton_step(monkeypatch):
+    """zeta = 0: u + t v solves the state equation at q + t dq, so no
+    forward solve of the fit takes a Newton step."""
+    prob = pb.ModelProblem(zeta=0.0)
+    obs = pb.PointObs(9)
+    data = pb.simulate_data(prob, pb.synthetic_case("a"), obs, 6, 0.01, 5)
+    mesh = uniform_mesh(3)
+    calls, steps = [], []
+    jacobian, solve = pb.linearized_state_operator, pb.solve_forward
+
+    def counted_solve(*args, **kwargs):
+        n = len(calls)
+        u = solve(*args, **kwargs)
+        steps.append(len(calls) - n)
+        return u
+
+    monkeypatch.setattr(pb, "linearized_state_operator",
+                        lambda *a: calls.append(a) or jacobian(*a))
+    monkeypatch.setattr(pb, "solve_forward", counted_solve)
+    bl._gn_fit(prob, obs, data.g_delta, mesh, 100.0, qspace(mesh).zeros(),
+               None, bl.NtConfig(coarse_levels=3))
+    assert len(steps) > 1 and steps == [0] * len(steps)
+    assert calls  # the subproblems still linearize
+
+
+def test_nt_rows_do_not_depend_on_the_forward_start(monkeypatch):
+    """The pinned NT runs decide the same with every forward solve
+    started cold (from zero): their rows move only at the forward
+    tolerance, not in k, phase, nodes, beta or termination."""
+    def lines(reports):
+        return {name: (rep.termination,
+                       [(r.k, r.phase, r.nodes, r.beta) for r in rep.rows])
+                for name, rep in reports.items()}
+
+    warm = lines(pinned_runs(methods=("nt",)))
+    solve = bl.pb.solve_forward
+    monkeypatch.setattr(bl.pb, "solve_forward",
+                        lambda *a, u_init=None, **kw: solve(*a, **kw))
+    cold = lines(pinned_runs(methods=("nt",)))
+    assert len(warm) == 4
+    assert cold == warm
+
+
+def test_gn_cap_is_reported(sims, nt_runs):
+    """A fit stopped by gn_cap before its step fell to gn_tol is not a
+    fixed point; the report says so, naming the cap."""
+    rep = bl.run_nt(pb.ModelProblem(zeta=100.0), sims(fine=5),
+                    bl.NtConfig(gn_cap=1, max_depth=4))
+    assert any("gn_cap=1" in w for w in rep.warnings)
+    assert not any("gn_cap" in w for w in nt_runs().warnings)

@@ -50,6 +50,7 @@ def test_run_ggn_cli(tmp_path):
     assert (out / "manifest.txt").exists()
     manifest = (out / "manifest.txt").read_text()
     assert "control_error" in manifest
+    assert _manifest_value(out, "forward_solves") == "0"
     rows = _report_rows(out)
     assert rows[0]["phase"] == "init"
     assert all(math.isnan(x) for x in _stationarity(rows[0]))
@@ -59,6 +60,15 @@ def test_run_ggn_cli(tmp_path):
 def _report_rows(outdir):
     with open(outdir / "report.csv") as fh:
         return list(csv.DictReader(fh))
+
+
+def _manifest_value(outdir, key):
+    """The value of ``key = value`` in the run's manifest."""
+    for line in (outdir / "manifest.txt").read_text().splitlines():
+        name, _, value = line.partition(" = ")
+        if name == key:
+            return value
+    raise KeyError(key)
 
 
 def _stationarity(row):
@@ -72,6 +82,7 @@ def test_run_nt_cli(tmp_path):
                    "--seed", "3", "--out", str(out), "run-nt"])
     assert rc == 0
     assert "method = NT" in (out / "manifest.txt").read_text()
+    assert int(_manifest_value(out, "forward_solves")) > 0
     rows = _report_rows(out)
     assert rows and rows[-1]["phase"] == "accept"
     assert all(0.0 <= x <= 1e-8 for r in rows for x in _stationarity(r))

@@ -22,8 +22,9 @@ RECORD = os.path.join(os.path.dirname(__file__), "pinned_rows.json")
 FINE, DEPTH, ZETA, NOISE, SEEDS = 5, 4, 100.0, 0.01, (1, 2)
 
 
-def _runs():
-    """{"<method>-<obs>-<seed>": report} of the eight pinned runs."""
+def _runs(methods=("ggn", "nt")):
+    """{"<method>-<obs>-<seed>": report} of the eight pinned runs, or of
+    those of the given methods."""
     problem = pb.ModelProblem(zeta=ZETA)
     case = pb.synthetic_case("a")
     truth = pb.simulate_truth(problem, case, FINE)
@@ -32,10 +33,12 @@ def _runs():
         for seed in SEEDS:
             data = pb.simulate_data(problem, case, obs, FINE, NOISE, seed,
                                     truth=truth)
-            out[f"ggn-{kind}-{seed}"] = dv.run_ggn(
-                problem, data, dv.GgnConfig(max_depth=DEPTH))
-            out[f"nt-{kind}-{seed}"] = bl.run_nt(
-                problem, data, bl.NtConfig(max_depth=DEPTH))
+            if "ggn" in methods:
+                out[f"ggn-{kind}-{seed}"] = dv.run_ggn(
+                    problem, data, dv.GgnConfig(max_depth=DEPTH))
+            if "nt" in methods:
+                out[f"nt-{kind}-{seed}"] = bl.run_nt(
+                    problem, data, bl.NtConfig(max_depth=DEPTH))
     return out
 
 
