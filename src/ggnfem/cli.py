@@ -97,12 +97,16 @@ def _observation(exp: ExperimentConfig):
     raise ValueError(f"unknown observation '{exp.observation}'")
 
 
-def _simulate(exp: ExperimentConfig) -> pb.NoisyData:
+def _simulate(exp: ExperimentConfig, truths=None) -> pb.NoisyData:
     problem = pb.ModelProblem(zeta=exp.zeta)
     case = pb.synthetic_case(exp.case)
+    key = (exp.case, exp.zeta, exp.fine_levels)
+    if truths is not None and key not in truths:  # keep the last truth
+        truths.clear()
+        truths[key] = pb.simulate_truth(problem, case, exp.fine_levels)
     obs = _observation(exp)
     return pb.simulate_data(problem, case, obs, exp.fine_levels, exp.noise,
-                            exp.seed)
+                            exp.seed, truth=(truths or {}).get(key))
 
 
 def cmd_simulate(exp, ggn, nt, args) -> int:
@@ -139,12 +143,12 @@ def _table_row(v, rep, ctr=""):
             f"{rep.wall_time:.3f}", ctr]
 
 
-def _sweep_row(payload):
+def _sweep_row(payload, truths=None):
     """One sweep entry; runs in a worker process, failures become rows."""
     exp, ggn, nt, v, sweep, with_nt = payload
     e = replace(exp, **{("zeta" if sweep == "zeta" else "noise"): v})
     try:
-        data = _simulate(e)
+        data = _simulate(e, truths)
         problem = pb.ModelProblem(zeta=e.zeta)
         rep_g = dv.run_ggn(problem, data, ggn)
         rows = [_table_row(v, rep_g)]
@@ -167,8 +171,9 @@ def cmd_table(exp, ggn, nt, args) -> int:
 
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_sweep_row, payloads))
-    else:
-        results = [_sweep_row(p) for p in payloads]
+    else:  # consecutive entries of one (case, zeta, fine) share a truth
+        truths = {}
+        results = [_sweep_row(p, truths) for p in payloads]
     rows = [row for chunk in results for row in chunk]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)

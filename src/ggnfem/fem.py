@@ -26,18 +26,22 @@ built for the Q space only: a plan involving V is the list of Q entries
 it keeps (``_assembly_plan``), and a V load vector is the Q one
 restricted to V's dofs.  Each assembly then only computes element data
 and applies P.  Matrices of one plan share its pattern arrays, so adding
-their data adds the matrices.
+their data adds the matrices.  Other per-mesh operators (T, C, C'C, the
+V-to-Q inclusion) are built from index arrays, entry for entry as the
+sparse products they replace.
 
 Stiffness and mass solves use one ``symmetric_lu`` factorization per
 mesh, except V stiffness solves on a fine uniform mesh: sine transforms
 diagonalize that matrix (``_SineSolver``), so nothing is factorized.
 
-Everything derived from one mesh -- the condensation of each space, the
-assembly plans, its assembled operators and solvers, the cell origin
-tables, the patch table of the DWR weights, observation matrices and
-point locations, and the containment maps into finer meshes -- is cached
-in one per-mesh context (``_cached``); a field's moment table, load
-vector and quadrature values are kept in a context of the field.
+Everything derived from one mesh -- the condensation and dof selection
+of each space, the assembly plans, the load map, its assembled operators
+and solvers, the V-to-Q inclusion, the cell origin tables, the patch
+table of the DWR weights, point locations, observation matrices C and
+C'C and the patch basis at the points, and the containment maps into
+finer meshes -- is cached in one per-mesh context (``_cached``); a
+field's moment table, load vector and quadrature values are kept in a
+context of the field.
 Contexts sit in a ``WeakKeyDictionary`` keyed by their owner and hold
 nothing that refers back to it, so each one dies with its owner.  For
 the same reason a ``Space`` is a light view over its context entry and
@@ -198,25 +202,35 @@ def _cached(owner, key: tuple, build):
 
 
 def _condensation(mesh: QuadMesh, kind: str):
-    """Free vertices of a space and its inclusion matrix T."""
-    nv = mesh.n_vertices
-    hanging, parents = mesh.hanging[:, 0], mesh.hanging[:, 1:]
-    free_mask = np.ones(nv, dtype=bool)
-    free_mask[hanging] = False
+    """Free vertices of a space and its inclusion matrix T, built in CSR:
+    a free vertex is its own column, a hanging one takes half of each of
+    its two (regular, ascending) parents.  V's T keeps Q's V columns."""
     if kind == "V":
-        free_mask &= ~mesh.boundary
-    free = np.nonzero(free_mask)[0]
-    col_of = np.full(nv, -1, dtype=np.int64)
-    col_of[free] = np.arange(len(free))
-    # A free vertex is its own column; a hanging one takes half of each
-    # parent that is free.
-    rows = np.concatenate([free, np.repeat(hanging, 2)])
-    cols = np.concatenate([col_of[free], col_of[parents].ravel()])
-    vals = np.concatenate([np.ones(len(free)), np.full(parents.size, 0.5)])
-    keep = cols >= 0
-    T = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
-                      shape=(nv, len(free)))
-    return free, T
+        Q = qspace(mesh)
+        keep, col_id = _q_dofs(mesh, "V")
+        sel = keep[Q.T.indices]
+        return Q.free[keep], sp.csr_matrix(
+            (Q.T.data[sel], col_id[Q.T.indices[sel]],
+             _offsets(sel)[Q.T.indptr]),
+            shape=(mesh.n_vertices, col_id[-1] + 1))
+    hanging, parents = mesh.hanging[:, 0], mesh.hanging[:, 1:]
+    free_mask = np.ones(mesh.n_vertices, dtype=bool)
+    free_mask[hanging] = False
+    col_of = free_mask.cumsum() - 1
+    counts = 2 - free_mask
+    indptr = _offsets(counts)
+    indices = col_of.repeat(counts)
+    indices[indptr[hanging, None] + np.arange(2)] = col_of[parents]
+    data = np.where(free_mask, 1.0, 0.5).repeat(counts)
+    return free_mask.nonzero()[0], sp.csr_matrix(
+        (data, indices.astype(np.int32), indptr),
+        shape=(mesh.n_vertices, col_of[-1] + 1))
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """CSR row pointers (int32) of rows with these entry counts."""
+    return np.concatenate(([0], np.add.accumulate(counts, dtype=np.int32)),
+                          dtype=np.int32)
 
 
 class Space:
@@ -284,13 +298,15 @@ def qspace(mesh: QuadMesh) -> Space:
 
 
 def v_to_q(mesh: QuadMesh) -> sp.csr_matrix:
-    """Inclusion of V coefficients into Q coefficients on one mesh.
+    """Inclusion of V coefficients into Q coefficients on one mesh: V's
+    dofs go to their Q dofs (``_q_dofs``), the boundary is zero."""
+    def build():
+        indptr = _offsets(_q_dofs(mesh, "V")[0])
+        n = int(indptr[-1])
+        return sp.csr_matrix((np.ones(n), np.arange(n, dtype=np.int32),
+                              indptr), shape=(len(indptr) - 1, n))
 
-    Q coefficients are plain vertex values at Q's free vertices, so the
-    inclusion is the V expansion matrix restricted to those rows.
-    """
-    return _cached(mesh, ("v_to_q",), lambda: (
-        vspace(mesh).T.tocsr()[qspace(mesh).free, :]).tocsr())
+    return _cached(mesh, ("v_to_q",), build)
 
 
 class Field:
@@ -355,19 +371,52 @@ def point_locations(mesh: QuadMesh, points: np.ndarray):
 def point_matrix(space: Space, points: np.ndarray) -> sp.csr_matrix:
     """Sparse C with (C c)_i the value at points[i] of the field with
     coefficients c on the space; cached like ``point_locations``."""
+    return _point_operators(space, points)[0]
+
+
+def _point_operators(space: Space, points: np.ndarray):
+    """Cached (C, C'C) of ``point_matrix``, without sparse products but
+    bit for bit as S T and C' C (S the corner shape values at the points,
+    zeros dropped): C(i, a) sums over the corners in order, row i lists
+    its columns in reverse order of first appearance, and (C'C)(a, b)
+    sums C(i, a) C(i, b) over ascending i."""
     def build():
-        mesh = space.mesh
+        mesh, n, dim = space.mesh, len(points), space.dim
         cids, locs = point_locations(mesh, points)
-        full = sp.csr_matrix(
-            (shape_values(locs).ravel(),
-             (np.repeat(np.arange(len(cids)), 4),
-              mesh.cell_corners[cids].ravel())),
-            shape=(len(cids), mesh.n_vertices))
-        full.eliminate_zeros()
-        return (full @ space.T).tocsr()
+        vals = shape_values(locs).ravel()
+        nz = vals.nonzero()[0]
+        ref, cols, w = _expand(space.T, mesh.cell_corners[cids].ravel()[nz])
+        key, first, inv = np.unique((nz[ref] // 4) * dim + cols,
+                                    return_index=True, return_inverse=True)
+        order = np.lexsort((-first, key // dim))
+        C = _csr(np.bincount(inv, vals[nz][ref] * w)[order],
+                 *np.divmod(key[order], dim), (n, dim))
+        # All pairs (a, b) of entries of each row of C, rows ascending.
+        width = np.diff(C.indptr)
+        partners = width.repeat(width)  # of each entry: its row's entries
+        a = np.arange(C.nnz).repeat(partners)
+        b = (np.arange(len(a)) - (partners.cumsum() - partners).repeat(
+            partners) + C.indptr[:-1].repeat(width).repeat(partners))
+        key, inv = np.unique(C.indices[a] * np.int64(dim) + C.indices[b],
+                             return_inverse=True)
+        return C, _csr(np.bincount(inv, C.data[a] * C.data[b]),
+                       *np.divmod(key, dim), (dim, dim))
 
     return _cached(space.mesh, ("point_matrix", space.kind)
                    + _points_key(points), build)
+
+
+def _csr(data, rows, cols, shape) -> sp.csr_matrix:
+    """CSR matrix of float entries given in row order."""
+    return sp.csr_matrix((data, cols.astype(np.int32), _offsets(
+        np.bincount(rows, minlength=shape[0]))), shape=shape, dtype=float)
+
+
+def _transpose_product(A: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """A' x without building A': the terms a_ij x_i go to y_j in storage
+    order, the order of the product with A.T or with A' in CSR."""
+    rows = np.arange(A.shape[0]).repeat(A.indptr[1:] - A.indptr[:-1])
+    return np.bincount(A.indices, A.data * x[rows], minlength=A.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -415,11 +464,15 @@ def _vertex_to_cell(mesh: QuadMesh) -> np.ndarray:
 
 def _expand(T: sp.csr_matrix, verts: np.ndarray):
     """Condense vertex references through T: one (reference index, free
-    column, weight) triple per nonzero of the referenced rows of T."""
-    counts = np.diff(T.indptr)[verts]
-    src = np.repeat(np.arange(len(verts), dtype=np.int32), counts)
-    first = T.indptr[verts] - (np.cumsum(counts, dtype=np.int32) - counts)
-    k = np.arange(len(src), dtype=np.int32) + np.repeat(first, counts)
+    column, weight) triple per nonzero of the referenced rows, in order.
+    A row has at most two nonzeros (a hanging vertex's parents): each
+    triple gathers its row's first, or its next where a reference
+    repeats."""
+    first = T.indptr[verts]
+    counts = T.indptr[verts + 1] - first
+    src = np.arange(len(verts), dtype=np.int32).repeat(counts)
+    k = first[src]
+    k[1:][src[1:] == src[:-1]] += 1
     return src, T.indices[k], T.data[k]
 
 
@@ -435,7 +488,7 @@ def _q_dofs(mesh: QuadMesh, kind: str):
         keep = np.ones(qspace(mesh).dim, dtype=bool)
         if kind == "V":
             keep &= ~mesh.boundary[qspace(mesh).free]
-        return keep, np.cumsum(keep, dtype=np.int32) - 1
+        return keep, _offsets(keep)[1:] - 1
 
     return _cached(mesh, ("q_dofs", kind), build)
 
@@ -446,8 +499,9 @@ def _load_map(mesh: QuadMesh) -> sp.csr_matrix:
     the cell loads.  V load vectors are its restriction (``_q_dofs``)."""
     def build():
         e, r, w = _expand(qspace(mesh).T, mesh.cell_corners.ravel())
-        return sp.csr_matrix((w, (r, e)),
-                             shape=(qspace(mesh).dim, 4 * mesh.n_cells))
+        order = r.argsort(kind="stable")  # each row's loads ascending
+        return _csr(w[order], r[order], e[order],
+                    (qspace(mesh).dim, 4 * mesh.n_cells))
 
     return _cached(mesh, ("load_map",), build)
 
@@ -457,20 +511,22 @@ def _q_plan(mesh: QuadMesh):
     def build():
         T = qspace(mesh).T
         corners = mesh.cell_corners.astype(np.int32)
-        e, rows, w = _expand(T, np.repeat(corners, 4, axis=1).ravel())
+        e, rows, w = _expand(T, corners.repeat(4, axis=1).ravel())
         k, cols, wc = _expand(T, np.tile(corners, (1, 4)).ravel()[e])
         key = rows[k].astype(np.int64) * T.shape[1] + cols
         del rows, cols
         # Sorting the triples by their (row, col) key makes P's rows, the
         # condensed entries, contiguous: P is then CSR by construction.
-        order = np.argsort(key)
+        order = key.argsort()
         key = key[order]
-        first = np.flatnonzero(np.diff(key, prepend=-1)).astype(np.int32)
-        key = key[first]
-        P = sp.csr_matrix(
-            ((w[k] * wc)[order], e[k][order],
-             np.append(first, np.int32(len(order)))),
-            shape=(len(key), 16 * mesh.n_cells))
+        wc *= w[k]
+        data, e = wc[order], e[k][order]
+        del w, wc, k, order
+        first = np.concatenate([[0], (key[1:] != key[:-1]).nonzero()[0] + 1,
+                                [len(key)]])
+        key = key[first[:-1]]
+        P = sp.csr_matrix((data, e, first.astype(np.int32)),
+                          shape=(len(key), 16 * mesh.n_cells))
         indptr = np.searchsorted(key, np.arange(T.shape[1] + 1) * T.shape[1])
         indices = (key % T.shape[1]).astype(np.int32)
         return indptr.astype(np.int32), indices, P
@@ -496,14 +552,14 @@ def _assembly_plan(space_row: Space, space_col: Space):
         if space_row.kind == space_col.kind == "Q":
             slots = slice(None)
         else:
-            rows = np.repeat(np.arange(len(indptr) - 1, dtype=np.int32),
-                             np.diff(indptr))
+            rows = np.arange(len(indptr) - 1, dtype=np.int32).repeat(
+                indptr[1:] - indptr[:-1])
             row_keep, row_id = _q_dofs(mesh, space_row.kind)
             col_keep, col_id = _q_dofs(mesh, space_col.kind)
-            slots = np.flatnonzero(row_keep[rows] & col_keep[indices])
+            slots = (row_keep[rows] & col_keep[indices]).nonzero()[0]
             slots = slots.astype(np.int32)
-            counts = np.bincount(row_id[rows[slots]], minlength=space_row.dim)
-            indptr = np.append(np.int32(0), np.cumsum(counts, dtype=np.int32))
+            indptr = _offsets(np.bincount(row_id[rows[slots]],
+                                          minlength=space_row.dim))
             indices = col_id[indices[slots]]
         # Assembled matrices share these arrays; nothing may edit them.
         indptr.flags.writeable = indices.flags.writeable = False
@@ -751,34 +807,29 @@ def _patch_table(mesh: QuadMesh):
 
 
 def _patch_basis(pos: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Biquadratic patch basis minus the bilinear leaf basis, (..., 9, 3).
-
-    For leaves at child positions ``pos`` (...) and local points ``pts``
-    (..., 2): the values and the reference derivatives d/ds, d/dt of the
-    nine functions whose combination with the patch node values is the
-    weight.  The leaf corners are patch nodes, so the bilinear part is
-    subtracted at those four.
-    """
-    dx, dy = pos % 2, pos // 2
-
-    def lagrange(t):
-        """1D quadratic basis at {0, 1/2, 1} of the patch coordinate
-        t = (leaf coordinate + offset) / 2, and its leaf derivative."""
-        return (np.stack([2 * (t - 0.5) * (t - 1.0), -4 * t * (t - 1.0),
-                          2 * t * (t - 0.5)], axis=-1),
-                np.stack([2 * t - 1.5, 2.0 - 4 * t, 2 * t - 0.5], axis=-1))
-
-    ls, dls = lagrange(0.5 * (pts[..., 0] + dx))
-    lt, dlt = lagrange(0.5 * (pts[..., 1] + dy))
-    shape = pos.shape + (9,)
-    out = np.stack([np.einsum("...j,...i->...ji", a, b).reshape(shape)
-                    for a, b in ((lt, ls), (lt, dls), (dlt, ls))], axis=-1)
-    corners = (3 * (dy[..., None] + np.array([0, 0, 1, 1]))
-               + dx[..., None] + np.array([0, 1, 0, 1]))
+    """Biquadratic patch basis minus the bilinear leaf basis, (n, 9, 3):
+    the values and reference derivatives d/ds, d/dt, at local points
+    ``pts`` (n, 2) of leaves at child positions ``pos`` (n,), of the nine
+    functions whose combination with the patch node values is the weight.
+    The biquadratics are products of the 1D quadratic basis at {0, 1/2,
+    1} in the patch coordinates t = (leaf coordinates + offset) / 2; the
+    leaf corners are patch nodes."""
+    t = 0.5 * (pts + _CORNERS[pos])  # the corner offset is the leaf's
+    a, b, t2 = t - 0.5, t - 1.0, 2 * t
+    q = np.stack([2 * a * b, -4 * t * b, t2 * a], axis=-1)  # (n, axis, 3)
+    dq = np.stack([t2 - 1.5, 2.0 - 4 * t, t2 - 0.5], axis=-1)
+    out = np.empty((len(pos), 3, 3, 3))  # (leaf, j, i, value or d/ds, d/dt)
+    for k, (x, y) in enumerate(((q, q), (dq, q), (q, dq))):
+        np.multiply(y[:, 1, :, None], x[:, 0, None, :], out=out[..., k])
     bilin = np.concatenate([shape_values(pts)[..., None],
                             shape_gradients(pts)], axis=-1)
-    return out - np.einsum("...cn,...ck->...nk",
-                           corners[..., None] == np.arange(9), bilin)
+    out.reshape(-1, 3)[(9 * np.arange(len(pos)))[:, None]
+                       + _LEAF_NODES[pos]] -= bilin
+    return out.reshape(-1, 9, 3)
+
+
+# Per child position, the patch nodes 3 j + i at the leaf corners.
+_LEAF_NODES = np.array([[0, 1, 3, 4], [1, 2, 4, 5], [3, 4, 6, 7], [4, 5, 7, 8]])
 
 
 @functools.cache

@@ -100,11 +100,7 @@ class PointObs:
         return m  # the Euclidean product
 
     def normal_matrix(self, V: Space) -> sp.csr_matrix:
-        def build():
-            C = self.matrix(V)
-            return (C.T @ C).tocsr()
-
-        return fem._cached(V.mesh, self.key + ("CtC",), build)
+        return fem._point_operators(V, self.points)[1]
 
     def restrict(self, data: "NoisyData", mesh) -> np.ndarray:
         return data.g_delta

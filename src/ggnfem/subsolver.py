@@ -16,10 +16,11 @@ Its first-order system, with the adjoint z = 2 z~, reads
 
 V is a subspace of Q and every V operator is a row/column restriction
 of the Q operator (``fem._q_dofs``), so L = -inc' M_Q and inc' M_Q inc =
-M_V exactly, with inc = ``fem.v_to_q``.  The first row then gives the
-control without a solve, q = q0 - beta inc z~, and the other two become
-the state/adjoint system (Rees, Dollar & Wathen, SISC 32, 2010; Pearson
-& Wathen, NLAA 19, 2012)
+M_V exactly, with inc = ``fem.v_to_q`` the scatter of V's dofs into Q's.
+So L is never stored: L x = -(M_Q x) at V's dofs and L' z = -M_Q inc z.
+The first row gives the control without a solve, q = q0 - beta inc z~,
+and the other two become the state/adjoint system (Rees, Dollar &
+Wathen, SISC 32, 2010; Pearson & Wathen, NLAA 19, 2012)
 
     [ C*C  -K'       ] [v ]   [ -c_res                 ]
     [ -K   -beta M_V ] [z~] = [ a_res + L (q0 - q_old) ],
@@ -30,10 +31,11 @@ matrix is symmetric quasi-definite, so it is factorized with diagonal
 pivots in a symmetric ordering (``fem.symmetric_lu``) and each solve
 takes one step of iterative refinement.  For point data C*C has rank at
 most n_obs, the matrix is not quasi-definite, and SuperLU pivots as
-usual.  Every solution is re-substituted into the three rows above.
-The blocks' patterns are fixed by the mesh (and the observation), so
-the pattern of the reduced matrix, where each block's entries land in
-it, and the CSR transposes L' and C' are cached per (mesh, observation).
+usual.  Every solution is re-substituted into the three rows above,
+with one M_Q product for the four vectors it multiplies.  The blocks'
+patterns are fixed by the mesh (and the observation), so the pattern of
+the reduced matrix and where each block's entries land in it are cached
+per (mesh, observation).
 """
 
 from __future__ import annotations
@@ -79,7 +81,6 @@ class LinearizedSubproblem:
     u_old_h: Field
     q0: Field
     K: sp.csr_matrix
-    L: sp.csr_matrix
     M_Q: sp.csr_matrix
     C: sp.csr_matrix
     CtC: sp.csr_matrix
@@ -129,7 +130,6 @@ def build_subproblem(problem: pb.ModelProblem, mesh: QuadMesh,
     q_old_h = interpolate_onto(q_old, mesh)
     u_old_h = interpolate_onto(u_old, mesh)
     K = pb.linearized_state_operator(problem, V, u_old_h)
-    L = fem._cached(mesh, ("L",), lambda: -fem.assemble_mass(V, Q))
     if isinstance(data, Field):
         if data.mesh is not mesh:
             raise ValueError("L2 data must be restricted to the mesh first")
@@ -137,14 +137,14 @@ def build_subproblem(problem: pb.ModelProblem, mesh: QuadMesh,
     else:
         data = g = np.asarray(data, dtype=float)
     C = obs.matrix(V)
-    Ct = fem._cached(mesh, obs.key + ("Ct",), lambda: C.T.tocsr())
     r_g = C @ u_old_h.coeffs - g
     a_res = pb.semilinear_residual(problem, q_old_h, u_old_h, V)
     q0_h = interpolate_onto(q0, mesh)
     return LinearizedSubproblem(
         problem=problem, mesh=mesh, V=V, Q=Q, q_old=q_old, u_old=u_old,
-        q_old_h=q_old_h, u_old_h=u_old_h, q0=q0_h, K=K, L=L, M_Q=Q.mass(),
-        C=C, CtC=obs.normal_matrix(V), c_res=Ct @ obs.gram(Q, r_g),
+        q_old_h=q_old_h, u_old_h=u_old_h, q0=q0_h, K=K, M_Q=Q.mass(),
+        C=C, CtC=obs.normal_matrix(V),
+        c_res=fem._transpose_product(C, obs.gram(Q, r_g)),
         r_g=r_g, a_res=a_res, beta=beta, obs=obs, data_g=data,
     )
 
@@ -176,15 +176,15 @@ def _reduced_layout(sub: LinearizedSubproblem):
         # twice (as K' and as K); in column, then row order they are A.
         n, k0, k1 = sub.V.dim, blocks[0].nnz, blocks[0].nnz + blocks[1].nnz
         (r0, c0), (rk, ck), (rm, cm) = [
-            (np.repeat(np.arange(n), np.diff(B.indptr)), B.indices)
+            (np.arange(n).repeat(B.indptr[1:] - B.indptr[:-1]), B.indices)
             for B in blocks]
         rows = np.concatenate([r0, ck, rk + n, rm + n])
         cols = np.concatenate([c0, rk + n, ck, cm + n])
-        order = np.lexsort((rows, cols))
-        slots = np.r_[:k1, k0:k1 + blocks[2].nnz][order]
+        order = (cols * 2 * n + rows).argsort()  # by column, then row
+        slots = np.concatenate([np.arange(k1),
+                                np.arange(k0, k1 + blocks[2].nnz)])[order]
         indices = rows[order].astype(np.int32)
-        indptr = np.append(np.int32(0), np.cumsum(
-            np.bincount(cols, minlength=2 * n), dtype=np.int32))
+        indptr = fem._offsets(np.bincount(cols, minlength=2 * n))
         for a in (indptr, indices, slots):
             a.flags.writeable = False
         return indptr, indices, slots, [(B.indptr, B.indices) for B in blocks]
@@ -215,7 +215,8 @@ def _solve_reduced(sub: LinearizedSubproblem, rhs_v, rhs_z, q0):
     x = lu.solve(b)
     if sub.obs.spd_normal:  # diagonal pivots: refine once
         x += lu.solve(b - sub.A @ x)
-    q = q0 - sub.beta * (fem.v_to_q(sub.mesh) @ x[nv:])
+    q = q0.copy()
+    q[fem._q_dofs(sub.mesh, "V")[0]] -= sub.beta * x[nv:]
     return q, x[:nv], 2.0 * x[nv:]
 
 
@@ -226,15 +227,18 @@ def solve_kkt(sub: LinearizedSubproblem) -> KktSolution:
     raises KktError beyond a 1e-8 relative tolerance.
     """
     q0, q_old = sub.q0.coeffs, sub.q_old_h.coeffs
-    L_old, L_0 = (sub.L @ np.column_stack([q_old, q0])).T
+    keep = fem._q_dofs(sub.mesh, "V")[0]  # L x = -(M_Q x)[keep]
+    L_old, L_0 = -(sub.M_Q @ np.column_stack([q_old, q0]))[keep].T
     rhs_z = sub.a_res - L_old
     q, v, z = _solve_reduced(sub, -sub.c_res, rhs_z + L_0, q0)
 
-    M_dq, M_0 = (sub.M_Q @ np.column_stack([q - q0, q0])).T
-    Lt = fem._cached(sub.mesh, ("Lt",), lambda: sub.L.T.tocsr())
-    res_q = (2.0 / sub.beta) * M_dq - Lt @ z
-    res_v = 2.0 * (sub.CtC @ v + sub.c_res) - sub.K.T @ z
-    res_z = sub.L @ (q - q_old) + sub.K @ v + sub.a_res
+    inc_z = np.zeros(sub.Q.dim)
+    inc_z[keep] = z
+    M_dq, M_0, M_z, M_step = (sub.M_Q @ np.column_stack(
+        [q - q0, q0, inc_z, q - q_old])).T
+    res_q = (2.0 / sub.beta) * M_dq + M_z  # L' z = -M_z
+    res_v = 2.0 * (sub.CtC @ v + sub.c_res) - fem._transpose_product(sub.K, z)
+    res_z = -M_step[keep] + sub.K @ v + sub.a_res
     scale = max(  # of the right-hand side above and the solution
         np.abs((1.0 / sub.beta) * M_0).max(),
         np.abs(sub.c_res).max(), np.abs(rhs_z).max(),
@@ -244,7 +248,7 @@ def solve_kkt(sub: LinearizedSubproblem) -> KktSolution:
     if max(norms) > 1e-8:
         raise KktError(
             f"stationarity residuals too large: {norms} (beta={sub.beta:g}, "
-            f"n={sub.Q.dim + 2 * sub.V.dim})"
+            f"n={2 * sub.V.dim})"
         )
     u = Field(sub.V, sub.u_old_h.coeffs + v)
     return KktSolution(

@@ -17,12 +17,14 @@ import scipy.sparse.linalg as spla
 
 from ggnfem import fem, subsolver as ss
 
+import reference_operators
+
 
 def kkt_layout(sub):
     """Cached KKT pattern of a mesh and observation: (indptr, indices,
     slots, block patterns) with KKT data = concat(block data)[slots] for
     the blocks (1/beta) M_Q, C*C, -L, -K."""
-    blocks = (sub.M_Q, sub.CtC, sub.L, sub.K)
+    blocks = (sub.M_Q, sub.CtC, reference_operators.L(sub.mesh), sub.K)
 
     def build():
         # Number the entries of all blocks 1, 2, ... and read back where
@@ -56,7 +58,7 @@ def kkt_layout(sub):
 def kkt_matrix(sub) -> sp.csc_matrix:
     indptr, indices, slots = kkt_layout(sub)
     data = np.concatenate([(1.0 / sub.beta) * sub.M_Q.data, sub.CtC.data,
-                           -sub.L.data, -sub.K.data])
+                           -reference_operators.L(sub.mesh).data, -sub.K.data])
     n = sub.Q.dim + 2 * sub.V.dim
     return sp.csc_matrix((data[slots], indices, indptr), shape=(n, n))
 
@@ -66,7 +68,7 @@ def kkt_rhs(sub) -> np.ndarray:
     return np.concatenate([
         (1.0 / sub.beta) * (sub.M_Q @ sub.q0.coeffs),
         -sub.c_res,
-        sub.a_res - sub.L @ sub.q_old_h.coeffs,
+        sub.a_res - reference_operators.L(sub.mesh) @ sub.q_old_h.coeffs,
     ])
 
 

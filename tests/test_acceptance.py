@@ -15,6 +15,8 @@ from ggnfem import (driver as dv, estimators as est,
 from ggnfem.fem import Field, assemble_functional, qspace, riesz_dual_norm, vspace
 from ggnfem.mesh import refine, uniform_mesh
 
+import reference_operators
+
 ZETAS = (1.0, 10.0, 100.0, 500.0, 1000.0)
 NOISES = (0.005, 0.01, 0.02, 0.04, 0.08)
 CFG = dv.GgnConfig(max_depth=6)
@@ -83,16 +85,17 @@ def test_criterion_3_kkt_dense_oracle():
     sol = ss.solve_kkt(sub)
     nq, nv = Q.dim, V.dim
     C = obs.matrix(V).toarray()
+    L = reference_operators.L(mesh).toarray()
     b = 1.0 / sub.beta
     A = np.block([
-        [b * sub.M_Q.toarray(), np.zeros((nq, nv)), -sub.L.toarray().T],
+        [b * sub.M_Q.toarray(), np.zeros((nq, nv)), -L.T],
         [np.zeros((nv, nq)), C.T @ C, -sub.K.toarray().T],
-        [-sub.L.toarray(), -sub.K.toarray(), np.zeros((nv, nv))],
+        [-L, -sub.K.toarray(), np.zeros((nv, nv))],
     ])
     rg = C @ sub.u_old_h.coeffs - np.asarray(g)
     rhs = np.concatenate([
         b * sub.M_Q.toarray() @ sub.q0.coeffs, -C.T @ rg,
-        sub.a_res - sub.L.toarray() @ sub.q_old_h.coeffs])
+        sub.a_res - L @ sub.q_old_h.coeffs])
     x = np.linalg.inv(A) @ rhs
     devs = (np.abs(sol.q.coeffs - x[:nq]).max(),
             np.abs(sol.v.coeffs - x[nq:nq + nv]).max(),

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import functools
 import math
 import types
@@ -98,6 +99,32 @@ def test_table_sweep(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [r["value"] for r in rows] == ["1.0", "100.0"]
     assert all(r["status"] == "discrepancy" for r in rows)
+
+
+def test_noise_sweep_builds_one_truth(tmp_path, monkeypatch):
+    """A serial noise sweep simulates the truth once and writes the rows
+    that simulating each entry on its own (as --jobs workers do) gives,
+    up to the timing columns."""
+    calls = []
+    simulate_truth = pb.simulate_truth
+    monkeypatch.setattr(pb, "simulate_truth",
+                        lambda *a: calls.append(a) or simulate_truth(*a))
+    out = tmp_path / "noise"
+    argv = ["--fine-levels", "5", "--seed", "3", "--out", str(out), "table",
+            "--sweep", "noise", "--values", "0.005", "0.01", "0.02",
+            "--with-nt"]
+    assert cli.main(argv) == 0
+    assert len(calls) == 1
+    with open(out / "table_noise.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    exp, ggn, nt = cli.load_config()
+    exp = dataclasses.replace(exp, fine_levels=5, seed=3, out=str(out))
+    alone = [row for v in (0.005, 0.01, 0.02)
+             for row in cli._sweep_row((exp, ggn, nt, v, "noise", True))]
+    timing = cli._TABLE_COLUMNS.index("wall_time")
+    assert [r[:timing] for r in rows] == [
+        [str(x) for x in r[:timing]] for r in alone]
+    assert len(calls) == 4
 
 
 def test_table_empty_sweep(tmp_path):

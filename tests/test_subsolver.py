@@ -13,6 +13,7 @@ from ggnfem.fem import Field, qspace, vspace
 from ggnfem.mesh import refine, uniform_mesh
 
 import kkt_oracle
+import reference_operators
 from conftest import graded_meshes, hanging_mesh as _hanging_mesh
 
 
@@ -51,7 +52,7 @@ def test_kkt_dense_oracle_small():
     nq, nv = Q.dim, V.dim
     MQ = sub.M_Q.toarray()
     K = sub.K.toarray()
-    L = sub.L.toarray()
+    L = reference_operators.L(mesh).toarray()
     C = obs.matrix(V).toarray()
     b = 1.0 / sub.beta
     A = np.block([
@@ -73,7 +74,8 @@ def test_kkt_dense_oracle_small():
 def test_constraint_feasibility_and_stationarity():
     prob, mesh, V, Q, obs, sub = _point_instance(n_side=3, levels=3)
     sol = ss.solve_kkt(sub)
-    res = sub.L @ (sol.q.coeffs - sub.q_old_h.coeffs) + sub.K @ sol.v.coeffs \
+    L = reference_operators.L(mesh)
+    res = L @ (sol.q.coeffs - sub.q_old_h.coeffs) + sub.K @ sol.v.coeffs \
         + sub.a_res
     from ggnfem.fem import riesz_dual_norm
 
@@ -87,6 +89,7 @@ def test_minimizer_beats_feasible_competitors():
     sol = ss.solve_kkt(sub)
     MQ = sub.M_Q
     Klu = spla.splu(sub.K.tocsc())
+    L = reference_operators.L(mesh)
 
     def objective(qv, vv):
         mis, _ = sub.misfit(vv)
@@ -97,7 +100,7 @@ def test_minimizer_beats_feasible_competitors():
     rng = np.random.default_rng(4)
     for _ in range(100):
         qv = sol.q.coeffs + rng.standard_normal(Q.dim) * 0.05
-        vv = Klu.solve(-(sub.L @ (qv - sub.q_old_h.coeffs)) - sub.a_res)
+        vv = Klu.solve(-(L @ (qv - sub.q_old_h.coeffs)) - sub.a_res)
         assert base <= objective(qv, vv) + 1e-12
 
 
@@ -115,10 +118,11 @@ def test_large_beta_minimizes_misfit():
     sol = ss.solve_kkt(sub)
     i2 = sol.misfit_sq()
     Klu = spla.splu(sub.K.tocsc())
+    L = reference_operators.L(mesh)
     rng = np.random.default_rng(5)
     for _ in range(40):
         qv = sol.q.coeffs + rng.standard_normal(Q.dim)
-        vv = Klu.solve(-(sub.L @ (qv - sub.q_old_h.coeffs)) - sub.a_res)
+        vv = Klu.solve(-(L @ (qv - sub.q_old_h.coeffs)) - sub.a_res)
         assert i2 <= sub.misfit(vv)[0] + 1e-10
 
 
@@ -191,7 +195,7 @@ def test_second_order_dense_oracle():
     nq, nv = Q.dim, V.dim
     MQ = sub.M_Q.toarray()
     K = sub.K.toarray()
-    L = sub.L.toarray()
+    L = reference_operators.L(mesh).toarray()
     C = obs.matrix(V).toarray()
     b = 1.0 / sub.beta
     A = np.block([
@@ -261,7 +265,9 @@ def test_bad_factorization_raises_kkt_error():
 
     *_, sub = _point_instance()
     sub.lu = OnesLU()
-    with pytest.raises(ss.KktError, match="stationarity"):
+    # n is the dimension of the factorized state/adjoint matrix.
+    with pytest.raises(ss.KktError,
+                       match=rf"stationarity .*, n={2 * sub.V.dim}\)$"):
         ss.solve_kkt(sub)
 
 
@@ -310,11 +316,16 @@ def test_reduced_solves_match_refined_kkt(mesh, seed, point, zeta):
 @given(mesh=graded_meshes(), seed=st.integers(0, 2**16))
 def test_control_elimination_premise_is_exact(mesh, seed):
     """The reduction rests on L = -inc' M_Q and inc' M_Q inc = M_V, which
-    is also C*C for L^2 data; both hold entry for entry."""
+    is also C*C for L^2 data; both hold entry for entry, so L x is
+    -(M_Q x) at V's dofs to the last bit."""
     inc = fem.v_to_q(mesh)
+    L = reference_operators.L(mesh)
+    keep = fem._q_dofs(mesh, "V")[0]
+    x = np.random.default_rng(seed).standard_normal(inc.shape[0])
     for point in (True, False):
         sub = _random_subproblem(mesh, seed, point, 100.0)
-        assert (sub.L != -(inc.T @ sub.M_Q)).nnz == 0
+        assert (L != -(inc.T @ sub.M_Q)).nnz == 0
+        assert np.array_equal(L @ x, -(sub.M_Q @ x)[keep])
         assert (inc.T @ sub.M_Q @ inc != sub.V.mass()).nnz == 0
         if not point:
             assert (sub.CtC != inc.T @ sub.M_Q @ inc).nnz == 0
@@ -338,21 +349,22 @@ def test_jacobian_sum_leaves_cached_arrays_alone():
 
 @pytest.mark.parametrize("point", [True, False])
 def test_cached_transposes_match_and_die_with_their_mesh(point):
-    """L' and C' are kept in the mesh context; their products equal the
-    transposed products bit for bit, and they go when the mesh goes."""
+    """No mesh context holds L, L' or C'.  C' m by the transposed product
+    equals C.T @ m bit for bit; the cached operators go when the mesh
+    goes."""
     mesh = refine(uniform_mesh(2), {0, 5, 9})
     sub = _random_subproblem(mesh, 7, point, 100.0)
     ss.solve_kkt(sub)
     entries = fem._CONTEXTS[mesh]
-    Lt, Ct = entries[("Lt",)], entries[sub.obs.key + ("Ct",)]
+    assert not {("L",), ("Lt",), ("slots", "V", "Q"),
+                sub.obs.key + ("Ct",)} & entries.keys()
     rng = np.random.default_rng(3)
     for _ in range(5):
-        z, w = rng.standard_normal(sub.V.dim), rng.standard_normal(
-            sub.C.shape[0])
-        assert np.array_equal(Lt @ z, sub.L.T @ z)
-        assert np.array_equal(Ct @ w, sub.C.T @ w)
-    dead = [weakref.ref(x) for x in (mesh, Lt, Ct)]
-    del mesh, sub, entries, Lt, Ct
+        w = rng.standard_normal(sub.C.shape[0])
+        assert np.array_equal(fem._transpose_product(sub.C, w), sub.C.T @ w)
+    cached = [sub.C, sub.CtC]
+    dead = [weakref.ref(x) for x in [mesh] + cached]
+    del mesh, sub, entries, cached
     gc.collect()
     assert all(ref() is None for ref in dead)
 

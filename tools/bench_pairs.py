@@ -44,7 +44,8 @@ TRACED = (
     "problem.solve_forward.self_s", "problem.simulate_truth.self_s",
     "subsolver.solve_kkt.self_s", "driver.write_run_report.self_s",
     "problem.forward_newton_iters", "trace.op_s_p50", "baseline.ctr",
-    "baseline.forward_solves", "rss_growth_mb",
+    "baseline.forward_solves", "rss_growth_mb", "fem.self_s",
+    "fem.Space.calls", "fem.Space.self_s", "mesh.refine.calls",
 )
 
 
