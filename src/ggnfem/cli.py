@@ -6,7 +6,6 @@ Subcommands:
     run-ggn       adaptive Gauss-Newton run on a configuration
     run-nt        nonlinear-Tikhonov reference run
     table         sweep zeta or noise values into one CSV table
-    theory-check  block-operator and filter-function validation suites
 
 Configuration is a sectioned key=value file ([experiment], [ggn], [nt])
 read with configparser; unknown keys are rejected and command-line
@@ -24,7 +23,6 @@ from configparser import ConfigParser
 from dataclasses import asdict, dataclass, fields, replace
 
 from . import baseline as bl, driver as dv, problem as pb
-from .theory import run_theory_suite
 
 __all__ = ["ExperimentConfig", "load_config", "main"]
 
@@ -97,16 +95,28 @@ def _observation(exp: ExperimentConfig):
     raise ValueError(f"unknown observation '{exp.observation}'")
 
 
+def _simulate_truth(exp: ExperimentConfig, truths: dict):
+    """The truth of exp's (case, zeta, fine level), simulated into truths
+    unless it is there."""
+    key = (exp.case, exp.zeta, exp.fine_levels)
+    if key not in truths:
+        truths[key] = pb.simulate_truth(pb.ModelProblem(zeta=exp.zeta),
+                                        pb.synthetic_case(exp.case),
+                                        exp.fine_levels)
+    return truths[key]
+
+
 def _simulate(exp: ExperimentConfig, truths=None) -> pb.NoisyData:
     problem = pb.ModelProblem(zeta=exp.zeta)
     case = pb.synthetic_case(exp.case)
-    key = (exp.case, exp.zeta, exp.fine_levels)
-    if truths is not None and key not in truths:  # keep the last truth
-        truths.clear()
-        truths[key] = pb.simulate_truth(problem, case, exp.fine_levels)
+    truth = None
+    if truths is not None:
+        if (exp.case, exp.zeta, exp.fine_levels) not in truths:
+            truths.clear()  # keep the last truth
+        truth = _simulate_truth(exp, truths)
     obs = _observation(exp)
     return pb.simulate_data(problem, case, obs, exp.fine_levels, exp.noise,
-                            exp.seed, truth=(truths or {}).get(key))
+                            exp.seed, truth=truth)
 
 
 def cmd_simulate(exp, ggn, nt, args) -> int:
@@ -143,10 +153,15 @@ def _table_row(v, rep, ctr=""):
             f"{rep.wall_time:.3f}", ctr]
 
 
+def _sweep_config(payload) -> ExperimentConfig:
+    exp, _, _, v, sweep, _ = payload
+    return replace(exp, **{("zeta" if sweep == "zeta" else "noise"): v})
+
+
 def _sweep_row(payload, truths=None):
-    """One sweep entry; runs in a worker process, failures become rows."""
-    exp, ggn, nt, v, sweep, with_nt = payload
-    e = replace(exp, **{("zeta" if sweep == "zeta" else "noise"): v})
+    """One sweep entry; failures become rows."""
+    _, ggn, nt, v, _, with_nt = payload
+    e = _sweep_config(payload)
     try:
         data = _simulate(e, truths)
         problem = pb.ModelProblem(zeta=e.zeta)
@@ -161,16 +176,35 @@ def _sweep_row(payload, truths=None):
         return [[v, "GGN", f"failed: {exc}", "", "", "", "", "", ""]]
 
 
+# The truths of a parallel sweep, in its worker processes (``cmd_table``).
+_TRUTHS: dict = {}
+
+
+def _inherited_row(payload):
+    return _sweep_row(payload, dict(_TRUTHS))  # a miss must not clear them
+
+
 def cmd_table(exp, ggn, nt, args) -> int:
     values = [float(v) for v in args.values]
     os.makedirs(exp.out, exist_ok=True)
     path = os.path.join(exp.out, f"table_{args.sweep}.csv")
     payloads = [(exp, ggn, nt, v, args.sweep, args.with_nt) for v in values]
     if args.jobs > 1 and len(payloads) > 1:
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_sweep_row, payloads))
+        # Each truth is simulated once, here; forked workers inherit them.
+        truths = {}
+        for p in payloads:
+            try:
+                _simulate_truth(_sweep_config(p), truths)
+            except Exception:  # the entry's worker reports it as a row
+                pass
+        with ProcessPoolExecutor(
+                max_workers=args.jobs, initializer=_TRUTHS.update,
+                initargs=(truths,),
+                mp_context=multiprocessing.get_context("fork")) as pool:
+            results = list(pool.map(_inherited_row, payloads))
     else:  # consecutive entries of one (case, zeta, fine) share a truth
         truths = {}
         results = [_sweep_row(p, truths) for p in payloads]
@@ -181,13 +215,6 @@ def cmd_table(exp, ggn, nt, args) -> int:
         w.writerows(rows)
     print(f"wrote {path} ({len(rows)} rows)")
     return 0 if all(row[2] == "discrepancy" for row in rows) else 1
-
-
-def cmd_theory_check(exp, ggn, nt, args) -> int:
-    report = run_theory_suite(seed=args.seed if args.seed is not None else 0,
-                              trials=args.trials)
-    print(report.text())
-    return 0 if report.ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -212,8 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     tab.add_argument("--with-nt", action="store_true")
     tab.add_argument("--jobs", type=int, default=1,
                      help="worker processes for the sweep")
-    thy = sub.add_parser("theory-check")
-    thy.add_argument("--trials", type=int, default=100)
     return ap
 
 
@@ -231,7 +256,6 @@ def main(argv=None) -> int:
             "run-ggn": cmd_run,
             "run-nt": cmd_run,
             "table": cmd_table,
-            "theory-check": cmd_theory_check,
         }[args.command]
         return handler(exp, ggn, nt, args)
     except (KeyError, ValueError, FileNotFoundError) as exc:

@@ -31,8 +31,16 @@ V-to-Q inclusion) are built from index arrays, entry for entry as the
 sparse products they replace.
 
 Stiffness and mass solves use one ``symmetric_lu`` factorization per
-mesh, except V stiffness solves on a fine uniform mesh: sine transforms
-diagonalize that matrix (``_SineSolver``), so nothing is factorized.
+mesh.
+
+The truth build on the uniform simulation mesh assembles nothing.  That
+mesh has no hanging vertex, and its vertices in key order are the
+row-major (2^L + 1)^2 grid, so its V operators apply on that grid by
+shifted slices (matrix-free; Kronbichler & Kormann, Comput. Fluids 63,
+2012): K and the weighted mass as 9-point stencils (``_Stencil``), loads
+by a scatter of cell loads, with the Gauss quadrature done in blocks of
+cells (``_grid_integrals``), and K^-1 by fast sine transforms
+(``_SineSolver``).
 
 Everything derived from one mesh -- the condensation and dof selection
 of each space, the assembly plans, the load map, its assembled operators
@@ -51,6 +59,7 @@ is rebuilt on demand rather than cached itself.
 from __future__ import annotations
 
 import functools
+import math
 import weakref
 
 import numpy as np
@@ -156,38 +165,6 @@ def symmetric_lu(A, name: str):
             f"{name} factorization failed: {exc}") from exc
 
 
-# Uniform meshes from this level on solve stiffness systems by sine
-# transforms; on coarser ones a sparse LU solve is faster.
-SINE_MIN_LEVEL = 5
-
-
-class _SineSolver:
-    """K^-1 for the V stiffness matrix of a uniform mesh with 2^L cells a
-    side, by fast diagonalization (Lynch, Rice & Thomas, Numer. Math. 6,
-    1964).  On the interior grid K = A (x) M + M (x) A, with A =
-    tridiag(-1, 2, -1) and M = tridiag(1, 4, 1) / 6 (h cancels), and the
-    DST-I S diagonalizes both: x = S^-1 diag(1 / lam) S b, lam_jk = a_j m_k
-    + m_j a_k, a_j = 2 - 2 cos(j pi / 2^L), m_j = (4 + 2 cos(j pi / 2^L)) / 6.
-    Each free vertex goes to its grid position by its key."""
-
-    def __init__(self, space: "Space"):
-        n = 1 << space.mesh.max_level
-        ky, kx = np.divmod(space.mesh.keys[space.free], n + 1)
-        self._at = (ky - 1) * (n - 1) + (kx - 1)  # row-major, as the keys
-        c = np.cos(np.arange(1, n) * np.pi / n)
-        a, m = 2.0 - 2.0 * c, (4.0 + 2.0 * c) / 6.0
-        self._lam = np.outer(a, m) + np.outer(m, a)
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        from scipy.fft import dstn, idstn  # kept out of the package import
-
-        x = np.zeros(self._lam.shape)
-        x.reshape(-1)[self._at] = b
-        x = dstn(x, type=1, overwrite_x=True)
-        x /= self._lam
-        return idstn(x, type=1, overwrite_x=True).reshape(-1)[self._at]
-
-
 # owner (mesh or field) -> {key: object derived from the owner alone}; see
 # the module docstring.  No value may refer to its owner, or it never dies.
 _CONTEXTS = weakref.WeakKeyDictionary()
@@ -273,13 +250,6 @@ class Space:
                        lambda: symmetric_lu(matrix(), name))
 
     def stiffness_solver(self):
-        """Solver of the stiffness matrix, built once per mesh: fast sine
-        transforms (``_SineSolver``) on the V space of a uniform mesh of
-        level >= SINE_MIN_LEVEL, else a ``symmetric_lu`` factorization."""
-        mesh = self.mesh
-        uniform = mesh.n_cells == 4 ** mesh.max_level  # all leaves that deep
-        if self.kind == "V" and uniform and mesh.max_level >= SINE_MIN_LEVEL:
-            return _cached(mesh, ("stiffness_dst",), lambda: _SineSolver(self))
         return self._spd_solver("stiffness", self.stiffness)
 
     def mass_solver(self):
@@ -674,6 +644,127 @@ def riesz_dual_norm(space: Space, functional: np.ndarray):
     v = space.stiffness_solver().solve(functional)
     norm = float(np.sqrt(max(functional @ v, 0.0)))
     return norm, Field(space, v)
+
+
+# ---------------------------------------------------------------------------
+# grid form on a uniform mesh (see the module docstring); V vectors are the
+# interior of the vertex grid, row-major
+
+
+class _SineSolver:
+    """K^-1 for the V stiffness matrix of the uniform mesh of level L, by
+    fast diagonalization (Lynch, Rice & Thomas, Numer. Math. 6, 1964).  On
+    the interior grid K = A (x) M + M (x) A, with A = tridiag(-1, 2, -1)
+    and M = tridiag(1, 4, 1) / 6 (h cancels), and the DST-I S diagonalizes
+    both: x = S^-1 diag(1 / lam) S b, lam_jk = a_j m_k + m_j a_k, a_j =
+    2 - 2 cos(j pi / 2^L), m_j = (4 + 2 cos(j pi / 2^L)) / 6."""
+
+    def __init__(self, level: int):
+        n = 1 << level
+        c = np.cos(np.arange(1, n) * np.pi / n)
+        a, m = 2.0 - 2.0 * c, (4.0 + 2.0 * c) / 6.0
+        self._lam = np.outer(a, m) + np.outer(m, a)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        from scipy.fft import dstn, idstn  # kept out of the package import
+
+        if not b.size:  # level 0 has no interior vertex
+            return b.copy()
+        x = dstn(b.reshape(self._lam.shape), type=1)
+        x /= self._lam
+        return idstn(x, type=1, overwrite_x=True).reshape(-1)
+
+
+class _Stencil:
+    """9-point operator on the V dofs of a uniform mesh: (A x)_v is the
+    sum over offsets (dy, dx) in {-1, 0, 1}^2 of coeffs[dy, dx] x_(v + d),
+    with each coefficient a scalar or one value per dof (zero boundary)."""
+
+    def __init__(self, coeffs: dict):
+        self.coeffs = coeffs
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        m = math.isqrt(len(x))
+        grid = np.zeros((m + 2, m + 2))
+        grid[1:-1, 1:-1] = x.reshape(m, m)
+        y, term = np.zeros((m, m)), np.empty((m, m))
+        for (dy, dx), c in self.coeffs.items():
+            y += np.multiply(c, grid[1 + dy:m + 1 + dy, 1 + dx:m + 1 + dx],
+                             out=term)
+        return y.reshape(-1)
+
+
+# K = a (x) m + m (x) a per direction, a = (-1, 2, -1), m = (1, 4, 1) / 6.
+_GRID_STIFFNESS = _Stencil({(dy, dx): 8 / 3 if dy == dx == 0 else -1 / 3
+                           for dy in (-1, 0, 1) for dx in (-1, 0, 1)})
+# Per 1D offset of a vertex pair: (cell shift, shape product) of each cell
+# holding both; the products are phi_0^2, phi_0 phi_1, phi_1^2.
+_PAIR_CELLS = {-1: ((-1, 1),), 0: ((-1, 2), (0, 0)), 1: ((0, 1),)}
+
+
+_BLOCK = 1 << 13  # cells per block of _grid_integrals; its tables stay small
+
+
+def _grid_integrals(field: "Field", nq: int, power: int, basis) -> np.ndarray:
+    """Cell integrals (f^power, b_k(s) b_l(t)) of a field f on its uniform
+    mesh under the nq x nq Gauss rule, for the 1D functions basis(x)
+    (..., K) of the local coordinates: shape (K, K, n, n), k along x, l
+    along y, cells row-major.  Blocks of cell rows are done one
+    at a time, so no (n_cells, nq^2) table is formed."""
+    n = 1 << field.mesh.max_level
+    vals = (field.space.T @ field.coeffs).reshape(n + 1, n + 1)
+    pts, wts, shapes, _ = _cell_quad_data(nq)
+    bs, bt = basis(pts[:, 0]), basis(pts[:, 1])
+    k = bs.shape[1]
+    table = ((wts / n**2)[:, None, None] * bs[:, :, None] * bt[:, None, :])
+    out = np.empty((k, k, n, n))
+    rows = max(1, _BLOCK // n)
+    for r in range(0, n, rows):
+        v = vals[r:r + rows + 1]
+        corners = np.stack([v[:-1, :-1], v[:-1, 1:], v[1:, :-1], v[1:, 1:]],
+                           axis=-1)
+        f = corners.reshape(-1, 4) @ shapes.T  # (cells, nq^2)
+        fp = f
+        for _ in range(power - 1):
+            fp = fp * f
+        out[:, :, r:r + rows] = (fp @ table.reshape(len(wts), -1)).T.reshape(
+            k, k, -1, n)
+    return out
+
+
+def _grid_functional(field: "Field", nq: int, power: int = 1) -> np.ndarray:
+    """V vector of (f^power, phi_i), f a field on a uniform mesh: cell
+    loads scattered onto the vertex grid."""
+    loads = _grid_integrals(field, nq, power,
+                            lambda x: np.column_stack([1 - x, x]))
+    n = loads.shape[-1]
+    grid = np.zeros((n + 1, n + 1))
+    for kx, ky in _CORNERS:
+        grid[ky:ky + n, kx:kx + n] += loads[kx, ky]
+    return grid[1:-1, 1:-1].ravel()
+
+
+def _grid_weighted_mass(field: "Field") -> _Stencil:
+    """Stencil of (f^2 u, v) on V of a field's uniform mesh, under the
+    NQ_WEIGHTED rule, as ``assemble_weighted_mass`` with exponent 2."""
+    c = _grid_integrals(field, NQ_WEIGHTED, 2, lambda x: np.column_stack(
+        [(1 - x) ** 2, (1 - x) * x, x**2]))
+    n = c.shape[-1]
+    coeffs = np.zeros((3, 3, n - 1, n - 1))  # one block, freed as one
+    for dy, dx in np.ndindex(3, 3):
+        for sy, py in _PAIR_CELLS[dy - 1]:
+            for sx, px in _PAIR_CELLS[dx - 1]:
+                coeffs[dy, dx] += c[px, py, 1 + sy:n + sy, 1 + sx:n + sx]
+    return _Stencil({(dy - 1, dx - 1): coeffs[dy, dx]
+                     for dy, dx in np.ndindex(3, 3)})
+
+
+def _norm_l2_cells(field: "Field") -> float:
+    """|field|_L2 summed over its cells' corner values, as the moment
+    table's own norm: no mass matrix is assembled, no values are kept."""
+    cv = (field.space.T @ field.coeffs)[field.mesh.cell_corners]
+    moments = _corner_moments(cv, "mass", field.mesh.cell_sizes())
+    return float(np.sqrt(np.sum(moments * cv)))
 
 
 # ---------------------------------------------------------------------------

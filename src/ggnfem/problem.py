@@ -210,33 +210,84 @@ def linearized_state_operator(problem: ModelProblem, space: Space, u_base: Field
     return J
 
 
+class _Assembled:
+    """The forward operators of a V space, assembled on its mesh: K, the
+    load (q, phi), the cubic term, the Jacobian (a fresh matrix per Newton
+    step) and K^-1, one ``symmetric_lu`` factorization per mesh."""
+
+    def __init__(self, problem: ModelProblem, space: Space):
+        self.problem, self.space = problem, space
+        self.K = space.stiffness()
+        self.solver = space.stiffness_solver()
+
+    def load(self, q: Field) -> np.ndarray:
+        return fem.assemble_functional(self.space,
+                                       interpolate_onto(q, self.space.mesh))
+
+    def cubic(self, u: Field) -> np.ndarray:
+        return _cubic_term(self.space, u)
+
+    def jacobian(self, u: Field):
+        J = linearized_state_operator(self.problem, self.space, u)
+        fem._drop_weighted_values(u)  # read by J and the cubic term only
+        return J
+
+
+class _GridForward:
+    """The same operators on the V space of the uniform mesh of a level in
+    grid form (``fem``): stencils and cell scatters on the vertex grid,
+    K^-1 by sine transforms; nothing is assembled.  Fields must live on
+    that mesh."""
+
+    K = fem._GRID_STIFFNESS
+
+    def __init__(self, problem: ModelProblem, level: int):
+        self.zeta = problem.zeta
+        self.solver = fem._SineSolver(level)
+
+    def load(self, q: Field) -> np.ndarray:
+        return fem._grid_functional(q, fem.NQ_BASE)
+
+    def cubic(self, u: Field) -> np.ndarray:
+        return fem._grid_functional(u, fem.NQ_WEIGHTED, 3)
+
+    def jacobian(self, u: Field):
+        if not self.zeta:
+            return self.K
+        J = fem._grid_weighted_mass(u)
+        for d, c in J.coeffs.items():  # K + 3 zeta W, in place
+            c *= 3.0 * self.zeta
+            c += self.K.coeffs[d]
+        return J
+
+
 def solve_forward(problem: ModelProblem, q: Field, space: Space,
                   tol: float = 1e-10, max_iter: int = 50,
-                  u_init: Field | None = None) -> Field:
+                  u_init: Field | None = None, ops=None) -> Field:
     """Damped inexact Newton solve of the semilinear PDE for a given source.
 
     Stops when the residual's dual norm sqrt(r' K^-1 r), K the stiffness
     matrix, is at most tol; backtracking halves the step until that norm
     decreases.  Each step solves J d = -r, J = K + 3 zeta u^2 M, by
     ``_stiffness_cg`` to eta |r|, eta = min(0.1, |r|) (Eisenstat & Walker,
-    SISC 1996), but not below tol / 1000.  K^-1 is the space's stiffness
-    solver: sine transforms on a fine uniform mesh, else a factorization.
-    A failed stiffness factorization or a CG breakdown raises
+    SISC 1996), but not below tol / 1000.  ``ops`` gives K, J, K^-1 and
+    the loads: by default the space's assembled operators (``_Assembled``);
+    ``simulate_truth`` passes its grid-form ones (``_GridForward``).  A
+    failed stiffness factorization or a CG breakdown raises
     ForwardSolveError.
     """
     uf = space.zeros() if u_init is None else interpolate_onto(u_init, space.mesh)
-    load = fem.assemble_functional(space, interpolate_onto(q, space.mesh))
-    Ks = space.stiffness()
     try:
-        lu_s = space.stiffness_solver()
+        ops = _Assembled(problem, space) if ops is None else ops
     except fem.FactorizationError as exc:
         raise ForwardSolveError(str(exc), float("nan")) from exc
+    load = ops.load(q)
 
     def resid(f):  # r, K^-1 r and the dual norm of r at the iterate f
-        r = Ks @ f.coeffs - load
+        r = ops.K @ f.coeffs - load
         if problem.zeta:
-            r = r + problem.zeta * _cubic_term(space, f)
-        s = lu_s.solve(r)
+            r = r + problem.zeta * ops.cubic(f)
+        s = ops.solver.solve(r)
         return r, s, np.sqrt(max(r @ s, 0.0))
 
     u, (r, s, rnorm) = uf.coeffs, resid(uf)
@@ -246,9 +297,7 @@ def solve_forward(problem: ModelProblem, q: Field, space: Space,
             return uf
         if it == max_iter:
             raise ForwardSolveError("Newton did not converge", rnorm)
-        J = linearized_state_operator(problem, space, uf)
-        fem._drop_weighted_values(uf)
-        d = _stiffness_cg(space, J, -r, -s,
+        d = _stiffness_cg(ops.jacobian(uf), ops.solver, -r, -s,
                           max(min(0.1, rnorm) * rnorm, 1e-3 * tol))
         if d is None:
             raise ForwardSolveError("Newton-step CG broke down", rnorm)
@@ -261,13 +310,11 @@ def solve_forward(problem: ModelProblem, q: Field, space: Space,
         u, (r, s, rnorm) = uf.coeffs, new
 
 
-def _stiffness_cg(space: Space, A, b: np.ndarray, z: np.ndarray,
-                  atol: float):
+def _stiffness_cg(A, solver, b: np.ndarray, z: np.ndarray, atol: float):
     """x with A x = b, A SPD, by CG preconditioned with the stiffness
-    solver K^-1 of the space, from x = 0 and z = K^-1 b, until
-    sqrt(r' K^-1 r) <= atol.  None on a breakdown: p' A p <= 0, a
-    non-finite value, or more than dim + 1 steps."""
-    lu = space.stiffness_solver()
+    solver K^-1, from x = 0 and z = K^-1 b, until sqrt(r' K^-1 r) <= atol.
+    None on a breakdown: p' A p <= 0, a non-finite value, or more than
+    dim + 1 steps."""
     x, r, p, rz = np.zeros_like(b), b.copy(), z.copy(), b @ z
     for _ in range(len(b) + 2):
         if rz <= atol**2:
@@ -278,7 +325,7 @@ def _stiffness_cg(space: Space, A, b: np.ndarray, z: np.ndarray,
             return None
         x += rz / pAp * p
         r -= rz / pAp * Ap
-        z = lu.solve(r)
+        z = solver.solve(r)
         rz, rz_old = r @ z, rz
         p = z + rz / rz_old * p
     return None
@@ -310,13 +357,16 @@ class NoisyData:
 
 def simulate_truth(problem: ModelProblem, case: SyntheticCase,
                    fine_levels: int):
-    """Exact pair (q, u) on the fine simulation mesh.
+    """Exact pair (q, u) on the fine simulation mesh, a uniform mesh.
 
-    Reusable across noise realizations of the same configuration.
+    The forward solve runs on the mesh's vertex grid (``_GridForward``):
+    it assembles, factorizes and caches nothing on the mesh but its two
+    spaces.  Reusable across noise realizations of the same configuration.
     """
     mesh = uniform_mesh(fine_levels)
     q_true = qspace(mesh).interpolate(case.source)
-    u_true = solve_forward(problem, q_true, vspace(mesh))
+    u_true = solve_forward(problem, q_true, vspace(mesh),
+                           ops=_GridForward(problem, fine_levels))
     return q_true, u_true
 
 
@@ -326,10 +376,12 @@ def simulate_data(problem: ModelProblem, case: SyntheticCase, obs,
     """Forward-simulate on a fine uniform mesh and perturb the data.
 
     Point data get componentwise uniform noise scaled by p * max|g|;
-    L^2 data get g + p |g| r / |r| with iid uniform nodal r. delta is the
-    realized G-norm of the perturbation, deterministic in the seed.  A
-    precomputed (q_true, u_true) pair may be passed to reuse one forward
-    solve across noise levels.
+    L^2 data get g + p |g| r / |r| with iid uniform nodal r, the L^2
+    norms summed over the cells' corner values (``fem._norm_l2_cells``),
+    so the simulation mesh assembles no mass matrix. delta is the realized
+    G-norm of the perturbation, deterministic in the seed.  A precomputed
+    (q_true, u_true) pair may be passed to reuse one forward solve across
+    noise levels.
     """
     if truth is None:
         truth = simulate_truth(problem, case, fine_levels)
@@ -343,9 +395,10 @@ def simulate_data(problem: ModelProblem, case: SyntheticCase, obs,
     elif isinstance(obs, L2Obs):
         g = obs.observe(u_true)
         r = rng.uniform(-1.0, 1.0, g.space.dim)
-        scale = p * g.norm_l2() / Field(g.space, r).norm_l2()
+        norm = fem._norm_l2_cells
+        scale = p * norm(g) / norm(Field(g.space, r))
         g_delta = Field(g.space, g.coeffs + scale * r)
-        delta = Field(g.space, g_delta.coeffs - g.coeffs).norm_l2()
+        delta = norm(Field(g.space, g_delta.coeffs - g.coeffs))
     else:
         raise TypeError(f"unsupported observation {obs!r}")
 

@@ -286,8 +286,9 @@ def adjoint_at_base(sub: LinearizedSubproblem) -> Field:
     penalty-weight update.  K = A'_u is SPD: CG as in the forward solve.
     """
     rhs = 2.0 * sub.c_res
-    z0 = sub.V.stiffness_solver().solve(rhs)
-    z = pb._stiffness_cg(sub.V, sub.K, rhs, z0,
+    solver = sub.V.stiffness_solver()
+    z0 = solver.solve(rhs)
+    z = pb._stiffness_cg(sub.K, solver, rhs, z0,
                          1e-13 * np.sqrt(max(rhs @ z0, 0.0)))
     if z is None:
         raise KktError("adjoint CG broke down")

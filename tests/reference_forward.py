@@ -58,7 +58,7 @@ def solve_forward(problem, q, space, tol=1e-10, max_iter=50, u_init=None):
         if it == max_iter:
             raise ForwardSolveError("Newton did not converge", rnorm)
         J = linearized_state_operator(problem, space, Field(space, u))
-        d = _stiffness_cg(space, J, -r, -s,
+        d = _stiffness_cg(J, lu_s, -r, -s,
                           max(min(0.1, rnorm) * rnorm, 1e-3 * tol))
         if d is None:
             raise ForwardSolveError("Newton-step CG broke down", rnorm)

@@ -11,11 +11,12 @@ import numpy as np
 
 
 from ggnfem import (driver as dv, estimators as est,
-                    fem, problem as pb, subsolver as ss, theory as th)
+                    fem, problem as pb, subsolver as ss)
 from ggnfem.fem import Field, assemble_functional, qspace, riesz_dual_norm, vspace
 from ggnfem.mesh import refine, uniform_mesh
 
 import reference_operators
+import theory_suite as th
 
 ZETAS = (1.0, 10.0, 100.0, 500.0, 1000.0)
 NOISES = (0.005, 0.01, 0.02, 0.04, 0.08)

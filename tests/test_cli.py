@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import functools
 import math
+import os
 import types
 
 import pytest
@@ -103,8 +104,8 @@ def test_table_sweep(tmp_path):
 
 def test_noise_sweep_builds_one_truth(tmp_path, monkeypatch):
     """A serial noise sweep simulates the truth once and writes the rows
-    that simulating each entry on its own (as --jobs workers do) gives,
-    up to the timing columns."""
+    that simulating each entry on its own gives, up to the timing
+    columns."""
     calls = []
     simulate_truth = pb.simulate_truth
     monkeypatch.setattr(pb, "simulate_truth",
@@ -127,18 +128,39 @@ def test_noise_sweep_builds_one_truth(tmp_path, monkeypatch):
     assert len(calls) == 4
 
 
+def test_parallel_noise_sweep_inherits_its_truth(tmp_path, monkeypatch):
+    """With --jobs 2 the truth is simulated once, in the parent: a worker
+    that simulated one would fail its row.  The table equals the serial
+    one up to the timing columns."""
+    calls, parent = [], os.getpid()
+    simulate_truth = pb.simulate_truth
+
+    def parent_only(*a):
+        if os.getpid() != parent:
+            raise RuntimeError("a worker simulated a truth")
+        calls.append(a)
+        return simulate_truth(*a)
+
+    monkeypatch.setattr(pb, "simulate_truth", parent_only)
+    tables = []
+    for jobs in ("2", "1"):
+        out = tmp_path / jobs
+        assert cli.main(["--fine-levels", "5", "--seed", "3", "--out",
+                         str(out), "table", "--sweep", "noise", "--values",
+                         "0.005", "0.01", "0.02", "--jobs", jobs]) == 0
+        with open(out / "table_noise.csv") as fh:
+            tables.append([r[:cli._TABLE_COLUMNS.index("wall_time")]
+                           for r in csv.reader(fh)])
+    assert len(calls) == 2
+    assert tables[0] == tables[1]
+
+
 def test_table_empty_sweep(tmp_path):
     out = tmp_path / "empty"
     rc = cli.main(["--out", str(out), "table", "--sweep", "noise"])
     assert rc == 0
     text = (out / "table_noise.csv").read_text().splitlines()
     assert len(text) == 1  # header only
-
-
-def test_theory_check_exit_codes(capsys):
-    assert cli.main(["theory-check", "--trials", "20"]) == 0
-    outerr = capsys.readouterr()
-    assert "RESULT: PASS" in outerr.out
 
 
 def test_usage_error_exit_code():
@@ -148,7 +170,7 @@ def test_usage_error_exit_code():
 
 
 def test_missing_config_is_reported():
-    assert cli.main(["--config", "/nonexistent.cfg", "theory-check"]) == 1
+    assert cli.main(["--config", "/nonexistent.cfg", "simulate"]) == 1
 
 
 def test_table_failed_row_exit_code(tmp_path):

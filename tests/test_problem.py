@@ -246,12 +246,12 @@ def _assert_matches_reference(prob, q, V, u_init=None):
 @pytest.mark.parametrize("zeta", [0.0, 100.0, 1000.0])
 @pytest.mark.parametrize("level", [4, 6])
 def test_forward_matches_reference_on_uniform_mesh(level, zeta):
-    """Level 4 solves stiffness systems by LU, level 6 by sine transforms;
-    cold and warm starts."""
+    """Cold and warm starts; solver meshes solve stiffness systems by LU
+    at every level, only the truth build uses the sine solver."""
     prob = pb.ModelProblem(zeta=zeta)
     m = uniform_mesh(level)
     V, Q = vspace(m), qspace(m)
-    assert isinstance(V.stiffness_solver(), fem._SineSolver) == (level == 6)
+    assert not isinstance(V.stiffness_solver(), fem._SineSolver)
     source = pb.synthetic_case("a").source
     coarse = uniform_mesh(level - 2)
     start = pb.solve_forward(
@@ -273,10 +273,60 @@ def test_forward_matches_reference_on_graded_meshes(mesh, seed, zeta):
         _assert_matches_reference(prob, q, V, u_init)
 
 
+def _rel(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+@pytest.mark.parametrize("level", range(2, 8))
+def test_grid_operators_match_assembled(level):
+    """The grid-form operators of the truth build against the assembled
+    ones of the same uniform mesh, to 1e-13 relative: K x, J x, (q, phi)
+    and (u^3, phi)."""
+    rng = np.random.default_rng(level)
+    m = uniform_mesh(level)
+    V, Q = vspace(m), qspace(m)
+    x = rng.standard_normal(V.dim)
+    u = Field(V, rng.uniform(-1.0, 1.0, V.dim))
+    q = Field(Q, rng.uniform(-50.0, 150.0, Q.dim))
+    assert _rel(fem._GRID_STIFFNESS @ x, V.stiffness() @ x) <= 1e-13
+    for zeta in (0.0, 100.0, 1000.0):
+        prob = pb.ModelProblem(zeta=zeta)
+        J = pb._GridForward(prob, level).jacobian(u)
+        assert _rel(J @ x, pb.linearized_state_operator(prob, V, u) @ x) <= 1e-13
+    assert _rel(fem._grid_functional(q, fem.NQ_BASE),
+                fem.assemble_functional(V, q)) <= 1e-13
+    assert _rel(fem._grid_functional(u, fem.NQ_WEIGHTED, 3),
+                pb._cubic_term(V, u)) <= 1e-13
+
+
+@pytest.mark.parametrize("zeta", [0.0, 100.0, 1000.0])
+def test_truth_matches_assembled_forward_solve(zeta):
+    """The grid-form truth against tests/reference_forward.py on the
+    assembled operators of its mesh, to 1e-12 relative; the level-0 mesh
+    has no interior vertex."""
+    prob, case = pb.ModelProblem(zeta=zeta), pb.synthetic_case("a")
+    q_true, u_true = pb.simulate_truth(prob, case, 6)
+    ref = reference_forward.solve_forward(prob, q_true, u_true.space)
+    assert _rel(u_true.coeffs, ref.coeffs) <= 1e-12
+    assert pb.simulate_truth(prob, case, 0)[1].coeffs.shape == (0,)
+
+
+def test_l2_noise_norms_match_mass_norms():
+    """delta and |g| of L^2 data, summed over cell corner values, equal
+    the norms by the assembled mass matrix to 1e-12."""
+    data = pb.simulate_data(pb.ModelProblem(zeta=100.0), pb.synthetic_case("a"),
+                            pb.L2Obs(), 5, 0.01, 2)
+    g_norm = data.g.norm_l2()
+    delta = Field(data.g.space, data.g_delta.coeffs - data.g.coeffs).norm_l2()
+    assert abs(fem._norm_l2_cells(data.g) - g_norm) <= 1e-12 * g_norm
+    assert abs(data.delta - delta) <= 1e-12 * delta
+
+
 def test_truth_makes_no_factorization(monkeypatch):
     """A level-6 truth build solves its stiffness systems by sine
-    transforms and makes no LU; after simulate_data the simulation
-    mesh's context holds no factorization."""
+    transforms and makes no LU; after point and L^2 simulate_data the
+    simulation mesh's context holds no factorization and no assembled
+    operator, plan or load map."""
     calls = []
     splu = fem.spla.splu
     monkeypatch.setattr(fem.spla, "splu",
@@ -284,9 +334,13 @@ def test_truth_makes_no_factorization(monkeypatch):
     prob, case = pb.ModelProblem(zeta=100.0), pb.synthetic_case("a")
     truth = pb.simulate_truth(prob, case, 6)
     assert calls == []
-    data = pb.simulate_data(prob, case, pb.L2Obs(), 6, 0.01, 1, truth=truth)
-    entries = fem._CONTEXTS[data.u_true.mesh].values()
-    assert not any(isinstance(e, fem.spla.SuperLU) for e in entries)
+    for obs in (pb.PointObs(9), pb.L2Obs()):
+        data = pb.simulate_data(prob, case, obs, 6, 0.01, 1, truth=truth)
+    entries = fem._CONTEXTS[data.u_true.mesh]
+    assert not any(isinstance(e, fem.spla.SuperLU) for e in entries.values())
+    assert not {key[0] for key in entries} & {
+        "plan", "slots", "load_map", "stiffness", "mass"}
+    assert calls == []
 
 
 def _negative_jacobian(problem, space, u_base):

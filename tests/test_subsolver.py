@@ -397,9 +397,9 @@ def test_factorization_routes(monkeypatch):
 
 
 def test_stiffness_solver_routes(monkeypatch):
-    """Uniform meshes from level fem.SINE_MIN_LEVEL on solve stiffness
-    systems by sine transforms, with no splu call; coarser uniform meshes
-    and graded meshes take diagonal pivots in a symmetric ordering."""
+    """The stiffness solver of every mesh, uniform or graded, takes
+    diagonal pivots in a symmetric ordering; the sine solver of a uniform
+    mesh makes no splu call."""
     calls = []
 
     def splu(A, **kwargs):
@@ -407,24 +407,23 @@ def test_stiffness_solver_routes(monkeypatch):
         return spla.splu(A, **kwargs)
 
     monkeypatch.setattr(fem, "spla", types.SimpleNamespace(splu=splu))
-    top = fem.SINE_MIN_LEVEL
-    routes = [(uniform_mesh(top), []), (uniform_mesh(top + 1), []),
-              (uniform_mesh(1), [_SYMMETRIC]),
-              (uniform_mesh(top - 1), [_SYMMETRIC]),
-              (refine(uniform_mesh(top), {0}), [_SYMMETRIC]),
-              (refine(uniform_mesh(2), {0, 5}, max_level=4), [_SYMMETRIC])]
-    for mesh, expected in routes:
+    for mesh in (uniform_mesh(1), uniform_mesh(4), uniform_mesh(6),
+                 refine(uniform_mesh(5), {0}),
+                 refine(uniform_mesh(2), {0, 5}, max_level=4)):
         calls.clear()
         V = vspace(mesh)
         V.stiffness_solver().solve(np.ones(V.dim))
-        assert calls == expected, mesh
+        assert calls == [_SYMMETRIC], mesh
+    calls.clear()
+    fem._SineSolver(6).solve(np.ones(63**2))
+    assert calls == []
 
 
 @pytest.mark.parametrize("level", range(1, 10))
 def test_uniform_stiffness_solves_are_accurate(level):
-    """The stiffness solver of a uniform mesh, and the sine solver also
-    below the switch, solve to |b - K x| <= 1e-13 |b| and agree with a
-    symmetric_lu solve to 1e-12 relative.  The agreement is measured at
+    """The stiffness solver of a uniform mesh and the sine solver of its
+    level solve to |b - K x| <= 1e-13 |b| and agree with a symmetric_lu
+    solve to 1e-12 relative.  The agreement is measured at
     b = K x*, x* random: for b with little high-frequency content the
     forward error of either solve grows like cond(K) eps, which is about
     1e-12 at level 9."""
@@ -434,7 +433,7 @@ def test_uniform_stiffness_solves_are_accurate(level):
     K = V.stiffness()
     lu = fem.symmetric_lu(K, "stiffness")
     b, b_x = rng.standard_normal(V.dim), K @ rng.standard_normal(V.dim)
-    for solver in (V.stiffness_solver(), fem._SineSolver(V)):
+    for solver in (V.stiffness_solver(), fem._SineSolver(level)):
         r = b - K @ solver.solve(b)
         assert np.linalg.norm(r) <= 1e-13 * np.linalg.norm(b)
         x = solver.solve(b_x)

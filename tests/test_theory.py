@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ggnfem import theory as th
+import theory_suite as th
 
 
 def test_inverse_identity_random_systems():
