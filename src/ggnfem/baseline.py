@@ -5,49 +5,41 @@ parameter alone, so every inner Gauss-Newton iteration pays for a full
 nonlinear forward solve.  Each such solve starts Newton from the best
 state at hand: the linearized state of the Gauss-Newton step, or the
 last state, interpolated onto a refined mesh (exact: the meshes are
-nested).  beta is driven by the same bracket/bisection into the band
+nested).  beta is driven by the driver's ``BetaBracket`` into the band
 [tau_low^2 delta^2, tau_up^2 delta^2] on the nonlinear discrepancy, and
-the mesh is refined by a dual-weighted indicator of the Tikhonov
-functional at the Gauss-Newton fixed point.  The stopping threshold
-matches the linearized solver's comparison protocol; the estimator
-cascade here is deliberately simpler than the historical reduced
-algorithm it stands in for.
+the driver's ``refined`` refines the mesh by a dual-weighted indicator
+of the Tikhonov functional at the Gauss-Newton fixed point.  The
+stopping threshold matches the linearized solver's comparison protocol;
+the estimator cascade here is deliberately simpler than the historical
+reduced algorithm it stands in for.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import estimators as est, fem, problem as pb, subsolver as ss
-from .driver import (BetaSearchError, RunReport, RunRow, log_beta_step,
-                     mark_fraction, relative_control_error)
+from .driver import (AdaptiveConfig, BetaBracket, RunReport, RunRow, _Run,
+                     refined)
 from .fem import Field, interpolate_onto, qspace, vspace
-from .mesh import refine, uniform_mesh
+from .mesh import refine  # noqa: F401  (bound here for tracing)
 
 __all__ = ["NtConfig", "run_nt"]
 
 
 @dataclass
-class NtConfig:
+class NtConfig(AdaptiveConfig):
     """Parameters of the reduced reference solver."""
 
     tau_tilde: float = 0.1
     tau_low: float = 3.1
     tau_up: float = 5.0
-    beta0: float = 10.0
-    coarse_levels: int = 2
-    max_depth: int = 6
     gn_tol: float = 1e-6
     gn_cap: int = 25
     max_passes: int = 60
-    max_beta_steps: int = 30
     max_refines: int = 8
-    marking_fraction: float = 0.3
-    beta_min: float = 1e-10
-    beta_max: float = 1e14
     forward_tol: float = 1e-10
 
     def __post_init__(self):
@@ -82,10 +74,12 @@ def _gn_fit(problem, obs, obs_data, mesh, beta, q_start, u_warm, cfg):
 
     j_old, disc2 = j_value(q, u)
     n_forward, rel_change = 1, np.inf
-    for _ in range(cfg.gn_cap):
+    for it in range(cfg.gn_cap + 1):
         sub = ss.build_subproblem(problem, mesh, q, u, q0, obs, obs_data,
                                   beta)
         sol = ss.solve_kkt(sub)
+        if rel_change <= cfg.gn_tol or it == cfg.gn_cap:
+            break  # the fixed-point triple for the indicator
         dq = sol.q.coeffs - q.coeffs
         step = 1.0
         while True:
@@ -100,88 +94,58 @@ def _gn_fit(problem, obs, obs_data, mesh, beta, q_start, u_warm, cfg):
             step *= 0.5
         rel_change = np.abs(step * dq).max() / max(1.0, np.abs(q.coeffs).max())
         q, u, j_old, disc2 = q_c, u_c, j_new, disc2_c
-        if rel_change <= cfg.gn_tol:
-            break
-    sub = ss.build_subproblem(problem, mesh, q, u, q0, obs, obs_data, beta)
-    sol = ss.solve_kkt(sub)  # fixed-point triple for the indicator
     return q, u, sub, sol, disc2, n_forward, rel_change <= cfg.gn_tol
 
 
 def run_nt(problem: pb.ModelProblem, data: pb.NoisyData, cfg: NtConfig) -> RunReport:
-    """Nonlinear-Tikhonov run on the same data as the linearized solver."""
-    t0 = time.perf_counter()
-    mesh = uniform_mesh(cfg.coarse_levels)
-    rows: list[RunRow] = []
-    warnings: list[str] = []
-    beta = cfg.beta0
-    q = qspace(mesh).zeros()
-    u = vspace(mesh).zeros()
+    """Nonlinear-Tikhonov run on the same data as the linearized solver,
+    in the driver's run state; rho, I3h and the GGN checks stay unset."""
+    run = _Run(problem, data, cfg, None)
     delta2 = data.delta**2
     band = (cfg.tau_low**2 * delta2, cfg.tau_up**2 * delta2)
-    lo = hi = None
-    n_beta = 0
-    n_ref = 0
+    bracket = BetaBracket(cfg)
     termination = "iteration-cap"
     total_forward = 0
-    observed = {}  # data restricted to the current mesh, that mesh only
 
     try:
         for _ in range(cfg.max_passes):
-            if mesh not in observed:
-                observed = {mesh: data.obs.restrict(data, mesh)}
-            q, u, sub, sol, disc2, nf, converged = _gn_fit(
-                problem, data.obs, observed[mesh], mesh, beta, q, u, cfg)
+            run.q_old, run.u_old, sub, sol, disc2, nf, converged = _gn_fit(
+                problem, data.obs, run.observed(run.mesh), run.mesh,
+                run.beta, run.q_old, run.u_old, cfg)
             total_forward += nf
+            k = bracket.steps + bracket.refines
             if not converged:
-                warnings.append(
-                    f"k={n_beta + n_ref}: Gauss-Newton fit stopped at "
+                run.warnings.append(
+                    f"k={k}: Gauss-Newton fit stopped at "
                     f"gn_cap={cfg.gn_cap} without meeting "
                     f"gn_tol={cfg.gn_tol:g}")
             eta, ind = est.estimate_eta1(sol, sub)
             reg = est._reg_term(sub, sol)
-            rows.append(RunRow(
-                k=n_beta + n_ref, phase="solve", nodes=mesh.n_vertices,
-                beta=beta, rho=float("nan"), i1h=disc2 + reg, i2h=disc2,
-                i3h=float("nan"), i4h=float("nan"), eta1=eta,
-                eta2=float("nan"), stationarity=sol.stationarity))
+            run.rows.append(RunRow(
+                k=k, phase="solve", nodes=run.mesh.n_vertices, beta=run.beta,
+                i1h=disc2 + reg, i2h=disc2, eta1=eta,
+                stationarity=sol.stationarity))
             # Accuracy gate: relative while the discrepancy is large, at
             # the noise scale once decisions happen near the band.
             gate = cfg.tau_tilde * max(disc2, cfg.tau_low**2 * delta2)
-            if ind.sum() > gate and n_ref < cfg.max_refines:
-                new_mesh = refine(mesh,
-                                  mark_fraction(ind, cfg.marking_fraction),
-                                  max_level=cfg.max_depth)
-                if new_mesh is not mesh:
-                    rows[-1].phase = "refine1"
-                    mesh = new_mesh
-                    n_ref += 1
-                    lo = hi = None
+            if ind.sum() > gate and bracket.refines < cfg.max_refines:
+                new_mesh = refined(run.mesh, ind, cfg)
+                if new_mesh is not None:
+                    run.rows[-1].phase = "refine1"
+                    run.mesh = new_mesh
+                    bracket.reopen()
                     continue
             if band[0] <= disc2 <= band[1]:
                 termination = "discrepancy"
-                rows[-1].phase = "accept"
+                run.rows[-1].phase = "accept"
                 break
-            n_beta += 1
-            if n_beta > cfg.max_beta_steps:
-                raise BetaSearchError(
-                    "beta search exhausted in the reduced solver")
-            rows[-1].phase = "beta"
-            lb_new, lo, hi = log_beta_step(np.log10(beta), disc2 > band[1],
-                                           lo, hi)
-            beta = 10.0**lb_new
-            if not (cfg.beta_min <= beta <= cfg.beta_max):
-                raise BetaSearchError(
-                    f"beta left the search range at {beta:.3e}")
+            bracket.count("beta search exhausted in the reduced solver")
+            run.rows[-1].phase = "beta"
+            run.beta = bracket.step(run.beta, disc2 > band[1])
     except fem.SolverError as exc:
-        warnings.append(str(exc))
+        run.warnings.append(str(exc))
         termination = exc.reason
 
-    wall = time.perf_counter() - t0  # reporting excluded
-    return RunReport(
-        rows=rows, q_final=q, u_final=u, beta_final=beta,
-        rho_final=float("nan"), nodes_final=mesh.n_vertices,
-        outer_iterations=n_beta, termination=termination,
-        wall_time=wall, delta=data.delta,
-        control_error=relative_control_error(q, data),
-        max_identity_dev=0.0, monotonicity=[], warnings=warnings,
-        method="NT", total_forward_solves=total_forward)
+    run.k = bracket.steps
+    return run.finalize(termination, method="NT",
+                        total_forward_solves=total_forward)

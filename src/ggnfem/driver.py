@@ -6,7 +6,7 @@ was current when the base point was accepted).  One pass through the
 loop performs exactly one of:
 
   * a regularization-parameter search, when the linearized misfit I2h
-    is outside the band [theta_low, theta_high] * I3h (bracket/bisect
+    is outside the band [theta_low, theta_high] * I3h (``BetaBracket``
     on log10(beta), with eta2-driven refinement when the estimated
     discretization error of I2h exceeds its accuracy gate);
   * one eta1-driven refinement, when the eta1 accuracy gate is
@@ -17,13 +17,16 @@ loop performs exactly one of:
 
 The run stops at the first k with I3h <= tau^2 delta^2.  Its untimed
 diagnostics (control error, monotonicity) read the exact pair's cell
-moments on the solver mesh and never visit the simulation mesh.
+moments on the solver mesh and never visit the simulation mesh.  The NT
+baseline shares the run state ``_Run`` (with its restricted-data
+cache), the refine rule ``refined`` and ``BetaBracket``.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import os
 import time
@@ -36,12 +39,13 @@ from .fem import Field, interpolate_onto, qspace, vspace, write_mesh_vtk
 from .mesh import refine, uniform_mesh
 
 __all__ = [
+    "AdaptiveConfig",
     "GgnConfig",
     "RunRow",
     "RunReport",
     "BetaSearchError",
     "mark_fraction",
-    "log_beta_step",
+    "BetaBracket",
     "run_ggn",
     "check_monotonicity",
     "relative_control_error",
@@ -54,7 +58,21 @@ class BetaSearchError(fem.SolverError):
 
 
 @dataclass
-class GgnConfig:
+class AdaptiveConfig:
+    """Parameters both solvers read through the shared pieces: ``_Run``
+    (coarse mesh, beta0), ``refined`` and ``BetaBracket``."""
+
+    beta0: float = 10.0
+    coarse_levels: int = 2
+    max_depth: int = 6
+    max_beta_steps: int = 30
+    marking_fraction: float = 0.3
+    beta_min: float = 1e-10
+    beta_max: float = 1e14
+
+
+@dataclass
+class GgnConfig(AdaptiveConfig):
     """Parameters of the outer loop; defaults follow the reference setup."""
 
     tau: float = 5.0
@@ -65,16 +83,9 @@ class GgnConfig:
     c_tc: float = 1e-7
     c2: float = 0.9999
     c3: float = 1e-4
-    beta0: float = 10.0
-    coarse_levels: int = 2
-    max_depth: int = 6
     max_outer: int = 30
     max_inner: int = 12
-    max_beta_steps: int = 30
     max_refine_per_search: int = 4
-    marking_fraction: float = 0.3
-    beta_min: float = 1e-10
-    beta_max: float = 1e14
     enforce_assumptions: bool = True
 
     def __post_init__(self):
@@ -114,13 +125,13 @@ class RunRow:
     phase: str
     nodes: int
     beta: float
-    rho: float
-    i1h: float
-    i2h: float
-    i3h: float
-    i4h: float
-    eta1: float
-    eta2: float
+    rho: float = float("nan")
+    i1h: float = float("nan")
+    i2h: float = float("nan")
+    i3h: float = float("nan")
+    i4h: float = float("nan")
+    eta1: float = float("nan")
+    eta2: float = float("nan")
     stationarity: tuple = (float("nan"),) * 3  # KKT residuals (q, v, z)
 
 
@@ -137,8 +148,8 @@ class RunReport:
     wall_time: float
     delta: float
     control_error: float
-    max_identity_dev: float
-    monotonicity: list
+    max_identity_dev: float  # NaN if no identity check was made (NT)
+    monotonicity: list  # empty if no check was made (NT)
     i3h_final: float = float("nan")
     warnings: list = dc_field(default_factory=list)
     method: str = "GGN"
@@ -159,19 +170,62 @@ def mark_fraction(indicators: np.ndarray, fraction: float):
     return order[:np.searchsorted(acc, fraction * total) + 1].tolist()
 
 
-def log_beta_step(lb: float, raise_beta: bool, lo, hi):
-    """One bracket/bisect step on log10(beta).
+def refined(mesh, indicators: np.ndarray, cfg):
+    """``mesh`` with the cells carrying ``cfg.marking_fraction`` of the
+    indicator mass split, up to level ``cfg.max_depth``; None when every
+    marked cell is already at that level."""
+    new_mesh = refine(mesh, mark_fraction(indicators, cfg.marking_fraction),
+                      max_level=cfg.max_depth)
+    return None if new_mesh is mesh else new_mesh
 
-    ``lo``/``hi`` bracket the band from below/above (None while open);
-    the misfit decreases in beta, so a misfit above the band raises
-    beta.  The step widens by one decade until the bracket closes, then
-    bisects.  Returns (new log10(beta), lo, hi).
+
+class BetaBracket:
+    """Bracket/bisect on log10(beta) until a misfit that decreases in
+    beta lands in its band.
+
+    ``lo``/``hi`` bracket the band from below/above (None while open); a
+    misfit above the band raises beta.  A step widens by one decade until
+    the bracket closes, then bisects, and never goes below the floor.
+    At most ``cfg.max_beta_steps`` steps are taken, each to a beta in
+    ``[cfg.beta_min, cfg.beta_max]``; BetaSearchError otherwise.
     """
-    if raise_beta:
-        lo = lb if lo is None else max(lo, lb)
-        return (0.5 * (lo + hi) if hi is not None else lb + 1.0), lo, hi
-    hi = lb if hi is None else min(hi, lb)
-    return (0.5 * (lo + hi) if lo is not None else lb - 1.0), lo, hi
+
+    def __init__(self, cfg, floor: float = 0.0):
+        self.cfg = cfg
+        self.floor = np.log10(floor) if floor > 0.0 else -np.inf
+        self.steps = self.refines = 0
+        self.lo = self.hi = None
+
+    def reopen(self):
+        """Count a refine and forget the bracket: the refine moved the
+        misfit curve."""
+        self.refines += 1
+        self.lo = self.hi = None
+
+    def at_floor(self, beta: float) -> bool:
+        return np.log10(beta) <= self.floor + 1e-12
+
+    def count(self, failure: str):
+        """Count one step, or fail with ``failure`` ("{cap}" names the
+        step cap) when the cap is reached."""
+        if self.steps >= self.cfg.max_beta_steps:
+            raise BetaSearchError(failure.format(cap=self.cfg.max_beta_steps))
+        self.steps += 1
+
+    def step(self, beta: float, raise_beta: bool) -> float:
+        """The next beta after ``beta``, whose misfit is above the band
+        (``raise_beta``) or below it."""
+        lb = np.log10(beta)
+        if raise_beta:
+            self.lo = lb if self.lo is None else max(self.lo, lb)
+            lb = 0.5 * (self.lo + self.hi) if self.hi is not None else lb + 1.0
+        else:
+            self.hi = lb if self.hi is None else min(self.hi, lb)
+            lb = 0.5 * (self.lo + self.hi) if self.lo is not None else lb - 1.0
+        beta = 10.0**max(lb, self.floor)
+        if not (self.cfg.beta_min <= beta <= self.cfg.beta_max):
+            raise BetaSearchError(f"beta left the search range at {beta:.3e}")
+        return beta
 
 
 def _minus(a: Field, b: Field) -> Field:
@@ -214,7 +268,9 @@ def check_monotonicity(q_h: Field, u_h: Field, q0: Field, u0: Field,
 
 
 class _Run:
-    """Mutable state of one driver run."""
+    """Mutable state of one run.  NT (``baseline.run_nt``) keeps its mesh,
+    beta, iterate, rows, warnings and restricted data here too; the rest
+    is GGN's."""
 
     def __init__(self, problem, data, cfg, q0):
         self.problem = problem
@@ -222,7 +278,10 @@ class _Run:
         self.cfg = cfg
         self.t0 = time.perf_counter()
         self.mesh = uniform_mesh(cfg.coarse_levels)
-        self.data_cache: dict = {}
+        # mesh -> the data restricted to it, cached for the latest mesh
+        # only (an entry would keep its mesh alive)
+        self.observed = functools.lru_cache(maxsize=1)(
+            lambda mesh: data.obs.restrict(data, mesh))
         self.rows: list[RunRow] = []
         self.identity_devs: list[float] = []
         self.monotonicity: list[bool] = []
@@ -249,16 +308,7 @@ class _Run:
         self.i3h = est.compute_i3h(sub, self.rho)
         self.rows.append(RunRow(
             k=0, phase="init", nodes=self.mesh.n_vertices, beta=self.beta,
-            rho=self.rho, i1h=float("nan"), i2h=float("nan"), i3h=self.i3h,
-            i4h=float("nan"), eta1=float("nan"), eta2=float("nan")))
-
-    def observed(self):
-        """Data restricted to the current mesh, cached for that mesh only
-        (an entry would keep its mesh alive)."""
-        if self.mesh not in self.data_cache:
-            self.data_cache = {
-                self.mesh: self.data.obs.restrict(self.data, self.mesh)}
-        return self.data_cache[self.mesh]
+            rho=self.rho, i3h=self.i3h))
 
     def subproblem(self):
         # Operators depend on (mesh, base point) only; across beta trials
@@ -268,7 +318,7 @@ class _Run:
                 or sub.q_old is not self.q_old or sub.u_old is not self.u_old):
             sub = ss.build_subproblem(
                 self.problem, self.mesh, self.q_old, self.u_old, self.q0,
-                self.data.obs, self.observed(), self.beta)
+                self.data.obs, self.observed(self.mesh), self.beta)
         elif sub.beta != self.beta:
             sub = dataclasses.replace(sub, beta=self.beta)
         self.sub = sub
@@ -278,29 +328,26 @@ class _Run:
         sub = self.subproblem()
         return sub, ss.solve_kkt(sub)
 
-    def log(self, phase, sub, sol, eta1=float("nan"), eta2=float("nan"),
-            i4h=float("nan"), check_identity=False):
+    def log(self, phase, sub, sol, check_identity=False, **estimates):
         i2h = sol.misfit_sq()
         i1h, reg = est.compute_i1h(sub, sol)
         if check_identity:
             self.identity_devs.append(abs(i1h - i2h - reg))
         self.rows.append(RunRow(
             k=self.k, phase=phase, nodes=self.mesh.n_vertices, beta=self.beta,
-            rho=self.rho, i1h=i1h, i2h=i2h, i3h=self.i3h, i4h=i4h,
-            eta1=eta1, eta2=eta2, stationarity=sol.stationarity))
+            rho=self.rho, i1h=i1h, i2h=i2h, i3h=self.i3h,
+            stationarity=sol.stationarity, **estimates))
 
     def in_band(self, i2h):
         return (self.cfg.theta_low * self.i3h <= i2h
                 <= self.cfg.theta_high * self.i3h)
 
     def beta_search(self, sub, sol):
-        """Bracket/bisect on log10(beta) until I2h lands in the band,
-        starting from the solution ``sol`` of ``sub`` at the current beta.
-
-        I2h is nonincreasing in beta, so factor-10 expansion brackets
-        the band and bisection closes in; when |eta2| exceeds its
-        accuracy gate, the mesh is refined with respect to the eta2
-        indicators instead (refine or update, never both per pass).
+        """``BetaBracket`` steps until I2h, nonincreasing in beta, lands
+        in the band, starting from the solution ``sol`` of ``sub`` at the
+        current beta; when |eta2| exceeds its accuracy gate, the mesh is
+        refined with respect to the eta2 indicators instead (refine or
+        update, never both per pass).
 
         The regularization weight 1/beta never increases across
         accepted steps: beta is floored at the last accepted value.  If
@@ -309,53 +356,39 @@ class _Run:
         floored solution is returned and the outer loop proceeds.
         """
         cfg = self.cfg
-        lo = hi = None  # log10-beta with I2h above / below the band
-        floor = np.log10(self.beta_floor)
+        bracket = BetaBracket(cfg, floor=self.beta_floor)
         delta_beta_sq = cfg.theta_tilde * self.i3h
         gate2 = 0.5 * cfg.tau_beta_tilde**2 * delta_beta_sq
-        n_beta = 0
-        n_ref = 0
         while True:
             i2h = sol.misfit_sq()
             aux = ss.solve_second_order(sub, sol)
             eta2, ind2 = est.estimate_eta2(sol, sub, aux)
             # The accuracy conditions constrain upper bounds on |I - I_h|;
             # the cellwise-absolute sum is the computable surrogate.
-            if ind2.sum() > gate2 and n_ref < cfg.max_refine_per_search:
-                new_mesh = refine(self.mesh,
-                                  mark_fraction(ind2, cfg.marking_fraction),
-                                  max_level=cfg.max_depth)
-                if new_mesh is not self.mesh:
+            if (ind2.sum() > gate2
+                    and bracket.refines < cfg.max_refine_per_search):
+                new_mesh = refined(self.mesh, ind2, cfg)
+                if new_mesh is not None:
                     self.log("refine2", sub, sol, eta2=eta2)
                     self.mesh = new_mesh
-                    n_ref += 1
-                    lo = hi = None  # the misfit curve moved; re-bracket
+                    bracket.reopen()
                     sub, sol = self.solve()
                     continue
             if self.in_band(i2h):
                 return sub, sol
-            if (i2h < cfg.theta_low * self.i3h
-                    and np.log10(self.beta) <= floor + 1e-12):
+            if i2h < cfg.theta_low * self.i3h and bracket.at_floor(self.beta):
                 self.warnings.append(
                     f"k={self.k}: I2h={i2h:.3e} below the band at the "
                     f"beta floor {self.beta_floor:.3e}; accepting")
                 return sub, sol
-            n_beta += 1
-            if n_beta > cfg.max_beta_steps:
-                raise BetaSearchError(
-                    f"no beta found in {cfg.max_beta_steps} updates "
-                    f"(I2h={i2h:.3e}, I3h={self.i3h:.3e})")
+            bracket.count("no beta found in {cap} updates "
+                          f"(I2h={i2h:.3e}, I3h={self.i3h:.3e})")
             self.log("beta", sub, sol, eta2=eta2)
-            lb_new, lo, hi = log_beta_step(
-                np.log10(self.beta), i2h > cfg.theta_high * self.i3h, lo, hi)
-            lb_new = max(lb_new, floor)
-            self.beta = 10.0**lb_new
-            if not (cfg.beta_min <= self.beta <= cfg.beta_max):
-                raise BetaSearchError(
-                    f"beta left the search range at {self.beta:.3e}")
+            self.beta = bracket.step(self.beta,
+                                     i2h > cfg.theta_high * self.i3h)
             sub, sol = self.solve()
 
-    def finalize(self, termination):
+    def finalize(self, termination, **extra):
         wall = time.perf_counter() - self.t0  # reporting excluded
         return RunReport(
             rows=self.rows, q_final=self.q_old, u_final=self.u_old,
@@ -363,9 +396,9 @@ class _Run:
             nodes_final=self.mesh.n_vertices, outer_iterations=self.k,
             termination=termination, wall_time=wall, delta=self.data.delta,
             control_error=relative_control_error(self.q_old, self.data),
-            max_identity_dev=max(self.identity_devs, default=0.0),
+            max_identity_dev=max(self.identity_devs, default=float("nan")),
             monotonicity=self.monotonicity, i3h_final=self.i3h,
-            warnings=self.warnings)
+            warnings=self.warnings, **extra)
 
 
 def run_ggn(problem: pb.ModelProblem, data: pb.NoisyData, cfg: GgnConfig,
@@ -406,10 +439,8 @@ def _iterate(run: _Run) -> str:
             eta1, ind1 = est.estimate_eta1(sol, sub)
             gate1 = cfg.eta1_gate_coefficient() * run.i3h
             if ind1.sum() > gate1:
-                new_mesh = refine(run.mesh,
-                                  mark_fraction(ind1, cfg.marking_fraction),
-                                  max_level=cfg.max_depth)
-                if new_mesh is not run.mesh:
+                new_mesh = refined(run.mesh, ind1, cfg)
+                if new_mesh is not None:
                     run.log("refine1", sub, sol, eta1=eta1)
                     run.mesh = new_mesh
                     continue
@@ -476,7 +507,9 @@ def write_run_report(report: RunReport, outdir, config_text: str = "") -> None:
         fh.write(f"control_error = {report.control_error:.16g}\n")
         fh.write(f"forward_solves = {report.total_forward_solves}\n")
         fh.write(f"wall_time_s = {report.wall_time:.3f}\n")
-        fh.write(f"max_identity_dev = {report.max_identity_dev:.3e}\n")
-        fh.write(f"monotonicity_ok = {all(report.monotonicity)}\n")
+        if not np.isnan(report.max_identity_dev):
+            fh.write(f"max_identity_dev = {report.max_identity_dev:.3e}\n")
+        if report.monotonicity:
+            fh.write(f"monotonicity_ok = {all(report.monotonicity)}\n")
         for wmsg in report.warnings:
             fh.write(f"warning = {wmsg}\n")

@@ -148,3 +148,14 @@ def test_gn_cap_is_reported(sims, nt_runs):
                     bl.NtConfig(gn_cap=1, max_depth=4))
     assert any("gn_cap=1" in w for w in rep.warnings)
     assert not any("gn_cap" in w for w in nt_runs().warnings)
+
+
+@pytest.mark.parametrize("max_beta_steps", [0, 2])
+def test_nt_outer_iterations_count_the_beta_steps_taken(sims, max_beta_steps):
+    """A failed beta search reports the updates it made, one per beta
+    row, not the refused one."""
+    rep = bl.run_nt(pb.ModelProblem(zeta=100.0), sims(fine=5),
+                    bl.NtConfig(max_depth=4, max_beta_steps=max_beta_steps))
+    assert rep.termination == "beta-search-failure"
+    n_beta = sum(r.phase == "beta" for r in rep.rows)
+    assert rep.outer_iterations == n_beta == max_beta_steps

@@ -38,6 +38,81 @@ def test_mark_fraction():
     assert dv.mark_fraction(np.zeros(4), 0.3) == []
 
 
+def test_refined_stops_at_the_depth_cap():
+    cfg = dv.GgnConfig(max_depth=2, marking_fraction=1.0)
+    capped = uniform_mesh(2)
+    assert dv.refined(capped, np.ones(capped.n_cells), cfg) is None
+    # One level-1 cell split: three level-1 cells can still split, the
+    # four level-2 cells cannot.
+    mesh = refine(uniform_mesh(1), [0])
+    levels = mesh.cells[:, 0]
+    new = dv.refined(mesh, np.ones(mesh.n_cells), cfg)
+    want = refine(mesh, np.flatnonzero(levels < 2))
+    assert new is not None and new.max_level == 2
+    assert np.array_equal(new.cells, want.cells)
+    # Marking only capped cells refines nothing.
+    ind = np.where(levels == 2, 1.0, 0.0)
+    assert dv.refined(mesh, ind, cfg) is None
+
+
+def test_beta_bracket_widens_by_a_decade_then_bisects():
+    cfg = dv.GgnConfig()
+    up, down = dv.BetaBracket(cfg), dv.BetaBracket(cfg)
+    assert up.step(10.0, raise_beta=True) == 100.0
+    assert down.step(10.0, raise_beta=False) == 1.0
+    # misfit above the band at 10, below at 100: bisect in log10(beta)
+    assert up.step(100.0, raise_beta=False) == 10.0**1.5
+    assert up.step(10.0**1.5, raise_beta=True) == 10.0**1.75
+    assert (up.lo, up.hi) == (1.5, 2.0)
+    assert down.step(1.0, raise_beta=False) == 0.1  # still open above
+
+
+def test_beta_bracket_floor_and_reopen():
+    cfg = dv.GgnConfig()
+    floored = dv.BetaBracket(cfg, floor=10.0)
+    assert floored.at_floor(10.0) and not floored.at_floor(100.0)
+    assert floored.step(10.0, raise_beta=False) == 10.0  # clamped
+    assert not dv.BetaBracket(cfg).at_floor(1e-10)  # no floor given
+    bracket = dv.BetaBracket(cfg)
+    bracket.step(10.0, raise_beta=True)
+    bracket.step(100.0, raise_beta=False)
+    bracket.reopen()  # after a refine: widen again, do not bisect
+    assert bracket.refines == 1 and bracket.lo is bracket.hi is None
+    assert bracket.step(100.0, raise_beta=False) == 10.0
+
+
+def test_beta_bracket_cap_and_range_errors():
+    bracket = dv.BetaBracket(dv.GgnConfig(max_beta_steps=2))
+    for _ in range(2):
+        bracket.count("no beta in {cap} steps")
+    with pytest.raises(dv.BetaSearchError, match="no beta in 2 steps"):
+        bracket.count("no beta in {cap} steps")
+    assert bracket.steps == 2  # the refused step is not counted
+    bounded = dv.GgnConfig(beta_min=1.0, beta_max=50.0)
+    with pytest.raises(dv.BetaSearchError,
+                       match="beta left the search range at 1.000e\\+02"):
+        dv.BetaBracket(bounded).step(10.0, raise_beta=True)
+    with pytest.raises(dv.BetaSearchError, match="at 1.000e-01"):
+        dv.BetaBracket(bounded).step(1.0, raise_beta=False)
+
+
+def test_manifest_lists_only_the_checks_the_run_made(tmp_path):
+    prob = pb.ModelProblem(zeta=100.0)
+    data = pb.simulate_data(prob, pb.synthetic_case("a"), pb.PointObs(9), 5,
+                            0.01, 1)
+    for rep, checked in ((dv.run_ggn(prob, data, dv.GgnConfig(max_depth=4)),
+                          True),
+                         (bl.run_nt(prob, data, bl.NtConfig(max_depth=4)),
+                          False)):
+        out = tmp_path / rep.method
+        dv.write_run_report(rep, out)
+        manifest = (out / "manifest.txt").read_text()
+        assert f"method = {rep.method}" in manifest
+        assert ("max_identity_dev = " in manifest) == checked
+        assert ("monotonicity_ok = True" in manifest) == checked
+        assert "monotonicity_ok = False" not in manifest
+
+
 def test_immediate_stop_on_huge_delta():
     prob = pb.ModelProblem(zeta=100.0)
     data = pb.simulate_data(prob, pb.synthetic_case("a"), pb.PointObs(5),
@@ -334,13 +409,13 @@ def test_solver_mesh_contexts_stay_few_over_refinements(monkeypatch):
         live.append(sum(isinstance(k, QuadMesh) and k not in before
                         for k in list(fem._CONTEXTS.keys())))
 
-    finalize, control_error = dv._Run.finalize, bl.relative_control_error
-    monkeypatch.setattr(dv._Run, "finalize",
-                        lambda run, term: count() or finalize(run, term))
-    monkeypatch.setattr(bl, "relative_control_error",
-                        lambda q, d: count() or control_error(q, d))
-    reports = [dv.run_ggn(prob, data, dv.GgnConfig(max_depth=5)),
-               bl.run_nt(prob, data, bl.NtConfig(max_depth=5))]
-    for rep, n_live in zip(reports, live):
-        assert sum(r.phase.startswith("refine") for r in rep.rows) >= 8
-        assert n_live <= 2  # the start mesh of q0 and the current mesh
+    # Every run, GGN or NT, builds exactly one report, at its end.
+    init = dv.RunReport.__init__
+    monkeypatch.setattr(dv.RunReport, "__init__",
+                        lambda rep, **kw: count() or init(rep, **kw))
+    runs = [lambda: dv.run_ggn(prob, data, dv.GgnConfig(max_depth=5)),
+            lambda: bl.run_nt(prob, data, bl.NtConfig(max_depth=5))]
+    for run in runs:  # no report of an earlier run is alive
+        assert sum(r.phase.startswith("refine") for r in run().rows) >= 8
+    assert len(live) == len(runs)
+    assert all(n <= 2 for n in live)  # the start mesh and the current mesh

@@ -1,0 +1,107 @@
+#!/usr/bin/env python3
+"""Dump and compare the solver outputs of the benchmark runs, bit for bit.
+
+    python3 tools/row_digest.py dump before.json --src OTHER_CHECKOUT/src
+    python3 tools/row_digest.py dump after.json
+    python3 tools/row_digest.py compare before.json after.json
+
+``dump`` runs the benchmark operations of ggn-l2 and nt-vs-ggn, with the
+configurations of ``perfbench/workloads.py``, at noise seeds 1-3: 3 GGN
+runs on L^2 data and 6 GGN/NT pairs per seed, 39 runs in all.  For every
+run it writes each report row (floats as ``float.hex``), the termination,
+the warnings, the outer iteration count, the control error and the
+forward-solve count.  ggnfem is imported from ``--src`` (default: the
+``src`` of this checkout), so one copy of this tool dumps any checkout.
+``compare`` names every run whose dump differs and exits 1 if any does.
+BLAS runs on one thread, as in the benchmark.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+import tempfile
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKLOADS = ("ggn-l2", "nt-vs-ggn")
+SEEDS = (1, 2, 3)
+
+
+def _hex(x) -> str:
+    return float(x).hex()
+
+
+def digest(report) -> dict:
+    rows = [[r.k, r.phase, r.nodes]
+            + [_hex(x) for x in (r.beta, r.rho, r.i1h, r.i2h, r.i3h, r.i4h,
+                                 r.eta1, r.eta2, *r.stationarity)]
+            for r in report.rows]
+    return {"termination": report.termination,
+            "warnings": list(report.warnings),
+            "outer_iterations": report.outer_iterations,
+            "control_error": _hex(report.control_error),
+            "forward_solves": report.total_forward_solves,
+            "rows": rows}
+
+
+def dump(src: str) -> dict:
+    sys.path[:0] = [src, os.path.join(ROOT, "perfbench")]
+    import workloads as wl
+
+    out = {}
+    with tempfile.TemporaryDirectory() as scratch:
+        for name in WORKLOADS:
+            cfg = wl.config(name, smoke=False)
+            for seed in SEEDS:
+                res = wl.run_op(cfg, wl.build_inputs(cfg, seed), scratch,
+                                lambda fn: fn())
+                for method in ("ggn", "nt"):
+                    for i, rep in enumerate(res.get(method, [])):
+                        out[f"{name}/seed{seed}/{method}[{i}]"] = digest(rep)
+    return out
+
+
+def compare(a: dict, b: dict) -> list[str]:
+    diffs = [f"only in one dump: {k}" for k in sorted(set(a) ^ set(b))]
+    for key in sorted(set(a) & set(b)):
+        fields = [f for f in a[key] if a[key][f] != b[key].get(f)]
+        if fields:
+            diffs.append(f"{key}: {', '.join(fields)} differ")
+    return diffs
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = ap.add_subparsers(dest="command", required=True)
+    d = sub.add_parser("dump", help="run the 39 runs and write their digest")
+    d.add_argument("out")
+    d.add_argument("--src", default=os.path.join(ROOT, "src"),
+                   help="directory that holds the ggnfem package")
+    c = sub.add_parser("compare", help="compare two digests")
+    c.add_argument("a")
+    c.add_argument("b")
+    args = ap.parse_args(argv)
+
+    if args.command == "dump":
+        runs = dump(os.path.abspath(args.src))
+        with open(args.out, "w") as fh:
+            json.dump(runs, fh, indent=1, sort_keys=True)
+        print(f"wrote {len(runs)} runs to {args.out}")
+        return 0
+    with open(args.a) as fa, open(args.b) as fb:
+        a, b = json.load(fa), json.load(fb)
+    diffs = compare(a, b)
+    for line in diffs:
+        print(line)
+    if not diffs:
+        print(f"identical: {len(a)} runs")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
