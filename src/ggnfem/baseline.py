@@ -63,7 +63,7 @@ def _gn_fit(problem, obs, obs_data, mesh, beta, q_start, u_warm, cfg):
     q = interpolate_onto(q_start, mesh)
     q0 = Q.zeros()
     C = obs.matrix(V)
-    g = obs_data.coeffs if isinstance(obs_data, Field) else obs_data
+    g = obs.vector(obs_data, mesh)
     u = pb.solve_forward(problem, q, V, tol=cfg.forward_tol, u_init=u_warm)
 
     def j_value(q_f, u_f):

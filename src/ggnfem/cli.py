@@ -82,7 +82,7 @@ def config_text(exp, ggn, nt) -> str:
     parts = []
     for name, cfg in (("experiment", exp), ("ggn", ggn), ("nt", nt)):
         parts.append(f"[{name}]")
-        for k, v in asdict(cfg).items():
+        for k, v in sorted(asdict(cfg).items()):
             parts.append(f"{k} = {v}")
     return "\n".join(parts) + "\n"
 

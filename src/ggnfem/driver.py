@@ -462,7 +462,9 @@ def _iterate(run: _Run) -> str:
         base = run.subproblem()
         run.rho = max(run.rho, ss.adjoint_w_norm(ss.adjoint_at_base(base)))
         qoi = est.compute_qoi(sub, sol, run.rho, i3h=run.i3h, eta1=eta1)
-        run.log("accept", sub, sol, eta1=eta1, i4h=qoi.i4h)
+        run.rows.append(RunRow(
+            k=run.k, phase="accept", nodes=run.mesh.n_vertices,
+            stationarity=sol.stationarity, **dataclasses.asdict(qoi)))
         t_diag = time.perf_counter()
         run.monotonicity.append(check_monotonicity(
             run.q_old, run.u_old, run.q0, vspace(run.mesh).zeros(), data))

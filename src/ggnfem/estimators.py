@@ -7,7 +7,8 @@ Per Gauss-Newton step four scalars are tracked:
     I3h  |C(u_old) - g_delta|_G^2 + rho |A(q_old, u_old) - f|_{W_h*}
     I4h  same as I3h at the new pair (q, u)
 
-I1h is evaluated through a separate field-based route so that the
+I1h is evaluated through a separate field-based route, the observation's
+quadrature of the state's misfit (``obs.misfit_sq``), so that the
 identity I1h = I2h + (1/beta)|q - q0|^2 is a genuine cross-check of two
 code paths, not a tautology.
 
@@ -100,22 +101,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("cqd,cqd->cq", a, b)
 
 
-def _obs_pairing(sub: LinearizedSubproblem, gvec, weight, cells: _CellData) -> np.ndarray:
-    """Cellwise values of (gvec, C w)_G for a weight object.
-
-    For point observations each point's contribution lands in the cell
-    that contains it; for L^2 observations gvec is a coefficient vector
-    on the Q space paired by quadrature.
-    """
-    if isinstance(sub.obs, pb.PointObs):
-        out = np.zeros(sub.mesh.n_cells)
-        cids, w, _ = weight.at_points(sub.obs.points)
-        np.add.at(out, cids, np.asarray(gvec) * w)
-        return out
-    gq = cells.vals(Field(sub.Q, np.asarray(gvec, dtype=float)))
-    return cells.integrate(gq * weight.vals)
-
-
 def _hessian_cells(sub: LinearizedSubproblem, cells: _CellData, x,
                    weights, r=0.0) -> np.ndarray:
     """Cellwise L''(x, w) for fields x = (q, v, z) and weights (wq, wu, wz),
@@ -137,7 +122,7 @@ def _hessian_cells(sub: LinearizedSubproblem, cells: _CellData, x,
                  + (q - react * v) * wz.vals - react * z * wu.vals
                  - _dot(wu.grads, grad_z) - _dot(grad_v, wz.grads))
     return (cells.integrate(integrand)
-            + 2.0 * _obs_pairing(sub, sub.C @ x[1].coeffs + r, wu, cells))
+            + 2.0 * sub.obs.pair_cells(sub.mesh, sub.C @ x[1].coeffs + r, wu))
 
 
 def _lagrangian_cells(sub: LinearizedSubproblem, cells: _CellData, x,
@@ -224,7 +209,7 @@ def compute_i1h(sub: LinearizedSubproblem, sol: KktSolution):
     Returns (I1h, (1/beta)|q - q0|_Q^2).
     """
     reg = _reg_term(sub, sol)
-    return _field_misfit_sq(sub, sol) + reg, reg
+    return sub.obs.misfit_sq(sol.u, sub.data_g) + reg, reg
 
 
 def compute_i3h(sub: LinearizedSubproblem, rho: float) -> float:
@@ -238,22 +223,3 @@ def _reg_term(sub: LinearizedSubproblem, sol: KktSolution) -> float:
     dq = sol.q.coeffs - sub.q0.coeffs
     return float(dq @ (sub.M_Q @ dq)) / sub.beta
 
-
-def _field_misfit_sq(sub: LinearizedSubproblem, sol: KktSolution) -> float:
-    """|C(u_h) - g_delta|_G^2 evaluated from the fields themselves.
-
-    C is linear, so this equals the linearized misfit; the independent
-    route keeps the I1h/I2h identity an actual check.
-    """
-    if isinstance(sub.obs, pb.PointObs):
-        cids, locs = fem.point_locations(sub.mesh, sub.obs.points)
-        vals = fem.bilinear(sol.u.full_values()[sub.mesh.cell_corners[cids]],
-                            locs)
-        d = vals - sub.data_g
-        return float(d @ d)
-    mesh = sub.mesh
-    uq = fem._cell_values(sol.u, mesh, _NQ)
-    gq = fem._cell_values(sub.data_g, mesh, _NQ)
-    pts, wts, _, _ = fem._cell_quad_data(_NQ)
-    h2 = mesh.cell_sizes() ** 2
-    return float(np.einsum("c,cq,q->", h2, (uq - gq) ** 2, wts))

@@ -48,8 +48,8 @@ and solvers, the V-to-Q inclusion, the cell origin tables, the patch
 table of the DWR weights, point locations, observation matrices C and
 C'C and the patch basis at the points, and the containment maps into
 finer meshes -- is cached in one per-mesh context (``_cached``); a
-field's moment table, load vector and quadrature values are kept in a
-context of the field.
+field's moment table, load vector, quadrature values and DWR weights
+are kept in a context of the field.
 Contexts sit in a ``WeakKeyDictionary`` keyed by their owner and hold
 nothing that refers back to it, so each one dies with its owner.  For
 the same reason a ``Space`` is a light view over its context entry and
@@ -986,8 +986,9 @@ class PatchWeight:
 
 
 def patch_interpolate(field: "Field") -> PatchWeight:
-    """DWR weight object for a field (see PatchWeight)."""
-    return PatchWeight(field)
+    """DWR weight object for a field (see PatchWeight), kept in its
+    context: eta1 reuses the weights eta2 built for the same solution."""
+    return _cached(field, ("patch_weight",), lambda: PatchWeight(field))
 
 
 # ---------------------------------------------------------------------------

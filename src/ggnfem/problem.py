@@ -68,11 +68,11 @@ class ForwardSolveError(fem.SolverError):
 # ---------------------------------------------------------------------------
 # observation operators
 #
-# Each kind gives the Gauss-Newton step what depends on it: the matrix C
-# from V coefficients to the data space, the Gram weight G of that space
-# (misfit |C v + r|_G^2 = m' G m), the normal matrix C*C = C' G C, the
-# data in the form the subproblem on a mesh takes (``obs.restrict``), the
-# context key of what C depends on, and whether C*C is SPD.
+# Each kind owns every step that depends on it: C from V coefficients to
+# the data space, its Gram weight G (misfit m' G m), C*C = C' G C, the data
+# on a mesh and its vector there, a state's misfit and the DWR pairing
+# (g, C w)_G per cell by its own quadrature, the noise draw, the bundle
+# files, the context key of what C depends on, and whether C*C is SPD.
 
 
 class PointObs:
@@ -105,8 +105,38 @@ class PointObs:
     def restrict(self, data: "NoisyData", mesh) -> np.ndarray:
         return data.g_delta
 
+    def vector(self, data, mesh) -> np.ndarray:
+        return np.asarray(data, dtype=float)
+
     def observe(self, u: Field) -> np.ndarray:
-        return u.eval_points(self.points)
+        cids, locs = fem.point_locations(u.mesh, self.points)
+        return fem.bilinear(u.full_values()[u.mesh.cell_corners[cids]], locs)
+
+    def misfit_sq(self, u: Field, g: np.ndarray) -> float:
+        d = self.observe(u) - g
+        return float(d @ d)
+
+    def pair_cells(self, mesh, gvec: np.ndarray, weight) -> np.ndarray:
+        """Each point's g_i w(xi_i) lands in the cell that contains it."""
+        out = np.zeros(mesh.n_cells)
+        cids, w, _ = weight.at_points(self.points)
+        np.add.at(out, cids, gvec * w)
+        return out
+
+    def perturb(self, g: np.ndarray, p: float, rng):
+        """Componentwise uniform noise scaled by p max|g|; (g_delta, delta)
+        with delta the Euclidean norm of the drawn perturbation."""
+        g_delta = g + rng.uniform(-1.0, 1.0, self.n_obs) * (p * np.abs(g).max())
+        return g_delta, float(np.linalg.norm(g_delta - g))
+
+    def save(self, data: "NoisyData", outdir: str) -> None:
+        with open(os.path.join(outdir, "observations.csv"), "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["index", "x", "y", "g", "g_delta"])
+            for i, (p, gi, gd) in enumerate(zip(self.points, data.g,
+                                                data.g_delta)):
+                w.writerow([i, f"{p[0]:.16g}", f"{p[1]:.16g}",
+                            f"{gi:.16g}", f"{gd:.16g}"])
 
 
 class L2Obs:
@@ -132,10 +162,45 @@ class L2Obs:
     def restrict(self, data: "NoisyData", mesh) -> Field:
         return restrict_data(data, qspace(mesh))
 
+    def vector(self, data: Field, mesh) -> np.ndarray:
+        if data.mesh is not mesh:
+            raise ValueError("L2 data must be restricted to the mesh first")
+        return data.coeffs
+
     def observe(self, u: Field) -> Field:
         # State as an L^2 element on its own mesh (boundary values zero).
         q = qspace(u.mesh)
         return Field(q, u.full_values()[q.free])
+
+    def misfit_sq(self, u: Field, g: np.ndarray) -> float:
+        """|u - g|_L2^2 by quadrature on u's cells, g on u's Q space."""
+        mesh = u.mesh
+        uq = fem._cell_values(u, mesh, fem.NQ_WEIGHTED)
+        gq = fem._cell_values(Field(qspace(mesh), g), mesh, fem.NQ_WEIGHTED)
+        wts = fem._cell_quad_data(fem.NQ_WEIGHTED)[1]
+        h2 = mesh.cell_sizes() ** 2
+        return float(np.einsum("c,cq,q->", h2, (uq - gq) ** 2, wts))
+
+    def pair_cells(self, mesh, gvec: np.ndarray, weight) -> np.ndarray:
+        """(g, w)_L2 per cell by quadrature, g a vector on mesh's Q."""
+        gq = fem._cell_values(Field(qspace(mesh), gvec), mesh, fem.NQ_WEIGHTED)
+        wts = fem._cell_quad_data(fem.NQ_WEIGHTED)[1]
+        return mesh.cell_sizes() ** 2 * ((gq * weight.vals) @ wts)
+
+    def perturb(self, g: Field, p: float, rng):
+        """g + p |g| r / |r| with iid uniform nodal r; (g_delta, delta).
+        Norms sum the cells' corner values (``fem._norm_l2_cells``), so the
+        simulation mesh assembles no mass matrix."""
+        r = rng.uniform(-1.0, 1.0, g.space.dim)
+        norm = fem._norm_l2_cells
+        scale = p * norm(g) / norm(Field(g.space, r))
+        g_delta = Field(g.space, g.coeffs + scale * r)
+        return g_delta, norm(Field(g.space, g_delta.coeffs - g.coeffs))
+
+    def save(self, data: "NoisyData", outdir: str) -> None:
+        fem.write_field_vtk(data.g_delta, os.path.join(outdir, "g_delta.vtk"),
+                            name="g_delta")
+        fem.write_field_csv(data.g_delta, os.path.join(outdir, "g_delta.csv"))
 
 
 @dataclass
@@ -373,35 +438,16 @@ def simulate_truth(problem: ModelProblem, case: SyntheticCase,
 def simulate_data(problem: ModelProblem, case: SyntheticCase, obs,
                   fine_levels: int, p: float, seed: int,
                   truth=None) -> NoisyData:
-    """Forward-simulate on a fine uniform mesh and perturb the data.
-
-    Point data get componentwise uniform noise scaled by p * max|g|;
-    L^2 data get g + p |g| r / |r| with iid uniform nodal r, the L^2
-    norms summed over the cells' corner values (``fem._norm_l2_cells``),
-    so the simulation mesh assembles no mass matrix. delta is the realized
-    G-norm of the perturbation, deterministic in the seed.  A precomputed
-    (q_true, u_true) pair may be passed to reuse one forward solve across
-    noise levels.
+    """Forward-simulate on a fine uniform mesh and perturb the data
+    (``obs.perturb``).  delta is the realized G-norm of the perturbation,
+    deterministic in the seed.  A precomputed (q_true, u_true) pair may be
+    passed to reuse one forward solve across noise levels.
     """
     if truth is None:
         truth = simulate_truth(problem, case, fine_levels)
     q_true, u_true = truth
-    rng = np.random.default_rng(seed)
-
-    if isinstance(obs, PointObs):
-        g = obs.observe(u_true)
-        g_delta = g + rng.uniform(-1.0, 1.0, obs.n_obs) * (p * np.abs(g).max())
-        delta = float(np.linalg.norm(g_delta - g))
-    elif isinstance(obs, L2Obs):
-        g = obs.observe(u_true)
-        r = rng.uniform(-1.0, 1.0, g.space.dim)
-        norm = fem._norm_l2_cells
-        scale = p * norm(g) / norm(Field(g.space, r))
-        g_delta = Field(g.space, g.coeffs + scale * r)
-        delta = norm(Field(g.space, g_delta.coeffs - g.coeffs))
-    else:
-        raise TypeError(f"unsupported observation {obs!r}")
-
+    g = obs.observe(u_true)
+    g_delta, delta = obs.perturb(g, p, np.random.default_rng(seed))
     return NoisyData(
         obs=obs, g=g, g_delta=g_delta, delta=delta, p=p, seed=seed,
         case=case.label, zeta=problem.zeta, fine_levels=fine_levels,
@@ -434,21 +480,10 @@ def restrict_data(data: NoisyData, target_space: Space) -> Field:
 
 
 def save_data_bundle(data: NoisyData, outdir: str) -> None:
-    """Observation bundle: CSV (+ VTK for L^2 data) and a manifest."""
+    """Observation bundle: the observation's files (``obs.save``: a CSV
+    for point data, VTK and CSV for L^2 data) and a manifest."""
     os.makedirs(outdir, exist_ok=True)
-    if isinstance(data.obs, PointObs):
-        with open(os.path.join(outdir, "observations.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["index", "x", "y", "g", "g_delta"])
-            for i, (p, gi, gd) in enumerate(
-                zip(data.obs.points, data.g, data.g_delta)
-            ):
-                w.writerow([i, f"{p[0]:.16g}", f"{p[1]:.16g}",
-                            f"{gi:.16g}", f"{gd:.16g}"])
-    else:
-        fem.write_field_vtk(data.g_delta, os.path.join(outdir, "g_delta.vtk"),
-                            name="g_delta")
-        fem.write_field_csv(data.g_delta, os.path.join(outdir, "g_delta.csv"))
+    data.obs.save(data, outdir)
     with open(os.path.join(outdir, "manifest.txt"), "w") as fh:
         fh.write(f"case = {data.case}\n")
         fh.write(f"observation = {data.obs.kind}\n")

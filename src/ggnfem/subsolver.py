@@ -89,7 +89,7 @@ class LinearizedSubproblem:
     a_res: np.ndarray
     beta: float
     obs: object
-    data_g: object
+    data_g: np.ndarray  # the data vector g in the data space
     # The reduced matrix and its LU factors, built by the first solve; a
     # copy by dataclasses.replace (say, for another beta) starts without.
     A: sp.csc_matrix = dc_field(default=None, init=False, repr=False,
@@ -121,21 +121,16 @@ def build_subproblem(problem: pb.ModelProblem, mesh: QuadMesh,
                      obs, data, beta: float) -> LinearizedSubproblem:
     """Assemble all operators of the linearized problem on a mesh.
 
-    ``data`` is the observation vector for point measurements or the
-    data field restricted to the mesh (``obs.restrict``) for L^2
-    measurements.  With C = obs.matrix(V) and G the Gram weight of the
-    data space, r_g = C u_old - g and c_res = C' G r_g.
+    ``data`` is the observation's data on the mesh (``obs.restrict``),
+    with vector g = obs.vector(data, mesh).  With C = obs.matrix(V) and G
+    the Gram weight of the data space, r_g = C u_old - g and
+    c_res = C' G r_g.
     """
     V, Q = vspace(mesh), qspace(mesh)
     q_old_h = interpolate_onto(q_old, mesh)
     u_old_h = interpolate_onto(u_old, mesh)
     K = pb.linearized_state_operator(problem, V, u_old_h)
-    if isinstance(data, Field):
-        if data.mesh is not mesh:
-            raise ValueError("L2 data must be restricted to the mesh first")
-        g = data.coeffs
-    else:
-        data = g = np.asarray(data, dtype=float)
+    g = obs.vector(data, mesh)
     C = obs.matrix(V)
     r_g = C @ u_old_h.coeffs - g
     a_res = pb.semilinear_residual(problem, q_old_h, u_old_h, V)
@@ -145,7 +140,7 @@ def build_subproblem(problem: pb.ModelProblem, mesh: QuadMesh,
         q_old_h=q_old_h, u_old_h=u_old_h, q0=q0_h, K=K, M_Q=Q.mass(),
         C=C, CtC=obs.normal_matrix(V),
         c_res=fem._transpose_product(C, obs.gram(Q, r_g)),
-        r_g=r_g, a_res=a_res, beta=beta, obs=obs, data_g=data,
+        r_g=r_g, a_res=a_res, beta=beta, obs=obs, data_g=g,
     )
 
 

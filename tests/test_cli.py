@@ -32,6 +32,17 @@ def test_config_rejects_unknown_keys(tmp_path):
         cli.load_config(cfg)
 
 
+def test_config_text_ignores_field_order():
+    """The manifest's config_hash hashes config_text, so the text must
+    depend on the settings only: the same values declared in another
+    order give the same text."""
+    exp, ggn, nt = cli.load_config()
+    reordered = dataclasses.make_dataclass(
+        "Reordered", [(f.name, f.type) for f in dataclasses.fields(ggn)][::-1])
+    flipped = reordered(**dataclasses.asdict(ggn))
+    assert cli.config_text(exp, flipped, nt) == cli.config_text(exp, ggn, nt)
+
+
 def test_simulate_idempotent(tmp_path):
     out = tmp_path / "bundle"
     args = ["--zeta", "100", "--noise", "0", "--fine-levels", "4",

@@ -5,7 +5,8 @@ import weakref
 import numpy as np
 import pytest
 
-from ggnfem import baseline as bl, driver as dv, fem, problem as pb
+from ggnfem import baseline as bl, driver as dv, estimators as est, fem
+from ggnfem import problem as pb
 from ggnfem.fem import Field, Space, interpolate_onto, qspace, vspace
 from ggnfem.mesh import QuadMesh, refine, uniform_mesh
 
@@ -111,6 +112,21 @@ def test_manifest_lists_only_the_checks_the_run_made(tmp_path):
         assert ("max_identity_dev = " in manifest) == checked
         assert ("monotonicity_ok = True" in manifest) == checked
         assert "monotonicity_ok = False" not in manifest
+
+
+def test_each_row_evaluates_i1h_once(monkeypatch):
+    """Every row after init evaluates the field route of I1h once; an
+    accept row takes its QoIs from the step's compute_qoi."""
+    prob = pb.ModelProblem(zeta=100.0)
+    data = pb.simulate_data(prob, pb.synthetic_case("a"), pb.PointObs(9), 5,
+                            0.01, 1)
+    calls = []
+    i1h = est.compute_i1h
+    monkeypatch.setattr(est, "compute_i1h",
+                        lambda sub, sol: calls.append(sub) or i1h(sub, sol))
+    rep = dv.run_ggn(prob, data, dv.GgnConfig(max_depth=4))
+    assert rep.accepted_rows
+    assert len(calls) == len(rep.rows) - 1
 
 
 def test_immediate_stop_on_huge_delta():

@@ -102,6 +102,24 @@ def test_identity_i1_minus_i2():
     assert qoi.check_identity(reg) <= 1e-12 * max(1.0, qoi.i1h)
 
 
+def test_eta1_reuses_the_weights_eta2_built(monkeypatch):
+    """The DWR weights of a field live in its context: eta1 of a solution
+    builds none after eta2 of the same solution."""
+    *_, sub, sol = _instance()
+    aux = ss.solve_second_order(sub, sol)
+    built = []
+    init = fem.PatchWeight.__init__
+    monkeypatch.setattr(fem.PatchWeight, "__init__",
+                        lambda w, field: built.append(field) or init(w, field))
+    eta2 = est.estimate_eta2(sol, sub, aux)[0]
+    assert len(built) == 6
+    eta1 = est.estimate_eta1(sol, sub)[0]
+    assert len(built) == 6
+    assert patch_interpolate(sol.u) is patch_interpolate(sol.u)
+    assert est.estimate_eta2(sol, sub, aux)[0] == eta2
+    assert est.estimate_eta1(sol, sub)[0] == eta1
+
+
 def test_eta1_galerkin_orthogonality():
     prob, mesh, V, Q, obs, data, sub, sol = _instance()
     rng = np.random.default_rng(3)

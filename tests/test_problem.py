@@ -561,6 +561,22 @@ def test_save_data_bundle(tmp_path, sims):
     assert "delta =" in manifest and "seed = 1" in manifest
 
 
+def test_save_l2_data_bundle(tmp_path, sims):
+    """An L^2 bundle holds g_delta as VTK and CSV, written by the field
+    writers, and no point table."""
+    d = sims(obs="l2", zeta=100.0, p=0.01, seed=1, fine=5)
+    out = tmp_path / "bundle"
+    pb.save_data_bundle(d, out)
+    fem.write_field_vtk(d.g_delta, tmp_path / "ref.vtk", name="g_delta")
+    fem.write_field_csv(d.g_delta, tmp_path / "ref.csv")
+    for ext in ("vtk", "csv"):
+        assert ((out / f"g_delta.{ext}").read_bytes()
+                == (tmp_path / f"ref.{ext}").read_bytes())
+    assert not (out / "observations.csv").exists()
+    manifest = (out / "manifest.txt").read_text()
+    assert "observation = l2" in manifest and "fine_levels = 5" in manifest
+
+
 def test_point_matrix_keyed_by_points():
     V = vspace(uniform_mesh(3))
     assert pb.PointObs(9).matrix(V).shape[0] == 81

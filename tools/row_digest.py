@@ -9,9 +9,10 @@
 configurations of ``perfbench/workloads.py``, at noise seeds 1-3: 3 GGN
 runs on L^2 data and 6 GGN/NT pairs per seed, 39 runs in all.  For every
 run it writes each report row (floats as ``float.hex``), the termination,
-the warnings, the outer iteration count, the control error and the
-forward-solve count.  ggnfem is imported from ``--src`` (default: the
-``src`` of this checkout), so one copy of this tool dumps any checkout.
+the warnings, the outer iteration count, the realized noise level delta,
+the control error and the forward-solve count.  ggnfem is imported from
+``--src`` (default: the ``src`` of this checkout), so one copy of this
+tool dumps any checkout.
 ``compare`` names every run whose dump differs and exits 1 if any does.
 BLAS runs on one thread, as in the benchmark.
 """
@@ -44,6 +45,7 @@ def digest(report) -> dict:
     return {"termination": report.termination,
             "warnings": list(report.warnings),
             "outer_iterations": report.outer_iterations,
+            "delta": _hex(report.delta),
             "control_error": _hex(report.control_error),
             "forward_solves": report.total_forward_solves,
             "rows": rows}
