@@ -55,8 +55,8 @@ def _gn_fit(problem, obs, obs_data, mesh, beta, q_start, u_warm, cfg):
     residual vanishes there, which makes the two formulations agree).
     The forward solve at q + t dq starts Newton from u + t v, v the state
     increment of that KKT solve, which is S(q + t dq) to O(t^2).
-    Returns the fixed point with a subproblem/solution pair at it, the
-    number of forward solves, and whether the step fell to gn_tol before
+    Returns the fixed point with the KKT solution at it, the number of
+    forward solves, and whether the step fell to gn_tol before
     gn_cap iterations.
     """
     V, Q = vspace(mesh), qspace(mesh)
@@ -75,9 +75,8 @@ def _gn_fit(problem, obs, obs_data, mesh, beta, q_start, u_warm, cfg):
     j_old, disc2 = j_value(q, u)
     n_forward, rel_change = 1, np.inf
     for it in range(cfg.gn_cap + 1):
-        sub = ss.build_subproblem(problem, mesh, q, u, q0, obs, obs_data,
-                                  beta)
-        sol = ss.solve_kkt(sub)
+        sol = ss.solve_kkt(ss.build_subproblem(problem, mesh, q, u, q0, obs,
+                                               obs_data, beta))
         if rel_change <= cfg.gn_tol or it == cfg.gn_cap:
             break  # the fixed-point triple for the indicator
         dq = sol.q.coeffs - q.coeffs
@@ -94,7 +93,7 @@ def _gn_fit(problem, obs, obs_data, mesh, beta, q_start, u_warm, cfg):
             step *= 0.5
         rel_change = np.abs(step * dq).max() / max(1.0, np.abs(q.coeffs).max())
         q, u, j_old, disc2 = q_c, u_c, j_new, disc2_c
-    return q, u, sub, sol, disc2, n_forward, rel_change <= cfg.gn_tol
+    return q, u, sol, disc2, n_forward, rel_change <= cfg.gn_tol
 
 
 def run_nt(problem: pb.ModelProblem, data: pb.NoisyData, cfg: NtConfig) -> RunReport:
@@ -109,7 +108,7 @@ def run_nt(problem: pb.ModelProblem, data: pb.NoisyData, cfg: NtConfig) -> RunRe
 
     try:
         for _ in range(cfg.max_passes):
-            run.q_old, run.u_old, sub, sol, disc2, nf, converged = _gn_fit(
+            run.q_old, run.u_old, sol, disc2, nf, converged = _gn_fit(
                 problem, data.obs, run.observed(run.mesh), run.mesh,
                 run.beta, run.q_old, run.u_old, cfg)
             total_forward += nf
@@ -119,8 +118,8 @@ def run_nt(problem: pb.ModelProblem, data: pb.NoisyData, cfg: NtConfig) -> RunRe
                     f"k={k}: Gauss-Newton fit stopped at "
                     f"gn_cap={cfg.gn_cap} without meeting "
                     f"gn_tol={cfg.gn_tol:g}")
-            eta, ind = est.estimate_eta1(sol, sub)
-            reg = est._reg_term(sub, sol)
+            eta, ind = est.estimate_eta1(sol)
+            reg = est._reg_term(sol)
             run.rows.append(RunRow(
                 k=k, phase="solve", nodes=run.mesh.n_vertices, beta=run.beta,
                 i1h=disc2 + reg, i2h=disc2, eta1=eta,

@@ -155,10 +155,6 @@ class RunReport:
     method: str = "GGN"
     total_forward_solves: int = 0  # nonlinear forward solves (NT only)
 
-    @property
-    def accepted_rows(self):
-        return [r for r in self.rows if r.phase == "accept"]
-
 
 def mark_fraction(indicators: np.ndarray, fraction: float):
     """Smallest cell set carrying at least the given indicator mass."""
@@ -304,7 +300,7 @@ class _Run:
         """Penalty weight rho and gate I3h at the initial point, logged
         as the init row."""
         sub = self.subproblem()
-        self.rho = ss.adjoint_w_norm(ss.adjoint_at_base(sub))
+        self.rho = ss.adjoint_at_base(sub).norm_h1semi()
         self.i3h = est.compute_i3h(sub, self.rho)
         self.rows.append(RunRow(
             k=0, phase="init", nodes=self.mesh.n_vertices, beta=self.beta,
@@ -325,12 +321,11 @@ class _Run:
         return sub
 
     def solve(self):
-        sub = self.subproblem()
-        return sub, ss.solve_kkt(sub)
+        return ss.solve_kkt(self.subproblem())
 
-    def log(self, phase, sub, sol, check_identity=False, **estimates):
+    def log(self, phase, sol, check_identity=False, **estimates):
         i2h = sol.misfit_sq()
-        i1h, reg = est.compute_i1h(sub, sol)
+        i1h, reg = est.compute_i1h(sol)
         if check_identity:
             self.identity_devs.append(abs(i1h - i2h - reg))
         self.rows.append(RunRow(
@@ -342,10 +337,10 @@ class _Run:
         return (self.cfg.theta_low * self.i3h <= i2h
                 <= self.cfg.theta_high * self.i3h)
 
-    def beta_search(self, sub, sol):
+    def beta_search(self, sol):
         """``BetaBracket`` steps until I2h, nonincreasing in beta, lands
-        in the band, starting from the solution ``sol`` of ``sub`` at the
-        current beta; when |eta2| exceeds its accuracy gate, the mesh is
+        in the band, starting from the solution ``sol`` at the current
+        beta; when |eta2| exceeds its accuracy gate, the mesh is
         refined with respect to the eta2 indicators instead (refine or
         update, never both per pass).
 
@@ -361,32 +356,31 @@ class _Run:
         gate2 = 0.5 * cfg.tau_beta_tilde**2 * delta_beta_sq
         while True:
             i2h = sol.misfit_sq()
-            aux = ss.solve_second_order(sub, sol)
-            eta2, ind2 = est.estimate_eta2(sol, sub, aux)
+            eta2, ind2 = est.estimate_eta2(sol, ss.solve_second_order(sol))
             # The accuracy conditions constrain upper bounds on |I - I_h|;
             # the cellwise-absolute sum is the computable surrogate.
             if (ind2.sum() > gate2
                     and bracket.refines < cfg.max_refine_per_search):
                 new_mesh = refined(self.mesh, ind2, cfg)
                 if new_mesh is not None:
-                    self.log("refine2", sub, sol, eta2=eta2)
+                    self.log("refine2", sol, eta2=eta2)
                     self.mesh = new_mesh
                     bracket.reopen()
-                    sub, sol = self.solve()
+                    sol = self.solve()
                     continue
             if self.in_band(i2h):
-                return sub, sol
+                return sol
             if i2h < cfg.theta_low * self.i3h and bracket.at_floor(self.beta):
                 self.warnings.append(
                     f"k={self.k}: I2h={i2h:.3e} below the band at the "
                     f"beta floor {self.beta_floor:.3e}; accepting")
-                return sub, sol
+                return sol
             bracket.count("no beta found in {cap} updates "
                           f"(I2h={i2h:.3e}, I3h={self.i3h:.3e})")
-            self.log("beta", sub, sol, eta2=eta2)
+            self.log("beta", sol, eta2=eta2)
             self.beta = bracket.step(self.beta,
                                      i2h > cfg.theta_high * self.i3h)
-            sub, sol = self.solve()
+            sol = self.solve()
 
     def finalize(self, termination, **extra):
         wall = time.perf_counter() - self.t0  # reporting excluded
@@ -432,16 +426,16 @@ def _iterate(run: _Run) -> str:
             return "iteration-cap"
         accepted = False
         for _ in range(cfg.max_inner):
-            sub, sol = run.solve()
-            run.log("solve", sub, sol, check_identity=True)
+            sol = run.solve()
+            run.log("solve", sol, check_identity=True)
             if not run.in_band(sol.misfit_sq()):
-                sub, sol = run.beta_search(sub, sol)
-            eta1, ind1 = est.estimate_eta1(sol, sub)
+                sol = run.beta_search(sol)
+            eta1, ind1 = est.estimate_eta1(sol)
             gate1 = cfg.eta1_gate_coefficient() * run.i3h
             if ind1.sum() > gate1:
                 new_mesh = refined(run.mesh, ind1, cfg)
                 if new_mesh is not None:
-                    run.log("refine1", sub, sol, eta1=eta1)
+                    run.log("refine1", sol, eta1=eta1)
                     run.mesh = new_mesh
                     continue
                 run.warnings.append(
@@ -460,8 +454,8 @@ def _iterate(run: _Run) -> str:
         run.beta_floor = max(run.beta_floor, run.beta)
         run.k += 1
         base = run.subproblem()
-        run.rho = max(run.rho, ss.adjoint_w_norm(ss.adjoint_at_base(base)))
-        qoi = est.compute_qoi(sub, sol, run.rho, i3h=run.i3h, eta1=eta1)
+        run.rho = max(run.rho, ss.adjoint_at_base(base).norm_h1semi())
+        qoi = est.compute_qoi(sol, run.rho, i3h=run.i3h, eta1=eta1)
         run.rows.append(RunRow(
             k=run.k, phase="accept", nodes=run.mesh.n_vertices,
             stationarity=sol.stationarity, **dataclasses.asdict(qoi)))

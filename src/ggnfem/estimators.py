@@ -31,7 +31,7 @@ import numpy as np
 
 from . import fem, problem as pb
 from .fem import Field, patch_interpolate
-from .subsolver import AuxTriple, KktSolution, LinearizedSubproblem
+from .subsolver import KktSolution, LinearizedSubproblem
 
 __all__ = [
     "Qoi",
@@ -57,10 +57,6 @@ class Qoi:
     eta2: float
     rho: float
     beta: float
-
-    def check_identity(self, reg_term: float) -> float:
-        """|I1h - I2h - (1/beta)|q-q0|^2| against the given term."""
-        return abs(self.i1h - self.i2h - reg_term)
 
 
 # ---------------------------------------------------------------------------
@@ -144,14 +140,14 @@ def _patch_weights(*fields):
     return tuple(patch_interpolate(f) for f in fields)
 
 
-def estimate_eta1(sol: KktSolution, sub: LinearizedSubproblem,
-                  weights=None):
+def estimate_eta1(sol: KktSolution, weights=None):
     """DWR estimate of I1 - I1h with cellwise refinement indicators:
     0.5 L'(x_h)(w) for the weights w of x_h.
 
     Returns (signed estimate, |cell contribution| array).  A custom
     weight triple may be injected to check Galerkin orthogonality.
     """
+    sub = sol.sub
     cells = _CellData(sub)
     if weights is None:
         weights = _patch_weights(sol.q, sol.u, sol.z)
@@ -160,31 +156,28 @@ def estimate_eta1(sol: KktSolution, sub: LinearizedSubproblem,
     return float(contrib.sum()), np.abs(contrib)
 
 
-def estimate_eta2(sol: KktSolution, sub: LinearizedSubproblem, aux: AuxTriple,
-                  weights=None, aux_weights=None):
+def estimate_eta2(sol: KktSolution, aux):
     """DWR estimate of I2 - I2h via the auxiliary Lagrangian:
 
         0.5 [I2'(u_h)(wu) + L''(x1, w) + L'(x_h)(w1)]
 
-    for the auxiliary triple x1, the weights w of x_h and w1 of x1;
-    cellwise magnitudes drive refinement in the regularization-parameter
-    search.
+    for the auxiliary fields x1 = (q, v, z) of ``solve_second_order``,
+    the weights w of x_h and w1 of x1; cellwise magnitudes drive
+    refinement in the regularization-parameter search.
     """
+    sub = sol.sub
     cells = _CellData(sub)
-    if weights is None:
-        weights = _patch_weights(sol.q, sol.u, sol.z)
-    if aux_weights is None:
-        aux_weights = _patch_weights(aux.q, aux.v, aux.z)
+    weights = _patch_weights(sol.q, sol.u, sol.z)
+    aux_weights = _patch_weights(*aux)
     # I2'(u_h)(wu) = 2 (C v_h + r_g, C wu)_G joins the Hessian's pairing.
     r_lin = sub.misfit(sol.v.coeffs)[1]
     contrib = 0.5 * (
-        _hessian_cells(sub, cells, (aux.q, aux.v, aux.z), weights, r=r_lin)
+        _hessian_cells(sub, cells, aux, weights, r=r_lin)
         + _lagrangian_cells(sub, cells, (sol.q, sol.v, sol.z), aux_weights))
     return float(contrib.sum()), np.abs(contrib)
 
 
-def compute_qoi(sub: LinearizedSubproblem, sol: KktSolution, rho: float,
-                i3h: float | None = None,
+def compute_qoi(sol: KktSolution, rho: float, i3h: float | None = None,
                 eta1: float = float("nan"), eta2: float = float("nan")) -> Qoi:
     """All four discrete QoIs of a step.
 
@@ -193,8 +186,9 @@ def compute_qoi(sub: LinearizedSubproblem, sol: KktSolution, rho: float,
     (the driver freezes it per outer iteration); otherwise it is
     evaluated here on the current mesh.
     """
+    sub = sol.sub
     i2h = sol.misfit_sq()
-    i1h, _ = compute_i1h(sub, sol)
+    i1h, _ = compute_i1h(sol)
     if i3h is None:
         i3h = compute_i3h(sub, rho)
     new_res = pb.semilinear_residual(sub.problem, sol.q, sol.u, sub.V)
@@ -203,13 +197,13 @@ def compute_qoi(sub: LinearizedSubproblem, sol: KktSolution, rho: float,
                rho=rho, beta=sub.beta)
 
 
-def compute_i1h(sub: LinearizedSubproblem, sol: KktSolution):
+def compute_i1h(sol: KktSolution):
     """I1h by the field route, with its regularization term.
 
     Returns (I1h, (1/beta)|q - q0|_Q^2).
     """
-    reg = _reg_term(sub, sol)
-    return sub.obs.misfit_sq(sol.u, sub.data_g) + reg, reg
+    reg = _reg_term(sol)
+    return sol.sub.obs.misfit_sq(sol.u, sol.sub.data_g) + reg, reg
 
 
 def compute_i3h(sub: LinearizedSubproblem, rho: float) -> float:
@@ -219,7 +213,7 @@ def compute_i3h(sub: LinearizedSubproblem, rho: float) -> float:
             + rho * fem.riesz_dual_norm(sub.V, sub.a_res)[0])
 
 
-def _reg_term(sub: LinearizedSubproblem, sol: KktSolution) -> float:
-    dq = sol.q.coeffs - sub.q0.coeffs
-    return float(dq @ (sub.M_Q @ dq)) / sub.beta
+def _reg_term(sol: KktSolution) -> float:
+    dq = sol.q.coeffs - sol.sub.q0.coeffs
+    return float(dq @ (sol.sub.M_Q @ dq)) / sol.sub.beta
 

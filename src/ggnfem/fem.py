@@ -309,8 +309,11 @@ class Field:
         return bilinear(self.full_values()[self.mesh.cell_corners[cids]], locs)
 
     def norm_l2(self) -> float:
-        M = self.space.mass()
-        return float(np.sqrt(max(self.coeffs @ (M @ self.coeffs), 0.0)))
+        """|field|_L2, summed over the cells' corner values as the moment
+        table's own norm: no mass matrix is assembled, no values kept."""
+        cv = (self.space.T @ self.coeffs)[self.mesh.cell_corners]
+        moments = _corner_moments(cv, "mass", self.mesh.cell_sizes())
+        return float(np.sqrt(np.sum(moments * cv)))
 
     def norm_h1semi(self) -> float:
         K = self.space.stiffness()
@@ -573,18 +576,16 @@ def assemble_mass(space_row: Space, space_col: Space) -> sp.csr_matrix:
                      np.outer(h2, _element_matrix("mass").ravel()))
 
 
-def assemble_weighted_mass(space: Space, weight: "Field", exponent: int) -> sp.csr_matrix:
-    """Condensed matrix of (w**exponent u, v) for exponent in {2, 3}.
+def assemble_weighted_mass(space: Space, weight: "Field") -> sp.csr_matrix:
+    """Condensed matrix of (w^2 u, v).
 
     The weight may live on a coarser nested mesh; it is re-interpolated
     exactly onto the space's mesh first.
     """
-    if exponent not in (2, 3):
-        raise ValueError("exponent must be 2 or 3")
     mesh = space.mesh
     wvals = _weighted_values(interpolate_onto(weight, mesh))
     h2 = mesh.cell_sizes() ** 2
-    elems = (h2[:, None] * wvals**exponent) @ _product_tables(NQ_WEIGHTED)[1]
+    elems = (h2[:, None] * wvals**2) @ _product_tables(NQ_WEIGHTED)[1]
     return _assemble(space, space, elems)
 
 
@@ -746,7 +747,7 @@ def _grid_functional(field: "Field", nq: int, power: int = 1) -> np.ndarray:
 
 def _grid_weighted_mass(field: "Field") -> _Stencil:
     """Stencil of (f^2 u, v) on V of a field's uniform mesh, under the
-    NQ_WEIGHTED rule, as ``assemble_weighted_mass`` with exponent 2."""
+    NQ_WEIGHTED rule, as ``assemble_weighted_mass``."""
     c = _grid_integrals(field, NQ_WEIGHTED, 2, lambda x: np.column_stack(
         [(1 - x) ** 2, (1 - x) * x, x**2]))
     n = c.shape[-1]
@@ -757,14 +758,6 @@ def _grid_weighted_mass(field: "Field") -> _Stencil:
                 coeffs[dy, dx] += c[px, py, 1 + sy:n + sy, 1 + sx:n + sx]
     return _Stencil({(dy - 1, dx - 1): coeffs[dy, dx]
                      for dy, dx in np.ndindex(3, 3)})
-
-
-def _norm_l2_cells(field: "Field") -> float:
-    """|field|_L2 summed over its cells' corner values, as the moment
-    table's own norm: no mass matrix is assembled, no values are kept."""
-    cv = (field.space.T @ field.coeffs)[field.mesh.cell_corners]
-    moments = _corner_moments(cv, "mass", field.mesh.cell_sizes())
-    return float(np.sqrt(np.sum(moments * cv)))
 
 
 # ---------------------------------------------------------------------------
@@ -995,28 +988,33 @@ def patch_interpolate(field: "Field") -> PatchWeight:
 # export
 
 
+def _write_rows(fh, fmt: str, *columns) -> None:
+    """fmt filled with one value of each column per row, written in blocks
+    of 65,536 rows, so no whole file's text or list copy is held."""
+    for i in range(0, len(columns[0]), 65536):
+        rows = (c[i:i + 65536].tolist() for c in columns)
+        fh.write("".join(map(fmt.format, *rows)))
+
+
 def write_mesh_vtk(mesh: QuadMesh, path, point_data=None) -> None:
     """Legacy ASCII VTK unstructured grid with VTK_QUAD cells.
 
     ``point_data`` is an optional (name, values per vertex) pair.
     """
-    sw, se, nw, ne = mesh.cell_corners.T.tolist()
-    text = ("# vtk DataFile Version 3.0\n"
-            "quadtree mesh\nASCII\nDATASET UNSTRUCTURED_GRID\n"
-            f"POINTS {mesh.n_vertices} double\n"
-            + "".join(map("{:.16g} {:.16g} 0\n".format,
-                          *mesh.vertices.T.tolist()))
-            + f"CELLS {mesh.n_cells} {5 * mesh.n_cells}\n"
-            + "".join(map("4 {} {} {} {}\n".format, sw, se, ne, nw))
-            + f"CELL_TYPES {mesh.n_cells}\n" + "9\n" * mesh.n_cells)
-    if point_data is not None:
-        name, values = point_data
-        text += (f"POINT_DATA {mesh.n_vertices}\n"
-                 f"SCALARS {name} double 1\nLOOKUP_TABLE default\n"
-                 + "".join(map("{:.16g}\n".format,
-                               np.asarray(values).tolist())))
+    sw, se, nw, ne = mesh.cell_corners.T
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.write("# vtk DataFile Version 3.0\n"
+                 "quadtree mesh\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+                 f"POINTS {mesh.n_vertices} double\n")
+        _write_rows(fh, "{:.16g} {:.16g} 0\n", *mesh.vertices.T)
+        fh.write(f"CELLS {mesh.n_cells} {5 * mesh.n_cells}\n")
+        _write_rows(fh, "4 {} {} {} {}\n", sw, se, ne, nw)
+        fh.write(f"CELL_TYPES {mesh.n_cells}\n" + "9\n" * mesh.n_cells)
+        if point_data is not None:
+            name, values = point_data
+            fh.write(f"POINT_DATA {mesh.n_vertices}\n"
+                     f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            _write_rows(fh, "{:.16g}\n", np.asarray(values))
 
 
 def write_field_vtk(field: "Field", path, name: str = "value") -> None:
@@ -1026,7 +1024,7 @@ def write_field_vtk(field: "Field", path, name: str = "value") -> None:
 
 def write_field_csv(field: "Field", path) -> None:
     """CSV of (x, y, value) triples over all vertices."""
-    lines = map("{:.16g},{:.16g},{:.16g}\n".format,
-                *field.mesh.vertices.T.tolist(), field.full_values().tolist())
     with open(path, "w") as fh:
-        fh.write("x,y,value\n" + "".join(lines))
+        fh.write("x,y,value\n")
+        _write_rows(fh, "{:.16g},{:.16g},{:.16g}\n",
+                    *field.mesh.vertices.T, field.full_values())

@@ -142,10 +142,6 @@ class QuadMesh:
         """Side length of every leaf (read-only, computed once)."""
         return self._cell_sizes
 
-    def neighbor_levels_ok(self) -> bool:
-        """Exhaustive edge scan of the 1-irregularity invariant."""
-        return _too_coarse(self.cells, self.codes, self.cells).size == 0
-
     def __repr__(self):
         return (f"QuadMesh(cells={self.n_cells}, vertices={self.n_vertices}, "
                 f"max_level={self.max_level})")

@@ -189,13 +189,12 @@ class L2Obs:
 
     def perturb(self, g: Field, p: float, rng):
         """g + p |g| r / |r| with iid uniform nodal r; (g_delta, delta).
-        Norms sum the cells' corner values (``fem._norm_l2_cells``), so the
-        simulation mesh assembles no mass matrix."""
+        The norms are ``Field.norm_l2``, which assembles no mass matrix
+        on the simulation mesh."""
         r = rng.uniform(-1.0, 1.0, g.space.dim)
-        norm = fem._norm_l2_cells
-        scale = p * norm(g) / norm(Field(g.space, r))
+        scale = p * g.norm_l2() / Field(g.space, r).norm_l2()
         g_delta = Field(g.space, g.coeffs + scale * r)
-        return g_delta, norm(Field(g.space, g_delta.coeffs - g.coeffs))
+        return g_delta, Field(g.space, g_delta.coeffs - g.coeffs).norm_l2()
 
     def save(self, data: "NoisyData", outdir: str) -> None:
         fem.write_field_vtk(data.g_delta, os.path.join(outdir, "g_delta.vtk"),
@@ -269,7 +268,7 @@ def linearized_state_operator(problem: ModelProblem, space: Space, u_base: Field
     K = space.stiffness()
     if not problem.zeta:
         return K
-    J = fem.assemble_weighted_mass(space, u_base, 2)
+    J = fem.assemble_weighted_mass(space, u_base)
     J.data *= 3.0 * problem.zeta
     J.data += K.data
     return J

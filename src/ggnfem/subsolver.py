@@ -53,13 +53,11 @@ from .mesh import QuadMesh
 __all__ = [
     "LinearizedSubproblem",
     "KktSolution",
-    "AuxTriple",
     "KktError",
     "build_subproblem",
     "solve_kkt",
     "solve_second_order",
     "adjoint_at_base",
-    "adjoint_w_norm",
 ]
 
 
@@ -146,7 +144,8 @@ def build_subproblem(problem: pb.ModelProblem, mesh: QuadMesh,
 
 @dataclass
 class KktSolution:
-    """Primal/dual triple of one subproblem, with u = u_old + v."""
+    """Primal/dual triple of one subproblem, with u = u_old + v: the one
+    handle of a Gauss-Newton step, from which every estimate reads."""
 
     sub: LinearizedSubproblem
     q: Field
@@ -252,33 +251,26 @@ def solve_kkt(sub: LinearizedSubproblem) -> KktSolution:
     )
 
 
-@dataclass
-class AuxTriple:
-    """Solution of the second-order auxiliary system."""
-
-    q: Field
-    v: Field
-    z: Field
-
-
-def solve_second_order(sub: LinearizedSubproblem, sol: KktSolution) -> AuxTriple:
-    """Auxiliary triple for the I2 estimator.
+def solve_second_order(sol: KktSolution):
+    """Auxiliary fields (q, v, z) of the I2 estimator for a solution.
 
     The subproblem is linear-quadratic, so the Lagrangian Hessian is the
-    constant KKT operator; one extra solve with right-hand side built
-    from -I2'(u_h) yields the auxiliary triple.
+    constant KKT operator: one more solve with the factorization of
+    ``sol.sub``, with right-hand side -I2'(u_h), gives the triple.
     """
+    sub = sol.sub
     q, v, z = _solve_reduced(sub, -(sub.CtC @ sol.v.coeffs + sub.c_res),
                              np.zeros(sub.V.dim), np.zeros(sub.Q.dim))
-    return AuxTriple(q=Field(sub.Q, q), v=Field(sub.V, v), z=Field(sub.V, z))
+    return Field(sub.Q, q), Field(sub.V, v), Field(sub.V, z)
 
 
 def adjoint_at_base(sub: LinearizedSubproblem) -> Field:
     """Adjoint state of the optimality system at the base point itself.
 
     Solves K' z = 2 C'* (C(u_old) - g_delta) with the subproblem's
-    operators, frozen at (q_old, u_old); the W-norm of z drives the
-    penalty-weight update.  K = A'_u is SPD: CG as in the forward solve.
+    operators, frozen at (q_old, u_old).  Its W-norm, |grad z| under the
+    H^1_0 identification (``z.norm_h1semi()``), drives the penalty-weight
+    update.  K = A'_u is SPD: CG as in the forward solve.
     """
     rhs = 2.0 * sub.c_res
     solver = sub.V.stiffness_solver()
@@ -288,9 +280,3 @@ def adjoint_at_base(sub: LinearizedSubproblem) -> Field:
     if z is None:
         raise KktError("adjoint CG broke down")
     return Field(sub.V, z)
-
-
-def adjoint_w_norm(z: Field) -> float:
-    """|grad z| -- the W-norm under the H^1_0 identification."""
-    return z.norm_h1semi()
-

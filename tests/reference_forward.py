@@ -29,7 +29,7 @@ def linearized_state_operator(problem, space, u_base):
     K = space.stiffness()
     if not problem.zeta:
         return K
-    W = fem.assemble_weighted_mass(space, u_base, 2)
+    W = fem.assemble_weighted_mass(space, u_base)
     return sp.csr_matrix((K.data + 3.0 * problem.zeta * W.data, K.indices,
                           K.indptr), shape=K.shape)
 

@@ -67,10 +67,10 @@ def test_weighted_mass_special_cases():
     m = uniform_mesh(3)
     Q = qspace(m)
     zero = Q.zeros()
-    W0 = assemble_weighted_mass(Q, zero, 2)
+    W0 = assemble_weighted_mass(Q, zero)
     assert abs(W0).max() == 0.0
     one = Q.interpolate(lambda x, y: np.ones_like(x))
-    W1 = assemble_weighted_mass(Q, one, 2)
+    W1 = assemble_weighted_mass(Q, one)
     assert abs(W1 - Q.mass()).max() < 1e-12
 
 
@@ -78,7 +78,7 @@ def test_weighted_mass_against_quadrature_oracle():
     m = uniform_mesh(2)
     Q = qspace(m)
     wx = Q.interpolate(lambda x, y: x)
-    W = assemble_weighted_mass(Q, wx, 3)
+    W = assemble_weighted_mass(Q, wx)
     # diagonal entry at vertex (0.25, 0.25) via adaptive 1D x 1D quadrature
     from scipy.integrate import quad
 
@@ -87,10 +87,20 @@ def test_weighted_mass_against_quadrature_oracle():
     def phi(t):  # 1d hat at 0.25 with spacing 0.25
         return np.maximum(0.0, 1.0 - np.abs(t - 0.25) / h)
 
-    ix, _ = quad(lambda x: x**3 * phi(x) ** 2, 0.0, 0.5, epsabs=1e-14)
+    ix, _ = quad(lambda x: x**2 * phi(x) ** 2, 0.0, 0.5, epsabs=1e-14)
     iy, _ = quad(lambda y: phi(y) ** 2, 0.0, 0.5, epsabs=1e-14)
     i = int(np.where((np.abs(m.vertices - [0.25, 0.25]).sum(1)) < 1e-14)[0][0])
     assert abs(W[i, i] - ix * iy) < 1e-12
+
+
+def test_norm_l2_assembles_no_mass_matrix():
+    """norm_l2 sums cell corner values: a fresh mesh's context gains no
+    mass matrix and no mass factorization."""
+    mesh = uniform_mesh(6)
+    for S in (qspace(mesh), vspace(mesh)):
+        assert S.interpolate(lambda x, y: np.sin(3 * x) * y).norm_l2() > 0.0
+    mass_keys = {(name, k) for name in ("mass", "mass_lu") for k in "VQ"}
+    assert not mass_keys & set(fem._CONTEXTS[mesh])
 
 
 def test_manufactured_poisson_order_two():
@@ -402,11 +412,13 @@ def test_field_export(tmp_path):
     assert len(rows) == 1 + f.mesh.n_vertices
 
 
-@pytest.mark.parametrize("make_mesh", [hanging_mesh, lambda: uniform_mesh(6)],
-                         ids=["graded", "uniform-6"])
+@pytest.mark.parametrize("make_mesh", [hanging_mesh, lambda: uniform_mesh(6),
+                                       lambda: uniform_mesh(8)],
+                         ids=["graded", "uniform-6", "uniform-8"])
 def test_writers_match_reference_bytes(tmp_path, make_mesh):
     """The writers' output equals, byte for byte, that of the reference
-    writers, which write one line per call."""
+    writers, which write one line per call; level 8's 66,049 vertices
+    cross a block boundary of the streamed writers."""
     mesh = make_mesh()
     writes = {"mesh.vtk": lambda w, path: w.write_mesh_vtk(mesh, path)}
     for S in (qspace(mesh), vspace(mesh)):

@@ -139,19 +139,20 @@ def test_misfit_nonincreasing_in_beta():
 
 
 def test_adjoint_w_norm():
+    """The W-norm of an adjoint, |grad z| (``norm_h1semi``), converges."""
     target = np.pi / np.sqrt(2.0)
     gaps = []
     for lev in (4, 5, 6):
         V = vspace(uniform_mesh(lev))
         z = V.interpolate(lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
-        gaps.append(abs(ss.adjoint_w_norm(z) - target))
+        gaps.append(abs(z.norm_h1semi() - target))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 1e-3
     V = vspace(uniform_mesh(4))
     z = V.interpolate(lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
-    assert ss.adjoint_w_norm(V.zeros()) == 0.0
-    assert abs(ss.adjoint_w_norm(Field(V, 2 * z.coeffs))
-               - 2 * ss.adjoint_w_norm(z)) < 1e-12
+    assert V.zeros().norm_h1semi() == 0.0
+    assert abs(Field(V, 2 * z.coeffs).norm_h1semi()
+               - 2 * z.norm_h1semi()) < 1e-12
 
 
 def test_second_order_zero_and_linearity():
@@ -165,13 +166,13 @@ def test_second_order_zero_and_linearity():
     g = obs.observe(u_old)
     sub = ss.build_subproblem(prob, mesh, q0, u_old, q0, obs, g, beta=10.0)
     sol = ss.solve_kkt(sub)
-    aux = ss.solve_second_order(sub, sol)
-    for f in (aux.q, aux.v, aux.z):
+    aux = ss.solve_second_order(sol)
+    for f in aux:
         assert np.abs(f.coeffs).max() < 1e-8
     # linearity: doubling I2' doubles the auxiliary triple
     prob2, mesh2, V2, Q2, obs2, sub2 = _point_instance(n_side=3, levels=3)
     sol2 = ss.solve_kkt(sub2)
-    aux2 = ss.solve_second_order(sub2, sol2)
+    aux2 = ss.solve_second_order(sol2)
     doubled = ss.KktSolution(sub=sub2, q=sol2.q,
                              v=Field(V2, 2 * sol2.v.coeffs), u=sol2.u,
                              z=sol2.z, stationarity=(0, 0, 0))
@@ -183,15 +184,15 @@ def test_second_order_zero_and_linearity():
     sub3 = ss.build_subproblem(prob2, mesh2, Q2.zeros(), V2.zeros(),
                                Q2.zeros(), obs2, scaled, sub2.beta)
     sol3 = ss.solve_kkt(sub3)
-    aux3 = ss.solve_second_order(sub3, sol3)
-    assert np.abs(aux3.q.coeffs - 2 * aux2.q.coeffs).max() < 1e-9
-    assert np.abs(aux3.v.coeffs - 2 * aux2.v.coeffs).max() < 1e-9
+    aux3 = ss.solve_second_order(sol3)
+    for f3, f2 in zip(aux3[:2], aux2[:2]):
+        assert np.abs(f3.coeffs - 2 * f2.coeffs).max() < 1e-9
 
 
 def test_second_order_dense_oracle():
     prob, mesh, V, Q, obs, sub = _point_instance()
     sol = ss.solve_kkt(sub)
-    aux = ss.solve_second_order(sub, sol)
+    aq, av, az = ss.solve_second_order(sol)
     nq, nv = Q.dim, V.dim
     MQ = sub.M_Q.toarray()
     K = sub.K.toarray()
@@ -207,9 +208,9 @@ def test_second_order_dense_oracle():
     rhs = np.concatenate([
         np.zeros(nq), -(C.T @ (C @ sol.v.coeffs) + C.T @ rg), np.zeros(nv)])
     x = np.linalg.solve(A, rhs)
-    assert np.abs(aux.q.coeffs - x[:nq]).max() < 1e-9
-    assert np.abs(aux.v.coeffs - x[nq:nq + nv]).max() < 1e-9
-    assert np.abs(aux.z.coeffs - 2 * x[nq + nv:]).max() < 1e-9
+    assert np.abs(aq.coeffs - x[:nq]).max() < 1e-9
+    assert np.abs(av.coeffs - x[nq:nq + nv]).max() < 1e-9
+    assert np.abs(az.coeffs - 2 * x[nq + nv:]).max() < 1e-9
 
 
 def test_adjoint_at_base_solves_optimality_row():
@@ -243,7 +244,7 @@ def test_adjoint_at_base_matches_lu_solve(zeta):
     z = ss.adjoint_at_base(sub)
     ref = Field(V, spla.splu(sub.K.T.tocsc()).solve(2.0 * sub.c_res))
     assert np.abs(z.coeffs - ref.coeffs).max() <= 1e-12 * np.abs(ref.coeffs).max()
-    rho, rho_ref = ss.adjoint_w_norm(z), ss.adjoint_w_norm(ref)
+    rho, rho_ref = z.norm_h1semi(), ref.norm_h1semi()
     assert abs(rho - rho_ref) <= 1e-12 * rho_ref
 
 
@@ -305,9 +306,9 @@ def test_reduced_solves_match_refined_kkt(mesh, seed, point, zeta):
         _assert_blocks_close(
             (sol.q.coeffs, sol.v.coeffs, sol.z.coeffs),
             kkt_oracle.refined_solve(s, kkt_oracle.kkt_rhs(s)), 1e-8)
-        aux = ss.solve_second_order(s, sol)
+        aux = ss.solve_second_order(sol)
         _assert_blocks_close(
-            (aux.q.coeffs, aux.v.coeffs, aux.z.coeffs),
+            tuple(f.coeffs for f in aux),
             kkt_oracle.refined_solve(
                 s, kkt_oracle.second_order_rhs(s, sol.v.coeffs)), 1e-8)
 

@@ -10,10 +10,12 @@ configurations of ``perfbench/workloads.py``, at noise seeds 1-3: 3 GGN
 runs on L^2 data and 6 GGN/NT pairs per seed, 39 runs in all.  For every
 run it writes each report row (floats as ``float.hex``), the termination,
 the warnings, the outer iteration count, the realized noise level delta,
-the control error and the forward-solve count.  ggnfem is imported from
+the control error, the forward-solve count, the monotonicity flags and
+the largest I1h identity deviation.  ggnfem is imported from
 ``--src`` (default: the ``src`` of this checkout), so one copy of this
 tool dumps any checkout.
-``compare`` names every run whose dump differs and exits 1 if any does.
+``compare`` names every run whose dump differs, with its differing
+fields and the first differing row and columns, and exits 1 if any does.
 BLAS runs on one thread, as in the benchmark.
 """
 
@@ -31,6 +33,8 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("ggn-l2", "nt-vs-ggn")
 SEEDS = (1, 2, 3)
+COLUMNS = ("k", "phase", "nodes", "beta", "rho", "i1h", "i2h", "i3h", "i4h",
+           "eta1", "eta2", "stat_q", "stat_v", "stat_z")
 
 
 def _hex(x) -> str:
@@ -48,6 +52,8 @@ def digest(report) -> dict:
             "delta": _hex(report.delta),
             "control_error": _hex(report.control_error),
             "forward_solves": report.total_forward_solves,
+            "monotonicity": [bool(m) for m in report.monotonicity],
+            "max_identity_dev": _hex(report.max_identity_dev),
             "rows": rows}
 
 
@@ -73,8 +79,20 @@ def compare(a: dict, b: dict) -> list[str]:
     for key in sorted(set(a) & set(b)):
         fields = [f for f in a[key] if a[key][f] != b[key].get(f)]
         if fields:
-            diffs.append(f"{key}: {', '.join(fields)} differ")
+            diffs.append(f"{key}: {', '.join(fields)} differ"
+                         + _first_row_diff(a[key]["rows"], b[key]["rows"]))
     return diffs
+
+
+def _first_row_diff(a: list, b: list) -> str:
+    """The first differing row and its columns, as a message suffix."""
+    for i, (ra, rb) in enumerate(zip(a, b)):
+        cols = [c for c, x, y in zip(COLUMNS, ra, rb) if x != y]
+        if cols:
+            return f"; row {i}: {', '.join(cols)}"
+    if len(a) != len(b):
+        return f"; row counts {len(a)} and {len(b)}"
+    return ""
 
 
 def main(argv=None) -> int:
