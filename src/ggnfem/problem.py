@@ -72,14 +72,14 @@ class ForwardSolveError(fem.SolverError):
 # the data space, its Gram weight G (misfit m' G m), C*C = C' G C, the data
 # on a mesh and its vector there, a state's misfit and the DWR pairing
 # (g, C w)_G per cell by its own quadrature, the noise draw, the bundle
-# files, the context key of what C depends on, and whether C*C is SPD.
+# files, the context key of what C depends on, and whether C*C is M_V.
 
 
 class PointObs:
     """Point functionals at an n x n interior lattice; G = R^(n*n)."""
 
     kind = "point"
-    spd_normal = False  # C*C has rank at most n_obs
+    normal_is_mass = False  # C*C has rank at most n_obs
 
     def __init__(self, n_side: int = 9):
         self.n_side = n_side
@@ -148,7 +148,7 @@ class L2Obs:
 
     kind = "l2"
     key = ("obs", "l2")
-    spd_normal = True
+    normal_is_mass = True  # C*C is M_V itself, the same cached matrix
 
     def matrix(self, space: Space) -> sp.csr_matrix:
         return fem.v_to_q(space.mesh)

@@ -26,16 +26,22 @@ Wathen, SISC 32, 2010; Pearson & Wathen, NLAA 19, 2012)
     [ -K   -beta M_V ] [z~] = [ a_res + L (q0 - q_old) ],
 
 factorized once per subproblem and beta; the second-order auxiliary
-system has the same matrix.  Where C*C is SPD (L^2 data: C*C = M_V) the
-matrix is symmetric quasi-definite, so it is factorized with diagonal
-pivots in a symmetric ordering (``fem.symmetric_lu``) and each solve
-takes one step of iterative refinement.  For point data C*C has rank at
-most n_obs, the matrix is not quasi-definite, and SuperLU pivots as
-usual.  Every solution is re-substituted into the three rows above,
-with one M_Q product for the four vectors it multiplies.  The blocks'
-patterns are fixed by the mesh (and the observation), so the pattern of
-the reduced matrix and where each block's entries land in it are cached
-per (mesh, observation).
+system has the same matrix.  For L^2 data C*C = M_V, and with
+w = sqrt(beta) z~ the two rows, right-hand side (b_v, b_z), are the real
+and imaginary parts of one complex symmetric system of half the size,
+
+    (M_V + (i/sqrt(beta)) K) (v + i w) = b_v - (i/sqrt(beta)) b_z.
+
+Its real and imaginary parts are SPD (K = A'_u, zeta >= 0) in every
+symmetric ordering, so LU with diagonal pivots has a growth factor
+below 3 (Higham, Math. Comp. 67, 1998): ``fem.symmetric_lu`` factorizes
+it, and each solve takes one step of iterative refinement.  For point
+data C*C has rank at most n_obs and SuperLU factorizes the real matrix
+with pivoting.  Every solution is re-substituted into the three rows
+above, with one M_Q product for the four vectors it multiplies.  The
+blocks' patterns are fixed by the mesh (and the observation), so the
+pattern of the reduced matrix and where each block's entries land in it
+are cached per (mesh, observation).
 """
 
 from __future__ import annotations
@@ -50,15 +56,9 @@ from . import fem, problem as pb
 from .fem import Field, Space, interpolate_onto, qspace, vspace
 from .mesh import QuadMesh
 
-__all__ = [
-    "LinearizedSubproblem",
-    "KktSolution",
-    "KktError",
-    "build_subproblem",
-    "solve_kkt",
-    "solve_second_order",
-    "adjoint_at_base",
-]
+__all__ = ["LinearizedSubproblem", "KktSolution", "KktError",
+           "build_subproblem", "solve_kkt", "solve_second_order",
+           "adjoint_at_base"]
 
 
 class KktError(fem.SolverError):
@@ -88,24 +88,23 @@ class LinearizedSubproblem:
     beta: float
     obs: object
     data_g: np.ndarray  # the data vector g in the data space
-    # The reduced matrix and its LU factors, built by the first solve; a
-    # copy by dataclasses.replace (say, for another beta) starts without.
+    # The factorized matrix and its LU factors, built by the first solve;
+    # a copy by dataclasses.replace (say, for another beta) starts without.
     A: sp.csc_matrix = dc_field(default=None, init=False, repr=False,
                                 compare=False)
     lu: object = dc_field(default=None, init=False, repr=False,
                           compare=False)
 
     def factorization(self):
-        if self.lu is None:
+        if self.lu is None and self.obs.normal_is_mass:
+            self.A = _complex_matrix(self)
+            self.lu = fem.symmetric_lu(self.A, "KKT")
+        elif self.lu is None:
             self.A = _reduced_matrix(self)
-            if self.obs.spd_normal:
-                self.lu = fem.symmetric_lu(self.A, "KKT")
-            else:
-                try:
-                    self.lu = spla.splu(self.A)
-                except RuntimeError as exc:
-                    raise KktError(
-                        f"KKT factorization failed: {exc}") from exc
+            try:
+                self.lu = spla.splu(self.A)
+            except RuntimeError as exc:
+                raise KktError(f"KKT factorization failed: {exc}") from exc
         return self.lu
 
     def misfit(self, v: np.ndarray):
@@ -201,17 +200,31 @@ def _reduced_matrix(sub: LinearizedSubproblem) -> sp.csc_matrix:
     return sp.csc_matrix((data[slots], indices, indptr), shape=(n, n))
 
 
+def _complex_matrix(sub: LinearizedSubproblem) -> sp.csc_matrix:
+    """M_V + (i/sqrt(beta)) K on their one symmetric pattern (CSR = CSC)."""
+    K, M = sub.K, sub.CtC
+    if not (np.array_equal(K.indptr, M.indptr)
+            and np.array_equal(K.indices, M.indices)):
+        raise ValueError("K and M_V patterns differ")
+    return sp.csc_matrix((M.data + (1j / np.sqrt(sub.beta)) * K.data,
+                          K.indices, K.indptr), shape=K.shape)
+
+
 def _solve_reduced(sub: LinearizedSubproblem, rhs_v, rhs_z, q0):
     """(q, v, z) from the reduced system with right-hand side
     (rhs_v, rhs_z) and the control q = q0 - beta inc z~."""
-    nv = sub.V.dim
-    lu, b = sub.factorization(), np.concatenate([rhs_v, rhs_z])
-    x = lu.solve(b)
-    if sub.obs.spd_normal:  # diagonal pivots: refine once
+    lu = sub.factorization()
+    if sub.obs.normal_is_mass:  # complex form, diagonal pivots: refine once
+        s = np.sqrt(sub.beta)
+        b = rhs_v - (1j / s) * rhs_z
+        x = lu.solve(b)
         x += lu.solve(b - sub.A @ x)
+        v, zt = x.real.copy(), x.imag / s
+    else:
+        v, zt = np.split(lu.solve(np.concatenate([rhs_v, rhs_z])), 2)
     q = q0.copy()
-    q[fem._q_dofs(sub.mesh, "V")[0]] -= sub.beta * x[nv:]
-    return q, x[:nv], 2.0 * x[nv:]
+    q[fem._q_dofs(sub.mesh, "V")[0]] -= sub.beta * zt
+    return q, v, 2.0 * zt
 
 
 def solve_kkt(sub: LinearizedSubproblem) -> KktSolution:
@@ -240,10 +253,8 @@ def solve_kkt(sub: LinearizedSubproblem) -> KktSolution:
     )
     norms = tuple(np.abs(r).max() / scale for r in (res_q, res_v, res_z))
     if max(norms) > 1e-8:
-        raise KktError(
-            f"stationarity residuals too large: {norms} (beta={sub.beta:g}, "
-            f"n={2 * sub.V.dim})"
-        )
+        raise KktError(f"stationarity residuals too large: {norms} "
+                       f"(beta={sub.beta:g}, n={sub.A.shape[0]})")
     u = Field(sub.V, sub.u_old_h.coeffs + v)
     return KktSolution(
         sub=sub, q=Field(sub.Q, q), v=Field(sub.V, v), u=u,

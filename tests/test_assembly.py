@@ -172,3 +172,10 @@ def test_kkt_layout_rejects_foreign_block_pattern():
     with pytest.raises(ValueError, match="pattern"):
         ss._reduced_matrix(
             dataclasses.replace(sub, K=(sub.K + corner).tocsr()))
+    # The complex form of L^2 data needs K on M_V's pattern.
+    l2 = ss.build_subproblem(pb.ModelProblem(zeta=100.0), mesh, Q.zeros(),
+                             V.zeros(), Q.zeros(), pb.L2Obs(), Q.zeros(),
+                             beta=1.0)
+    l2.factorization()
+    with pytest.raises(ValueError, match="pattern"):
+        dataclasses.replace(l2, K=(l2.K + corner).tocsr()).factorization()

@@ -5,6 +5,7 @@ import math
 import os
 import types
 
+import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
@@ -205,23 +206,26 @@ def _splu_failing_if(fails, A, kwargs):
 
 
 def _singular_kkt(A, **kwargs):
-    """splu that fails on the KKT matrix (its -beta M_V block has a
-    negative diagonal) and factorizes every SPD matrix as usual (their
-    diagonals are positive)."""
-    return _splu_failing_if((A.diagonal() < 0).any(), A, kwargs)
+    """splu that fails on the KKT matrix (complex for L^2 data; for point
+    data its -beta M_V block has a negative diagonal) and factorizes every
+    real SPD matrix as usual (their diagonals are positive)."""
+    return _splu_failing_if(
+        np.iscomplexobj(A) or (A.diagonal() < 0).any(), A, kwargs)
 
 
 def _singular_mass(A, **kwargs):
-    """splu that fails on mass matrices, the only ones with no negative
-    entry."""
-    return _splu_failing_if((A.data > 0).all(), A, kwargs)
+    """splu that fails on mass matrices, the only real ones with no
+    negative entry."""
+    return _splu_failing_if(
+        not np.iscomplexobj(A) and (A.data > 0).all(), A, kwargs)
 
 
 def _singular_stiffness(A, **kwargs):
-    """splu that fails on stiffness matrices, the only ones with a
+    """splu that fails on stiffness matrices, the only real ones with a
     positive diagonal and negative entries."""
     return _splu_failing_if(
-        (A.diagonal() > 0).all() and (A.data < 0).any(), A, kwargs)
+        not np.iscomplexobj(A) and (A.diagonal() > 0).all()
+        and (A.data < 0).any(), A, kwargs)
 
 
 def _fail_after_simulation(monkeypatch, module, name, value):
@@ -256,8 +260,8 @@ _SOLVER_FAILURES = [
     # GGN first factorizes it for the adjoint at the base point.
     ((), "run-ggn", fem, _singular, "kkt-failure", "stiffness"),
     # On L^2 data every matrix is symmetric and factorized in fem: the
-    # reduced KKT matrix, the Q mass matrix of the data restriction and
-    # the stiffness matrix of NT's forward solve.
+    # complex form of the reduced KKT matrix, the Q mass matrix of the data
+    # restriction and the stiffness matrix of NT's forward solve.
     (("--obs", "l2"), "run-ggn", fem, _singular_kkt, "kkt-failure", "KKT"),
     (("--obs", "l2"), "run-ggn", fem, _singular_mass, "kkt-failure", "mass"),
     (("--obs", "l2"), "run-nt", fem, _singular_stiffness, "forward-failure",

@@ -264,12 +264,16 @@ def test_bad_factorization_raises_kkt_error():
         def solve(self, rhs):
             return np.ones(len(rhs))
 
-    *_, sub = _point_instance()
-    sub.lu = OnesLU()
-    # n is the dimension of the factorized state/adjoint matrix.
-    with pytest.raises(ss.KktError,
-                       match=rf"stationarity .*, n={2 * sub.V.dim}\)$"):
-        ss.solve_kkt(sub)
+    for point in (True, False):
+        sub = _random_subproblem(uniform_mesh(2), 0, point, 100.0)
+        sub.factorization()
+        sub.lu = OnesLU()
+        # n is the dimension of the factorized matrix: the real reduced
+        # matrix for point data, its complex form of half the size for L^2.
+        n = 2 * sub.V.dim if point else sub.V.dim
+        with pytest.raises(ss.KktError,
+                           match=rf"stationarity .*, n={n}\)$"):
+            ss.solve_kkt(sub)
 
 
 def _random_subproblem(mesh, seed, point, zeta):
@@ -375,9 +379,10 @@ _SYMMETRIC = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
 
 
 def test_factorization_routes(monkeypatch):
-    """SPD stiffness and mass matrices and the quasi-definite reduced
-    matrix of L^2 data take diagonal pivots in a symmetric ordering; the
-    reduced matrix of point data keeps SuperLU's pivoting."""
+    """SPD stiffness and mass matrices and the complex symmetric form
+    M_V + (i/sqrt(beta)) K of the reduced matrix of L^2 data take diagonal
+    pivots in a symmetric ordering; the real reduced matrix of point data
+    keeps SuperLU's pivoting."""
     calls = []
 
     def splu(A, **kwargs):
@@ -446,11 +451,11 @@ def test_uniform_stiffness_solves_are_accurate(level):
 @example(mesh=_hanging_mesh(), seed=1)
 def test_symmetric_factorizations_are_accurate(mesh, seed):
     """Stiffness and mass solves to |b - A x| <= 1e-13 |b|.  The reduced
-    L^2 solve (diagonal pivots, one refinement step) to a normwise
-    backward error |b - A x| / (|A| |x| + |b|) of 1e-12 in the max norm,
-    and within 1e-8 per block of the refined full KKT solve.  (|b - A x|
-    / |b| cannot reach 1e-12 there: at beta = 1e10 |x| >> |b|, and a
-    pivoted LU also stops at 2e-12.)"""
+    L^2 solve (its complex form: diagonal pivots, one refinement step) to
+    a normwise backward error |b - A x| / (|A| |x| + |b|) of 1e-12 in the
+    max norm, A the real reduced matrix, and within 1e-8 per block of the
+    refined full KKT solve.  (|b - A x| / |b| cannot reach 1e-12 there: at
+    beta = 1e10 |x| >> |b|, and a pivoted LU also stops at 2e-12.)"""
     rng = np.random.default_rng(seed)
     V, Q = vspace(mesh), qspace(mesh)
     for A, solver in ((V.stiffness(), V.stiffness_solver()),
@@ -468,6 +473,20 @@ def test_symmetric_factorizations_are_accurate(mesh, seed):
             kkt_oracle.refined_solve(s, kkt_oracle.kkt_rhs(s)), 1e-8)
         b = rng.standard_normal(2 * nv)
         _, v, z = ss._solve_reduced(s, b[:nv], b[nv:], Q.zeros().coeffs)
-        x = np.concatenate([v, z / 2])
-        assert np.abs(b - s.A @ x).max() <= 1e-12 * (
-            spla.norm(s.A, np.inf) * np.abs(x).max() + np.abs(b).max())
+        x, A = np.concatenate([v, z / 2]), ss._reduced_matrix(s)
+        assert np.abs(b - A @ x).max() <= 1e-12 * (
+            spla.norm(A, np.inf) * np.abs(x).max() + np.abs(b).max())
+
+
+@pytest.mark.parametrize("levels", [2, 3, 5])
+def test_l2_factorization_is_complex_of_half_size(levels):
+    """On hanging-node meshes the L^2 subproblem factorizes the complex
+    matrix M_V + (i/sqrt(beta)) K, with n_V rows, and its LU fill is below
+    a third of the fill of the real 2 n_V reduced matrix's factors."""
+    mesh = refine(uniform_mesh(levels), {0, 3})
+    assert len(mesh.hanging)
+    sub = _random_subproblem(mesh, 1, False, 100.0)
+    lu = sub.factorization()
+    assert np.iscomplexobj(sub.A) and sub.A.shape == (sub.V.dim,) * 2
+    real = fem.symmetric_lu(ss._reduced_matrix(sub), "KKT")
+    assert (lu.L.nnz + lu.U.nnz) < (real.L.nnz + real.U.nnz) / 3
