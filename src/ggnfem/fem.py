@@ -26,8 +26,8 @@ built for the Q space only: a plan involving V is the list of Q entries
 it keeps (``_assembly_plan``), and a V load vector is the Q one
 restricted to V's dofs.  Each assembly then only computes element data
 and applies P.  Matrices of one plan share its pattern arrays, so adding
-their data adds the matrices.  Other per-mesh operators (T, C, C'C, the
-V-to-Q inclusion) are built from index arrays, entry for entry as the
+their data adds the matrices.  Other per-mesh operators (T, C, the V-to-Q
+inclusion) are built from index arrays, entry for entry as the
 sparse products they replace.
 
 Stiffness and mass solves use one ``symmetric_lu`` factorization per
@@ -46,8 +46,8 @@ Everything derived from one mesh -- the condensation and dof selection
 of each space, the assembly plans, the load map, its assembled operators
 and solvers, the V-to-Q inclusion, the cell origin tables, the patch
 table of the DWR weights, point locations, observation matrices C and
-C'C and the patch basis at the points, and the containment maps into
-finer meshes -- is cached in one per-mesh context (``_cached``); a
+the patch basis at the points, and the containment maps into finer
+meshes -- is cached in one per-mesh context (``_cached``); a
 field's moment table, load vector, quadrature values and DWR weights
 are kept in a context of the field.
 Contexts sit in a ``WeakKeyDictionary`` keyed by their owner and hold
@@ -342,17 +342,11 @@ def point_locations(mesh: QuadMesh, points: np.ndarray):
 
 
 def point_matrix(space: Space, points: np.ndarray) -> sp.csr_matrix:
-    """Sparse C with (C c)_i the value at points[i] of the field with
-    coefficients c on the space; cached like ``point_locations``."""
-    return _point_operators(space, points)[0]
-
-
-def _point_operators(space: Space, points: np.ndarray):
-    """Cached (C, C'C) of ``point_matrix``, without sparse products but
-    bit for bit as S T and C' C (S the corner shape values at the points,
-    zeros dropped): C(i, a) sums over the corners in order, row i lists
-    its columns in reverse order of first appearance, and (C'C)(a, b)
-    sums C(i, a) C(i, b) over ascending i."""
+    """Sparse C, (C c)_i the value at points[i] of the field with
+    coefficients c, cached like ``point_locations``.  Bit for bit S T (S
+    the corner shape values at the points, zeros dropped), without sparse
+    products: C(i, a) sums over the corners in order, and row i lists its
+    columns in reverse order of first appearance."""
     def build():
         mesh, n, dim = space.mesh, len(points), space.dim
         cids, locs = point_locations(mesh, points)
@@ -362,18 +356,8 @@ def _point_operators(space: Space, points: np.ndarray):
         key, first, inv = np.unique((nz[ref] // 4) * dim + cols,
                                     return_index=True, return_inverse=True)
         order = np.lexsort((-first, key // dim))
-        C = _csr(np.bincount(inv, vals[nz][ref] * w)[order],
-                 *np.divmod(key[order], dim), (n, dim))
-        # All pairs (a, b) of entries of each row of C, rows ascending.
-        width = np.diff(C.indptr)
-        partners = width.repeat(width)  # of each entry: its row's entries
-        a = np.arange(C.nnz).repeat(partners)
-        b = (np.arange(len(a)) - (partners.cumsum() - partners).repeat(
-            partners) + C.indptr[:-1].repeat(width).repeat(partners))
-        key, inv = np.unique(C.indices[a] * np.int64(dim) + C.indices[b],
-                             return_inverse=True)
-        return C, _csr(np.bincount(inv, C.data[a] * C.data[b]),
-                       *np.divmod(key, dim), (dim, dim))
+        return _csr(np.bincount(inv, vals[nz][ref] * w)[order],
+                    *np.divmod(key[order], dim), (n, dim))
 
     return _cached(space.mesh, ("point_matrix", space.kind)
                    + _points_key(points), build)

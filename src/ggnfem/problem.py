@@ -69,10 +69,10 @@ class ForwardSolveError(fem.SolverError):
 # observation operators
 #
 # Each kind owns every step that depends on it: C from V coefficients to
-# the data space, its Gram weight G (misfit m' G m), C*C = C' G C, the data
+# the data space, its Gram weight G (misfit m' G m; C*C = C' G C), the data
 # on a mesh and its vector there, a state's misfit and the DWR pairing
 # (g, C w)_G per cell by its own quadrature, the noise draw, the bundle
-# files, the context key of what C depends on, and whether C*C is M_V.
+# files, and whether C*C is M_V.
 
 
 class PointObs:
@@ -86,7 +86,6 @@ class PointObs:
         t = np.arange(1, n_side + 1) / (n_side + 1)
         gx, gy = np.meshgrid(t, t, indexing="ij")
         self.points = np.column_stack([gx.ravel(), gy.ravel()])
-        self.key = ("obs",) + fem._points_key(self.points)
 
     @property
     def n_obs(self) -> int:
@@ -98,9 +97,6 @@ class PointObs:
 
     def gram(self, Q: Space, m: np.ndarray) -> np.ndarray:
         return m  # the Euclidean product
-
-    def normal_matrix(self, V: Space) -> sp.csr_matrix:
-        return fem._point_operators(V, self.points)[1]
 
     def restrict(self, data: "NoisyData", mesh) -> np.ndarray:
         return data.g_delta
@@ -147,17 +143,13 @@ class L2Obs:
     """
 
     kind = "l2"
-    key = ("obs", "l2")
-    normal_is_mass = True  # C*C is M_V itself, the same cached matrix
+    normal_is_mass = True  # C*C is M_V itself, entry for entry
 
     def matrix(self, space: Space) -> sp.csr_matrix:
         return fem.v_to_q(space.mesh)
 
     def gram(self, Q: Space, m: np.ndarray) -> np.ndarray:
         return Q.mass() @ m
-
-    def normal_matrix(self, V: Space) -> sp.csr_matrix:
-        return V.mass()
 
     def restrict(self, data: "NoisyData", mesh) -> Field:
         return restrict_data(data, qspace(mesh))

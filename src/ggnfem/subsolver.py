@@ -30,27 +30,33 @@ system has the same matrix.  For L^2 data C*C = M_V, and with
 w = sqrt(beta) z~ the two rows, right-hand side (b_v, b_z), are the real
 and imaginary parts of one complex symmetric system of half the size,
 
-    (M_V + (i/sqrt(beta)) K) (v + i w) = b_v - (i/sqrt(beta)) b_z.
+    (M_V + (i/sqrt(beta)) K) (v + i w) = b_v - (i/sqrt(beta)) b_z,
 
-Its real and imaginary parts are SPD (K = A'_u, zeta >= 0) in every
-symmetric ordering, so LU with diagonal pivots has a growth factor
-below 3 (Higham, Math. Comp. 67, 1998): ``fem.symmetric_lu`` factorizes
-it, and each solve takes one step of iterative refinement.  For point
-data C*C has rank at most n_obs and SuperLU factorizes the real matrix
-with pivoting.  Every solution is re-substituted into the three rows
-above, with one M_Q product for the four vectors it multiplies.  The
-blocks' patterns are fixed by the mesh (and the observation), so the
-pattern of the reduced matrix and where each block's entries land in it
-are cached per (mesh, observation).
+with SPD real and imaginary parts (K = A'_u, zeta >= 0): diagonal
+pivots in any symmetric ordering have a growth factor below 3 (Higham,
+Math. Comp. 67, 1998).  For point data C*C = C'C, applied as C'(C v)
+and never stored sparse, has rank at most n_obs, and diagonal pivots
+fail.  Up to ``DENSE_MAX_NV`` state dofs LAPACK's LU with partial
+pivoting factorizes the dense real matrix.  Above, with X = K^-1 C' and
+S = X' M_V X, the Woodbury identity (Hansen, Rank-Deficient and Discrete
+Ill-Posed Problems, 1998) leaves an SPD system for y = C v,
+
+    (I + beta S) y = X' (beta M_V K^-1 b_v - b_z),     z~ = X y - K^-1 b_v,
+
+and v = -K^-1 (b_z + beta M_V z~).  K's factor, X and S depend on the
+mesh and base point only: another beta costs one Cholesky factorization
+of I + beta S.  Every sparse factorization is ``fem.symmetric_lu``, each
+solve refined once; solutions are re-substituted into the rows above.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpotrs
 
 from . import fem, problem as pb
 from .fem import Field, Space, interpolate_onto, qspace, vspace
@@ -63,6 +69,13 @@ __all__ = ["LinearizedSubproblem", "KktSolution", "KktError",
 
 class KktError(fem.SolverError):
     reason = "kkt-failure"
+
+
+# The largest n_V whose point-data KKT system takes the dense LU.  Factor
+# and two solves on one BLAS thread (2-core Xeon), dense against Woodbury's
+# set-up: 0.8-1.0 against 1.3 ms at n_V = 103-116, 1.9-2.3 against 1.6 ms
+# at 138, 3.2-4.5 against 2.0-2.5 ms at 212; a further beta, 0.3-0.4 ms.
+DENSE_MAX_NV = 128
 
 
 @dataclass
@@ -81,31 +94,31 @@ class LinearizedSubproblem:
     K: sp.csr_matrix
     M_Q: sp.csr_matrix
     C: sp.csr_matrix
-    CtC: sp.csr_matrix
     c_res: np.ndarray
     r_g: np.ndarray
     a_res: np.ndarray
     beta: float
     obs: object
     data_g: np.ndarray  # the data vector g in the data space
-    # The factorized matrix and its LU factors, built by the first solve;
-    # a copy by dataclasses.replace (say, for another beta) starts without.
-    A: sp.csc_matrix = dc_field(default=None, init=False, repr=False,
-                                compare=False)
+    # The Woodbury route's K factor, X and S, shared by dataclasses.replace.
+    base_factors: dict = dc_field(default_factory=dict, repr=False,
+                                  compare=False)
+    # The factorization of this beta, solve(b_v, b_z) -> (v, z~), built by
+    # the first solve; a copy by dataclasses.replace starts without.
     lu: object = dc_field(default=None, init=False, repr=False,
                           compare=False)
 
     def factorization(self):
-        if self.lu is None and self.obs.normal_is_mass:
-            self.A = _complex_matrix(self)
-            self.lu = fem.symmetric_lu(self.A, "KKT")
-        elif self.lu is None:
-            self.A = _reduced_matrix(self)
-            try:
-                self.lu = spla.splu(self.A)
-            except RuntimeError as exc:
-                raise KktError(f"KKT factorization failed: {exc}") from exc
+        if self.lu is None:
+            self.lu = (_ComplexLU if self.obs.normal_is_mass else _DenseLU
+                       if self.V.dim <= DENSE_MAX_NV else _Woodbury)(self)
         return self.lu
+
+    def normal(self, v: np.ndarray) -> np.ndarray:
+        """C*C v: M_V v for L^2 data, else C' G C v (C*C never formed)."""
+        if self.obs.normal_is_mass:
+            return self.V.mass() @ v
+        return fem._transpose_product(self.C, self.obs.gram(self.Q, self.C @ v))
 
     def misfit(self, v: np.ndarray):
         """(|C v + r_g|_G^2, C v + r_g) for V coefficients v."""
@@ -134,8 +147,7 @@ def build_subproblem(problem: pb.ModelProblem, mesh: QuadMesh,
     q0_h = interpolate_onto(q0, mesh)
     return LinearizedSubproblem(
         problem=problem, mesh=mesh, V=V, Q=Q, q_old=q_old, u_old=u_old,
-        q_old_h=q_old_h, u_old_h=u_old_h, q0=q0_h, K=K, M_Q=Q.mass(),
-        C=C, CtC=obs.normal_matrix(V),
+        q_old_h=q_old_h, u_old_h=u_old_h, q0=q0_h, K=K, M_Q=Q.mass(), C=C,
         c_res=fem._transpose_product(C, obs.gram(Q, r_g)),
         r_g=r_g, a_res=a_res, beta=beta, obs=obs, data_g=g,
     )
@@ -158,70 +170,80 @@ class KktSolution:
         return self.sub.misfit(self.v.coeffs)[0]
 
 
-def _reduced_layout(sub: LinearizedSubproblem):
-    """Cached pattern of the reduced matrix of a mesh and observation:
-    (indptr, indices, slots) with matrix data = concat(block data)[slots]
-    for the blocks C*C, -K and -beta M_V."""
-    blocks = (sub.CtC, sub.K, sub.V.mass())
+class _DenseLU:
+    """Dense LAPACK LU with partial pivoting of the real reduced matrix;
+    an exactly zero pivot, which LAPACK only reports, raises KktError."""
 
-    def build():
-        # Entry k of concat(block data) sits at (rows[k], cols[k]), K's
-        # twice (as K' and as K); in column, then row order they are A.
-        n, k0, k1 = sub.V.dim, blocks[0].nnz, blocks[0].nnz + blocks[1].nnz
-        (r0, c0), (rk, ck), (rm, cm) = [
-            (np.arange(n).repeat(B.indptr[1:] - B.indptr[:-1]), B.indices)
-            for B in blocks]
-        rows = np.concatenate([r0, ck, rk + n, rm + n])
-        cols = np.concatenate([c0, rk + n, ck, cm + n])
-        order = (cols * 2 * n + rows).argsort()  # by column, then row
-        slots = np.concatenate([np.arange(k1),
-                                np.arange(k0, k1 + blocks[2].nnz)])[order]
-        indices = rows[order].astype(np.int32)
-        indptr = fem._offsets(np.bincount(cols, minlength=2 * n))
-        for a in (indptr, indices, slots):
-            a.flags.writeable = False
-        return indptr, indices, slots, [(B.indptr, B.indices) for B in blocks]
+    def __init__(self, sub: LinearizedSubproblem):
+        K, C = sub.K.toarray(), sub.C.toarray()
+        self.lu, self.piv, info = dgetrf(np.block(
+            [[C.T @ sub.obs.gram(sub.Q, C), -K.T],
+             [-K, -sub.beta * sub.V.mass().toarray()]]), overwrite_a=True)
+        if info > 0:
+            raise KktError(f"KKT factorization failed: exactly singular "
+                           f"(pivot {info} of {len(self.lu)} is zero)")
 
-    indptr, indices, slots, patterns = fem._cached(
-        sub.mesh, ("reduced_kkt",) + sub.obs.key, build)
-    for B, (ptr, ind) in zip(blocks, patterns):
-        if not ((B.indptr is ptr or np.array_equal(B.indptr, ptr))
-                and (B.indices is ind or np.array_equal(B.indices, ind))):
-            raise ValueError("KKT block pattern differs from the cached "
-                             "layout of its mesh")
-    return indptr, indices, slots
+    def solve(self, b_v: np.ndarray, b_z: np.ndarray):
+        return np.split(
+            dgetrs(self.lu, self.piv, np.concatenate([b_v, b_z]))[0], 2)
 
 
-def _reduced_matrix(sub: LinearizedSubproblem) -> sp.csc_matrix:
-    indptr, indices, slots = _reduced_layout(sub)
-    data = np.concatenate([sub.CtC.data, -sub.K.data,
-                           -sub.beta * sub.V.mass().data])
-    n = 2 * sub.V.dim
-    return sp.csc_matrix((data[slots], indices, indptr), shape=(n, n))
+class _Woodbury:
+    """Solves of the real reduced matrix of point data through K's factor
+    (see the module docstring), each refined once against the blocks."""
+
+    def __init__(self, sub: LinearizedSubproblem):
+        base = sub.base_factors
+        if base.get("K") is not sub.K:  # a new mesh or base point
+            lu = fem.symmetric_lu(sub.K, "KKT")
+            X = lu.solve(sub.C.T.toarray())
+            base.update(K=sub.K, lu=lu, X=X, S=X.T @ (sub.V.mass() @ X))
+        self.lu, self.X, S = base["lu"], base["X"], base["S"]
+        self.sub = weakref.proxy(sub)  # sub holds this object: no cycle
+        self.chol, info = dpotrf(np.eye(len(S)) + sub.beta * S)
+        if info > 0:
+            raise KktError(f"KKT factorization failed: I + beta S is not "
+                           f"positive definite (pivot {info})")
+
+    def solve(self, b_v: np.ndarray, b_z: np.ndarray, refine: bool = True):
+        sub, X, M = self.sub, self.X, self.sub.V.mass()
+        t = self.lu.solve(b_v)
+        y = dpotrs(self.chol, X.T @ (sub.beta * (M @ t) - b_z))[0]
+        z = X @ y - t
+        v = -self.lu.solve(b_z + sub.beta * (M @ z))
+        if not refine:
+            return v, z
+        dv, dz = self.solve(
+            b_v - (sub.normal(v) - fem._transpose_product(sub.K, z)),
+            b_z + (sub.K @ v + sub.beta * (M @ z)), refine=False)
+        return v + dv, z + dz
 
 
-def _complex_matrix(sub: LinearizedSubproblem) -> sp.csc_matrix:
-    """M_V + (i/sqrt(beta)) K on their one symmetric pattern (CSR = CSC)."""
-    K, M = sub.K, sub.CtC
-    if not (np.array_equal(K.indptr, M.indptr)
-            and np.array_equal(K.indices, M.indices)):
-        raise ValueError("K and M_V patterns differ")
-    return sp.csc_matrix((M.data + (1j / np.sqrt(sub.beta)) * K.data,
-                          K.indices, K.indptr), shape=K.shape)
+class _ComplexLU:
+    """Diagonal-pivot LU of the complex form A = M_V + (i/sqrt(beta)) K of
+    L^2 data (CSR = CSC: one symmetric pattern), each solve refined once."""
+
+    def __init__(self, sub: LinearizedSubproblem):
+        K, M = sub.K, sub.V.mass()
+        if not (np.array_equal(K.indptr, M.indptr)
+                and np.array_equal(K.indices, M.indices)):
+            raise ValueError("K and M_V patterns differ")
+        self.s = np.sqrt(sub.beta)
+        self.A = sp.csc_matrix((M.data + (1j / self.s) * K.data,
+                                K.indices, K.indptr), shape=K.shape)
+        self.lu = fem.symmetric_lu(self.A, "KKT")
+
+    def solve(self, b_v: np.ndarray, b_z: np.ndarray):
+        b = b_v - (1j / self.s) * b_z
+        x = self.lu.solve(b)
+        x += self.lu.solve(b - self.A @ x)
+        return x.real.copy(), x.imag / self.s
 
 
 def _solve_reduced(sub: LinearizedSubproblem, rhs_v, rhs_z, q0):
     """(q, v, z) from the reduced system with right-hand side
     (rhs_v, rhs_z) and the control q = q0 - beta inc z~."""
-    lu = sub.factorization()
-    if sub.obs.normal_is_mass:  # complex form, diagonal pivots: refine once
-        s = np.sqrt(sub.beta)
-        b = rhs_v - (1j / s) * rhs_z
-        x = lu.solve(b)
-        x += lu.solve(b - sub.A @ x)
-        v, zt = x.real.copy(), x.imag / s
-    else:
-        v, zt = np.split(lu.solve(np.concatenate([rhs_v, rhs_z])), 2)
+    v, zt = sub.factorization().solve(rhs_v, rhs_z)
     q = q0.copy()
     q[fem._q_dofs(sub.mesh, "V")[0]] -= sub.beta * zt
     return q, v, 2.0 * zt
@@ -244,7 +266,7 @@ def solve_kkt(sub: LinearizedSubproblem) -> KktSolution:
     M_dq, M_0, M_z, M_step = (sub.M_Q @ np.column_stack(
         [q - q0, q0, inc_z, q - q_old])).T
     res_q = (2.0 / sub.beta) * M_dq + M_z  # L' z = -M_z
-    res_v = 2.0 * (sub.CtC @ v + sub.c_res) - fem._transpose_product(sub.K, z)
+    res_v = 2.0 * (sub.normal(v) + sub.c_res) - fem._transpose_product(sub.K, z)
     res_z = -M_step[keep] + sub.K @ v + sub.a_res
     scale = max(  # of the right-hand side above and the solution
         np.abs((1.0 / sub.beta) * M_0).max(),
@@ -252,9 +274,9 @@ def solve_kkt(sub: LinearizedSubproblem) -> KktSolution:
         np.abs(z).max(), np.abs(q).max(), np.abs(v).max(), 1.0
     )
     norms = tuple(np.abs(r).max() / scale for r in (res_q, res_v, res_z))
-    if max(norms) > 1e-8:
+    if not all(r <= 1e-8 for r in norms):  # NaN fails too
         raise KktError(f"stationarity residuals too large: {norms} "
-                       f"(beta={sub.beta:g}, n={sub.A.shape[0]})")
+                       f"(beta={sub.beta:g}, n_V={sub.V.dim})")
     u = Field(sub.V, sub.u_old_h.coeffs + v)
     return KktSolution(
         sub=sub, q=Field(sub.Q, q), v=Field(sub.V, v), u=u,
@@ -270,7 +292,7 @@ def solve_second_order(sol: KktSolution):
     ``sol.sub``, with right-hand side -I2'(u_h), gives the triple.
     """
     sub = sol.sub
-    q, v, z = _solve_reduced(sub, -(sub.CtC @ sol.v.coeffs + sub.c_res),
+    q, v, z = _solve_reduced(sub, -(sub.normal(sol.v.coeffs) + sub.c_res),
                              np.zeros(sub.V.dim), np.zeros(sub.Q.dim))
     return Field(sub.Q, q), Field(sub.V, v), Field(sub.V, z)
 

@@ -20,11 +20,19 @@ from ggnfem import fem, subsolver as ss
 import reference_operators
 
 
+def normal_matrix(sub):
+    """C*C = C' G C, sparse: M_V for L^2 data, C'C for point data."""
+    if sub.obs.normal_is_mass:
+        return sub.V.mass()
+    return reference_operators.normal_matrix(sub.C)
+
+
 def kkt_layout(sub):
     """Cached KKT pattern of a mesh and observation: (indptr, indices,
     slots, block patterns) with KKT data = concat(block data)[slots] for
     the blocks (1/beta) M_Q, C*C, -L, -K."""
-    blocks = (sub.M_Q, sub.CtC, reference_operators.L(sub.mesh), sub.K)
+    blocks = (sub.M_Q, normal_matrix(sub), reference_operators.L(sub.mesh),
+              sub.K)
 
     def build():
         # Number the entries of all blocks 1, 2, ... and read back where
@@ -46,7 +54,7 @@ def kkt_layout(sub):
                 [(B.indptr, B.indices) for B in blocks])
 
     indptr, indices, slots, patterns = fem._cached(
-        sub.mesh, ("kkt",) + sub.obs.key, build)
+        sub.mesh, ("kkt", sub.obs.kind, sub.C.shape[0]), build)
     for B, (ptr, ind) in zip(blocks, patterns):
         if not (np.array_equal(B.indptr, ptr)
                 and np.array_equal(B.indices, ind)):
@@ -57,7 +65,8 @@ def kkt_layout(sub):
 
 def kkt_matrix(sub) -> sp.csc_matrix:
     indptr, indices, slots = kkt_layout(sub)
-    data = np.concatenate([(1.0 / sub.beta) * sub.M_Q.data, sub.CtC.data,
+    data = np.concatenate([(1.0 / sub.beta) * sub.M_Q.data,
+                           normal_matrix(sub).data,
                            -reference_operators.L(sub.mesh).data, -sub.K.data])
     n = sub.Q.dim + 2 * sub.V.dim
     return sp.csc_matrix((data[slots], indices, indptr), shape=(n, n))
@@ -74,7 +83,7 @@ def kkt_rhs(sub) -> np.ndarray:
 
 def second_order_rhs(sub, v) -> np.ndarray:
     """Right-hand side of the auxiliary system of solve_second_order."""
-    return np.concatenate([np.zeros(sub.Q.dim), -(sub.CtC @ v + sub.c_res),
+    return np.concatenate([np.zeros(sub.Q.dim), -(sub.normal(v) + sub.c_res),
                            np.zeros(sub.V.dim)])
 
 

@@ -1,14 +1,17 @@
-"""Cached assembly plans and the cached layouts of the reduced and the
-full KKT matrix against the direct constructions they replace: element
-matrices scattered through COO and condensed as T' A T, loads scattered
-with np.add.at, and block matrices built by sp.bmat."""
+"""Cached assembly plans, the cached layout of the full KKT matrix and
+the dense reduced matrix of point data against the direct constructions
+they replace: element matrices scattered through COO and condensed as
+T' A T, loads scattered with np.add.at, and block matrices built by
+sp.bmat."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from scipy.linalg.lapack import dgetrf
 
 from ggnfem import fem, problem as pb, subsolver as ss
 from ggnfem.fem import Field, qspace, vspace
@@ -76,6 +79,19 @@ def _reference_reduced(sub, K, M_V, CtC):
     return sp.bmat([[CtC, -K.T], [-K, -sub.beta * M_V]], format="csc")
 
 
+def _factorized_matrix(sub):
+    """The dense reduced matrix that the dense LU hands to LAPACK."""
+    seen = []
+
+    def getrf(A, **kwargs):
+        seen.append(A.copy())
+        return dgetrf(A, **kwargs)
+
+    with mock.patch.object(ss, "dgetrf", getrf):
+        ss._DenseLU(sub)
+    return seen[0]
+
+
 def _close(got, ref):
     if sp.issparse(got):
         assert got.shape == ref.shape
@@ -139,7 +155,8 @@ def test_kkt_layout_matches_bmat(mesh, seed, point):
                               beta=7.0)
     M_V = _reference_mass(V, V)
     for s in (sub, dataclasses.replace(sub, beta=0.03)):
-        _close(ss._reduced_matrix(s), _reference_reduced(s, K, M_V, CtC))
+        _close(_factorized_matrix(s),
+               _reference_reduced(s, K, M_V, CtC).toarray())
         _close(kkt_oracle.kkt_matrix(s), _reference_kkt(s, K, L, M_Q, CtC))
 
 
@@ -160,22 +177,14 @@ def test_linearized_operator_keeps_plan_pattern():
 
 
 def test_kkt_layout_rejects_foreign_block_pattern():
+    """The complex form of L^2 data needs K on M_V's pattern."""
     mesh = refine(uniform_mesh(2), {0, 5})
     V, Q = vspace(mesh), qspace(mesh)
-    obs = pb.PointObs(3)
-    sub = ss.build_subproblem(pb.ModelProblem(zeta=100.0), mesh, Q.zeros(),
-                              V.zeros(), Q.zeros(), obs,
-                              np.zeros(obs.n_obs), beta=1.0)
-    ss._reduced_matrix(sub)
-    corner = sp.csr_matrix(([1.0], ([0], [V.dim - 1])), shape=sub.K.shape)
-    assert corner.multiply(sub.K).nnz == 0  # an entry outside the pattern
-    with pytest.raises(ValueError, match="pattern"):
-        ss._reduced_matrix(
-            dataclasses.replace(sub, K=(sub.K + corner).tocsr()))
-    # The complex form of L^2 data needs K on M_V's pattern.
     l2 = ss.build_subproblem(pb.ModelProblem(zeta=100.0), mesh, Q.zeros(),
                              V.zeros(), Q.zeros(), pb.L2Obs(), Q.zeros(),
                              beta=1.0)
     l2.factorization()
+    corner = sp.csr_matrix(([1.0], ([0], [V.dim - 1])), shape=l2.K.shape)
+    assert corner.multiply(l2.K).nnz == 0  # an entry outside the pattern
     with pytest.raises(ValueError, match="pattern"):
         dataclasses.replace(l2, K=(l2.K + corner).tocsr()).factorization()

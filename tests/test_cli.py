@@ -8,6 +8,7 @@ import types
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgetrf
 
 from ggnfem import cli, fem, problem as pb, subsolver as ss
 
@@ -206,11 +207,24 @@ def _splu_failing_if(fails, A, kwargs):
 
 
 def _singular_kkt(A, **kwargs):
-    """splu that fails on the KKT matrix (complex for L^2 data; for point
-    data its -beta M_V block has a negative diagonal) and factorizes every
-    real SPD matrix as usual (their diagonals are positive)."""
-    return _splu_failing_if(
-        np.iscomplexobj(A) or (A.diagonal() < 0).any(), A, kwargs)
+    """splu that fails on the complex KKT matrix of L^2 data and
+    factorizes every real SPD matrix as usual."""
+    return _splu_failing_if(np.iscomplexobj(A), A, kwargs)
+
+
+def _singular_dense_lu(A, **kwargs):
+    """dgetrf of a zero matrix in place of the dense point-data KKT
+    matrix: LAPACK reports a zero pivot."""
+    return dgetrf(np.zeros_like(A), **kwargs)
+
+
+def _singular_woodbury_k(A, name):
+    """symmetric_lu of a zero matrix in place of K on the Woodbury route
+    of point data, its one factorization named KKT: SuperLU fails."""
+    return _SYMMETRIC_LU(A * 0.0 if name == "KKT" else A, name)
+
+
+_SYMMETRIC_LU = fem.symmetric_lu
 
 
 def _singular_mass(A, **kwargs):
@@ -252,9 +266,11 @@ def _run_failing(tmp_path, command, *options):
 
 
 _SOLVER_FAILURES = [
-    ((), "run-ggn", ss, _singular_kkt, "kkt-failure", "KKT"),
-    ((), "run-ggn", ss, _singular, "kkt-failure", "KKT"),
-    ((), "run-nt", ss, _singular_kkt, "kkt-failure", "KKT"),
+    # Point data: the dense LU of the small KKT systems, and K's
+    # factorization on the Woodbury route, forced by a zero size bound.
+    ((), "run-ggn", ss, _singular_dense_lu, "kkt-failure", "KKT"),
+    ((), "run-ggn", fem, _singular_woodbury_k, "kkt-failure", "KKT"),
+    ((), "run-nt", ss, _singular_dense_lu, "kkt-failure", "KKT"),
     # The forward solve factorizes only the stiffness matrix, in fem.
     ((), "run-nt", fem, _singular, "forward-failure", "stiffness"),
     # GGN first factorizes it for the adjoint at the base point.
@@ -267,21 +283,44 @@ _SOLVER_FAILURES = [
     (("--obs", "l2"), "run-nt", fem, _singular_stiffness, "forward-failure",
      "stiffness"),
 ]
+# The attribute each fault replaces; splu stand-ins go in as spla.splu.
+_FAULT_SITES = {_singular_dense_lu: "dgetrf",
+                _singular_woodbury_k: "symmetric_lu"}
 
 
 @pytest.mark.parametrize(
-    "options,command,module,splu,termination,matrix", _SOLVER_FAILURES,
-    ids=["-".join([*o[1:], c, m.__name__, s.__name__, t])
-         for o, c, m, s, t, _ in _SOLVER_FAILURES])
+    "options,command,module,fault,termination,matrix", _SOLVER_FAILURES,
+    ids=["-".join([*o[1:], c, m.__name__, f.__name__, t])
+         for o, c, m, f, t, _ in _SOLVER_FAILURES])
 def test_solver_failure_ends_run_cleanly(tmp_path, monkeypatch, options,
-                                         command, module, splu, termination,
+                                         command, module, fault, termination,
                                          matrix):
-    _fail_after_simulation(monkeypatch, module, "spla",
-                           types.SimpleNamespace(splu=splu))
+    site = _FAULT_SITES.get(fault, "spla")
+    if fault is _singular_woodbury_k:
+        monkeypatch.setattr(ss, "DENSE_MAX_NV", 0)
+    _fail_after_simulation(monkeypatch, module, site, fault if site != "spla"
+                           else types.SimpleNamespace(splu=fault))
     manifest = _run_failing(tmp_path, command, *options)
     assert f"termination = {termination}" in manifest
     assert "warning = " in manifest and "singular" in manifest
     assert f"{matrix} factorization failed" in manifest
+
+
+def test_non_finite_kkt_solution_ends_run_cleanly(tmp_path, monkeypatch):
+    """A KKT solution with NaN entries fails the stationarity gate (NaN
+    residuals compare false against any tolerance)."""
+    solve = ss._solve_reduced
+
+    def nan_once(*args):
+        monkeypatch.setattr(ss, "_solve_reduced", solve)
+        q, v, z = solve(*args)
+        return q, np.full_like(v, np.nan), z
+
+    _fail_after_simulation(monkeypatch, ss, "_solve_reduced", nan_once)
+    manifest = _run_failing(tmp_path, "run-ggn")
+    assert "termination = kkt-failure" in manifest
+    assert "warning = stationarity residuals too large: (" in manifest
+    assert "nan" in manifest
 
 
 @pytest.mark.parametrize("command,config,warning", [

@@ -39,13 +39,12 @@ def _check_operators(mesh, seed):
         assert np.array_equal(space.free, free)
         _same(space.T, T)
         for points in _point_sets(seed):
-            C, CtC = fem._point_operators(space, points)
+            C = fem.point_matrix(space, points)
             C_ref = ref.point_matrix(space, points)
             _same(C, C_ref)
             w = np.random.default_rng(seed).standard_normal(len(points))
             assert np.array_equal(fem._transpose_product(C, w),
                                   ref.transpose(C_ref) @ w)
-            _same(CtC, ref.normal_matrix(C_ref))
             assert fem.point_matrix(space, points) is C
     _same(fem.v_to_q(mesh), ref.v_to_q(mesh))
     _same(fem._load_map(mesh), ref.load_map(mesh))

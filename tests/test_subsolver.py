@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings, strategies as st
 
@@ -261,19 +262,56 @@ def test_l2_requires_restricted_data():
 
 def test_bad_factorization_raises_kkt_error():
     class OnesLU:
-        def solve(self, rhs):
-            return np.ones(len(rhs))
+        def solve(self, b_v, b_z):
+            return np.ones(len(b_v)), np.ones(len(b_z))
+
+    class NanLU:  # NaN residuals compare false against any tolerance
+        def solve(self, b_v, b_z):
+            return np.full(len(b_v), np.nan), np.full(len(b_z), np.nan)
 
     for point in (True, False):
-        sub = _random_subproblem(uniform_mesh(2), 0, point, 100.0)
-        sub.factorization()
-        sub.lu = OnesLU()
-        # n is the dimension of the factorized matrix: the real reduced
-        # matrix for point data, its complex form of half the size for L^2.
-        n = 2 * sub.V.dim if point else sub.V.dim
-        with pytest.raises(ss.KktError,
-                           match=rf"stationarity .*, n={n}\)$"):
-            ss.solve_kkt(sub)
+        for bad in (OnesLU(), NanLU()):
+            sub = _random_subproblem(uniform_mesh(2), 0, point, 100.0)
+            sub.factorization()
+            sub.lu = bad
+            with pytest.raises(ss.KktError,
+                               match=rf"stationarity .*, n_V={sub.V.dim}\)$"):
+                ss.solve_kkt(sub)
+
+
+def test_dense_lu_rejects_zero_pivot():
+    """LAPACK only reports an exactly zero pivot; the dense LU raises.
+    With K = C*C = 0 the first column of the reduced matrix is zero."""
+    sub = _random_subproblem(uniform_mesh(2), 0, True, 100.0)
+    zero = dataclasses.replace(sub, K=0.0 * sub.K, C=0.0 * sub.C)
+    with pytest.raises(ss.KktError, match=r"exactly singular \(pivot 1 "):
+        zero.factorization()
+
+
+def test_woodbury_rejects_indefinite_update():
+    """The Cholesky factorization of I + beta S on the Woodbury route
+    raises KktError when LAPACK reports a non-positive pivot (S = -2 I)."""
+    sub = _random_subproblem(refine(uniform_mesh(4), {0, 5}), 0, True, 100.0)
+    assert isinstance(sub.factorization(), ss._Woodbury)
+    sub.base_factors["S"] = -2.0 * np.eye(sub.C.shape[0])
+    with pytest.raises(ss.KktError, match=r"not positive definite \(pivot 1\)"):
+        dataclasses.replace(sub, beta=1.0).factorization()
+
+
+def test_woodbury_subproblem_dies_without_cycle_collection():
+    """The Woodbury route refers to its subproblem weakly, so a solved
+    subproblem, which holds the route, goes by reference counting alone
+    (a cycle would keep its mesh's cached operators until a collection)."""
+    sub = _random_subproblem(refine(uniform_mesh(4), {0, 5}), 0, True, 100.0)
+    ss.solve_kkt(sub)
+    assert isinstance(sub.lu, ss._Woodbury)
+    dead = weakref.ref(sub)
+    gc.disable()
+    try:
+        del sub
+        assert dead() is None
+    finally:
+        gc.enable()
 
 
 def _random_subproblem(mesh, seed, point, zeta):
@@ -289,6 +327,12 @@ def _random_subproblem(mesh, seed, point, zeta):
         pb.ModelProblem(zeta=zeta), mesh, Field(Q, rng.uniform(-1, 1, Q.dim)),
         Field(V, rng.uniform(-0.5, 0.5, V.dim)),
         Field(Q, rng.uniform(-1, 1, Q.dim)), obs, data, beta=1.0)
+
+
+def _reduced_matrix(sub):
+    """The real reduced matrix [[C*C, -K'], [-K, -beta M_V]]."""
+    return sp.bmat([[kkt_oracle.normal_matrix(sub), -sub.K.T],
+                    [-sub.K, -sub.beta * sub.V.mass()]], format="csc")
 
 
 def _assert_blocks_close(got, ref, rtol):
@@ -317,6 +361,45 @@ def test_reduced_solves_match_refined_kkt(mesh, seed, point, zeta):
                 s, kkt_oracle.second_order_rhs(s, sol.v.coeffs)), 1e-8)
 
 
+# Graded meshes with n_V on each side of DENSE_MAX_NV: 25, 53, 351, 585.
+_POINT_ROUTE_MESHES = {
+    "dense-25": lambda: refine(refine(uniform_mesh(2), {0, 5, 9, 10}),
+                               {0, 1, 2, 3}),
+    "dense-53": lambda: refine(uniform_mesh(3), {0, 3, 9}),
+    "woodbury-351": lambda: refine(refine(uniform_mesh(4), set(range(0, 256, 7))),
+                                   set(range(0, 300, 11))),
+    "woodbury-585": _hanging_mesh,
+}
+
+
+@pytest.mark.parametrize("zeta", [0.0, 1000.0])
+@pytest.mark.parametrize("name", list(_POINT_ROUTE_MESHES))
+def test_point_routes_match_refined_kkt(name, zeta):
+    """Both point-data routes, the dense LU up to DENSE_MAX_NV state dofs
+    and the Woodbury route on K above, against the full KKT system solved
+    with extended-precision refinement, for beta = 1e0 ... 1e10 on one
+    subproblem (the Woodbury route keeps K's factor across beta): 1e-8
+    relative in each of q, v and z, for solve_kkt and solve_second_order,
+    and every solution passes the 1e-8 stationarity gate."""
+    mesh = _POINT_ROUTE_MESHES[name]()
+    assert len(mesh.hanging)
+    sub = _random_subproblem(mesh, 11, True, zeta)
+    route = ss._DenseLU if name.startswith("dense") else ss._Woodbury
+    for beta in 10.0 ** np.arange(11):
+        s = dataclasses.replace(sub, beta=beta)
+        sol = ss.solve_kkt(s)
+        assert isinstance(s.lu, route)
+        assert max(sol.stationarity) <= 1e-8
+        _assert_blocks_close(
+            (sol.q.coeffs, sol.v.coeffs, sol.z.coeffs),
+            kkt_oracle.refined_solve(s, kkt_oracle.kkt_rhs(s)), 1e-8)
+        aux = ss.solve_second_order(sol)
+        _assert_blocks_close(
+            tuple(f.coeffs for f in aux),
+            kkt_oracle.refined_solve(
+                s, kkt_oracle.second_order_rhs(s, sol.v.coeffs)), 1e-8)
+
+
 @settings(max_examples=8, deadline=None)
 @given(mesh=graded_meshes(), seed=st.integers(0, 2**16))
 def test_control_elimination_premise_is_exact(mesh, seed):
@@ -332,8 +415,6 @@ def test_control_elimination_premise_is_exact(mesh, seed):
         assert (L != -(inc.T @ sub.M_Q)).nnz == 0
         assert np.array_equal(L @ x, -(sub.M_Q @ x)[keep])
         assert (inc.T @ sub.M_Q @ inc != sub.V.mass()).nnz == 0
-        if not point:
-            assert (sub.CtC != inc.T @ sub.M_Q @ inc).nnz == 0
 
 
 def test_jacobian_sum_leaves_cached_arrays_alone():
@@ -361,13 +442,13 @@ def test_cached_transposes_match_and_die_with_their_mesh(point):
     sub = _random_subproblem(mesh, 7, point, 100.0)
     ss.solve_kkt(sub)
     entries = fem._CONTEXTS[mesh]
-    assert not {("L",), ("Lt",), ("slots", "V", "Q"),
-                sub.obs.key + ("Ct",)} & entries.keys()
+    assert not {("L",), ("Lt",), ("slots", "V", "Q")} & entries.keys()
+    assert not any(key[-1] == "Ct" for key in entries)
     rng = np.random.default_rng(3)
     for _ in range(5):
         w = rng.standard_normal(sub.C.shape[0])
         assert np.array_equal(fem._transpose_product(sub.C, w), sub.C.T @ w)
-    cached = [sub.C, sub.CtC]
+    cached = [sub.C]
     dead = [weakref.ref(x) for x in [mesh] + cached]
     del mesh, sub, entries, cached
     gc.collect()
@@ -381,25 +462,33 @@ _SYMMETRIC = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
 def test_factorization_routes(monkeypatch):
     """SPD stiffness and mass matrices and the complex symmetric form
     M_V + (i/sqrt(beta)) K of the reduced matrix of L^2 data take diagonal
-    pivots in a symmetric ordering; the real reduced matrix of point data
-    keeps SuperLU's pivoting."""
+    pivots in a symmetric ordering.  Point data up to DENSE_MAX_NV state
+    dofs take a dense LU and no splu call; above, the Woodbury route
+    factorizes K alone, with diagonal pivots, and a copy for another beta
+    reuses that factor."""
     calls = []
 
     def splu(A, **kwargs):
         calls.append(kwargs)
         return spla.splu(A, **kwargs)
 
-    for module in (fem, ss):
-        monkeypatch.setattr(module, "spla", types.SimpleNamespace(splu=splu))
+    monkeypatch.setattr(fem, "spla", types.SimpleNamespace(splu=splu))
     mesh = refine(uniform_mesh(2), {0, 5}, max_level=4)
+    big = refine(uniform_mesh(4), {0, 5})
+    assert vspace(mesh).dim <= ss.DENSE_MAX_NV < vspace(big).dim
     l2, point = (_random_subproblem(mesh, 0, p, 100.0) for p in (False, True))
-    for factorize, kwargs in ((vspace(mesh).stiffness_solver, _SYMMETRIC),
-                              (qspace(mesh).mass_solver, _SYMMETRIC),
-                              (l2.factorization, _SYMMETRIC),
-                              (point.factorization, {})):
+    large = _random_subproblem(big, 0, True, 100.0)
+    for factorize, route, kwargs in (
+            (vspace(mesh).stiffness_solver, spla.SuperLU, [_SYMMETRIC]),
+            (qspace(mesh).mass_solver, spla.SuperLU, [_SYMMETRIC]),
+            (l2.factorization, ss._ComplexLU, [_SYMMETRIC]),
+            (point.factorization, ss._DenseLU, []),
+            (large.factorization, ss._Woodbury, [_SYMMETRIC]),
+            (dataclasses.replace(large, beta=1e4).factorization,
+             ss._Woodbury, [])):
         calls.clear()
-        factorize()
-        assert calls == [kwargs]
+        assert isinstance(factorize(), route)
+        assert calls == kwargs
 
 
 def test_stiffness_solver_routes(monkeypatch):
@@ -473,7 +562,7 @@ def test_symmetric_factorizations_are_accurate(mesh, seed):
             kkt_oracle.refined_solve(s, kkt_oracle.kkt_rhs(s)), 1e-8)
         b = rng.standard_normal(2 * nv)
         _, v, z = ss._solve_reduced(s, b[:nv], b[nv:], Q.zeros().coeffs)
-        x, A = np.concatenate([v, z / 2]), ss._reduced_matrix(s)
+        x, A = np.concatenate([v, z / 2]), _reduced_matrix(s)
         assert np.abs(b - A @ x).max() <= 1e-12 * (
             spla.norm(A, np.inf) * np.abs(x).max() + np.abs(b).max())
 
@@ -486,7 +575,7 @@ def test_l2_factorization_is_complex_of_half_size(levels):
     mesh = refine(uniform_mesh(levels), {0, 3})
     assert len(mesh.hanging)
     sub = _random_subproblem(mesh, 1, False, 100.0)
-    lu = sub.factorization()
-    assert np.iscomplexobj(sub.A) and sub.A.shape == (sub.V.dim,) * 2
-    real = fem.symmetric_lu(ss._reduced_matrix(sub), "KKT")
+    lu, A = sub.factorization().lu, sub.factorization().A
+    assert np.iscomplexobj(A) and A.shape == (sub.V.dim,) * 2
+    real = fem.symmetric_lu(_reduced_matrix(sub), "KKT")
     assert (lu.L.nnz + lu.U.nnz) < (real.L.nnz + real.U.nnz) / 3

@@ -1,0 +1,59 @@
+"""``tools/row_digest.py compare``: the largest relative move of each float
+field and row column, the runs whose acceptance fields changed, and the
+exit status (1 whenever the dumps differ at all)."""
+
+import importlib.util
+import json
+import os
+from unittest import mock
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.fixture(scope="module")
+def row_digest():
+    spec = importlib.util.spec_from_file_location(
+        "row_digest", os.path.join(ROOT, "tools", "row_digest.py"))
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(os.environ):  # it pins the BLAS threads on import
+        spec.loader.exec_module(module)
+    return module
+
+
+def _run(beta=10.0, i1h=2.0, control_error=0.25, forward_solves=0):
+    h = float.hex
+    row = [1, "solve", 25, h(beta), h(0.5), h(i1h)] + [h(1.0)] * 8
+    return {"termination": "discrepancy", "warnings": [],
+            "outer_iterations": 1, "delta": h(0.1),
+            "control_error": h(control_error),
+            "forward_solves": forward_solves, "monotonicity": [True],
+            "max_identity_dev": h(1e-17), "rows": [row]}
+
+
+def test_compare_reports_moves_and_acceptance_changes(row_digest, tmp_path,
+                                                      capsys):
+    a = {"w/seed1/ggn[0]": _run(), "w/seed1/nt[0]": _run()}
+    b = {"w/seed1/ggn[0]": _run(i1h=2.0 * (1 + 2**-40),
+                                control_error=0.25 * (1 + 2**-50)),
+         "w/seed1/nt[0]": _run(beta=100.0, forward_solves=3)}
+    moves = row_digest.largest_moves(a, b)
+    assert moves["i1h"] == 2**-40 and moves["control_error"] == 2**-50
+    assert moves["beta"] == 9.0 and moves["delta"] == moves["i2h"] == 0.0
+    assert row_digest.acceptance_changes(a, b) == [
+        "w/seed1/nt[0]: forward_solves, beta"]
+
+    paths = []
+    for name, dump in (("a", a), ("b", b), ("a2", a)):
+        paths.append(str(tmp_path / f"{name}.json"))
+        with open(paths[-1], "w") as fh:
+            json.dump(dump, fh)
+    assert row_digest.main(["compare", paths[0], paths[1]]) == 1
+    out = capsys.readouterr().out
+    assert "acceptance fields changed in 1 of 2 runs:" in out
+    assert "  w/seed1/nt[0]: forward_solves, beta" in out
+    assert row_digest.main(["compare", paths[0], paths[2]]) == 0
+    out = capsys.readouterr().out
+    assert "identical: 2 runs" in out
+    assert "acceptance fields changed in 0 of 2 runs" in out

@@ -16,6 +16,11 @@ the largest I1h identity deviation.  ggnfem is imported from
 tool dumps any checkout.
 ``compare`` names every run whose dump differs, with its differing
 fields and the first differing row and columns, and exits 1 if any does.
+It then prints, over the runs in both dumps, the largest relative move
+|b - a| / |a| of each float field and column, and the runs whose
+acceptance fields changed: k, phase, nodes or beta of a row, the
+termination, the outer iteration count, the forward-solve count or the
+warnings.
 BLAS runs on one thread, as in the benchmark.
 """
 
@@ -35,6 +40,11 @@ WORKLOADS = ("ggn-l2", "nt-vs-ggn")
 SEEDS = (1, 2, 3)
 COLUMNS = ("k", "phase", "nodes", "beta", "rho", "i1h", "i2h", "i3h", "i4h",
            "eta1", "eta2", "stat_q", "stat_v", "stat_z")
+RUN_FLOATS = ("delta", "control_error", "max_identity_dev")
+# Per-run fields and row columns whose change changes what a run did.
+ACCEPTANCE = ("termination", "outer_iterations", "forward_solves",
+              "warnings")
+ACCEPTANCE_COLUMNS = ("k", "phase", "nodes", "beta")
 
 
 def _hex(x) -> str:
@@ -84,6 +94,42 @@ def compare(a: dict, b: dict) -> list[str]:
     return diffs
 
 
+def _relative_move(x: str, y: str) -> float:
+    """|y - x| / |x| of two hex floats: 0 if they are equal (NaN and NaN
+    too), inf if only one is NaN or x = 0."""
+    x, y = float.fromhex(x), float.fromhex(y)
+    if x == y or (x != x and y != y):
+        return 0.0
+    return abs(y - x) / abs(x) if x else float("inf")
+
+
+def largest_moves(a: dict, b: dict) -> dict:
+    """Largest relative move of each float field and row column over the
+    runs in both dumps (rows paired by position)."""
+    moves = dict.fromkeys(RUN_FLOATS + COLUMNS[3:], 0.0)
+    for key in set(a) & set(b):
+        for f in RUN_FLOATS:
+            moves[f] = max(moves[f], _relative_move(a[key][f], b[key][f]))
+        for ra, rb in zip(a[key]["rows"], b[key]["rows"]):
+            for col, x, y in zip(COLUMNS[3:], ra[3:], rb[3:]):
+                moves[col] = max(moves[col], _relative_move(x, y))
+    return moves
+
+
+def acceptance_changes(a: dict, b: dict) -> list[str]:
+    """The runs in both dumps whose acceptance fields differ, each with
+    those fields."""
+    out = []
+    for key in sorted(set(a) & set(b)):
+        fields = [f for f in ACCEPTANCE if a[key][f] != b[key][f]]
+        fields += [col for i, col in enumerate(ACCEPTANCE_COLUMNS)
+                   if [r[i] for r in a[key]["rows"]]
+                   != [r[i] for r in b[key]["rows"]]]
+        if fields:
+            out.append(f"{key}: {', '.join(fields)}")
+    return out
+
+
 def _first_row_diff(a: list, b: list) -> str:
     """The first differing row and its columns, as a message suffix."""
     for i, (ra, rb) in enumerate(zip(a, b)):
@@ -120,6 +166,15 @@ def main(argv=None) -> int:
         print(line)
     if not diffs:
         print(f"identical: {len(a)} runs")
+    common = len(set(a) & set(b))
+    print(f"largest relative move over {common} runs:")
+    for name, move in largest_moves(a, b).items():
+        print(f"  {name:<17} {move:.3g}")
+    changed = acceptance_changes(a, b)
+    print(f"acceptance fields changed in {len(changed)} of {common} runs"
+          + (":" if changed else ""))
+    for line in changed:
+        print(f"  {line}")
     return 1 if diffs else 0
 
 
