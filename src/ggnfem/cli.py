@@ -56,25 +56,25 @@ def _coerce(cls, key, raw):
     if t in ("float", float):
         return float(raw)
     if t in ("bool", bool):
-        return raw.strip().lower() in ("1", "true", "yes", "on")
+        if raw.strip().lower() not in ConfigParser.BOOLEAN_STATES:
+            raise ValueError(f"{key} = {raw!r} is not a boolean")
+        return ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
     return raw
 
 
 def load_config(path=None):
     """(experiment, ggn, nt) configs from a sectioned key=value file."""
-    exp, ggn, nt = ExperimentConfig(), dv.GgnConfig(), bl.NtConfig()
-    if path is None:
-        return exp, ggn, nt
+    out = {name: cls() for name, cls in _SECTIONS.items()}
     parser = ConfigParser()
-    with open(path) as fh:
-        parser.read_file(fh)
-    out = {"experiment": exp, "ggn": ggn, "nt": nt}
+    if path is not None:
+        with open(path) as fh:
+            parser.read_file(fh)
     for section in parser.sections():
         if section not in _SECTIONS:
             raise KeyError(f"unknown config section [{section}]")
-        cls = type(out[section])
         out[section] = replace(out[section], **{
-            key: _coerce(cls, key, raw) for key, raw in parser.items(section)})
+            key: _coerce(_SECTIONS[section], key, raw)
+            for key, raw in parser.items(section)})
     return out["experiment"], out["ggn"], out["nt"]
 
 

@@ -399,10 +399,10 @@ def run_ggn(problem: pb.ModelProblem, data: pb.NoisyData, cfg: GgnConfig,
             q0: Field | None = None) -> RunReport:
     """Full adaptive Gauss-Newton run on one data set.
 
-    A failed solve, factorization or beta search, at the start or inside
-    the loop, ends the run with the error's termination ("kkt-failure",
-    "forward-failure" or "beta-search-failure"); the message goes to the
-    warnings.
+    A failed solve, factorization, data restriction or beta search, at the
+    start or inside the loop, ends the run with the error's termination
+    ("kkt-failure", "forward-failure", "restriction-failure" or
+    "beta-search-failure"); the message goes to the warnings.
     """
     if cfg.enforce_assumptions:
         cfg.validate()

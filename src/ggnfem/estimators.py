@@ -136,10 +136,6 @@ def _lagrangian_cells(sub: LinearizedSubproblem, cells: _CellData, x,
             + cells.integrate(base))
 
 
-def _patch_weights(*fields):
-    return tuple(patch_interpolate(f) for f in fields)
-
-
 def estimate_eta1(sol: KktSolution, weights=None):
     """DWR estimate of I1 - I1h with cellwise refinement indicators:
     0.5 L'(x_h)(w) for the weights w of x_h.
@@ -150,7 +146,7 @@ def estimate_eta1(sol: KktSolution, weights=None):
     sub = sol.sub
     cells = _CellData(sub)
     if weights is None:
-        weights = _patch_weights(sol.q, sol.u, sol.z)
+        weights = tuple(map(patch_interpolate, (sol.q, sol.u, sol.z)))
     contrib = 0.5 * _lagrangian_cells(sub, cells, (sol.q, sol.v, sol.z),
                                       weights)
     return float(contrib.sum()), np.abs(contrib)
@@ -167,8 +163,8 @@ def estimate_eta2(sol: KktSolution, aux):
     """
     sub = sol.sub
     cells = _CellData(sub)
-    weights = _patch_weights(sol.q, sol.u, sol.z)
-    aux_weights = _patch_weights(*aux)
+    weights = tuple(map(patch_interpolate, (sol.q, sol.u, sol.z)))
+    aux_weights = tuple(map(patch_interpolate, aux))
     # I2'(u_h)(wu) = 2 (C v_h + r_g, C wu)_G joins the Hessian's pairing.
     r_lin = sub.misfit(sol.v.coeffs)[1]
     contrib = 0.5 * (

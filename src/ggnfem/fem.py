@@ -30,8 +30,7 @@ their data adds the matrices.  Other per-mesh operators (T, C, the V-to-Q
 inclusion) are built from index arrays, entry for entry as the
 sparse products they replace.
 
-Stiffness and mass solves use one ``symmetric_lu`` factorization per
-mesh.
+Only stiffness matrices are factorized (``symmetric_lu``), once per mesh.
 
 The truth build on the uniform simulation mesh assembles nothing.  That
 mesh has no hanging vertex, and its vertices in key order are the
@@ -243,17 +242,9 @@ class Space:
         return _cached(self.mesh, ("mass", self.kind),
                        lambda: assemble_mass(self, self))
 
-    # Both matrices are SPD, so diagonal pivots in a minimum-degree order
-    # factorize them stably, with no pivot search.
-    def _spd_solver(self, name: str, matrix):
-        return _cached(self.mesh, (f"{name}_lu", self.kind),
-                       lambda: symmetric_lu(matrix(), name))
-
     def stiffness_solver(self):
-        return self._spd_solver("stiffness", self.stiffness)
-
-    def mass_solver(self):
-        return self._spd_solver("mass", self.mass)
+        return _cached(self.mesh, ("stiffness_lu", self.kind),
+                       lambda: symmetric_lu(self.stiffness(), "stiffness"))
 
     def __repr__(self):
         return f"Space({self.kind}, dim={self.dim}, mesh={self.mesh!r})"

@@ -308,8 +308,8 @@ def adjoint_at_base(sub: LinearizedSubproblem) -> Field:
     rhs = 2.0 * sub.c_res
     solver = sub.V.stiffness_solver()
     z0 = solver.solve(rhs)
-    z = pb._stiffness_cg(sub.K, solver, rhs, z0,
-                         1e-13 * np.sqrt(max(rhs @ z0, 0.0)))
+    z = pb._pcg(sub.K, solver.solve, rhs, z0,
+                1e-13 * np.sqrt(max(rhs @ z0, 0.0)))
     if z is None:
         raise KktError("adjoint CG broke down")
     return Field(sub.V, z)

@@ -14,7 +14,7 @@ import scipy.sparse as sp
 
 from ggnfem import fem
 from ggnfem.fem import Field, interpolate_onto
-from ggnfem.problem import ForwardSolveError, _stiffness_cg
+from ggnfem.problem import ForwardSolveError, _pcg
 
 __all__ = ["linearized_state_operator", "solve_forward"]
 
@@ -58,8 +58,8 @@ def solve_forward(problem, q, space, tol=1e-10, max_iter=50, u_init=None):
         if it == max_iter:
             raise ForwardSolveError("Newton did not converge", rnorm)
         J = linearized_state_operator(problem, space, Field(space, u))
-        d = _stiffness_cg(J, lu_s, -r, -s,
-                          max(min(0.1, rnorm) * rnorm, 1e-3 * tol))
+        d = _pcg(J, lu_s.solve, -r, -s,
+                 max(min(0.1, rnorm) * rnorm, 1e-3 * tol))
         if d is None:
             raise ForwardSolveError("Newton-step CG broke down", rnorm)
         step = 1.0

@@ -34,6 +34,22 @@ def test_config_rejects_unknown_keys(tmp_path):
         cli.load_config(cfg)
 
 
+def test_config_rejects_misspelled_booleans(tmp_path, capsys):
+    """A boolean takes configparser's spellings only; a misspelled one
+    must not read False and switch the assumption check off."""
+    cfg = tmp_path / "typo.cfg"
+    for spelling, enforce in (("off", False), ("No", False), ("1", True)):
+        cfg.write_text(f"[ggn]\nenforce_assumptions = {spelling}\n")
+        assert cli.load_config(cfg)[1].enforce_assumptions is enforce
+    cfg.write_text("[ggn]\nenforce_assumptions = flase\ntau = 0.5\n")
+    out = tmp_path / "run"
+    assert cli.main(["--config", str(cfg), "--out", str(out),
+                     "run-ggn"]) == 1
+    err = capsys.readouterr().err
+    assert "enforce_assumptions" in err and "'flase'" in err
+    assert not out.exists()
+
+
 def test_config_text_ignores_field_order():
     """The manifest's config_hash hashes config_text, so the text must
     depend on the settings only: the same values declared in another
@@ -227,11 +243,14 @@ def _singular_woodbury_k(A, name):
 _SYMMETRIC_LU = fem.symmetric_lu
 
 
-def _singular_mass(A, **kwargs):
-    """splu that fails on mass matrices, the only real ones with no
-    negative entry."""
-    return _splu_failing_if(
-        not np.iscomplexobj(A) and (A.data > 0).all(), A, kwargs)
+def _cg_breakdown_on_mass(A, *args):
+    """The CG with a zero matrix in place of the Q mass matrix of the L^2
+    data restriction, the only matrix it sees with no negative entry:
+    p' A p = 0 is a breakdown.  The adjoint's CG runs as usual."""
+    return _PCG(A * 0.0 if (A.data > 0).all() else A, *args)
+
+
+_PCG = pb._pcg
 
 
 def _singular_stiffness(A, **kwargs):
@@ -268,33 +287,42 @@ def _run_failing(tmp_path, command, *options):
 _SOLVER_FAILURES = [
     # Point data: the dense LU of the small KKT systems, and K's
     # factorization on the Woodbury route, forced by a zero size bound.
-    ((), "run-ggn", ss, _singular_dense_lu, "kkt-failure", "KKT"),
-    ((), "run-ggn", fem, _singular_woodbury_k, "kkt-failure", "KKT"),
-    ((), "run-nt", ss, _singular_dense_lu, "kkt-failure", "KKT"),
+    ((), "run-ggn", ss, _singular_dense_lu, "kkt-failure",
+     "KKT factorization failed"),
+    ((), "run-ggn", fem, _singular_woodbury_k, "kkt-failure",
+     "KKT factorization failed"),
+    ((), "run-nt", ss, _singular_dense_lu, "kkt-failure",
+     "KKT factorization failed"),
     # The forward solve factorizes only the stiffness matrix, in fem.
-    ((), "run-nt", fem, _singular, "forward-failure", "stiffness"),
+    ((), "run-nt", fem, _singular, "forward-failure",
+     "stiffness factorization failed"),
     # GGN first factorizes it for the adjoint at the base point.
-    ((), "run-ggn", fem, _singular, "kkt-failure", "stiffness"),
-    # On L^2 data every matrix is symmetric and factorized in fem: the
-    # complex form of the reduced KKT matrix, the Q mass matrix of the data
-    # restriction and the stiffness matrix of NT's forward solve.
-    (("--obs", "l2"), "run-ggn", fem, _singular_kkt, "kkt-failure", "KKT"),
-    (("--obs", "l2"), "run-ggn", fem, _singular_mass, "kkt-failure", "mass"),
+    ((), "run-ggn", fem, _singular, "kkt-failure",
+     "stiffness factorization failed"),
+    # On L^2 data every factorized matrix is symmetric and factorized in
+    # fem: the complex form of the reduced KKT matrix and the stiffness
+    # matrix of NT's forward solve.  The data restriction factorizes
+    # nothing; its CG can break down.
+    (("--obs", "l2"), "run-ggn", fem, _singular_kkt, "kkt-failure",
+     "KKT factorization failed"),
+    (("--obs", "l2"), "run-ggn", pb, _cg_breakdown_on_mass,
+     "restriction-failure", "data restriction CG broke down"),
     (("--obs", "l2"), "run-nt", fem, _singular_stiffness, "forward-failure",
-     "stiffness"),
+     "stiffness factorization failed"),
 ]
 # The attribute each fault replaces; splu stand-ins go in as spla.splu.
 _FAULT_SITES = {_singular_dense_lu: "dgetrf",
-                _singular_woodbury_k: "symmetric_lu"}
+                _singular_woodbury_k: "symmetric_lu",
+                _cg_breakdown_on_mass: "_pcg"}
 
 
 @pytest.mark.parametrize(
-    "options,command,module,fault,termination,matrix", _SOLVER_FAILURES,
+    "options,command,module,fault,termination,warning", _SOLVER_FAILURES,
     ids=["-".join([*o[1:], c, m.__name__, f.__name__, t])
          for o, c, m, f, t, _ in _SOLVER_FAILURES])
 def test_solver_failure_ends_run_cleanly(tmp_path, monkeypatch, options,
                                          command, module, fault, termination,
-                                         matrix):
+                                         warning):
     site = _FAULT_SITES.get(fault, "spla")
     if fault is _singular_woodbury_k:
         monkeypatch.setattr(ss, "DENSE_MAX_NV", 0)
@@ -302,8 +330,9 @@ def test_solver_failure_ends_run_cleanly(tmp_path, monkeypatch, options,
                            else types.SimpleNamespace(splu=fault))
     manifest = _run_failing(tmp_path, command, *options)
     assert f"termination = {termination}" in manifest
-    assert "warning = " in manifest and "singular" in manifest
-    assert f"{matrix} factorization failed" in manifest
+    assert f"warning = {warning}" in manifest
+    if "factorization" in warning:
+        assert "singular" in manifest
 
 
 def test_non_finite_kkt_solution_ends_run_cleanly(tmp_path, monkeypatch):

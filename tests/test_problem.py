@@ -1,10 +1,13 @@
 import functools
 import gc
+import types
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import scipy.sparse.linalg as spla
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize
 
 import reference_forward
@@ -465,7 +468,7 @@ def test_restrict_data_matches_fine_quadrature(seed, fine_level):
                         seed=seed, case="a", zeta=0.0,
                         fine_levels=fine_level, q_true=g, u_true=g)
     Q = qspace(coarse)
-    ref = Q.mass_solver().solve(_quadrature_mass_rhs(g, Q))
+    ref = spla.spsolve(Q.mass().tocsc(), _quadrature_mass_rhs(g, Q))
     got = pb.restrict_data(data, Q).coeffs
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -473,14 +476,16 @@ def test_restrict_data_matches_fine_quadrature(seed, fine_level):
 def prolongation_restrict(data, target_space):
     """Reference restriction through the fine mesh: P' M_fine g_delta
     scattered onto the target vertices, P the nested prolongation of
-    ``fem.interpolate_onto``, then a mass solve on the target space."""
+    ``fem.interpolate_onto``, then a direct mass solve on the target
+    space."""
     g = data.g_delta
     coarse = target_space.mesh
     corners, shapes = fem._prolongation(coarse, g.space)
     weights = shapes * (g.space.mass() @ g.coeffs)[:, None]
     full = np.bincount(corners.ravel(), weights=weights.ravel(),
                        minlength=coarse.n_vertices)
-    return target_space.mass_solver().solve(target_space.T.T @ full)
+    return spla.spsolve(target_space.mass().tocsc(),
+                        target_space.T.T @ full)
 
 
 @functools.cache
@@ -514,6 +519,53 @@ def test_restrict_data_onto_finer_leaves_is_exact():
     got = pb.restrict_data(data, Q).coeffs
     ref = fem.interpolate_onto(data.g_delta, Q.mesh).coeffs
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _split_data(mesh):
+    """Random L^2 data on ``mesh`` with every leaf split once."""
+    fine = refine(mesh, range(mesh.n_cells))
+    g = Field(qspace(fine), np.random.default_rng(fine.n_cells).uniform(
+        -1.0, 1.0, qspace(fine).dim))
+    return pb.NoisyData(obs=pb.L2Obs(), g=g, g_delta=g, delta=0.0, p=0.0,
+                        seed=0, case="a", zeta=0.0,
+                        fine_levels=fine.max_level, q_true=g, u_true=g)
+
+
+_PCG = pb._pcg
+# Graded from level 7 to 8, with hanging vertices: Q dim 25,347.
+_LARGE = refine(uniform_mesh(7), range(0, 4**7, 3), max_level=8)
+
+
+@settings(max_examples=12)
+@given(mesh=graded_meshes())
+@example(mesh=_LARGE)
+def test_restriction_cg_is_accurate_and_short(mesh):
+    """The mass system of ``restrict_data`` is solved by Jacobi-
+    preconditioned CG: the projection agrees with a direct sparse solve
+    of that system to 1e-13 relative, the CG applies its preconditioner
+    (once a step) at most 60 times, and no matrix is factorized."""
+    systems, steps = [], [0]
+
+    def counting_pcg(A, precond, b, *args):
+        systems.append((A, b))
+
+        def counted(r):
+            steps[0] += 1
+            return precond(r)
+
+        return _PCG(A, counted, b, *args)
+
+    def splu(*args, **kwargs):
+        raise AssertionError("restrict_data factorized a matrix")
+
+    Q = qspace(mesh)
+    with mock.patch.object(pb, "_pcg", counting_pcg), mock.patch.object(
+            fem, "spla", types.SimpleNamespace(splu=splu)):
+        got = pb.restrict_data(_split_data(mesh), Q).coeffs
+    (M, rhs), = systems
+    ref = spla.spsolve(M.tocsc(), rhs)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert 0 < steps[0] <= 60
 
 
 def test_moment_table_dies_with_its_data():

@@ -460,12 +460,12 @@ _SYMMETRIC = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
 
 
 def test_factorization_routes(monkeypatch):
-    """SPD stiffness and mass matrices and the complex symmetric form
+    """SPD stiffness matrices and the complex symmetric form
     M_V + (i/sqrt(beta)) K of the reduced matrix of L^2 data take diagonal
     pivots in a symmetric ordering.  Point data up to DENSE_MAX_NV state
     dofs take a dense LU and no splu call; above, the Woodbury route
     factorizes K alone, with diagonal pivots, and a copy for another beta
-    reuses that factor."""
+    reuses that factor.  The L^2 data restriction makes no splu call."""
     calls = []
 
     def splu(A, **kwargs):
@@ -480,7 +480,6 @@ def test_factorization_routes(monkeypatch):
     large = _random_subproblem(big, 0, True, 100.0)
     for factorize, route, kwargs in (
             (vspace(mesh).stiffness_solver, spla.SuperLU, [_SYMMETRIC]),
-            (qspace(mesh).mass_solver, spla.SuperLU, [_SYMMETRIC]),
             (l2.factorization, ss._ComplexLU, [_SYMMETRIC]),
             (point.factorization, ss._DenseLU, []),
             (large.factorization, ss._Woodbury, [_SYMMETRIC]),
@@ -489,6 +488,15 @@ def test_factorization_routes(monkeypatch):
         calls.clear()
         assert isinstance(factorize(), route)
         assert calls == kwargs
+    fine = refine(mesh, range(mesh.n_cells))
+    g = Field(qspace(fine), np.random.default_rng(0).uniform(
+        -1.0, 1.0, qspace(fine).dim))
+    data = pb.NoisyData(obs=pb.L2Obs(), g=g, g_delta=g, delta=0.0, p=0.0,
+                        seed=0, case="a", zeta=0.0, fine_levels=5,
+                        q_true=g, u_true=g)
+    calls.clear()
+    pb.restrict_data(data, qspace(mesh))
+    assert calls == []
 
 
 def test_stiffness_solver_routes(monkeypatch):
@@ -539,16 +547,16 @@ def test_uniform_stiffness_solves_are_accurate(level):
 @given(mesh=graded_meshes(), seed=st.integers(0, 2**16))
 @example(mesh=_hanging_mesh(), seed=1)
 def test_symmetric_factorizations_are_accurate(mesh, seed):
-    """Stiffness and mass solves to |b - A x| <= 1e-13 |b|.  The reduced
-    L^2 solve (its complex form: diagonal pivots, one refinement step) to
-    a normwise backward error |b - A x| / (|A| |x| + |b|) of 1e-12 in the
-    max norm, A the real reduced matrix, and within 1e-8 per block of the
-    refined full KKT solve.  (|b - A x| / |b| cannot reach 1e-12 there: at
+    """Stiffness and mass solves by ``symmetric_lu`` to |b - A x| <=
+    1e-13 |b|.  The reduced L^2 solve (its complex form: diagonal pivots,
+    one refinement step) to a normwise backward error |b - A x| / (|A| |x|
+    + |b|) of 1e-12 in the max norm, A the real reduced matrix, and within
+    1e-8 per block of the refined full KKT solve.  (|b - A x| / |b| cannot reach 1e-12 there: at
     beta = 1e10 |x| >> |b|, and a pivoted LU also stops at 2e-12.)"""
     rng = np.random.default_rng(seed)
     V, Q = vspace(mesh), qspace(mesh)
     for A, solver in ((V.stiffness(), V.stiffness_solver()),
-                      (Q.mass(), Q.mass_solver())):
+                      (Q.mass(), fem.symmetric_lu(Q.mass(), "mass"))):
         b = rng.standard_normal(A.shape[0])
         r = b - A @ solver.solve(b)
         assert np.linalg.norm(r) <= 1e-13 * np.linalg.norm(b)

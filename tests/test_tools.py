@@ -1,6 +1,7 @@
-"""``tools/row_digest.py compare``: the largest relative move of each float
-field and row column, the runs whose acceptance fields changed, and the
-exit status (1 whenever the dumps differ at all)."""
+"""``tools/row_digest.py compare``: the largest move of each float field
+and row column (absolute for the fields at rounding level, relative for
+the others), the runs whose acceptance fields changed, and the exit status
+(1 whenever the dumps differ at all)."""
 
 import importlib.util
 import json
@@ -22,25 +23,32 @@ def row_digest():
     return module
 
 
-def _run(beta=10.0, i1h=2.0, control_error=0.25, forward_solves=0):
+def _run(beta=10.0, i1h=2.0, control_error=0.25, forward_solves=0,
+         stat_v=1e-16, identity_dev=1e-17):
     h = float.hex
-    row = [1, "solve", 25, h(beta), h(0.5), h(i1h)] + [h(1.0)] * 8
+    row = ([1, "solve", 25, h(beta), h(0.5), h(i1h)] + [h(1.0)] * 5
+           + [h(1e-16), h(stat_v), h(1e-16)])
     return {"termination": "discrepancy", "warnings": [],
             "outer_iterations": 1, "delta": h(0.1),
             "control_error": h(control_error),
             "forward_solves": forward_solves, "monotonicity": [True],
-            "max_identity_dev": h(1e-17), "rows": [row]}
+            "max_identity_dev": h(identity_dev), "rows": [row]}
 
 
 def test_compare_reports_moves_and_acceptance_changes(row_digest, tmp_path,
                                                       capsys):
     a = {"w/seed1/ggn[0]": _run(), "w/seed1/nt[0]": _run()}
     b = {"w/seed1/ggn[0]": _run(i1h=2.0 * (1 + 2**-40),
-                                control_error=0.25 * (1 + 2**-50)),
+                                control_error=0.25 * (1 + 2**-50),
+                                stat_v=2**-50, identity_dev=3e-17),
          "w/seed1/nt[0]": _run(beta=100.0, forward_solves=3)}
     moves = row_digest.largest_moves(a, b)
     assert moves["i1h"] == 2**-40 and moves["control_error"] == 2**-50
     assert moves["beta"] == 9.0 and moves["delta"] == moves["i2h"] == 0.0
+    # Fields at rounding level move by |b - a|, not |b - a| / |a|.
+    assert moves["stat_v"] == 2**-50 - 1e-16
+    assert moves["max_identity_dev"] == 3e-17 - 1e-17
+    assert moves["stat_q"] == moves["stat_z"] == 0.0
     assert row_digest.acceptance_changes(a, b) == [
         "w/seed1/nt[0]: forward_solves, beta"]
 
@@ -53,6 +61,8 @@ def test_compare_reports_moves_and_acceptance_changes(row_digest, tmp_path,
     out = capsys.readouterr().out
     assert "acceptance fields changed in 1 of 2 runs:" in out
     assert "  w/seed1/nt[0]: forward_solves, beta" in out
+    assert f"  {'stat_v':<17} {2**-50 - 1e-16:.3g} (absolute)\n" in out
+    assert f"  {'i1h':<17} {2**-40:.3g}\n" in out
     assert row_digest.main(["compare", paths[0], paths[2]]) == 0
     out = capsys.readouterr().out
     assert "identical: 2 runs" in out

@@ -16,11 +16,13 @@ the largest I1h identity deviation.  ggnfem is imported from
 tool dumps any checkout.
 ``compare`` names every run whose dump differs, with its differing
 fields and the first differing row and columns, and exits 1 if any does.
-It then prints, over the runs in both dumps, the largest relative move
-|b - a| / |a| of each float field and column, and the runs whose
-acceptance fields changed: k, phase, nodes or beta of a row, the
-termination, the outer iteration count, the forward-solve count or the
-warnings.
+It then prints, over the runs in both dumps, the largest move of each
+float field and column: relative, |b - a| / |a|, except for the fields
+at rounding level (the stationarity residuals and the I1h identity
+deviation, ~1e-16), whose largest absolute move |b - a| it prints.  Last
+come the runs whose acceptance fields changed: k, phase, nodes or beta
+of a row, the termination, the outer iteration count, the forward-solve
+count or the warnings.
 BLAS runs on one thread, as in the benchmark.
 """
 
@@ -45,6 +47,8 @@ RUN_FLOATS = ("delta", "control_error", "max_identity_dev")
 ACCEPTANCE = ("termination", "outer_iterations", "forward_solves",
               "warnings")
 ACCEPTANCE_COLUMNS = ("k", "phase", "nodes", "beta")
+# Fields near rounding level, where a relative move says nothing.
+ABSOLUTE = ("max_identity_dev", "stat_q", "stat_v", "stat_z")
 
 
 def _hex(x) -> str:
@@ -94,25 +98,30 @@ def compare(a: dict, b: dict) -> list[str]:
     return diffs
 
 
-def _relative_move(x: str, y: str) -> float:
-    """|y - x| / |x| of two hex floats: 0 if they are equal (NaN and NaN
-    too), inf if only one is NaN or x = 0."""
+def _move(name: str, x: str, y: str) -> float:
+    """|y - x| of two hex floats for a field in ABSOLUTE, else
+    |y - x| / |x|: 0 if they are equal (NaN and NaN too), inf if only one
+    is NaN or, for a relative move, x = 0."""
     x, y = float.fromhex(x), float.fromhex(y)
     if x == y or (x != x and y != y):
         return 0.0
+    if x != x or y != y:
+        return float("inf")
+    if name in ABSOLUTE:
+        return abs(y - x)
     return abs(y - x) / abs(x) if x else float("inf")
 
 
 def largest_moves(a: dict, b: dict) -> dict:
-    """Largest relative move of each float field and row column over the
-    runs in both dumps (rows paired by position)."""
+    """Largest move (``_move``) of each float field and row column over
+    the runs in both dumps (rows paired by position)."""
     moves = dict.fromkeys(RUN_FLOATS + COLUMNS[3:], 0.0)
     for key in set(a) & set(b):
         for f in RUN_FLOATS:
-            moves[f] = max(moves[f], _relative_move(a[key][f], b[key][f]))
+            moves[f] = max(moves[f], _move(f, a[key][f], b[key][f]))
         for ra, rb in zip(a[key]["rows"], b[key]["rows"]):
             for col, x, y in zip(COLUMNS[3:], ra[3:], rb[3:]):
-                moves[col] = max(moves[col], _relative_move(x, y))
+                moves[col] = max(moves[col], _move(col, x, y))
     return moves
 
 
@@ -167,9 +176,11 @@ def main(argv=None) -> int:
     if not diffs:
         print(f"identical: {len(a)} runs")
     common = len(set(a) & set(b))
-    print(f"largest relative move over {common} runs:")
+    print(f"largest move over {common} runs, relative |b - a| / |a| or, "
+          "where marked, absolute |b - a|:")
     for name, move in largest_moves(a, b).items():
-        print(f"  {name:<17} {move:.3g}")
+        print(f"  {name:<17} {move:.3g}"
+              + (" (absolute)" if name in ABSOLUTE else ""))
     changed = acceptance_changes(a, b)
     print(f"acceptance fields changed in {len(changed)} of {common} runs"
           + (":" if changed else ""))
