@@ -76,7 +76,7 @@ def _gn_fit(problem, obs, obs_data, mesh, beta, q_start, u_warm, cfg):
     n_forward, rel_change = 1, np.inf
     for it in range(cfg.gn_cap + 1):
         sol = ss.solve_kkt(ss.build_subproblem(problem, mesh, q, u, q0, obs,
-                                               obs_data, beta))
+                                               obs_data), beta)
         if rel_change <= cfg.gn_tol or it == cfg.gn_cap:
             break  # the fixed-point triple for the indicator
         dq = sol.q.coeffs - q.coeffs

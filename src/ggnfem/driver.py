@@ -307,21 +307,18 @@ class _Run:
             rho=self.rho, i3h=self.i3h))
 
     def subproblem(self):
-        # Operators depend on (mesh, base point) only; across beta trials
-        # just the regularization block of the KKT matrix changes.
+        # Operators depend on (mesh, base point) only: beta trials share
+        # one subproblem.
         sub = self.sub
         if (sub is None or sub.mesh is not self.mesh
                 or sub.q_old is not self.q_old or sub.u_old is not self.u_old):
-            sub = ss.build_subproblem(
+            self.sub = sub = ss.build_subproblem(
                 self.problem, self.mesh, self.q_old, self.u_old, self.q0,
-                self.data.obs, self.observed(self.mesh), self.beta)
-        elif sub.beta != self.beta:
-            sub = dataclasses.replace(sub, beta=self.beta)
-        self.sub = sub
+                self.data.obs, self.observed(self.mesh))
         return sub
 
     def solve(self):
-        return ss.solve_kkt(self.subproblem())
+        return ss.solve_kkt(self.subproblem(), self.beta)
 
     def log(self, phase, sol, check_identity=False, **estimates):
         i2h = sol.misfit_sq()

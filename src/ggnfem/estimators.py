@@ -97,8 +97,8 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("cqd,cqd->cq", a, b)
 
 
-def _hessian_cells(sub: LinearizedSubproblem, cells: _CellData, x,
-                   weights, r=0.0) -> np.ndarray:
+def _hessian_cells(sol: KktSolution, cells: _CellData, x, weights,
+                   r=0.0) -> np.ndarray:
     """Cellwise L''(x, w) for fields x = (q, v, z) and weights (wq, wu, wz),
 
         (2/beta)(q, wq) + (z, wq) + 2 (C v + r, C wu)_G - (grad wu, grad z)
@@ -110,29 +110,29 @@ def _hessian_cells(sub: LinearizedSubproblem, cells: _CellData, x,
     observations once.  The Lagrangian is quadratic, so L'' does not
     depend on the point.
     """
-    wq, wu, wz = weights
+    sub, (wq, wu, wz) = sol.sub, weights
     q, v, z = (cells.vals(f) for f in x)
     grad_v, grad_z = cells.grads(x[1]), cells.grads(x[2])
     react = 3.0 * sub.problem.zeta * cells.u_old**2
-    integrand = (((2.0 / sub.beta) * q + z) * wq.vals
+    integrand = (((2.0 / sol.beta) * q + z) * wq.vals
                  + (q - react * v) * wz.vals - react * z * wu.vals
                  - _dot(wu.grads, grad_z) - _dot(grad_v, wz.grads))
     return (cells.integrate(integrand)
             + 2.0 * sub.obs.pair_cells(sub.mesh, sub.C @ x[1].coeffs + r, wu))
 
 
-def _lagrangian_cells(sub: LinearizedSubproblem, cells: _CellData, x,
+def _lagrangian_cells(sol: KktSolution, cells: _CellData, x,
                       weights) -> np.ndarray:
     """Cellwise L'(x)(w) = L''(x, w) + L'(0)(w), with the base-point terms
 
         L'(0)(w) = -(2/beta)(q0, wq) + 2 (r_g, C wu)_G
                    - (grad u_old, grad wz) - zeta (u_old^3, wz).
     """
-    wq, _, wz = weights
-    base = (-(2.0 / sub.beta) * cells.q0 * wq.vals
+    sub, (wq, _, wz) = sol.sub, weights
+    base = (-(2.0 / sol.beta) * cells.q0 * wq.vals
             - _dot(cells.grad_u_old, wz.grads)
             - sub.problem.zeta * cells.u_old3 * wz.vals)
-    return (_hessian_cells(sub, cells, x, weights, r=sub.r_g)
+    return (_hessian_cells(sol, cells, x, weights, r=sub.r_g)
             + cells.integrate(base))
 
 
@@ -147,7 +147,7 @@ def estimate_eta1(sol: KktSolution, weights=None):
     cells = _CellData(sub)
     if weights is None:
         weights = tuple(map(patch_interpolate, (sol.q, sol.u, sol.z)))
-    contrib = 0.5 * _lagrangian_cells(sub, cells, (sol.q, sol.v, sol.z),
+    contrib = 0.5 * _lagrangian_cells(sol, cells, (sol.q, sol.v, sol.z),
                                       weights)
     return float(contrib.sum()), np.abs(contrib)
 
@@ -168,8 +168,8 @@ def estimate_eta2(sol: KktSolution, aux):
     # I2'(u_h)(wu) = 2 (C v_h + r_g, C wu)_G joins the Hessian's pairing.
     r_lin = sub.misfit(sol.v.coeffs)[1]
     contrib = 0.5 * (
-        _hessian_cells(sub, cells, aux, weights, r=r_lin)
-        + _lagrangian_cells(sub, cells, (sol.q, sol.v, sol.z), aux_weights))
+        _hessian_cells(sol, cells, aux, weights, r=r_lin)
+        + _lagrangian_cells(sol, cells, (sol.q, sol.v, sol.z), aux_weights))
     return float(contrib.sum()), np.abs(contrib)
 
 
@@ -190,7 +190,7 @@ def compute_qoi(sol: KktSolution, rho: float, i3h: float | None = None,
     new_res = pb.semilinear_residual(sub.problem, sol.q, sol.u, sub.V)
     i4h = i2h + rho * fem.riesz_dual_norm(sub.V, new_res)[0]
     return Qoi(i1h=i1h, i2h=i2h, i3h=i3h, i4h=i4h, eta1=eta1, eta2=eta2,
-               rho=rho, beta=sub.beta)
+               rho=rho, beta=sol.beta)
 
 
 def compute_i1h(sol: KktSolution):
@@ -211,5 +211,5 @@ def compute_i3h(sub: LinearizedSubproblem, rho: float) -> float:
 
 def _reg_term(sol: KktSolution) -> float:
     dq = sol.q.coeffs - sol.sub.q0.coeffs
-    return float(dq @ (sol.sub.M_Q @ dq)) / sol.sub.beta
+    return float(dq @ (sol.sub.M_Q @ dq)) / sol.beta
 

@@ -578,10 +578,6 @@ def _weighted_values(field: "Field") -> np.ndarray:
                    lambda: _cell_values(field, field.mesh, NQ_WEIGHTED))
 
 
-def _drop_weighted_values(field: "Field") -> None:
-    _CONTEXTS.get(field, {}).pop(("values", NQ_WEIGHTED), None)
-
-
 def assemble_functional(space: Space, f, nq: int = NQ_BASE) -> np.ndarray:
     """Vector of (f, phi_i) over free nodes; f is a callable or a Field."""
     mesh = space.mesh

@@ -288,9 +288,7 @@ class _Assembled:
         return _cubic_term(self.space, u)
 
     def jacobian(self, u: Field):
-        J = linearized_state_operator(self.problem, self.space, u)
-        fem._drop_weighted_values(u)  # read by J and the cubic term only
-        return J
+        return linearized_state_operator(self.problem, self.space, u)
 
 
 class _GridForward:
@@ -353,7 +351,6 @@ def solve_forward(problem: ModelProblem, q: Field, space: Space,
     u, (r, s, rnorm) = uf.coeffs, resid(uf)
     for it in range(max_iter + 1):
         if rnorm <= tol:
-            fem._drop_weighted_values(uf)
             return uf
         if it == max_iter:
             raise ForwardSolveError("Newton did not converge", rnorm)
@@ -374,9 +371,10 @@ def _pcg(A, precond, b: np.ndarray, z: np.ndarray, atol: float):
     """x with A x = b, A SPD, by CG preconditioned with precond(r) = P r,
     P SPD (K^-1 or diag(M)^-1), from x = 0 and z = P b, until sqrt(r' P r)
     <= atol.  None on a breakdown: p' A p <= 0, a non-finite value, or
-    more than dim + 1 steps."""
+    more than 10 dim steps (scipy's cg cap: in finite precision CG can
+    need more than the dim steps of exact arithmetic)."""
     x, r, p, rz = np.zeros_like(b), b.copy(), z.copy(), b @ z
-    for _ in range(len(b) + 2):
+    for _ in range(10 * len(b) + 1):
         if rz <= atol**2:
             return x
         Ap = A @ p

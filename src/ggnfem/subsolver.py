@@ -25,8 +25,10 @@ Wathen, SISC 32, 2010; Pearson & Wathen, NLAA 19, 2012)
     [ C*C  -K'       ] [v ]   [ -c_res                 ]
     [ -K   -beta M_V ] [z~] = [ a_res + L (q0 - q_old) ],
 
-factorized once per subproblem and beta; the second-order auxiliary
-system has the same matrix.  For L^2 data C*C = M_V, and with
+factorized once per beta; the second-order auxiliary system has the
+same matrix.  beta is chosen within each Gauss-Newton step, so it is an
+argument of the solve, not of the subproblem: one subproblem per mesh
+and base point serves every beta trial.  For L^2 data C*C = M_V, and with
 w = sqrt(beta) z~ the two rows, right-hand side (b_v, b_z), are the real
 and imaginary parts of one complex symmetric system of half the size,
 
@@ -44,14 +46,15 @@ Ill-Posed Problems, 1998) leaves an SPD system for y = C v,
     (I + beta S) y = X' (beta M_V K^-1 b_v - b_z),     z~ = X y - K^-1 b_v,
 
 and v = -K^-1 (b_z + beta M_V z~).  K's factor, X and S depend on the
-mesh and base point only: another beta costs one Cholesky factorization
-of I + beta S.  Every sparse factorization is ``fem.symmetric_lu``, each
-solve refined once; solutions are re-substituted into the rows above.
+mesh and base point only, so the subproblem keeps them: another beta
+costs one Cholesky factorization of I + beta S.  Every sparse
+factorization is ``fem.symmetric_lu``, each solve refined once;
+solutions are re-substituted into the rows above.
 """
 
 from __future__ import annotations
 
-import weakref
+import functools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -97,22 +100,21 @@ class LinearizedSubproblem:
     c_res: np.ndarray
     r_g: np.ndarray
     a_res: np.ndarray
-    beta: float
     obs: object
     data_g: np.ndarray  # the data vector g in the data space
-    # The Woodbury route's K factor, X and S, shared by dataclasses.replace.
-    base_factors: dict = dc_field(default_factory=dict, repr=False,
-                                  compare=False)
-    # The factorization of this beta, solve(b_v, b_z) -> (v, z~), built by
-    # the first solve; a copy by dataclasses.replace starts without.
-    lu: object = dc_field(default=None, init=False, repr=False,
-                          compare=False)
 
-    def factorization(self):
-        if self.lu is None:
-            self.lu = (_ComplexLU if self.obs.normal_is_mass else _DenseLU
-                       if self.V.dim <= DENSE_MAX_NV else _Woodbury)(self)
-        return self.lu
+    def factorization(self, beta: float):
+        """The reduced KKT matrix of beta factorized: solve(b_v, b_z) ->
+        (v, z~)."""
+        return (_ComplexLU if self.obs.normal_is_mass else _DenseLU
+                if self.V.dim <= DENSE_MAX_NV else _Woodbury)(self, beta)
+
+    @functools.cached_property
+    def woodbury_base(self):
+        """(K's factor, X = K^-1 C', S = X' M_V X) of the Woodbury route."""
+        lu = fem.symmetric_lu(self.K, "KKT")
+        X = lu.solve(self.C.T.toarray())
+        return lu, X, X.T @ (self.V.mass() @ X)
 
     def normal(self, v: np.ndarray) -> np.ndarray:
         """C*C v: M_V v for L^2 data, else C' G C v (C*C never formed)."""
@@ -128,7 +130,7 @@ class LinearizedSubproblem:
 
 def build_subproblem(problem: pb.ModelProblem, mesh: QuadMesh,
                      q_old: Field, u_old: Field, q0: Field,
-                     obs, data, beta: float) -> LinearizedSubproblem:
+                     obs, data) -> LinearizedSubproblem:
     """Assemble all operators of the linearized problem on a mesh.
 
     ``data`` is the observation's data on the mesh (``obs.restrict``),
@@ -149,7 +151,7 @@ def build_subproblem(problem: pb.ModelProblem, mesh: QuadMesh,
         problem=problem, mesh=mesh, V=V, Q=Q, q_old=q_old, u_old=u_old,
         q_old_h=q_old_h, u_old_h=u_old_h, q0=q0_h, K=K, M_Q=Q.mass(), C=C,
         c_res=fem._transpose_product(C, obs.gram(Q, r_g)),
-        r_g=r_g, a_res=a_res, beta=beta, obs=obs, data_g=g,
+        r_g=r_g, a_res=a_res, obs=obs, data_g=g,
     )
 
 
@@ -159,11 +161,13 @@ class KktSolution:
     handle of a Gauss-Newton step, from which every estimate reads."""
 
     sub: LinearizedSubproblem
+    beta: float
     q: Field
     v: Field
     u: Field
     z: Field
     stationarity: tuple
+    factorization: object = dc_field(repr=False, compare=False)
 
     def misfit_sq(self) -> float:
         """|C'(u_old) v + C(u_old) - g_delta|_G^2 (this is I2h)."""
@@ -174,11 +178,11 @@ class _DenseLU:
     """Dense LAPACK LU with partial pivoting of the real reduced matrix;
     an exactly zero pivot, which LAPACK only reports, raises KktError."""
 
-    def __init__(self, sub: LinearizedSubproblem):
+    def __init__(self, sub: LinearizedSubproblem, beta: float):
         K, C = sub.K.toarray(), sub.C.toarray()
         self.lu, self.piv, info = dgetrf(np.block(
             [[C.T @ sub.obs.gram(sub.Q, C), -K.T],
-             [-K, -sub.beta * sub.V.mass().toarray()]]), overwrite_a=True)
+             [-K, -beta * sub.V.mass().toarray()]]), overwrite_a=True)
         if info > 0:
             raise KktError(f"KKT factorization failed: exactly singular "
                            f"(pivot {info} of {len(self.lu)} is zero)")
@@ -192,30 +196,25 @@ class _Woodbury:
     """Solves of the real reduced matrix of point data through K's factor
     (see the module docstring), each refined once against the blocks."""
 
-    def __init__(self, sub: LinearizedSubproblem):
-        base = sub.base_factors
-        if base.get("K") is not sub.K:  # a new mesh or base point
-            lu = fem.symmetric_lu(sub.K, "KKT")
-            X = lu.solve(sub.C.T.toarray())
-            base.update(K=sub.K, lu=lu, X=X, S=X.T @ (sub.V.mass() @ X))
-        self.lu, self.X, S = base["lu"], base["X"], base["S"]
-        self.sub = weakref.proxy(sub)  # sub holds this object: no cycle
-        self.chol, info = dpotrf(np.eye(len(S)) + sub.beta * S)
+    def __init__(self, sub: LinearizedSubproblem, beta: float):
+        self.sub, self.beta = sub, beta
+        self.lu, self.X, S = sub.woodbury_base
+        self.chol, info = dpotrf(np.eye(len(S)) + beta * S)
         if info > 0:
             raise KktError(f"KKT factorization failed: I + beta S is not "
                            f"positive definite (pivot {info})")
 
     def solve(self, b_v: np.ndarray, b_z: np.ndarray, refine: bool = True):
-        sub, X, M = self.sub, self.X, self.sub.V.mass()
+        sub, beta, X, M = self.sub, self.beta, self.X, self.sub.V.mass()
         t = self.lu.solve(b_v)
-        y = dpotrs(self.chol, X.T @ (sub.beta * (M @ t) - b_z))[0]
+        y = dpotrs(self.chol, X.T @ (beta * (M @ t) - b_z))[0]
         z = X @ y - t
-        v = -self.lu.solve(b_z + sub.beta * (M @ z))
+        v = -self.lu.solve(b_z + beta * (M @ z))
         if not refine:
             return v, z
         dv, dz = self.solve(
             b_v - (sub.normal(v) - fem._transpose_product(sub.K, z)),
-            b_z + (sub.K @ v + sub.beta * (M @ z)), refine=False)
+            b_z + (sub.K @ v + beta * (M @ z)), refine=False)
         return v + dv, z + dz
 
 
@@ -223,12 +222,12 @@ class _ComplexLU:
     """Diagonal-pivot LU of the complex form A = M_V + (i/sqrt(beta)) K of
     L^2 data (CSR = CSC: one symmetric pattern), each solve refined once."""
 
-    def __init__(self, sub: LinearizedSubproblem):
+    def __init__(self, sub: LinearizedSubproblem, beta: float):
         K, M = sub.K, sub.V.mass()
         if not (np.array_equal(K.indptr, M.indptr)
                 and np.array_equal(K.indices, M.indices)):
             raise ValueError("K and M_V patterns differ")
-        self.s = np.sqrt(sub.beta)
+        self.s = np.sqrt(beta)
         self.A = sp.csc_matrix((M.data + (1j / self.s) * K.data,
                                 K.indices, K.indptr), shape=K.shape)
         self.lu = fem.symmetric_lu(self.A, "KKT")
@@ -240,17 +239,19 @@ class _ComplexLU:
         return x.real.copy(), x.imag / self.s
 
 
-def _solve_reduced(sub: LinearizedSubproblem, rhs_v, rhs_z, q0):
-    """(q, v, z) from the reduced system with right-hand side
-    (rhs_v, rhs_z) and the control q = q0 - beta inc z~."""
-    v, zt = sub.factorization().solve(rhs_v, rhs_z)
+def _solve_reduced(sub: LinearizedSubproblem, lu, beta: float, rhs_v,
+                   rhs_z, q0):
+    """(q, v, z) from the reduced system of beta, factorized in lu, with
+    right-hand side (rhs_v, rhs_z) and the control q = q0 - beta inc z~."""
+    v, zt = lu.solve(rhs_v, rhs_z)
     q = q0.copy()
-    q[fem._q_dofs(sub.mesh, "V")[0]] -= sub.beta * zt
+    q[fem._q_dofs(sub.mesh, "V")[0]] -= beta * zt
     return q, v, 2.0 * zt
 
 
-def solve_kkt(sub: LinearizedSubproblem) -> KktSolution:
-    """Solve the subproblem through its reduced state/adjoint system.
+def solve_kkt(sub: LinearizedSubproblem, beta: float) -> KktSolution:
+    """Solve the subproblem for beta through its reduced state/adjoint
+    system.
 
     Verifies the three stationarity residuals by re-substitution and
     raises KktError beyond a 1e-8 relative tolerance.
@@ -259,28 +260,29 @@ def solve_kkt(sub: LinearizedSubproblem) -> KktSolution:
     keep = fem._q_dofs(sub.mesh, "V")[0]  # L x = -(M_Q x)[keep]
     L_old, L_0 = -(sub.M_Q @ np.column_stack([q_old, q0]))[keep].T
     rhs_z = sub.a_res - L_old
-    q, v, z = _solve_reduced(sub, -sub.c_res, rhs_z + L_0, q0)
+    lu = sub.factorization(beta)
+    q, v, z = _solve_reduced(sub, lu, beta, -sub.c_res, rhs_z + L_0, q0)
 
     inc_z = np.zeros(sub.Q.dim)
     inc_z[keep] = z
     M_dq, M_0, M_z, M_step = (sub.M_Q @ np.column_stack(
         [q - q0, q0, inc_z, q - q_old])).T
-    res_q = (2.0 / sub.beta) * M_dq + M_z  # L' z = -M_z
+    res_q = (2.0 / beta) * M_dq + M_z  # L' z = -M_z
     res_v = 2.0 * (sub.normal(v) + sub.c_res) - fem._transpose_product(sub.K, z)
     res_z = -M_step[keep] + sub.K @ v + sub.a_res
     scale = max(  # of the right-hand side above and the solution
-        np.abs((1.0 / sub.beta) * M_0).max(),
+        np.abs((1.0 / beta) * M_0).max(),
         np.abs(sub.c_res).max(), np.abs(rhs_z).max(),
         np.abs(z).max(), np.abs(q).max(), np.abs(v).max(), 1.0
     )
     norms = tuple(np.abs(r).max() / scale for r in (res_q, res_v, res_z))
     if not all(r <= 1e-8 for r in norms):  # NaN fails too
         raise KktError(f"stationarity residuals too large: {norms} "
-                       f"(beta={sub.beta:g}, n_V={sub.V.dim})")
+                       f"(beta={beta:g}, n_V={sub.V.dim})")
     u = Field(sub.V, sub.u_old_h.coeffs + v)
     return KktSolution(
-        sub=sub, q=Field(sub.Q, q), v=Field(sub.V, v), u=u,
-        z=Field(sub.V, z), stationarity=norms,
+        sub=sub, beta=beta, q=Field(sub.Q, q), v=Field(sub.V, v), u=u,
+        z=Field(sub.V, z), stationarity=norms, factorization=lu,
     )
 
 
@@ -289,10 +291,11 @@ def solve_second_order(sol: KktSolution):
 
     The subproblem is linear-quadratic, so the Lagrangian Hessian is the
     constant KKT operator: one more solve with the factorization of
-    ``sol.sub``, with right-hand side -I2'(u_h), gives the triple.
+    ``sol``, with right-hand side -I2'(u_h), gives the triple.
     """
     sub = sol.sub
-    q, v, z = _solve_reduced(sub, -(sub.normal(sol.v.coeffs) + sub.c_res),
+    q, v, z = _solve_reduced(sub, sol.factorization, sol.beta,
+                             -(sub.normal(sol.v.coeffs) + sub.c_res),
                              np.zeros(sub.V.dim), np.zeros(sub.Q.dim))
     return Field(sub.Q, q), Field(sub.V, v), Field(sub.V, z)
 

@@ -63,19 +63,19 @@ def kkt_layout(sub):
     return indptr, indices, slots
 
 
-def kkt_matrix(sub) -> sp.csc_matrix:
+def kkt_matrix(sub, beta) -> sp.csc_matrix:
     indptr, indices, slots = kkt_layout(sub)
-    data = np.concatenate([(1.0 / sub.beta) * sub.M_Q.data,
+    data = np.concatenate([(1.0 / beta) * sub.M_Q.data,
                            normal_matrix(sub).data,
                            -reference_operators.L(sub.mesh).data, -sub.K.data])
     n = sub.Q.dim + 2 * sub.V.dim
     return sp.csc_matrix((data[slots], indices, indptr), shape=(n, n))
 
 
-def kkt_rhs(sub) -> np.ndarray:
-    """Right-hand side of the subproblem's KKT system."""
+def kkt_rhs(sub, beta) -> np.ndarray:
+    """Right-hand side of the subproblem's KKT system for beta."""
     return np.concatenate([
-        (1.0 / sub.beta) * (sub.M_Q @ sub.q0.coeffs),
+        (1.0 / beta) * (sub.M_Q @ sub.q0.coeffs),
         -sub.c_res,
         sub.a_res - reference_operators.L(sub.mesh) @ sub.q_old_h.coeffs,
     ])
@@ -87,10 +87,10 @@ def second_order_rhs(sub, v) -> np.ndarray:
                            np.zeros(sub.V.dim)])
 
 
-def refined_solve(sub, rhs, steps=30):
-    """(q, v, z = 2 z~) of the KKT system with right-hand side ``rhs``,
-    refined until a correction no longer changes the solution."""
-    A = kkt_matrix(sub)
+def refined_solve(sub, beta, rhs, steps=30):
+    """(q, v, z = 2 z~) of the KKT system of beta with right-hand side
+    ``rhs``, refined until a correction no longer changes the solution."""
+    A = kkt_matrix(sub, beta)
     lu = spla.splu(A)
     A_ld = A.astype(np.longdouble)
     b = rhs.astype(np.longdouble)

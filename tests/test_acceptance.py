@@ -82,12 +82,12 @@ def test_criterion_3_kkt_dense_oracle():
     u0 = pb.solve_forward(prob, Q.zeros(), V)
     g = obs.observe(u0) + 0.07
     sub = ss.build_subproblem(prob, mesh, Q.zeros(), V.zeros(), Q.zeros(),
-                              obs, g, beta=25.0)
-    sol = ss.solve_kkt(sub)
+                              obs, g)
+    sol = ss.solve_kkt(sub, 25.0)
     nq, nv = Q.dim, V.dim
     C = obs.matrix(V).toarray()
     L = reference_operators.L(mesh).toarray()
-    b = 1.0 / sub.beta
+    b = 1.0 / sol.beta
     A = np.block([
         [b * sub.M_Q.toarray(), np.zeros((nq, nv)), -L.T],
         [np.zeros((nv, nq)), C.T @ C, -sub.K.toarray().T],
@@ -170,8 +170,8 @@ def test_criterion_8_dwr_effectivity(sims):
         V, Q = vspace(mesh), qspace(mesh)
         g_h = pb.restrict_data(data, Q)
         sub = ss.build_subproblem(prob, mesh, Q.zeros(), V.zeros(),
-                                  Q.zeros(), data.obs, g_h, beta)
-        return ss.solve_kkt(sub)
+                                  Q.zeros(), data.obs, g_h)
+        return ss.solve_kkt(sub, beta)
 
     mesh_c = uniform_mesh(3)
     sol_c = solve_on(mesh_c)

@@ -68,18 +68,18 @@ def _reference_load(space, fvals, nq):
     return space.T.T @ full
 
 
-def _reference_kkt(sub, K, L, M_Q, CtC):
-    b = 1.0 / sub.beta
+def _reference_kkt(beta, K, L, M_Q, CtC):
+    b = 1.0 / beta
     return sp.bmat([[b * M_Q, None, -L.T],
                     [None, CtC, -K.T],
                     [-L, -K, None]], format="csc")
 
 
-def _reference_reduced(sub, K, M_V, CtC):
-    return sp.bmat([[CtC, -K.T], [-K, -sub.beta * M_V]], format="csc")
+def _reference_reduced(beta, K, M_V, CtC):
+    return sp.bmat([[CtC, -K.T], [-K, -beta * M_V]], format="csc")
 
 
-def _factorized_matrix(sub):
+def _factorized_matrix(sub, beta):
     """The dense reduced matrix that the dense LU hands to LAPACK."""
     seen = []
 
@@ -88,7 +88,7 @@ def _factorized_matrix(sub):
         return dgetrf(A, **kwargs)
 
     with mock.patch.object(ss, "dgetrf", getrf):
-        ss._DenseLU(sub)
+        ss._DenseLU(sub, beta)
     return seen[0]
 
 
@@ -151,13 +151,13 @@ def test_kkt_layout_matches_bmat(mesh, seed, point):
          + 300.0 * _reference_weighted_mass(V, u_old))
     L = -_reference_mass(V, Q)
     M_Q = _reference_mass(Q, Q)
-    sub = ss.build_subproblem(prob, mesh, q_old, u_old, Q.zeros(), obs, data,
-                              beta=7.0)
+    sub = ss.build_subproblem(prob, mesh, q_old, u_old, Q.zeros(), obs, data)
     M_V = _reference_mass(V, V)
-    for s in (sub, dataclasses.replace(sub, beta=0.03)):
-        _close(_factorized_matrix(s),
-               _reference_reduced(s, K, M_V, CtC).toarray())
-        _close(kkt_oracle.kkt_matrix(s), _reference_kkt(s, K, L, M_Q, CtC))
+    for beta in (7.0, 0.03):
+        _close(_factorized_matrix(sub, beta),
+               _reference_reduced(beta, K, M_V, CtC).toarray())
+        _close(kkt_oracle.kkt_matrix(sub, beta),
+               _reference_kkt(beta, K, L, M_Q, CtC))
 
 
 def test_linearized_operator_keeps_plan_pattern():
@@ -181,10 +181,9 @@ def test_kkt_layout_rejects_foreign_block_pattern():
     mesh = refine(uniform_mesh(2), {0, 5})
     V, Q = vspace(mesh), qspace(mesh)
     l2 = ss.build_subproblem(pb.ModelProblem(zeta=100.0), mesh, Q.zeros(),
-                             V.zeros(), Q.zeros(), pb.L2Obs(), Q.zeros(),
-                             beta=1.0)
-    l2.factorization()
+                             V.zeros(), Q.zeros(), pb.L2Obs(), Q.zeros())
+    l2.factorization(1.0)
     corner = sp.csr_matrix(([1.0], ([0], [V.dim - 1])), shape=l2.K.shape)
     assert corner.multiply(l2.K).nnz == 0  # an entry outside the pattern
     with pytest.raises(ValueError, match="pattern"):
-        dataclasses.replace(l2, K=(l2.K + corner).tocsr()).factorization()
+        dataclasses.replace(l2, K=(l2.K + corner).tocsr()).factorization(1.0)

@@ -23,8 +23,8 @@ def test_linear_case_matches_single_linearization():
     V, Q = vspace(mesh), qspace(mesh)
     beta = 100.0
     sub = ss.build_subproblem(prob, mesh, Q.zeros(), V.zeros(), Q.zeros(),
-                              obs, data.g_delta, beta)
-    sol = ss.solve_kkt(sub)
+                              obs, data.g_delta)
+    sol = ss.solve_kkt(sub, beta)
     q_nt, u_nt, *_ = bl._gn_fit(prob, obs, data.g_delta, mesh, beta,
                                 Q.zeros(), None, bl.NtConfig(coarse_levels=3))
     assert np.abs(q_nt.coeffs - sol.q.coeffs).max() < 1e-6
@@ -83,7 +83,7 @@ def test_linearized_state_predicts_the_forward_solution():
     g = obs.observe(u) + np.random.default_rng(1).normal(0.0, 0.01,
                                                           obs.n_obs)
     sol = ss.solve_kkt(ss.build_subproblem(prob, mesh, q, u, Q.zeros(),
-                                           obs, g, 10.0))
+                                           obs, g), 10.0)
     dq, v = sol.q.coeffs - q.coeffs, sol.v.coeffs
     ts = np.array([0.1, 0.01, 0.001])
     pred_err, old_err = [], []

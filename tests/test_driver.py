@@ -206,8 +206,8 @@ def test_beta_search_grid_oracle():
 
     def i2_of(beta):
         sub = ss.build_subproblem(prob, mesh, Q.zeros(), V.zeros(), Q.zeros(),
-                                  obs, data.g_delta, beta)
-        return ss.solve_kkt(sub).misfit_sq()
+                                  obs, data.g_delta)
+        return ss.solve_kkt(sub, beta).misfit_sq()
 
     i3 = float(data.g_delta @ data.g_delta)  # initial I3h with zero fields
     cfg = dv.GgnConfig()

@@ -43,8 +43,8 @@ def _instance(zeta=100.0, beta=10.0, levels=3, n_side=5, seed=1, p=0.01):
     obs = pb.PointObs(n_side)
     data = pb.simulate_data(prob, pb.synthetic_case("a"), obs, 5, p, seed)
     sub = ss.build_subproblem(prob, mesh, Q.zeros(), V.zeros(), Q.zeros(),
-                              obs, data.g_delta, beta)
-    sol = ss.solve_kkt(sub)
+                              obs, data.g_delta)
+    sol = ss.solve_kkt(sub, beta)
     return prob, mesh, V, Q, obs, data, sub, sol
 
 
@@ -58,8 +58,8 @@ def _l2_instance(zeta=100.0, beta=100.0, levels=3, seed=2, fine=6):
         V, Q = vspace(mesh), qspace(mesh)
         g_h = pb.restrict_data(data, Q)
         sub = ss.build_subproblem(prob, mesh, Q.zeros(), V.zeros(), Q.zeros(),
-                                  obs, g_h, beta)
-        return ss.solve_kkt(sub)
+                                  obs, g_h)
+        return ss.solve_kkt(sub, beta)
 
     return data, solve_on, uniform_mesh(levels)
 
@@ -72,8 +72,8 @@ def test_qoi_all_zero_at_consistent_fixed_point():
     q0 = Q.interpolate(lambda x, y: 0.4 - 0.1 * y)
     u_old = pb.solve_forward(prob, q0, V)
     g = obs.observe(u_old)
-    sub = ss.build_subproblem(prob, mesh, q0, u_old, q0, obs, g, beta=10.0)
-    sol = ss.solve_kkt(sub)
+    sub = ss.build_subproblem(prob, mesh, q0, u_old, q0, obs, g)
+    sol = ss.solve_kkt(sub, 10.0)
     qoi = est.compute_qoi(sol, rho=1.0)
     assert qoi.i1h < 1e-14
     assert qoi.i2h < 1e-14
@@ -87,8 +87,8 @@ def test_qoi_initial_i3_is_data_norm(sims):
     mesh = uniform_mesh(2)
     V, Q = vspace(mesh), qspace(mesh)
     sub = ss.build_subproblem(prob, mesh, Q.zeros(), V.zeros(), Q.zeros(),
-                              data.obs, data.g_delta, 10.0)
-    sol = ss.solve_kkt(sub)
+                              data.obs, data.g_delta)
+    sol = ss.solve_kkt(sub, 10.0)
     qoi = est.compute_qoi(sol, rho=5.0)
     # A(0,0) = 0 and f = 0: I3h is exactly the data norm
     assert abs(qoi.i3h - data.g_delta @ data.g_delta) < 1e-12
@@ -98,7 +98,7 @@ def test_identity_i1_minus_i2():
     prob, mesh, V, Q, obs, data, sub, sol = _instance()
     qoi = est.compute_qoi(sol, rho=1.0)
     dq = sol.q.coeffs - sub.q0.coeffs
-    reg = dq @ (sub.M_Q @ dq) / sub.beta
+    reg = dq @ (sub.M_Q @ dq) / sol.beta
     assert abs(qoi.i1h - qoi.i2h - reg) <= 1e-12 * max(1.0, qoi.i1h)
 
 
@@ -142,8 +142,8 @@ def test_eta_zero_on_bilinear_stationary_triple():
     u0 = pb.solve_forward(prob, Q.zeros(), V)
     g = obs.observe(u0)
     sub = ss.build_subproblem(prob, mesh, Q.zeros(), V.zeros(), Q.zeros(),
-                              obs, g, beta=10.0)
-    sol = ss.solve_kkt(sub)
+                              obs, g)
+    sol = ss.solve_kkt(sub, 10.0)
     eta1, ind1 = est.estimate_eta1(sol)
     aux = ss.solve_second_order(sol)
     eta2, _ = est.estimate_eta2(sol, aux)
@@ -190,8 +190,8 @@ def test_eta1_indicator_driven_refinement_decreases_eta():
     for _ in range(3):
         V, Q = vspace(mesh), qspace(mesh)
         sub = ss.build_subproblem(prob, mesh, Q.zeros(), V.zeros(), Q.zeros(),
-                                  obs, data.g_delta, 10.0)
-        sol = ss.solve_kkt(sub)
+                                  obs, data.g_delta)
+        sol = ss.solve_kkt(sub, 10.0)
         eta1, ind1 = est.estimate_eta1(sol)
         vals.append(abs(eta1))
         mesh = refine(mesh, mark_fraction(ind1, 0.5))
@@ -214,8 +214,8 @@ def test_eta_quadratic_homogeneity_in_data():
     out = {}
     for s in (1.0, 2.0):
         sub = ss.build_subproblem(prob, mesh, Q.zeros(), V.zeros(), Q.zeros(),
-                                  obs, s * g, beta=50.0)
-        sol = ss.solve_kkt(sub)
+                                  obs, s * g)
+        sol = ss.solve_kkt(sub, 50.0)
         aux = ss.solve_second_order(sol)
         out[s] = (est.estimate_eta1(sol)[0],
                   est.estimate_eta2(sol, aux)[0])
@@ -239,8 +239,8 @@ def test_qoi_invariant_under_renumbering():
     def run(mesh):
         V, Q = vspace(mesh), qspace(mesh)
         sub = ss.build_subproblem(prob, mesh, Q.zeros(), V.zeros(), Q.zeros(),
-                                  obs, data.g_delta, 10.0)
-        sol = ss.solve_kkt(sub)
+                                  obs, data.g_delta)
+        sol = ss.solve_kkt(sub, 10.0)
         q = est.compute_qoi(sol, rho=2.0)
         return q.i1h, q.i2h, q.i3h, q.i4h
 
@@ -278,7 +278,7 @@ def _reference_etas(sub, sol, aux):
             return out
         return integrate(vals(Field(sub.Q, gvec)) * w.vals)
 
-    zeta, beta = sub.problem.zeta, sub.beta
+    zeta, beta = sub.problem.zeta, sol.beta
     q_h, q0, u_old = vals(sol.q), vals(sub.q0), vals(sub.u_old_h)
     v, z = vals(sol.v), vals(sol.z)
     grad_z, grad_u = grads(sol.z), grads(sol.u)
@@ -334,9 +334,8 @@ def test_etas_match_term_by_term_reference(mesh, seed):
     point = pb.PointObs(5)
     for obs, data in ((point, rng.uniform(-1.0, 1.0, point.n_obs)),
                       (pb.L2Obs(), Field(Q, rng.uniform(-1.0, 1.0, Q.dim)))):
-        sub = ss.build_subproblem(prob, mesh, q_old, u_old, q0, obs, data,
-                                  beta=3.0)
-        sol = ss.solve_kkt(sub)
+        sub = ss.build_subproblem(prob, mesh, q_old, u_old, q0, obs, data)
+        sol = ss.solve_kkt(sub, 3.0)
         aux = ss.solve_second_order(sol)
         ref1, ref2 = _reference_etas(sub, sol, aux)
         _close_cells(est.estimate_eta1(sol), ref1)

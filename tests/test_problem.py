@@ -242,8 +242,10 @@ def _assert_matches_reference(prob, q, V, u_init=None):
         ref = reference_forward.solve_forward(prob, q, V, u_init=u_init)
     assert np.array_equal(got.coeffs, ref.coeffs)
     assert len(calls[pb]) == len(calls[reference_forward]) > 0
-    # The solution keeps its cubic term, not its quadrature values.
-    assert ("values", fem.NQ_WEIGHTED) not in fem._CONTEXTS.get(got, {})
+    # The solution keeps its quadrature values, which the linearized
+    # operator at it reads again, when the cubic term needs them.
+    kept = ("values", fem.NQ_WEIGHTED) in fem._CONTEXTS.get(got, {})
+    assert kept == (prob.zeta != 0.0)
 
 
 @pytest.mark.parametrize("zeta", [0.0, 100.0, 1000.0])
@@ -566,6 +568,27 @@ def test_restriction_cg_is_accurate_and_short(mesh):
     ref = spla.spsolve(M.tocsc(), rhs)
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
     assert 0 < steps[0] <= 60
+
+
+def test_pcg_may_take_more_than_dim_steps():
+    """In finite precision CG can need more steps than the dim + 1 of
+    exact arithmetic.  A 10 x 10 SPD matrix with condition number 1e4 and
+    the identity preconditioner takes 19 steps to 1e-14 relative, within
+    the cap of 10 dim steps."""
+    rng = np.random.default_rng(0)
+    U, _ = np.linalg.qr(rng.standard_normal((10, 10)))
+    A = (U * np.geomspace(1.0, 1e4, 10)) @ U.T
+    b = rng.standard_normal(10)
+    steps = [0]
+
+    def identity(r):
+        steps[0] += 1
+        return r.copy()
+
+    x = pb._pcg(A, identity, b, b.copy(), 1e-14 * np.linalg.norm(b))
+    assert x is not None and len(b) + 1 < steps[0] <= 10 * len(b)
+    ref = np.linalg.solve(A, b)
+    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_moment_table_dies_with_its_data():

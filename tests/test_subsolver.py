@@ -18,7 +18,7 @@ import reference_operators
 from conftest import graded_meshes, hanging_mesh as _hanging_mesh
 
 
-def _point_instance(zeta=100.0, beta=25.0, n_side=1, levels=2, shift=0.05):
+def _point_instance(zeta=100.0, n_side=1, levels=2, shift=0.05):
     prob = pb.ModelProblem(zeta=zeta)
     mesh = uniform_mesh(levels)
     V, Q = vspace(mesh), qspace(mesh)
@@ -26,7 +26,7 @@ def _point_instance(zeta=100.0, beta=25.0, n_side=1, levels=2, shift=0.05):
     u0 = pb.solve_forward(prob, Q.zeros(), V)
     g = obs.observe(u0) + shift
     sub = ss.build_subproblem(prob, mesh, Q.zeros(), V.zeros(), Q.zeros(),
-                              obs, g, beta)
+                              obs, g)
     return prob, mesh, V, Q, obs, sub
 
 
@@ -38,8 +38,8 @@ def test_consistent_data_fixed_point():
     q0 = Q.interpolate(lambda x, y: 0.3 + 0.2 * x * y)
     u_old = pb.solve_forward(prob, q0, V)
     g = obs.observe(u_old)
-    sub = ss.build_subproblem(prob, mesh, q0, u_old, q0, obs, g, beta=10.0)
-    sol = ss.solve_kkt(sub)
+    sub = ss.build_subproblem(prob, mesh, q0, u_old, q0, obs, g)
+    sol = ss.solve_kkt(sub, 10.0)
     assert np.abs(sol.q.coeffs - q0.coeffs).max() < 1e-8
     assert np.abs(sol.v.coeffs).max() < 1e-8
     assert np.abs(sol.u.coeffs - u_old.coeffs).max() < 1e-8
@@ -49,13 +49,13 @@ def test_kkt_dense_oracle_small():
     """Sparse KKT against a dense-inverse oracle on the 4x4 mesh, one
     observation point."""
     prob, mesh, V, Q, obs, sub = _point_instance()
-    sol = ss.solve_kkt(sub)
+    sol = ss.solve_kkt(sub, 25.0)
     nq, nv = Q.dim, V.dim
     MQ = sub.M_Q.toarray()
     K = sub.K.toarray()
     L = reference_operators.L(mesh).toarray()
     C = obs.matrix(V).toarray()
-    b = 1.0 / sub.beta
+    b = 1.0 / sol.beta
     A = np.block([
         [b * MQ, np.zeros((nq, nv)), -L.T],
         [np.zeros((nv, nq)), C.T @ C, -K.T],
@@ -74,7 +74,7 @@ def test_kkt_dense_oracle_small():
 
 def test_constraint_feasibility_and_stationarity():
     prob, mesh, V, Q, obs, sub = _point_instance(n_side=3, levels=3)
-    sol = ss.solve_kkt(sub)
+    sol = ss.solve_kkt(sub, 25.0)
     L = reference_operators.L(mesh)
     res = L @ (sol.q.coeffs - sub.q_old_h.coeffs) + sub.K @ sol.v.coeffs \
         + sub.a_res
@@ -86,8 +86,8 @@ def test_constraint_feasibility_and_stationarity():
 
 
 def test_minimizer_beats_feasible_competitors():
-    prob, mesh, V, Q, obs, sub = _point_instance(n_side=3, levels=3, beta=1e3)
-    sol = ss.solve_kkt(sub)
+    prob, mesh, V, Q, obs, sub = _point_instance(n_side=3, levels=3)
+    sol = ss.solve_kkt(sub, 1e3)
     MQ = sub.M_Q
     Klu = spla.splu(sub.K.tocsc())
     L = reference_operators.L(mesh)
@@ -95,7 +95,7 @@ def test_minimizer_beats_feasible_competitors():
     def objective(qv, vv):
         mis, _ = sub.misfit(vv)
         dq = qv - sub.q0.coeffs
-        return mis + (dq @ (MQ @ dq)) / sub.beta
+        return mis + (dq @ (MQ @ dq)) / sol.beta
 
     base = objective(sol.q.coeffs, sol.v.coeffs)
     rng = np.random.default_rng(4)
@@ -115,8 +115,8 @@ def test_large_beta_minimizes_misfit():
     data = pb.simulate_data(prob, pb.synthetic_case("a"), obs, 5, 0.01, 9)
     g_h = pb.restrict_data(data, Q)
     sub = ss.build_subproblem(prob, mesh, Q.zeros(), V.zeros(), Q.zeros(),
-                              obs, g_h, beta=1e12)
-    sol = ss.solve_kkt(sub)
+                              obs, g_h)
+    sol = ss.solve_kkt(sub, 1e12)
     i2 = sol.misfit_sq()
     Klu = spla.splu(sub.K.tocsc())
     L = reference_operators.L(mesh)
@@ -128,14 +128,9 @@ def test_large_beta_minimizes_misfit():
 
 
 def test_misfit_nonincreasing_in_beta():
-    prob, mesh, V, Q, obs, sub0 = _point_instance(n_side=3, levels=3)
-    prob_ref = prob
-    betas = np.logspace(-2, 8, 11)
-    vals = []
-    for b in betas:
-        sub = ss.build_subproblem(prob_ref, mesh, Q.zeros(), V.zeros(),
-                                  Q.zeros(), obs, sub0.data_g, float(b))
-        vals.append(ss.solve_kkt(sub).misfit_sq())
+    prob, mesh, V, Q, obs, sub = _point_instance(n_side=3, levels=3)
+    vals = [ss.solve_kkt(sub, float(b)).misfit_sq()
+            for b in np.logspace(-2, 8, 11)]
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
@@ -165,26 +160,23 @@ def test_second_order_zero_and_linearity():
     q0 = Q.interpolate(lambda x, y: 0.1 + 0.0 * x)
     u_old = pb.solve_forward(prob, q0, V)
     g = obs.observe(u_old)
-    sub = ss.build_subproblem(prob, mesh, q0, u_old, q0, obs, g, beta=10.0)
-    sol = ss.solve_kkt(sub)
+    sub = ss.build_subproblem(prob, mesh, q0, u_old, q0, obs, g)
+    sol = ss.solve_kkt(sub, 10.0)
     aux = ss.solve_second_order(sol)
     for f in aux:
         assert np.abs(f.coeffs).max() < 1e-8
     # linearity: doubling I2' doubles the auxiliary triple
     prob2, mesh2, V2, Q2, obs2, sub2 = _point_instance(n_side=3, levels=3)
-    sol2 = ss.solve_kkt(sub2)
+    sol2 = ss.solve_kkt(sub2, 25.0)
     aux2 = ss.solve_second_order(sol2)
-    doubled = ss.KktSolution(sub=sub2, q=sol2.q,
-                             v=Field(V2, 2 * sol2.v.coeffs), u=sol2.u,
-                             z=sol2.z, stationarity=(0, 0, 0))
     # I2'(u)(.) is affine in v through CtC v + c_res; emulate doubling by
     # scaling the data residual instead
     g2 = np.asarray(sub2.data_g)
     gd = obs2.matrix(V2) @ sub2.u_old_h.coeffs
     scaled = gd + 2.0 * (g2 - gd)
     sub3 = ss.build_subproblem(prob2, mesh2, Q2.zeros(), V2.zeros(),
-                               Q2.zeros(), obs2, scaled, sub2.beta)
-    sol3 = ss.solve_kkt(sub3)
+                               Q2.zeros(), obs2, scaled)
+    sol3 = ss.solve_kkt(sub3, sol2.beta)
     aux3 = ss.solve_second_order(sol3)
     for f3, f2 in zip(aux3[:2], aux2[:2]):
         assert np.abs(f3.coeffs - 2 * f2.coeffs).max() < 1e-9
@@ -192,14 +184,14 @@ def test_second_order_zero_and_linearity():
 
 def test_second_order_dense_oracle():
     prob, mesh, V, Q, obs, sub = _point_instance()
-    sol = ss.solve_kkt(sub)
+    sol = ss.solve_kkt(sub, 25.0)
     aq, av, az = ss.solve_second_order(sol)
     nq, nv = Q.dim, V.dim
     MQ = sub.M_Q.toarray()
     K = sub.K.toarray()
     L = reference_operators.L(mesh).toarray()
     C = obs.matrix(V).toarray()
-    b = 1.0 / sub.beta
+    b = 1.0 / sol.beta
     A = np.block([
         [b * MQ, np.zeros((nq, nv)), -L.T],
         [np.zeros((nv, nq)), C.T @ C, -K.T],
@@ -222,7 +214,7 @@ def test_adjoint_at_base_solves_optimality_row():
     data = pb.simulate_data(prob, pb.synthetic_case("a"), obs, 5, 0.01, 2)
     u_old = V.interpolate(lambda x, y: x * (1 - x) * y * (1 - y))
     z = ss.adjoint_at_base(ss.build_subproblem(
-        prob, mesh, Q.zeros(), u_old, Q.zeros(), obs, data.g_delta, 1.0))
+        prob, mesh, Q.zeros(), u_old, Q.zeros(), obs, data.g_delta))
     K = pb.linearized_state_operator(prob, V, u_old)
     C = obs.matrix(V)
     rg = C @ u_old.coeffs - data.g_delta
@@ -241,7 +233,7 @@ def test_adjoint_at_base_matches_lu_solve(zeta):
     u_old = pb.solve_forward(prob, Q.interpolate(pb.synthetic_case("a").source), V)
     g = obs.observe(u_old) * 1.1
     sub = ss.build_subproblem(prob, mesh, Q.zeros(), u_old, Q.zeros(), obs,
-                              g, 1.0)
+                              g)
     z = ss.adjoint_at_base(sub)
     ref = Field(V, spla.splu(sub.K.T.tocsc()).solve(2.0 * sub.c_res))
     assert np.abs(z.coeffs - ref.coeffs).max() <= 1e-12 * np.abs(ref.coeffs).max()
@@ -257,7 +249,7 @@ def test_l2_requires_restricted_data():
     with pytest.raises(ValueError):
         ss.build_subproblem(prob, mesh, qspace(mesh).zeros(),
                             vspace(mesh).zeros(), qspace(mesh).zeros(),
-                            data.obs, data.g_delta, 10.0)
+                            data.obs, data.g_delta)
 
 
 def test_bad_factorization_raises_kkt_error():
@@ -272,11 +264,10 @@ def test_bad_factorization_raises_kkt_error():
     for point in (True, False):
         for bad in (OnesLU(), NanLU()):
             sub = _random_subproblem(uniform_mesh(2), 0, point, 100.0)
-            sub.factorization()
-            sub.lu = bad
+            sub.factorization = lambda beta, bad=bad: bad
             with pytest.raises(ss.KktError,
                                match=rf"stationarity .*, n_V={sub.V.dim}\)$"):
-                ss.solve_kkt(sub)
+                ss.solve_kkt(sub, 1.0)
 
 
 def test_dense_lu_rejects_zero_pivot():
@@ -285,31 +276,38 @@ def test_dense_lu_rejects_zero_pivot():
     sub = _random_subproblem(uniform_mesh(2), 0, True, 100.0)
     zero = dataclasses.replace(sub, K=0.0 * sub.K, C=0.0 * sub.C)
     with pytest.raises(ss.KktError, match=r"exactly singular \(pivot 1 "):
-        zero.factorization()
+        zero.factorization(1.0)
 
 
 def test_woodbury_rejects_indefinite_update():
     """The Cholesky factorization of I + beta S on the Woodbury route
     raises KktError when LAPACK reports a non-positive pivot (S = -2 I)."""
     sub = _random_subproblem(refine(uniform_mesh(4), {0, 5}), 0, True, 100.0)
-    assert isinstance(sub.factorization(), ss._Woodbury)
-    sub.base_factors["S"] = -2.0 * np.eye(sub.C.shape[0])
+    assert isinstance(sub.factorization(1.0), ss._Woodbury)
+    lu, X, _ = sub.woodbury_base
+    sub.woodbury_base = (lu, X, -2.0 * np.eye(sub.C.shape[0]))
     with pytest.raises(ss.KktError, match=r"not positive definite \(pivot 1\)"):
-        dataclasses.replace(sub, beta=1.0).factorization()
+        sub.factorization(1.0)
 
 
-def test_woodbury_subproblem_dies_without_cycle_collection():
-    """The Woodbury route refers to its subproblem weakly, so a solved
-    subproblem, which holds the route, goes by reference counting alone
-    (a cycle would keep its mesh's cached operators until a collection)."""
-    sub = _random_subproblem(refine(uniform_mesh(4), {0, 5}), 0, True, 100.0)
-    ss.solve_kkt(sub)
-    assert isinstance(sub.lu, ss._Woodbury)
-    dead = weakref.ref(sub)
+@pytest.mark.parametrize("point, levels, route", [
+    (True, 4, ss._Woodbury), (True, 2, ss._DenseLU),
+    (False, 2, ss._ComplexLU)], ids=["woodbury", "dense", "complex"])
+def test_solved_subproblem_dies_by_reference_counting(point, levels, route):
+    """A solution holds its subproblem and its route (the Woodbury route
+    holds the subproblem too); the subproblem holds neither, so a solved
+    subproblem and its solution go by reference counting alone (a cycle
+    would keep the mesh's cached operators until a collection)."""
+    sub = _random_subproblem(refine(uniform_mesh(levels), {0, 5}), 0, point,
+                             100.0)
+    sol = ss.solve_kkt(sub, 1.0)
+    ss.solve_second_order(sol)
+    assert isinstance(sol.factorization, route)
+    dead = [weakref.ref(sub), weakref.ref(sol)]
     gc.disable()
     try:
-        del sub
-        assert dead() is None
+        del sub, sol
+        assert all(ref() is None for ref in dead)
     finally:
         gc.enable()
 
@@ -326,13 +324,13 @@ def _random_subproblem(mesh, seed, point, zeta):
     return ss.build_subproblem(
         pb.ModelProblem(zeta=zeta), mesh, Field(Q, rng.uniform(-1, 1, Q.dim)),
         Field(V, rng.uniform(-0.5, 0.5, V.dim)),
-        Field(Q, rng.uniform(-1, 1, Q.dim)), obs, data, beta=1.0)
+        Field(Q, rng.uniform(-1, 1, Q.dim)), obs, data)
 
 
-def _reduced_matrix(sub):
+def _reduced_matrix(sub, beta):
     """The real reduced matrix [[C*C, -K'], [-K, -beta M_V]]."""
     return sp.bmat([[kkt_oracle.normal_matrix(sub), -sub.K.T],
-                    [-sub.K, -sub.beta * sub.V.mass()]], format="csc")
+                    [-sub.K, -beta * sub.V.mass()]], format="csc")
 
 
 def _assert_blocks_close(got, ref, rtol):
@@ -349,16 +347,17 @@ def test_reduced_solves_match_refined_kkt(mesh, seed, point, zeta):
     extended-precision refinement: 1e-8 relative in each of q, v and z."""
     sub = _random_subproblem(mesh, seed, point, zeta)
     for beta in (1e-10, 1e-2, 1e2, 1e6, 1e10):
-        s = dataclasses.replace(sub, beta=beta)
-        sol = ss.solve_kkt(s)
+        sol = ss.solve_kkt(sub, beta)
         _assert_blocks_close(
             (sol.q.coeffs, sol.v.coeffs, sol.z.coeffs),
-            kkt_oracle.refined_solve(s, kkt_oracle.kkt_rhs(s)), 1e-8)
+            kkt_oracle.refined_solve(sub, beta, kkt_oracle.kkt_rhs(sub, beta)),
+            1e-8)
         aux = ss.solve_second_order(sol)
         _assert_blocks_close(
             tuple(f.coeffs for f in aux),
             kkt_oracle.refined_solve(
-                s, kkt_oracle.second_order_rhs(s, sol.v.coeffs)), 1e-8)
+                sub, beta, kkt_oracle.second_order_rhs(sub, sol.v.coeffs)),
+            1e-8)
 
 
 # Graded meshes with n_V on each side of DENSE_MAX_NV: 25, 53, 351, 585.
@@ -386,18 +385,19 @@ def test_point_routes_match_refined_kkt(name, zeta):
     sub = _random_subproblem(mesh, 11, True, zeta)
     route = ss._DenseLU if name.startswith("dense") else ss._Woodbury
     for beta in 10.0 ** np.arange(11):
-        s = dataclasses.replace(sub, beta=beta)
-        sol = ss.solve_kkt(s)
-        assert isinstance(s.lu, route)
+        sol = ss.solve_kkt(sub, beta)
+        assert isinstance(sol.factorization, route)
         assert max(sol.stationarity) <= 1e-8
         _assert_blocks_close(
             (sol.q.coeffs, sol.v.coeffs, sol.z.coeffs),
-            kkt_oracle.refined_solve(s, kkt_oracle.kkt_rhs(s)), 1e-8)
+            kkt_oracle.refined_solve(sub, beta, kkt_oracle.kkt_rhs(sub, beta)),
+            1e-8)
         aux = ss.solve_second_order(sol)
         _assert_blocks_close(
             tuple(f.coeffs for f in aux),
             kkt_oracle.refined_solve(
-                s, kkt_oracle.second_order_rhs(s, sol.v.coeffs)), 1e-8)
+                sub, beta, kkt_oracle.second_order_rhs(sub, sol.v.coeffs)),
+            1e-8)
 
 
 @settings(max_examples=8, deadline=None)
@@ -428,7 +428,7 @@ def test_jacobian_sum_leaves_cached_arrays_alone():
     q = Q.interpolate(pb.synthetic_case("a").source)
     u = pb.solve_forward(prob, q, V)
     sub = ss.build_subproblem(prob, mesh, q, u, Q.zeros(), pb.PointObs(3),
-                              np.zeros(9), 10.0)
+                              np.zeros(9))
     assert V.stiffness() is K and sub.K is not K
     assert np.array_equal(K.data, data)
 
@@ -440,7 +440,7 @@ def test_cached_transposes_match_and_die_with_their_mesh(point):
     goes."""
     mesh = refine(uniform_mesh(2), {0, 5, 9})
     sub = _random_subproblem(mesh, 7, point, 100.0)
-    ss.solve_kkt(sub)
+    ss.solve_kkt(sub, 1.0)
     entries = fem._CONTEXTS[mesh]
     assert not {("L",), ("Lt",), ("slots", "V", "Q")} & entries.keys()
     assert not any(key[-1] == "Ct" for key in entries)
@@ -464,8 +464,9 @@ def test_factorization_routes(monkeypatch):
     M_V + (i/sqrt(beta)) K of the reduced matrix of L^2 data take diagonal
     pivots in a symmetric ordering.  Point data up to DENSE_MAX_NV state
     dofs take a dense LU and no splu call; above, the Woodbury route
-    factorizes K alone, with diagonal pivots, and a copy for another beta
-    reuses that factor.  The L^2 data restriction makes no splu call."""
+    factorizes K alone, with diagonal pivots, and another beta on the
+    same subproblem reuses that factor.  The L^2 data restriction makes
+    no splu call."""
     calls = []
 
     def splu(A, **kwargs):
@@ -480,11 +481,10 @@ def test_factorization_routes(monkeypatch):
     large = _random_subproblem(big, 0, True, 100.0)
     for factorize, route, kwargs in (
             (vspace(mesh).stiffness_solver, spla.SuperLU, [_SYMMETRIC]),
-            (l2.factorization, ss._ComplexLU, [_SYMMETRIC]),
-            (point.factorization, ss._DenseLU, []),
-            (large.factorization, ss._Woodbury, [_SYMMETRIC]),
-            (dataclasses.replace(large, beta=1e4).factorization,
-             ss._Woodbury, [])):
+            (lambda: l2.factorization(1.0), ss._ComplexLU, [_SYMMETRIC]),
+            (lambda: point.factorization(1.0), ss._DenseLU, []),
+            (lambda: large.factorization(1.0), ss._Woodbury, [_SYMMETRIC]),
+            (lambda: large.factorization(1e4), ss._Woodbury, [])):
         calls.clear()
         assert isinstance(factorize(), route)
         assert calls == kwargs
@@ -563,14 +563,15 @@ def test_symmetric_factorizations_are_accurate(mesh, seed):
     sub = _random_subproblem(mesh, seed, False, 1000.0)
     nv = V.dim
     for beta in 10.0 ** np.arange(0, 11, 2):
-        s = dataclasses.replace(sub, beta=beta)
-        sol = ss.solve_kkt(s)
+        sol = ss.solve_kkt(sub, beta)
         _assert_blocks_close(
             (sol.q.coeffs, sol.v.coeffs, sol.z.coeffs),
-            kkt_oracle.refined_solve(s, kkt_oracle.kkt_rhs(s)), 1e-8)
+            kkt_oracle.refined_solve(sub, beta, kkt_oracle.kkt_rhs(sub, beta)),
+            1e-8)
         b = rng.standard_normal(2 * nv)
-        _, v, z = ss._solve_reduced(s, b[:nv], b[nv:], Q.zeros().coeffs)
-        x, A = np.concatenate([v, z / 2]), _reduced_matrix(s)
+        _, v, z = ss._solve_reduced(sub, sol.factorization, beta, b[:nv],
+                                    b[nv:], Q.zeros().coeffs)
+        x, A = np.concatenate([v, z / 2]), _reduced_matrix(sub, beta)
         assert np.abs(b - A @ x).max() <= 1e-12 * (
             spla.norm(A, np.inf) * np.abs(x).max() + np.abs(b).max())
 
@@ -583,7 +584,8 @@ def test_l2_factorization_is_complex_of_half_size(levels):
     mesh = refine(uniform_mesh(levels), {0, 3})
     assert len(mesh.hanging)
     sub = _random_subproblem(mesh, 1, False, 100.0)
-    lu, A = sub.factorization().lu, sub.factorization().A
+    route = sub.factorization(1.0)
+    lu, A = route.lu, route.A
     assert np.iscomplexobj(A) and A.shape == (sub.V.dim,) * 2
-    real = fem.symmetric_lu(_reduced_matrix(sub), "KKT")
+    real = fem.symmetric_lu(_reduced_matrix(sub, 1.0), "KKT")
     assert (lu.L.nnz + lu.U.nnz) < (real.L.nnz + real.U.nnz) / 3
