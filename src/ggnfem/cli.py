@@ -251,12 +251,8 @@ def main(argv=None) -> int:
                  ("noise", "noise"), ("case", "case"), ("obs", "observation"))
         exp = replace(exp, **{key: getattr(args, flag) for flag, key in flags
                               if getattr(args, flag, None) is not None})
-        handler = {
-            "simulate": cmd_simulate,
-            "run-ggn": cmd_run,
-            "run-nt": cmd_run,
-            "table": cmd_table,
-        }[args.command]
+        handler = {"simulate": cmd_simulate, "table": cmd_table}.get(
+            args.command, cmd_run)  # run-ggn and run-nt
         return handler(exp, ggn, nt, args)
     except (KeyError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

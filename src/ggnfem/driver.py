@@ -141,7 +141,6 @@ class RunReport:
     q_final: Field
     u_final: Field
     beta_final: float
-    rho_final: float
     nodes_final: int
     outer_iterations: int
     termination: str
@@ -383,7 +382,7 @@ class _Run:
         wall = time.perf_counter() - self.t0  # reporting excluded
         return RunReport(
             rows=self.rows, q_final=self.q_old, u_final=self.u_old,
-            beta_final=self.beta, rho_final=self.rho,
+            beta_final=self.beta,
             nodes_final=self.mesh.n_vertices, outer_iterations=self.k,
             termination=termination, wall_time=wall, delta=self.data.delta,
             control_error=relative_control_error(self.q_old, self.data),

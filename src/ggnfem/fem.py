@@ -246,9 +246,6 @@ class Space:
         return _cached(self.mesh, ("stiffness_lu", self.kind),
                        lambda: symmetric_lu(self.stiffness(), "stiffness"))
 
-    def __repr__(self):
-        return f"Space({self.kind}, dim={self.dim}, mesh={self.mesh!r})"
-
 
 def vspace(mesh: QuadMesh) -> Space:
     return Space(mesh, "V")
@@ -309,9 +306,6 @@ class Field:
     def norm_h1semi(self) -> float:
         K = self.space.stiffness()
         return float(np.sqrt(max(self.coeffs @ (K @ self.coeffs), 0.0)))
-
-    def __repr__(self):
-        return f"Field({self.space.kind}, dim={self.space.dim})"
 
 
 # ---------------------------------------------------------------------------

@@ -142,10 +142,6 @@ class QuadMesh:
         """Side length of every leaf (read-only, computed once)."""
         return self._cell_sizes
 
-    def __repr__(self):
-        return (f"QuadMesh(cells={self.n_cells}, vertices={self.n_vertices}, "
-                f"max_level={self.max_level})")
-
 
 def uniform_mesh(levels: int) -> QuadMesh:
     """Uniform mesh with 4**levels equal square leaves."""

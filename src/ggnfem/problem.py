@@ -86,7 +86,6 @@ class PointObs:
     normal_is_mass = False  # C*C has rank at most n_obs
 
     def __init__(self, n_side: int = 9):
-        self.n_side = n_side
         t = np.arange(1, n_side + 1) / (n_side + 1)
         gx, gy = np.meshgrid(t, t, indexing="ij")
         self.points = np.column_stack([gx.ravel(), gy.ravel()])

@@ -34,27 +34,30 @@ and imaginary parts of one complex symmetric system of half the size,
 
     (M_V + (i/sqrt(beta)) K) (v + i w) = b_v - (i/sqrt(beta)) b_z,
 
-with SPD real and imaginary parts (K = A'_u, zeta >= 0): diagonal
-pivots in any symmetric ordering have a growth factor below 3 (Higham,
-Math. Comp. 67, 1998).  For point data C*C = C'C, applied as C'(C v)
-and never stored sparse, has rank at most n_obs, and diagonal pivots
-fail.  Up to ``DENSE_MAX_NV`` state dofs LAPACK's LU with partial
-pivoting factorizes the dense real matrix.  Above, with X = K^-1 C' and
-S = X' M_V X, the Woodbury identity (Hansen, Rank-Deficient and Discrete
-Ill-Posed Problems, 1998) leaves an SPD system for y = C v,
+with SPD real and imaginary parts (K = A'_u, zeta >= 0), which
+``fem.symmetric_lu`` factorizes with diagonal pivots.  For point data
+C*C = C'C, applied as C'(C v) and never stored sparse, has rank at most
+n_obs, and diagonal pivots fail.  Up to ``DENSE_MAX_NV`` state dofs
+LAPACK's LU with partial pivoting factorizes the dense real matrix,
+filled in place from dense blocks built once per operator object
+(``_dense``).  Above, with X = K^-1 C' and S = X' M_V X, the Woodbury
+identity (Hansen, Rank-Deficient and Discrete Ill-Posed Problems, 1998)
+leaves an SPD system for y = C v,
 
     (I + beta S) y = X' (beta M_V K^-1 b_v - b_z),     z~ = X y - K^-1 b_v,
 
 and v = -K^-1 (b_z + beta M_V z~).  K's factor, X and S depend on the
 mesh and base point only, so the subproblem keeps them: another beta
 costs one Cholesky factorization of I + beta S.  Every sparse
-factorization is ``fem.symmetric_lu``, each solve refined once;
-solutions are re-substituted into the rows above.
+factorization is ``fem.symmetric_lu``, each solve refined once.
+Solutions are re-substituted into the rows above, on the dense route by
+products with its blocks, never with the factorized matrix.
 """
 
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -74,11 +77,12 @@ class KktError(fem.SolverError):
     reason = "kkt-failure"
 
 
-# The largest n_V whose point-data KKT system takes the dense LU.  Factor
-# and two solves on one BLAS thread (2-core Xeon), dense against Woodbury's
-# set-up: 0.8-1.0 against 1.3 ms at n_V = 103-116, 1.9-2.3 against 1.6 ms
-# at 138, 3.2-4.5 against 2.0-2.5 ms at 212; a further beta, 0.3-0.4 ms.
+# The largest n_V whose point-data KKT system takes the dense LU.  A first
+# solve_kkt and solve_second_order, dense/Woodbury (1 BLAS thread, 2-core
+# Xeon): 1.2-1.4/2.0-2.2 ms at n_V = 103, 1.5-2.2/1.7-2.8 at 138, 4.2-5.8/
+# 2.3-3.6 at 213; a further beta, 0.6-1.0/0.4-0.6 ms at 103.
 DENSE_MAX_NV = 128
+_DENSE = {}  # id(sparse operator) -> its dense block (C'G C for C; _dense)
 
 
 @dataclass
@@ -174,22 +178,33 @@ class KktSolution:
         return self.sub.misfit(self.v.coeffs)[0]
 
 
+def _dense(op, then=lambda a: a):
+    """then(op.toarray()), built once per operator object while it lives."""
+    if id(op) not in _DENSE:
+        _DENSE[id(op)] = then(op.toarray())
+        weakref.finalize(op, _DENSE.pop, id(op), None)
+    return _DENSE[id(op)]
+
+
 class _DenseLU:
-    """Dense LAPACK LU with partial pivoting of the real reduced matrix;
-    an exactly zero pivot, which LAPACK only reports, raises KktError."""
+    """LAPACK LU, partial pivoting, of the dense reduced matrix, with its
+    blocks; an exactly zero pivot (LAPACK only reports it) raises KktError."""
 
     def __init__(self, sub: LinearizedSubproblem, beta: float):
-        K, C = sub.K.toarray(), sub.C.toarray()
-        self.lu, self.piv, info = dgetrf(np.block(
-            [[C.T @ sub.obs.gram(sub.Q, C), -K.T],
-             [-K, -beta * sub.V.mass().toarray()]]), overwrite_a=True)
+        self.K, M_V, self.M_Q = map(_dense, (sub.K, sub.V.mass(), sub.M_Q))
+        self.normal = _dense(sub.C, lambda C: C.T @ sub.obs.gram(sub.Q, C))
+        K, n = self.K, len(self.K)
+        A = np.empty((2 * n, 2 * n), order="F")  # LAPACK's layout: no copy
+        A[:n, :n], A[:n, n:], A[n:, :n] = self.normal, -K.T, -K
+        A[n:, n:] = -beta * M_V
+        self.lu, self.piv, info = dgetrf(A, overwrite_a=True)
         if info > 0:
             raise KktError(f"KKT factorization failed: exactly singular "
                            f"(pivot {info} of {len(self.lu)} is zero)")
 
     def solve(self, b_v: np.ndarray, b_z: np.ndarray):
-        return np.split(
-            dgetrs(self.lu, self.piv, np.concatenate([b_v, b_z]))[0], 2)
+        x = dgetrs(self.lu, self.piv, np.concatenate([b_v, b_z]))[0]
+        return x[:len(b_v)], x[len(b_v):]
 
 
 class _Woodbury:
@@ -258,32 +273,33 @@ def solve_kkt(sub: LinearizedSubproblem, beta: float) -> KktSolution:
     """
     q0, q_old = sub.q0.coeffs, sub.q_old_h.coeffs
     keep = fem._q_dofs(sub.mesh, "V")[0]  # L x = -(M_Q x)[keep]
-    L_old, L_0 = -(sub.M_Q @ np.column_stack([q_old, q0]))[keep].T
-    rhs_z = sub.a_res - L_old
+    M_old, M_0 = (sub.M_Q @ np.column_stack([q_old, q0])).T
+    rhs_z = sub.a_res + M_old[keep]
     lu = sub.factorization(beta)
-    q, v, z = _solve_reduced(sub, lu, beta, -sub.c_res, rhs_z + L_0, q0)
+    q, v, z = _solve_reduced(sub, lu, beta, -sub.c_res, rhs_z - M_0[keep], q0)
 
     inc_z = np.zeros(sub.Q.dim)
     inc_z[keep] = z
-    M_dq, M_0, M_z, M_step = (sub.M_Q @ np.column_stack(
-        [q - q0, q0, inc_z, q - q_old])).T
+    steps = np.array([q - q0, inc_z, q - q_old]).T
+    if isinstance(lu, _DenseLU):  # its blocks, not its factorized matrix
+        (M_dq, M_z, M_step), CCv = (lu.M_Q @ steps).T, lu.normal @ v
+        K_v, Kt_z = lu.K @ v, lu.K.T @ z
+    else:
+        (M_dq, M_z, M_step), CCv = (sub.M_Q @ steps).T, sub.normal(v)
+        K_v, Kt_z = sub.K @ v, fem._transpose_product(sub.K, z)
     res_q = (2.0 / beta) * M_dq + M_z  # L' z = -M_z
-    res_v = 2.0 * (sub.normal(v) + sub.c_res) - fem._transpose_product(sub.K, z)
-    res_z = -M_step[keep] + sub.K @ v + sub.a_res
-    scale = max(  # of the right-hand side above and the solution
-        np.abs((1.0 / beta) * M_0).max(),
-        np.abs(sub.c_res).max(), np.abs(rhs_z).max(),
-        np.abs(z).max(), np.abs(q).max(), np.abs(v).max(), 1.0
-    )
+    res_v = 2.0 * (CCv + sub.c_res) - Kt_z
+    res_z = -M_step[keep] + K_v + sub.a_res
+    scale = max(1.0, np.abs(np.concatenate(  # of the right-hand side above
+        [(1.0 / beta) * M_0, sub.c_res, rhs_z, z, q, v])).max())  # and x
     norms = tuple(np.abs(r).max() / scale for r in (res_q, res_v, res_z))
     if not all(r <= 1e-8 for r in norms):  # NaN fails too
         raise KktError(f"stationarity residuals too large: {norms} "
                        f"(beta={beta:g}, n_V={sub.V.dim})")
-    u = Field(sub.V, sub.u_old_h.coeffs + v)
     return KktSolution(
-        sub=sub, beta=beta, q=Field(sub.Q, q), v=Field(sub.V, v), u=u,
-        z=Field(sub.V, z), stationarity=norms, factorization=lu,
-    )
+        sub=sub, beta=beta, q=Field(sub.Q, q), v=Field(sub.V, v),
+        u=Field(sub.V, sub.u_old_h.coeffs + v), z=Field(sub.V, z),
+        stationarity=norms, factorization=lu)
 
 
 def solve_second_order(sol: KktSolution):

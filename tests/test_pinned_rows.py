@@ -2,10 +2,14 @@
 
 Eight small runs: GGN and NT on point and L^2 data, fine level 5, solver
 depth 4, zeta = 100, p = 1 %, noise seeds 1 and 2.  Every report row's
-k, phase and node count and each run's termination must match the record
-in ``pinned_rows.json`` exactly, and every beta to 1e-12 relative.  A
-refactoring that claims to leave the solvers' outputs alone is checked
-by this test.
+k, phase and node count and each run's termination and forward-solve
+count must match the record in ``pinned_rows.json`` exactly, every beta
+to 1e-12 relative, and each run's control error to 1e-8 relative (the
+benchmark's reference tolerance).  A refactoring that claims to leave
+the solvers' outputs alone is checked by this test.  NT decides at
+rounding level (its line search accepts on j_new <= j_old), so a change
+of 1e-12 in its forward solves already moves its forward-solve counts
+and control errors here.
 
 Regenerate the record, only for a change that is meant to move these
 lines, with ``PYTHONPATH=src python tests/test_pinned_rows.py``.
@@ -44,6 +48,8 @@ def _runs(methods=("ggn", "nt")):
 
 def _lines(report) -> dict:
     return {"termination": report.termination,
+            "forward_solves": report.total_forward_solves,
+            "control_error": report.control_error,
             "rows": [[r.k, r.phase, r.nodes, r.beta] for r in report.rows]}
 
 
@@ -63,6 +69,9 @@ def test_pinned_acceptance_lines(pinned, reports):
     for name, report in reports.items():
         want, got = pinned[name], _lines(report)
         assert got["termination"] == want["termination"], name
+        assert got["forward_solves"] == want["forward_solves"], name
+        assert got["control_error"] == pytest.approx(
+            want["control_error"], rel=1e-8, abs=0.0), name
         assert len(got["rows"]) == len(want["rows"]), name
         for i, (g, w) in enumerate(zip(got["rows"], want["rows"])):
             assert g[:3] == w[:3], (name, i)
@@ -75,6 +84,8 @@ if __name__ == "__main__":
         lines = _lines(report)
         rows = ",\n  ".join(json.dumps(r) for r in lines["rows"])
         runs.append(f'"{name}": {{"termination": "{lines["termination"]}", '
+                    f'"forward_solves": {lines["forward_solves"]}, '
+                    f'"control_error": {lines["control_error"]!r}, '
                     f'"rows": [\n  {rows}]}}')
     with open(RECORD, "w") as fh:
         fh.write("{\n" + ",\n".join(runs) + "\n}\n")

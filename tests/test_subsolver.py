@@ -2,12 +2,14 @@ import dataclasses
 import gc
 import types
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings, strategies as st
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from ggnfem import fem, problem as pb, subsolver as ss
 from ggnfem.fem import Field, qspace, vspace
@@ -398,6 +400,96 @@ def test_point_routes_match_refined_kkt(name, zeta):
             kkt_oracle.refined_solve(
                 sub, beta, kkt_oracle.second_order_rhs(sub, sol.v.coeffs)),
             1e-8)
+
+
+# Graded meshes on the dense route, by n_V, up to DENSE_MAX_NV = 128.
+_DENSE_MESHES = {
+    9: lambda: refine(refine(uniform_mesh(1), {0}), {1, 3}),
+    25: _POINT_ROUTE_MESHES["dense-25"],
+    53: _POINT_ROUTE_MESHES["dense-53"],
+    103: lambda: refine(uniform_mesh(3), set(range(6, 64, 2))),
+    128: lambda: refine(refine(uniform_mesh(3), set(range(34, 64))), {0}),
+}
+
+
+def _block_lu_solution(sub, beta):
+    """(q, v, z) by dgetrf/dgetrs of the np.block reduced matrix built
+    from the subproblem's sparse operators, with the right-hand side of
+    sparse M_Q products."""
+    K, C = sub.K.toarray(), sub.C.toarray()
+    lu, piv, info = dgetrf(np.block(
+        [[C.T @ sub.obs.gram(sub.Q, C), -K.T],
+         [-K, -beta * sub.V.mass().toarray()]]))
+    assert info == 0
+    q0, keep = sub.q0.coeffs, fem._q_dofs(sub.mesh, "V")[0]
+    L_old, L_0 = -(sub.M_Q @ np.column_stack(
+        [sub.q_old_h.coeffs, q0]))[keep].T
+    v, zt = np.split(dgetrs(lu, piv, np.concatenate(
+        [-sub.c_res, sub.a_res - L_old + L_0]))[0], 2)
+    q = q0.copy()
+    q[keep] -= beta * zt
+    return q, v, 2.0 * zt
+
+
+def _sparse_stationarity(sol):
+    """The stationarity norms of a solution by re-substitution with the
+    subproblem's sparse operators."""
+    sub, beta = sol.sub, sol.beta
+    q, v, z = sol.q.coeffs, sol.v.coeffs, sol.z.coeffs
+    q0, q_old = sub.q0.coeffs, sub.q_old_h.coeffs
+    keep = fem._q_dofs(sub.mesh, "V")[0]
+    inc_z = np.zeros(sub.Q.dim)
+    inc_z[keep] = z
+    M_dq, M_0, M_z, M_step, M_old = (sub.M_Q @ np.column_stack(
+        [q - q0, q0, inc_z, q - q_old, q_old])).T
+    rows = ((2.0 / beta) * M_dq + M_z,
+            2.0 * (sub.normal(v) + sub.c_res) - sub.K.T @ z,
+            -M_step[keep] + sub.K @ v + sub.a_res)
+    scale = max(1.0, *(np.abs(x).max() for x in (
+        (1.0 / beta) * M_0, sub.c_res, sub.a_res + M_old[keep], z, q, v)))
+    return np.array([np.abs(r).max() / scale for r in rows])
+
+
+@pytest.mark.parametrize("zeta", [0.0, 1000.0])
+@pytest.mark.parametrize("n_v", list(_DENSE_MESHES))
+def test_dense_route_is_the_block_lu_bit_for_bit(n_v, zeta):
+    """For beta = 1e0 ... 1e10, the dense route's solution is bitwise
+    that of dgetrf/dgetrs of the np.block matrix of the sparse operators,
+    and its stationarity, from dense products with its blocks, agrees
+    with the sparse re-substitution to 1e-15 of the scale."""
+    mesh = _DENSE_MESHES[n_v]()
+    assert len(mesh.hanging) and vspace(mesh).dim == n_v
+    sub = _random_subproblem(mesh, n_v, True, zeta)
+    for beta in 10.0 ** np.arange(11):
+        sol = ss.solve_kkt(sub, beta)
+        assert isinstance(sol.factorization, ss._DenseLU)
+        for got, want in zip((sol.q, sol.v, sol.z),
+                             _block_lu_solution(sub, beta)):
+            assert np.array_equal(got.coeffs, want)
+        assert np.array_equal(sol.u.coeffs,
+                              sub.u_old_h.coeffs + sol.v.coeffs)
+        assert np.abs(np.array(sol.stationarity)
+                      - _sparse_stationarity(sol)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n_v", list(_DENSE_MESHES))
+def test_dense_rows_do_not_read_the_factorized_matrix(n_v):
+    """The re-substitution reads the dense route's blocks, not the matrix
+    it factorized: a sign flip of the K block in the matrix handed to
+    dgetrf, and only there, fails the stationarity check at every beta."""
+    sub = _random_subproblem(_DENSE_MESHES[n_v](), n_v, True, 1000.0)
+
+    def flipped_getrf(A, **kwargs):
+        n = len(A) // 2
+        A[n:, :n] *= -1.0
+        return dgetrf(A, **kwargs)
+
+    with mock.patch.object(ss, "dgetrf", flipped_getrf):
+        for beta in 10.0 ** np.arange(11):
+            with pytest.raises(ss.KktError, match="stationarity residuals"):
+                ss.solve_kkt(sub, beta)
+    for beta in (1.0, 1e10):  # the cached blocks are unharmed
+        assert max(ss.solve_kkt(sub, beta).stationarity) <= 1e-8
 
 
 @settings(max_examples=8, deadline=None)

@@ -1,7 +1,8 @@
-"""``tools/row_digest.py compare``: the largest move of each float field
-and row column (absolute for the fields at rounding level, relative for
-the others), the runs whose acceptance fields changed, and the exit status
-(1 whenever the dumps differ at all)."""
+"""``tools/row_digest.py compare``: the count of differing runs that
+differ only at rounding level and elsewhere, the largest move of each
+float field and row column (absolute for the fields at rounding level,
+relative for the others), the runs whose acceptance fields changed, and
+the exit status (1 whenever the dumps differ at all)."""
 
 import importlib.util
 import json
@@ -51,6 +52,7 @@ def test_compare_reports_moves_and_acceptance_changes(row_digest, tmp_path,
     assert moves["stat_q"] == moves["stat_z"] == 0.0
     assert row_digest.acceptance_changes(a, b) == [
         "w/seed1/nt[0]: forward_solves, beta"]
+    assert row_digest.rounding_level_split(a, b) == (0, 2)
 
     paths = []
     for name, dump in (("a", a), ("b", b), ("a2", a)):
@@ -60,6 +62,8 @@ def test_compare_reports_moves_and_acceptance_changes(row_digest, tmp_path,
     assert row_digest.main(["compare", paths[0], paths[1]]) == 1
     out = capsys.readouterr().out
     assert "acceptance fields changed in 1 of 2 runs:" in out
+    assert ("of 2 runs, 0 differ only in max_identity_dev, stat_q, stat_v, "
+            "stat_z and 2 differ elsewhere\n") in out
     assert "  w/seed1/nt[0]: forward_solves, beta" in out
     assert f"  {'stat_v':<17} {2**-50 - 1e-16:.3g} (absolute)\n" in out
     assert f"  {'i1h':<17} {2**-40:.3g}\n" in out
@@ -67,3 +71,30 @@ def test_compare_reports_moves_and_acceptance_changes(row_digest, tmp_path,
     out = capsys.readouterr().out
     assert "identical: 2 runs" in out
     assert "acceptance fields changed in 0 of 2 runs" in out
+    assert "of 2 runs, 0 differ only in" in out and "0 differ elsewhere" in out
+
+
+def test_compare_counts_runs_moved_only_at_rounding_level(row_digest,
+                                                          tmp_path, capsys):
+    """A run whose stationarity residuals or identity deviation alone
+    moved counts as rounding-level only; any other field or column, a
+    row count included, counts as elsewhere.  The exit status stays 1."""
+    a = {f"w/seed1/ggn[{i}]": _run() for i in range(5)}
+    b = dict(a)
+    b["w/seed1/ggn[0]"] = _run(stat_v=2e-16)
+    b["w/seed1/ggn[1]"] = _run(stat_v=2e-16, identity_dev=2e-17)
+    b["w/seed1/ggn[2]"] = _run(stat_v=2e-16, i1h=3.0)
+    b["w/seed1/ggn[3]"] = dict(_run(), rows=_run()["rows"] * 2)
+    assert row_digest.differing_names(a["w/seed1/ggn[1]"],
+                                      b["w/seed1/ggn[1]"]) == {
+        "stat_v", "max_identity_dev"}
+    assert row_digest.differing_names(a["w/seed1/ggn[3]"],
+                                      b["w/seed1/ggn[3]"]) == {"rows"}
+    assert row_digest.rounding_level_split(a, b) == (2, 2)
+    paths = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+    for path, dump in zip(paths, (a, b)):
+        with open(path, "w") as fh:
+            json.dump(dump, fh)
+    assert row_digest.main(["compare", *paths]) == 1
+    assert ("of 5 runs, 2 differ only in max_identity_dev, stat_q, stat_v, "
+            "stat_z and 2 differ elsewhere\n") in capsys.readouterr().out

@@ -16,6 +16,9 @@ the largest I1h identity deviation.  ggnfem is imported from
 tool dumps any checkout.
 ``compare`` names every run whose dump differs, with its differing
 fields and the first differing row and columns, and exits 1 if any does.
+It counts the differing runs that differ only in the fields at rounding
+level (``ABSOLUTE``) and those that differ anywhere else, so a change
+that moves only the stationarity residuals reads at a glance.
 It then prints, over the runs in both dumps, the largest move of each
 float field and column: relative, |b - a| / |a|, except for the fields
 at rounding level (the stationarity residuals and the I1h identity
@@ -98,6 +101,26 @@ def compare(a: dict, b: dict) -> list[str]:
     return diffs
 
 
+def differing_names(ra: dict, rb: dict) -> set:
+    """The fields and row columns in which two runs' dumps differ
+    ("rows" too if their row counts differ)."""
+    names = {f for f in ra.keys() | rb.keys()
+             if f != "rows" and ra.get(f) != rb.get(f)}
+    if len(ra["rows"]) != len(rb["rows"]):
+        names.add("rows")
+    for x, y in zip(ra["rows"], rb["rows"]):
+        names.update(c for c, p, q in zip(COLUMNS, x, y) if p != q)
+    return names
+
+
+def rounding_level_split(a: dict, b: dict) -> tuple[int, int]:
+    """(runs in both dumps that differ only in ``ABSOLUTE`` fields, runs
+    that differ in any other field or column)."""
+    moved = [differing_names(a[k], b[k]) for k in set(a) & set(b)]
+    only = sum(bool(m) and m <= set(ABSOLUTE) for m in moved)
+    return only, sum(bool(m) for m in moved) - only
+
+
 def _move(name: str, x: str, y: str) -> float:
     """|y - x| of two hex floats for a field in ABSOLUTE, else
     |y - x| / |x|: 0 if they are equal (NaN and NaN too), inf if only one
@@ -176,6 +199,9 @@ def main(argv=None) -> int:
     if not diffs:
         print(f"identical: {len(a)} runs")
     common = len(set(a) & set(b))
+    only, elsewhere = rounding_level_split(a, b)
+    print(f"of {common} runs, {only} differ only in {', '.join(ABSOLUTE)} "
+          f"and {elsewhere} differ elsewhere")
     print(f"largest move over {common} runs, relative |b - a| / |a| or, "
           "where marked, absolute |b - a|:")
     for name, move in largest_moves(a, b).items():
