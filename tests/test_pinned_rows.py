@@ -4,8 +4,9 @@ Eight small runs: GGN and NT on point and L^2 data, fine level 5, solver
 depth 4, zeta = 100, p = 1 %, noise seeds 1 and 2.  Every report row's
 k, phase and node count and each run's termination and forward-solve
 count must match the record in ``pinned_rows.json`` exactly, every beta
-to 1e-12 relative, and each run's control error to 1e-8 relative (the
-benchmark's reference tolerance).  A refactoring that claims to leave
+to 1e-12 relative, every QoI column of a row (rho, I1h-I4h, eta1, eta2;
+NaN where the row leaves it unset) to 1e-8 relative, and each run's
+control error to 1e-8 relative (the benchmark's reference tolerance).  A refactoring that claims to leave
 the solvers' outputs alone is checked by this test.  NT decides at
 rounding level (its line search accepts on j_new <= j_old), so a change
 of 1e-12 in its forward solves already moves its forward-solve counts
@@ -24,6 +25,7 @@ from ggnfem import baseline as bl, driver as dv, problem as pb
 
 RECORD = os.path.join(os.path.dirname(__file__), "pinned_rows.json")
 FINE, DEPTH, ZETA, NOISE, SEEDS = 5, 4, 100.0, 0.01, (1, 2)
+QOI_COLUMNS = ("rho", "i1h", "i2h", "i3h", "i4h", "eta1", "eta2")
 
 
 def _runs(methods=("ggn", "nt")):
@@ -50,7 +52,9 @@ def _lines(report) -> dict:
     return {"termination": report.termination,
             "forward_solves": report.total_forward_solves,
             "control_error": report.control_error,
-            "rows": [[r.k, r.phase, r.nodes, r.beta] for r in report.rows]}
+            "rows": [[r.k, r.phase, r.nodes, r.beta]
+                     + [getattr(r, c) for c in QOI_COLUMNS]
+                     for r in report.rows]}
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +80,8 @@ def test_pinned_acceptance_lines(pinned, reports):
         for i, (g, w) in enumerate(zip(got["rows"], want["rows"])):
             assert g[:3] == w[:3], (name, i)
             assert g[3] == pytest.approx(w[3], rel=1e-12, abs=0.0), (name, i)
+            assert g[4:] == pytest.approx(w[4:], rel=1e-8, abs=0.0,
+                                          nan_ok=True), (name, i)
 
 
 if __name__ == "__main__":
