@@ -22,7 +22,7 @@ import sys
 from configparser import ConfigParser
 from dataclasses import asdict, dataclass, fields, replace
 
-from . import baseline as bl, driver as dv, problem as pb
+from . import baseline as bl, driver as dv, fem, problem as pb
 
 __all__ = ["ExperimentConfig", "load_config", "main"]
 
@@ -254,7 +254,7 @@ def main(argv=None) -> int:
         handler = {"simulate": cmd_simulate, "table": cmd_table}.get(
             args.command, cmd_run)  # run-ggn and run-nt
         return handler(exp, ggn, nt, args)
-    except (KeyError, ValueError, FileNotFoundError) as exc:
+    except (KeyError, ValueError, FileNotFoundError, fem.SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,7 +5,7 @@ Per Gauss-Newton step four scalars are tracked:
     I1h  linearized misfit + (1/beta) |q - q0|_Q^2   (u-term omitted)
     I2h  linearized misfit alone
     I3h  |C(u_old) - g_delta|_G^2 + rho |A(q_old, u_old) - f|_{W_h*}
-    I4h  same as I3h at the new pair (q, u)
+    I4h  I2h + the state term of I3h at the new pair (q, u)
 
 I1h is evaluated through a separate field-based route, the observation's
 quadrature of the state's misfit (``obs.misfit_sq``), so that the
@@ -25,17 +25,13 @@ evaluation mesh) and eta4 is not computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import fem, problem as pb
+from . import fem
 from .fem import Field, patch_interpolate
 from .subsolver import KktSolution, LinearizedSubproblem
 
 __all__ = [
-    "Qoi",
-    "compute_qoi",
     "estimate_eta1",
     "estimate_eta2",
     "compute_i1h",
@@ -43,20 +39,6 @@ __all__ = [
 ]
 
 _NQ = fem.NQ_WEIGHTED
-
-
-@dataclass
-class Qoi:
-    """QoIs and estimators of one step (eta entries NaN when not computed)."""
-
-    i1h: float
-    i2h: float
-    i3h: float
-    i4h: float
-    eta1: float
-    eta2: float
-    rho: float
-    beta: float
 
 
 # ---------------------------------------------------------------------------
@@ -173,26 +155,6 @@ def estimate_eta2(sol: KktSolution, aux):
     return float(contrib.sum()), np.abs(contrib)
 
 
-def compute_qoi(sol: KktSolution, rho: float, i3h: float | None = None,
-                eta1: float = float("nan"), eta2: float = float("nan")) -> Qoi:
-    """All four discrete QoIs of a step.
-
-    I2h comes from the algebraic misfit of the KKT vectors; I1h is
-    re-evaluated through field/quadrature routes.  I3h may be passed in
-    (the driver freezes it per outer iteration); otherwise it is
-    evaluated here on the current mesh.
-    """
-    sub = sol.sub
-    i2h = sol.misfit_sq()
-    i1h, _ = compute_i1h(sol)
-    if i3h is None:
-        i3h = compute_i3h(sub, rho)
-    new_res = pb.semilinear_residual(sub.problem, sol.q, sol.u, sub.V)
-    i4h = i2h + rho * fem.riesz_dual_norm(sub.V, new_res)[0]
-    return Qoi(i1h=i1h, i2h=i2h, i3h=i3h, i4h=i4h, eta1=eta1, eta2=eta2,
-               rho=rho, beta=sol.beta)
-
-
 def compute_i1h(sol: KktSolution):
     """I1h by the field route, with its regularization term.
 
@@ -202,11 +164,14 @@ def compute_i1h(sol: KktSolution):
     return sol.sub.obs.misfit_sq(sol.u, sol.sub.data_g) + reg, reg
 
 
-def compute_i3h(sub: LinearizedSubproblem, rho: float) -> float:
-    """I3h at the subproblem's base point: the misfit of u_old plus rho
-    times the dual norm of the state residual A(q_old, u_old) - f."""
-    return (sub.misfit(np.zeros(sub.V.dim))[0]
-            + rho * fem.riesz_dual_norm(sub.V, sub.a_res)[0])
+def compute_i3h(sub: LinearizedSubproblem, rho: float):
+    """I3h at the subproblem's base point: the misfit of u_old plus the
+    state term rho |A(q_old, u_old) - f|_{W_h*}.
+
+    Returns (I3h, state term).
+    """
+    state = rho * fem.riesz_dual_norm(sub.V, sub.a_res)[0]
+    return sub.misfit(np.zeros(sub.V.dim))[0] + state, state
 
 
 def _reg_term(sol: KktSolution) -> float:

@@ -276,7 +276,7 @@ class Field:
             raise ValueError(
                 f"coefficient length {coeffs.shape} != space dim {space.dim}"
             )
-        if not np.all(np.isfinite(coeffs)):
+        if not np.isfinite(coeffs).all():
             raise ValueError("non-finite field coefficients")
         self.space = space
         self.coeffs = coeffs

@@ -53,8 +53,8 @@ class ModelProblem:
     zeta: float = 100.0
 
     def __post_init__(self):
-        if self.zeta < 0:
-            raise ValueError("zeta must be nonnegative")
+        if not (np.isfinite(self.zeta) and self.zeta >= 0):
+            raise ValueError(f"need a finite zeta >= 0, got {self.zeta}")
 
 
 class ForwardSolveError(fem.SolverError):
@@ -435,6 +435,8 @@ def simulate_data(problem: ModelProblem, case: SyntheticCase, obs,
     deterministic in the seed.  A precomputed (q_true, u_true) pair may be
     passed to reuse one forward solve across noise levels.
     """
+    if not (np.isfinite(p) and p >= 0):
+        raise ValueError(f"need a finite noise level p >= 0, got {p}")
     if truth is None:
         truth = simulate_truth(problem, case, fine_levels)
     q_true, u_true = truth

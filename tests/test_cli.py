@@ -202,6 +202,23 @@ def test_missing_config_is_reported():
     assert cli.main(["--config", "/nonexistent.cfg", "simulate"]) == 1
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--zeta", "nan", "run-ggn"], "finite zeta"),
+    (["--zeta", "1e300", "simulate"], "Newton did not converge"),
+    (["--noise", "-0.1", "simulate"], "finite noise level"),
+    (["--noise", "nan", "simulate"], "finite noise level"),
+], ids=["zeta-nan", "zeta-1e300", "noise-negative", "noise-nan"])
+def test_bad_zeta_or_noise_is_reported(tmp_path, capsys, flags, message):
+    """An out-of-range zeta or noise level, or a truth build that fails,
+    ends with exit code 1 and one error line, not a traceback."""
+    rc = cli.main(["--fine-levels", "4", "--out", str(tmp_path / "x")]
+                  + flags)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_table_failed_row_exit_code(tmp_path):
     out = tmp_path / "bad"
     rc = cli.main(["--fine-levels", "3", "--out", str(out), "table",

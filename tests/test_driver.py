@@ -115,8 +115,8 @@ def test_manifest_lists_only_the_checks_the_run_made(tmp_path):
 
 
 def test_each_row_evaluates_i1h_once(monkeypatch):
-    """Every row after init evaluates the field route of I1h once; an
-    accept row takes its QoIs from the step's compute_qoi."""
+    """Every row after init evaluates the field route of I1h once: each
+    is appended by ``_Run.log``, which evaluates it."""
     prob = pb.ModelProblem(zeta=100.0)
     data = pb.simulate_data(prob, pb.synthetic_case("a"), pb.PointObs(9), 5,
                             0.01, 1)
@@ -127,6 +127,23 @@ def test_each_row_evaluates_i1h_once(monkeypatch):
     rep = dv.run_ggn(prob, data, dv.GgnConfig(max_depth=4))
     assert any(r.phase == "accept" for r in rep.rows)
     assert len(calls) == len(rep.rows) - 1
+
+
+@pytest.mark.parametrize("obs", [pb.PointObs(9), pb.L2Obs()],
+                         ids=["point", "l2"])
+def test_one_riesz_solve_per_base_point(monkeypatch, obs):
+    """The init row and each accepted step solve one Riesz problem: the
+    state term at the new pair gives both the step's I4h and the next
+    gate I3h."""
+    prob = pb.ModelProblem(zeta=100.0)
+    data = pb.simulate_data(prob, pb.synthetic_case("a"), obs, 5, 0.01, 1)
+    calls = []
+    riesz = fem.riesz_dual_norm
+    monkeypatch.setattr(fem, "riesz_dual_norm",
+                        lambda V, r: calls.append(V) or riesz(V, r))
+    rep = dv.run_ggn(prob, data, dv.GgnConfig(max_depth=4))
+    assert rep.termination == "discrepancy" and rep.outer_iterations >= 2
+    assert len(calls) == rep.outer_iterations + 1
 
 
 def test_immediate_stop_on_huge_delta():

@@ -1,12 +1,16 @@
 """``tools/row_digest.py compare``: the count of differing runs that
 differ only at rounding level and elsewhere, the largest move of each
 float field and row column (absolute for the fields at rounding level,
-relative for the others), the runs whose acceptance fields changed, and
-the exit status (1 whenever the dumps differ at all)."""
+relative for the others), the runs whose acceptance fields changed, the
+exit status (1 whenever the dumps differ at all), and a quiet end on a
+closed pipe."""
 
 import importlib.util
 import json
 import os
+import signal
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
@@ -98,3 +102,18 @@ def test_compare_counts_runs_moved_only_at_rounding_level(row_digest,
     assert row_digest.main(["compare", *paths]) == 1
     assert ("of 5 runs, 2 differ only in max_identity_dev, stat_q, stat_v, "
             "stat_z and 2 differ elsewhere\n") in capsys.readouterr().out
+
+
+def test_compare_ends_quietly_on_a_closed_pipe(tmp_path):
+    """``compare a b | head``: a reader that goes away ends the tool by
+    SIGPIPE, with no BrokenPipeError traceback."""
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"w/seed1/ggn[0]": _run()}))
+    proc = subprocess.Popen(
+        [sys.executable, os.path.join(ROOT, "tools", "row_digest.py"),
+         "compare", str(path), str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # the reader is gone before the tool writes
+    err = proc.stderr.read()
+    assert proc.wait() == -signal.SIGPIPE
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err, err

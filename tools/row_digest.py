@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 import tempfile
 
@@ -216,4 +217,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # Die by SIGPIPE, as a Unix filter does, when the reader goes away
+    # (``compare a b | head``); exit statuses are unchanged otherwise.
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
