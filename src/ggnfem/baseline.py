@@ -43,8 +43,8 @@ class NtConfig(AdaptiveConfig):
     forward_tol: float = 1e-10
 
     def __post_init__(self):
-        if not self.tau_low < self.tau_up:
-            raise ValueError("need tau_low < tau_up")
+        if not (self.tau_low < self.tau_up and self.gn_cap >= 0):
+            raise ValueError("need tau_low < tau_up and gn_cap >= 0")
 
 
 def _gn_fit(problem, obs, obs_data, mesh, beta, q_start, u_warm, cfg):

@@ -267,6 +267,8 @@ class _Run:
     is GGN's."""
 
     def __init__(self, problem, data, cfg, q0):
+        if not 0.0 < cfg.beta_min <= cfg.beta0 <= cfg.beta_max:
+            raise ValueError("need 0 < beta_min <= beta0 <= beta_max")
         self.problem = problem
         self.data = data
         self.cfg = cfg

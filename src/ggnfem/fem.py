@@ -45,10 +45,10 @@ Everything derived from one mesh -- the condensation and dof selection
 of each space, the assembly plans, the load map, its assembled operators
 and solvers, the V-to-Q inclusion, the cell origin tables, the patch
 table of the DWR weights, point locations, observation matrices C and
-the patch basis at the points, and the containment maps into finer
-meshes -- is cached in one per-mesh context (``_cached``); a
-field's moment table, load vector, quadrature values and DWR weights
-are kept in a context of the field.
+the patch basis at the points, the dense KKT blocks per observation, and
+the containment maps into finer meshes -- is cached in one per-mesh
+context (``_cached``); a field's moment table, load vector, quadrature
+values and DWR weights are kept in a context of the field.
 Contexts sit in a ``WeakKeyDictionary`` keyed by their owner and hold
 nothing that refers back to it, so each one dies with its owner.  For
 the same reason a ``Space`` is a light view over its context entry and

@@ -39,10 +39,10 @@ with SPD real and imaginary parts (K = A'_u, zeta >= 0), which
 C*C = C'C, applied as C'(C v) and never stored sparse, has rank at most
 n_obs, and diagonal pivots fail.  Up to ``DENSE_MAX_NV`` state dofs
 LAPACK's LU with partial pivoting factorizes the dense real matrix,
-filled in place from dense blocks built once per operator object
-(``_dense``).  Above, with X = K^-1 C' and S = X' M_V X, the Woodbury
-identity (Hansen, Rank-Deficient and Discrete Ill-Posed Problems, 1998)
-leaves an SPD system for y = C v,
+filled in place from dense blocks kept per subproblem (K) and per mesh
+and observation (M_V, M_Q, C'GC).  Above, with X = K^-1 C' and
+S = X' M_V X, the Woodbury identity (Hansen, Rank-Deficient and
+Discrete Ill-Posed Problems, 1998) leaves an SPD system for y = C v,
 
     (I + beta S) y = X' (beta M_V K^-1 b_v - b_z),     z~ = X y - K^-1 b_v,
 
@@ -57,7 +57,6 @@ products with its blocks, never with the factorized matrix.
 from __future__ import annotations
 
 import functools
-import weakref
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -82,7 +81,6 @@ class KktError(fem.SolverError):
 # Xeon): 1.2-1.4/2.0-2.2 ms at n_V = 103, 1.5-2.2/1.7-2.8 at 138, 4.2-5.8/
 # 2.3-3.6 at 213; a further beta, 0.6-1.0/0.4-0.6 ms at 103.
 DENSE_MAX_NV = 128
-_DENSE = {}  # id(sparse operator) -> its dense block (C'G C for C; _dense)
 
 
 @dataclass
@@ -119,6 +117,11 @@ class LinearizedSubproblem:
         lu = fem.symmetric_lu(self.K, "KKT")
         X = lu.solve(self.C.T.toarray())
         return lu, X, X.T @ (self.V.mass() @ X)
+
+    @functools.cached_property
+    def dense_K(self) -> np.ndarray:
+        """K as a dense array, the dense route's block of the subproblem."""
+        return self.K.toarray()
 
     def normal(self, v: np.ndarray) -> np.ndarray:
         """C*C v: M_V v for L^2 data, else C' G C v (C*C never formed)."""
@@ -178,24 +181,18 @@ class KktSolution:
         return self.sub.misfit(self.v.coeffs)[0]
 
 
-def _dense(op, then=lambda a: a):
-    """then(op.toarray()), built once per operator object while it lives."""
-    if id(op) not in _DENSE:
-        _DENSE[id(op)] = then(op.toarray())
-        weakref.finalize(op, _DENSE.pop, id(op), None)
-    return _DENSE[id(op)]
-
-
 class _DenseLU:
     """LAPACK LU, partial pivoting, of the dense reduced matrix, with its
     blocks; an exactly zero pivot (LAPACK only reports it) raises KktError."""
 
     def __init__(self, sub: LinearizedSubproblem, beta: float):
-        self.K, M_V, self.M_Q = map(_dense, (sub.K, sub.V.mass(), sub.M_Q))
-        self.normal = _dense(sub.C, lambda C: C.T @ sub.obs.gram(sub.Q, C))
-        K, n = self.K, len(self.K)
+        M_V, self.M_Q, self.normal = fem._cached(
+            sub.mesh, ("dense", sub.obs), lambda: (
+                sub.V.mass().toarray(), sub.M_Q.toarray(),
+                (C := sub.C.toarray()).T @ sub.obs.gram(sub.Q, C)))
+        self.K, n = sub.dense_K, sub.V.dim
         A = np.empty((2 * n, 2 * n), order="F")  # LAPACK's layout: no copy
-        A[:n, :n], A[:n, n:], A[n:, :n] = self.normal, -K.T, -K
+        A[:n, :n], A[:n, n:], A[n:, :n] = self.normal, -self.K.T, -self.K
         A[n:, n:] = -beta * M_V
         self.lu, self.piv, info = dgetrf(A, overwrite_a=True)
         if info > 0:

@@ -202,17 +202,31 @@ def test_missing_config_is_reported():
     assert cli.main(["--config", "/nonexistent.cfg", "simulate"]) == 1
 
 
-@pytest.mark.parametrize("flags, message", [
-    (["--zeta", "nan", "run-ggn"], "finite zeta"),
-    (["--zeta", "1e300", "simulate"], "Newton did not converge"),
-    (["--noise", "-0.1", "simulate"], "finite noise level"),
-    (["--noise", "nan", "simulate"], "finite noise level"),
-], ids=["zeta-nan", "zeta-1e300", "noise-negative", "noise-nan"])
-def test_bad_zeta_or_noise_is_reported(tmp_path, capsys, flags, message):
-    """An out-of-range zeta or noise level, or a truth build that fails,
-    ends with exit code 1 and one error line, not a traceback."""
-    rc = cli.main(["--fine-levels", "4", "--out", str(tmp_path / "x")]
-                  + flags)
+_BETA_RANGE = "need 0 < beta_min <= beta0 <= beta_max"
+
+
+@pytest.mark.parametrize("flags, config, message", [
+    (["--zeta", "nan", "run-ggn"], "", "finite zeta"),
+    (["--zeta", "1e300", "simulate"], "", "Newton did not converge"),
+    (["--noise", "-0.1", "simulate"], "", "finite noise level"),
+    (["--noise", "nan", "simulate"], "", "finite noise level"),
+    (["run-ggn"], "[ggn]\nbeta0 = 0\n", _BETA_RANGE),
+    (["--obs", "l2", "run-ggn"], "[ggn]\nbeta0 = 0\n", _BETA_RANGE),
+    (["run-nt"], "[nt]\nbeta0 = 0\n", _BETA_RANGE),
+    (["run-ggn"], "[ggn]\nbeta0 = 1e20\n", _BETA_RANGE),
+    (["run-nt"], "[nt]\ngn_cap = -1\n", "gn_cap >= 0"),
+], ids=["zeta-nan", "zeta-1e300", "noise-negative", "noise-nan",
+        "beta0-zero", "beta0-zero-l2", "beta0-zero-nt", "beta0-above-max",
+        "gn-cap-negative"])
+def test_bad_zeta_or_noise_is_reported(tmp_path, capsys, flags, config,
+                                       message):
+    """An out-of-range zeta, noise level, beta0 or gn_cap, or a truth
+    build that fails, ends with exit code 1 and one error line, not a
+    traceback.  beta0 and gn_cap come from a config file."""
+    path = tmp_path / "run.cfg"
+    path.write_text(config)
+    rc = cli.main(["--config", str(path), "--fine-levels", "4",
+                   "--out", str(tmp_path / "x")] + flags)
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: ") and message in err

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import types
 import weakref
@@ -274,11 +273,14 @@ def test_bad_factorization_raises_kkt_error():
 
 def test_dense_lu_rejects_zero_pivot():
     """LAPACK only reports an exactly zero pivot; the dense LU raises.
-    With K = C*C = 0 the first column of the reduced matrix is zero."""
-    sub = _random_subproblem(uniform_mesh(2), 0, True, 100.0)
-    zero = dataclasses.replace(sub, K=0.0 * sub.K, C=0.0 * sub.C)
-    with pytest.raises(ss.KktError, match=r"exactly singular \(pivot 1 "):
-        zero.factorization(1.0)
+    The one point of PointObs(1), (1/2, 1/2), is the centre vertex of
+    uniform_mesh(2), so the first column of C*C is zero; with a zero dense
+    K the first column of the reduced matrix is zero."""
+    *_, sub = _point_instance(n_side=1, levels=2)
+    sub.dense_K = np.zeros((sub.V.dim, sub.V.dim))
+    with pytest.raises(ss.KktError,
+                       match=r"exactly singular \(pivot 1 of 18 is zero\)"):
+        sub.factorization(1.0)
 
 
 def test_woodbury_rejects_indefinite_update():
@@ -528,11 +530,13 @@ def test_jacobian_sum_leaves_cached_arrays_alone():
 @pytest.mark.parametrize("point", [True, False])
 def test_cached_transposes_match_and_die_with_their_mesh(point):
     """No mesh context holds L, L' or C'.  C' m by the transposed product
-    equals C.T @ m bit for bit; the cached operators go when the mesh
-    goes."""
+    equals C.T @ m bit for bit.  On the dense route of point data a second
+    subproblem on the same mesh and observation shares the mesh's dense
+    M_V, M_Q and C'GC and has its own dense K.  The cached operators go
+    when the mesh goes."""
     mesh = refine(uniform_mesh(2), {0, 5, 9})
     sub = _random_subproblem(mesh, 7, point, 100.0)
-    ss.solve_kkt(sub, 1.0)
+    lu = ss.solve_kkt(sub, 1.0).factorization
     entries = fem._CONTEXTS[mesh]
     assert not {("L",), ("Lt",), ("slots", "V", "Q")} & entries.keys()
     assert not any(key[-1] == "Ct" for key in entries)
@@ -541,8 +545,24 @@ def test_cached_transposes_match_and_die_with_their_mesh(point):
         w = rng.standard_normal(sub.C.shape[0])
         assert np.array_equal(fem._transpose_product(sub.C, w), sub.C.T @ w)
     cached = [sub.C]
+    if point:
+        assert isinstance(lu, ss._DenseLU)
+        blocks = entries[("dense", sub.obs)]
+        other = ss.build_subproblem(
+            sub.problem, mesh, sub.q_old, Field(sub.V, 0.5 * sub.u_old.coeffs),
+            sub.q0, sub.obs, sub.data_g)
+        other_lu = ss.solve_kkt(other, 1.0).factorization
+        assert entries[("dense", sub.obs)] is blocks
+        assert sum(key[0] == "dense" for key in entries) == 1
+        M_V, M_Q, normal = blocks
+        assert other_lu.M_Q is lu.M_Q is M_Q
+        assert other_lu.normal is lu.normal is normal
+        assert other_lu.K is other.dense_K is not sub.dense_K
+        assert not np.array_equal(other.dense_K, sub.dense_K)
+        cached += [M_V, M_Q, normal, sub.dense_K, other.dense_K]
+        del blocks, other, other_lu, M_V, M_Q, normal
     dead = [weakref.ref(x) for x in [mesh] + cached]
-    del mesh, sub, entries, cached
+    del mesh, sub, entries, cached, lu
     gc.collect()
     assert all(ref() is None for ref in dead)
 

@@ -5,9 +5,12 @@
     python3 tools/row_digest.py dump after.json
     python3 tools/row_digest.py compare before.json after.json
 
-``dump`` runs the benchmark operations of ggn-l2 and nt-vs-ggn, with the
-configurations of ``perfbench/workloads.py``, at noise seeds 1-3: 3 GGN
-runs on L^2 data and 6 GGN/NT pairs per seed, 39 runs in all.  For every
+``dump`` runs the benchmark operations of ggn-l2 and nt-vs-ggn and the
+ggn-point operation, with the configurations of ``perfbench/workloads.py``,
+at noise seeds 1-3: one GGN run on L^2 data, 6 GGN/NT pairs and one GGN
+run on point data per seed, 42 runs in all.  ggn-point is the one that
+reaches the Woodbury route of the point-data KKT solve, above
+``DENSE_MAX_NV`` state dofs, and the switch to it.  For every
 run it writes each report row (floats as ``float.hex``), the termination,
 the warnings, the outer iteration count, the realized noise level delta,
 the control error, the forward-solve count, the monotonicity flags and
@@ -42,7 +45,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WORKLOADS = ("ggn-l2", "nt-vs-ggn")
+WORKLOADS = ("ggn-l2", "nt-vs-ggn", "ggn-point")
 SEEDS = (1, 2, 3)
 COLUMNS = ("k", "phase", "nodes", "beta", "rho", "i1h", "i2h", "i3h", "i4h",
            "eta1", "eta2", "stat_q", "stat_v", "stat_z")
@@ -177,7 +180,7 @@ def _first_row_diff(a: list, b: list) -> str:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = ap.add_subparsers(dest="command", required=True)
-    d = sub.add_parser("dump", help="run the 39 runs and write their digest")
+    d = sub.add_parser("dump", help="run the 42 runs and write their digest")
     d.add_argument("out")
     d.add_argument("--src", default=os.path.join(ROOT, "src"),
                    help="directory that holds the ggnfem package")
