@@ -269,6 +269,12 @@ class _Run:
     def __init__(self, problem, data, cfg, q0):
         if not 0.0 < cfg.beta_min <= cfg.beta0 <= cfg.beta_max:
             raise ValueError("need 0 < beta_min <= beta0 <= beta_max")
+        if not 0.0 < cfg.marking_fraction <= 1.0:
+            raise ValueError("need 0 < marking_fraction <= 1")
+        if not 1 <= cfg.coarse_levels <= cfg.max_depth:
+            raise ValueError("need 1 <= coarse_levels <= max_depth")
+        if cfg.max_beta_steps < 0:
+            raise ValueError("need max_beta_steps >= 0")
         self.problem = problem
         self.data = data
         self.cfg = cfg

@@ -18,9 +18,10 @@ interpolation defects; cellwise absolute contributions serve as
 refinement indicators.  The Lagrangian of the subproblem is quadratic,
 so its derivative L'(x)(w) is the linear part L''(x, w) plus the
 base-point terms L'(0)(w); both are written once, and eta2 reuses them
-for its Hessian and auxiliary-weight terms.  eta3 is identically zero
-by convention (the state-residual dual norm is taken as computed on the
-evaluation mesh) and eta4 is not computed.
+for its Hessian and auxiliary-weight terms; every field enters through
+the quadrature tables kept in its context by ``fem``.  eta3 is
+identically zero by convention (the state-residual dual norm is taken
+as computed on the evaluation mesh) and eta4 is not computed.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import fem
-from .fem import Field, patch_interpolate
+from .fem import patch_interpolate
 from .subsolver import KktSolution, LinearizedSubproblem
 
 __all__ = [
@@ -38,49 +39,16 @@ __all__ = [
     "compute_i3h",
 ]
 
-_NQ = fem.NQ_WEIGHTED
-
 
 # ---------------------------------------------------------------------------
 # cell-batch evaluation helpers
-
-
-class _CellData:
-    """Quadrature on every cell, with the base-point data of the pairings."""
-
-    def __init__(self, sub: LinearizedSubproblem):
-        self.mesh = sub.mesh
-        _, self.wts, _, grads_ref = fem._cell_quad_data(_NQ)
-        # (4, n_qp*2): the gradients at all points are one product with it.
-        self.grads_ref = grads_ref.transpose(1, 0, 2).reshape(4, -1)
-        self.h = self.mesh.cell_sizes()
-        self.h2 = self.h**2
-        self.q0 = self.vals(sub.q0)
-        self.u_old = fem._weighted_values(sub.u_old_h)
-        self.u_old3 = fem._cached(sub.u_old_h, ("cube",), lambda: self.u_old**3)
-        self.grad_u_old = self.grads(sub.u_old_h)
-
-    def vals(self, field: Field) -> np.ndarray:
-        """Values at the quadrature points, (n_cells, n_qp)."""
-        return fem._cell_values(field, self.mesh, _NQ)
-
-    def grads(self, field: Field) -> np.ndarray:
-        """Physical gradients at the quadrature points, (n_cells, n_qp, 2)."""
-        cv = field.full_values()[self.mesh.cell_corners]
-        g = (cv @ self.grads_ref).reshape(len(cv), -1, 2)
-        return g / self.h[:, None, None]
-
-    def integrate(self, integrand: np.ndarray) -> np.ndarray:
-        """Cellwise integrals of (n_cells, n_qp) integrand values."""
-        return self.h2 * (integrand @ self.wts)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("cqd,cqd->cq", a, b)
 
 
-def _hessian_cells(sol: KktSolution, cells: _CellData, x, weights,
-                   r=0.0) -> np.ndarray:
+def _hessian_cells(sol: KktSolution, x, weights, r=0.0) -> np.ndarray:
     """Cellwise L''(x, w) for fields x = (q, v, z) and weights (wq, wu, wz),
 
         (2/beta)(q, wq) + (z, wq) + 2 (C v + r, C wu)_G - (grad wu, grad z)
@@ -93,29 +61,28 @@ def _hessian_cells(sol: KktSolution, cells: _CellData, x, weights,
     depend on the point.
     """
     sub, (wq, wu, wz) = sol.sub, weights
-    q, v, z = (cells.vals(f) for f in x)
-    grad_v, grad_z = cells.grads(x[1]), cells.grads(x[2])
-    react = 3.0 * sub.problem.zeta * cells.u_old**2
+    q, v, z = map(fem._weighted_values, x)
+    grad_v, grad_z = map(fem._weighted_gradients, x[1:])
+    react = 3.0 * sub.problem.zeta * fem._weighted_values(sub.u_old_h)**2
     integrand = (((2.0 / sol.beta) * q + z) * wq.vals
                  + (q - react * v) * wz.vals - react * z * wu.vals
                  - _dot(wu.grads, grad_z) - _dot(grad_v, wz.grads))
-    return (cells.integrate(integrand)
+    return (fem._weighted_integrals(sub.mesh, integrand)
             + 2.0 * sub.obs.pair_cells(sub.mesh, sub.C @ x[1].coeffs + r, wu))
 
 
-def _lagrangian_cells(sol: KktSolution, cells: _CellData, x,
-                      weights) -> np.ndarray:
+def _lagrangian_cells(sol: KktSolution, x, weights) -> np.ndarray:
     """Cellwise L'(x)(w) = L''(x, w) + L'(0)(w), with the base-point terms
 
         L'(0)(w) = -(2/beta)(q0, wq) + 2 (r_g, C wu)_G
                    - (grad u_old, grad wz) - zeta (u_old^3, wz).
     """
     sub, (wq, _, wz) = sol.sub, weights
-    base = (-(2.0 / sol.beta) * cells.q0 * wq.vals
-            - _dot(cells.grad_u_old, wz.grads)
-            - sub.problem.zeta * cells.u_old3 * wz.vals)
-    return (_hessian_cells(sol, cells, x, weights, r=sub.r_g)
-            + cells.integrate(base))
+    base = (-(2.0 / sol.beta) * fem._weighted_values(sub.q0) * wq.vals
+            - _dot(fem._weighted_gradients(sub.u_old_h), wz.grads)
+            - sub.problem.zeta * fem._weighted_cubes(sub.u_old_h) * wz.vals)
+    return (_hessian_cells(sol, x, weights, r=sub.r_g)
+            + fem._weighted_integrals(sub.mesh, base))
 
 
 def estimate_eta1(sol: KktSolution, weights=None):
@@ -125,12 +92,9 @@ def estimate_eta1(sol: KktSolution, weights=None):
     Returns (signed estimate, |cell contribution| array).  A custom
     weight triple may be injected to check Galerkin orthogonality.
     """
-    sub = sol.sub
-    cells = _CellData(sub)
     if weights is None:
         weights = tuple(map(patch_interpolate, (sol.q, sol.u, sol.z)))
-    contrib = 0.5 * _lagrangian_cells(sol, cells, (sol.q, sol.v, sol.z),
-                                      weights)
+    contrib = 0.5 * _lagrangian_cells(sol, (sol.q, sol.v, sol.z), weights)
     return float(contrib.sum()), np.abs(contrib)
 
 
@@ -143,15 +107,13 @@ def estimate_eta2(sol: KktSolution, aux):
     the weights w of x_h and w1 of x1; cellwise magnitudes drive
     refinement in the regularization-parameter search.
     """
-    sub = sol.sub
-    cells = _CellData(sub)
     weights = tuple(map(patch_interpolate, (sol.q, sol.u, sol.z)))
     aux_weights = tuple(map(patch_interpolate, aux))
     # I2'(u_h)(wu) = 2 (C v_h + r_g, C wu)_G joins the Hessian's pairing.
-    r_lin = sub.misfit(sol.v.coeffs)[1]
+    r_lin = sol.sub.misfit(sol.v.coeffs)[1]
     contrib = 0.5 * (
-        _hessian_cells(sol, cells, aux, weights, r=r_lin)
-        + _lagrangian_cells(sol, cells, (sol.q, sol.v, sol.z), aux_weights))
+        _hessian_cells(sol, aux, weights, r=r_lin)
+        + _lagrangian_cells(sol, (sol.q, sol.v, sol.z), aux_weights))
     return float(contrib.sum()), np.abs(contrib)
 
 

@@ -47,8 +47,8 @@ and solvers, the V-to-Q inclusion, the cell origin tables, the patch
 table of the DWR weights, point locations, observation matrices C and
 the patch basis at the points, the dense KKT blocks per observation, and
 the containment maps into finer meshes -- is cached in one per-mesh
-context (``_cached``); a field's moment table, load vector, quadrature
-values and DWR weights are kept in a context of the field.
+context (``_cached``); a field's own context keeps its moment table,
+load vectors, DWR weights and its NQ_WEIGHTED values, cubes, gradients.
 Contexts sit in a ``WeakKeyDictionary`` keyed by their owner and hold
 nothing that refers back to it, so each one dies with its owner.  For
 the same reason a ``Space`` is a light view over its context entry and
@@ -561,15 +561,35 @@ def assemble_weighted_mass(space: Space, weight: "Field") -> sp.csr_matrix:
 def _cell_values(field: "Field", mesh: QuadMesh, nq: int) -> np.ndarray:
     """Values of a field at every quadrature point of every cell of mesh."""
     f = field if field.mesh is mesh else interpolate_onto(field, mesh)
-    pts, wts, shapes, _ = _cell_quad_data(nq)
-    corner_vals = f.full_values()[mesh.cell_corners]
-    return corner_vals @ shapes.T
+    return f.full_values()[mesh.cell_corners] @ _cell_quad_data(nq)[2].T
 
 
 def _weighted_values(field: "Field") -> np.ndarray:
     """The field at its cells' NQ_WEIGHTED points, kept in its context."""
     return _cached(field, ("values", NQ_WEIGHTED),
                    lambda: _cell_values(field, field.mesh, NQ_WEIGHTED))
+
+
+def _weighted_cubes(field: "Field") -> np.ndarray:
+    """The cubes of ``_weighted_values``, kept in the field's context."""
+    return _cached(field, ("cubes",), lambda: _weighted_values(field) ** 3)
+
+
+def _weighted_gradients(field: "Field") -> np.ndarray:
+    """The field's physical gradients at those points, kept likewise."""
+    def build():
+        # As (4, n_qp*2), the gradients at all points are one product with it.
+        table = _cell_quad_data(NQ_WEIGHTED)[3].transpose(1, 0, 2)
+        cv = field.full_values()[field.mesh.cell_corners]
+        g = (cv @ table.reshape(4, -1)).reshape(len(cv), -1, 2)
+        return g / field.mesh.cell_sizes()[:, None, None]
+
+    return _cached(field, ("gradients",), build)
+
+
+def _weighted_integrals(mesh: QuadMesh, f: np.ndarray) -> np.ndarray:
+    """Cellwise integrals of f, (n_cells, n_qp) values at those points."""
+    return mesh.cell_sizes() ** 2 * (f @ _cell_quad_data(NQ_WEIGHTED)[1])
 
 
 def assemble_functional(space: Space, f, nq: int = NQ_BASE) -> np.ndarray:
@@ -752,7 +772,7 @@ def _containment_map(src: QuadMesh, tgt: QuadMesh) -> np.ndarray:
 def _prolongation(src: QuadMesh, space: Space):
     """Rows of the prolongation from Q1 functions on ``src`` onto a space
     on a nested refinement: for each free vertex of the space, the corners
-    of the source leaf containing it and their shape values there."""
+    of the source leaf containing it and its local coordinates there."""
     mesh = space.mesh
     # Each free vertex lies in the closure of the source leaf that
     # contains one of its incident target cells.
@@ -762,7 +782,7 @@ def _prolongation(src: QuadMesh, space: Space):
     origin = np.take(np.column_stack([sx0, sy0]), sids, axis=0)
     local = ((np.take(mesh.vertices, space.free, axis=0) - origin)
              / np.take(sh, sids)[:, None])
-    return np.take(src.cell_corners, sids, axis=0), shape_values(local)
+    return np.take(src.cell_corners, sids, axis=0), local
 
 
 def interpolate_onto(field: "Field", mesh: QuadMesh) -> "Field":
@@ -774,9 +794,8 @@ def interpolate_onto(field: "Field", mesh: QuadMesh) -> "Field":
     if field.mesh is mesh:
         return field
     space = Space(mesh, field.space.kind)
-    corners, shapes = _prolongation(field.mesh, space)
-    return Field(space, np.einsum("ki,ki->k", field.full_values()[corners],
-                                  shapes))
+    corners, local = _prolongation(field.mesh, space)
+    return Field(space, bilinear(field.full_values()[corners], local))
 
 
 def _corner_moments(corner_vals: np.ndarray, form: str, h: np.ndarray):

@@ -86,6 +86,8 @@ class PointObs:
     normal_is_mass = False  # C*C has rank at most n_obs
 
     def __init__(self, n_side: int = 9):
+        if n_side < 1:
+            raise ValueError(f"need n_side >= 1, got {n_side}")
         t = np.arange(1, n_side + 1) / (n_side + 1)
         gx, gy = np.meshgrid(t, t, indexing="ij")
         self.points = np.column_stack([gx.ravel(), gy.ravel()])
@@ -169,18 +171,15 @@ class L2Obs:
 
     def misfit_sq(self, u: Field, g: np.ndarray) -> float:
         """|u - g|_L2^2 by quadrature on u's cells, g on u's Q space."""
-        mesh = u.mesh
-        uq = fem._cell_values(u, mesh, fem.NQ_WEIGHTED)
-        gq = fem._cell_values(Field(qspace(mesh), g), mesh, fem.NQ_WEIGHTED)
+        uq, gq = map(fem._weighted_values, (u, Field(qspace(u.mesh), g)))
         wts = fem._cell_quad_data(fem.NQ_WEIGHTED)[1]
-        h2 = mesh.cell_sizes() ** 2
+        h2 = u.mesh.cell_sizes() ** 2
         return float(np.einsum("c,cq,q->", h2, (uq - gq) ** 2, wts))
 
     def pair_cells(self, mesh, gvec: np.ndarray, weight) -> np.ndarray:
         """(g, w)_L2 per cell by quadrature, g a vector on mesh's Q."""
-        gq = fem._cell_values(Field(qspace(mesh), gvec), mesh, fem.NQ_WEIGHTED)
-        wts = fem._cell_quad_data(fem.NQ_WEIGHTED)[1]
-        return mesh.cell_sizes() ** 2 * ((gq * weight.vals) @ wts)
+        gq = fem._weighted_values(Field(qspace(mesh), gvec))
+        return fem._weighted_integrals(mesh, gq * weight.vals)
 
     def perturb(self, g: Field, p: float, rng):
         """g + p |g| r / |r| with iid uniform nodal r; (g_delta, delta).
@@ -250,7 +249,7 @@ def semilinear_residual(problem: ModelProblem, q: Field, u: Field, space: Space)
 def _cubic_term(space: Space, u: Field) -> np.ndarray:
     """(u^3, phi_i) by same-mesh quadrature (exact), kept in u's context."""
     return fem._cached(u, ("cubic", space.kind), lambda: fem._load_vector(
-        space, fem._weighted_values(u)**3, fem.NQ_WEIGHTED))
+        space, fem._weighted_cubes(u), fem.NQ_WEIGHTED))
 
 
 def linearized_state_operator(problem: ModelProblem, space: Space, u_base: Field) -> sp.csr_matrix:

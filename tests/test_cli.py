@@ -203,6 +203,8 @@ def test_missing_config_is_reported():
 
 
 _BETA_RANGE = "need 0 < beta_min <= beta0 <= beta_max"
+_MARKING = "need 0 < marking_fraction <= 1"
+_LEVELS = "need 1 <= coarse_levels <= max_depth"
 
 
 @pytest.mark.parametrize("flags, config, message", [
@@ -215,14 +217,24 @@ _BETA_RANGE = "need 0 < beta_min <= beta0 <= beta_max"
     (["run-nt"], "[nt]\nbeta0 = 0\n", _BETA_RANGE),
     (["run-ggn"], "[ggn]\nbeta0 = 1e20\n", _BETA_RANGE),
     (["run-nt"], "[nt]\ngn_cap = -1\n", "gn_cap >= 0"),
+    (["run-ggn"], "[ggn]\nmarking_fraction = 0\n", _MARKING),
+    (["run-ggn"], "[ggn]\nmarking_fraction = 2\n", _MARKING),
+    (["run-ggn"], "[ggn]\nmax_depth = 1\n", _LEVELS),
+    (["run-ggn"], "[ggn]\ncoarse_levels = 0\n", _LEVELS),
+    (["run-nt"], "[nt]\ncoarse_levels = 0\n", _LEVELS),
+    (["run-ggn"], "[ggn]\nmax_beta_steps = -1\n", "max_beta_steps >= 0"),
+    (["run-ggn"], "[experiment]\nn_points = 0\n", "n_side >= 1"),
 ], ids=["zeta-nan", "zeta-1e300", "noise-negative", "noise-nan",
         "beta0-zero", "beta0-zero-l2", "beta0-zero-nt", "beta0-above-max",
-        "gn-cap-negative"])
+        "gn-cap-negative", "marking-zero", "marking-two",
+        "depth-below-coarse", "coarse-zero", "coarse-zero-nt",
+        "beta-steps-negative", "points-zero"])
 def test_bad_zeta_or_noise_is_reported(tmp_path, capsys, flags, config,
                                        message):
-    """An out-of-range zeta, noise level, beta0 or gn_cap, or a truth
-    build that fails, ends with exit code 1 and one error line, not a
-    traceback.  beta0 and gn_cap come from a config file."""
+    """An out-of-range zeta, noise level, beta0, gn_cap, refinement
+    setting or observation lattice, or a truth build that fails, ends
+    with exit code 1 and one error line, not a traceback.  All but zeta
+    and the noise level come from a config file."""
     path = tmp_path / "run.cfg"
     path.write_text(config)
     rc = cli.main(["--config", str(path), "--fine-levels", "4",

@@ -129,6 +129,23 @@ def test_eta1_reuses_the_weights_eta2_built(monkeypatch):
     assert est.estimate_eta1(sol)[0] == eta1
 
 
+def test_eta1_reads_the_tables_eta2_built(monkeypatch):
+    """The quadrature tables of a field live in its context: eta1 of a
+    solution evaluates no field at the quadrature points after eta2 of
+    the same solution, and its tables give the fresh fields' value."""
+    *_, sub, sol = _instance()
+    est.estimate_eta2(sol, ss.solve_second_order(sol))
+    built = []
+    cell_values = fem._cell_values
+    monkeypatch.setattr(fem, "_cell_values",
+                        lambda *a: built.append(a[0]) or cell_values(*a))
+    eta1 = est.estimate_eta1(sol)[0]
+    assert built == []
+    monkeypatch.undo()
+    fresh = ss.solve_kkt(sub, sol.beta)
+    assert est.estimate_eta1(fresh)[0] == eta1
+
+
 def test_eta1_galerkin_orthogonality():
     prob, mesh, V, Q, obs, data, sub, sol = _instance()
     rng = np.random.default_rng(3)

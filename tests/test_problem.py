@@ -482,8 +482,8 @@ def prolongation_restrict(data, target_space):
     space."""
     g = data.g_delta
     coarse = target_space.mesh
-    corners, shapes = fem._prolongation(coarse, g.space)
-    weights = shapes * (g.space.mass() @ g.coeffs)[:, None]
+    corners, local = fem._prolongation(coarse, g.space)
+    weights = fem.shape_values(local) * (g.space.mass() @ g.coeffs)[:, None]
     full = np.bincount(corners.ravel(), weights=weights.ravel(),
                        minlength=coarse.n_vertices)
     return spla.spsolve(target_space.mass().tocsc(),

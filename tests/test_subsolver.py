@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg.lapack import dgetrf, dgetrs
 
-from ggnfem import fem, problem as pb, subsolver as ss
+from ggnfem import estimators as est, fem, problem as pb, subsolver as ss
 from ggnfem.fem import Field, qspace, vspace
 from ggnfem.mesh import refine, uniform_mesh
 
@@ -301,16 +301,20 @@ def test_solved_subproblem_dies_by_reference_counting(point, levels, route):
     """A solution holds its subproblem and its route (the Woodbury route
     holds the subproblem too); the subproblem holds neither, so a solved
     subproblem and its solution go by reference counting alone (a cycle
-    would keep the mesh's cached operators until a collection)."""
+    would keep the mesh's cached operators until a collection).  The
+    estimators' tables and weights in the fields' contexts add none."""
     sub = _random_subproblem(refine(uniform_mesh(levels), {0, 5}), 0, point,
                              100.0)
     sol = ss.solve_kkt(sub, 1.0)
-    ss.solve_second_order(sol)
+    aux = ss.solve_second_order(sol)
+    est.estimate_eta2(sol, aux)
+    est.estimate_eta1(sol)
     assert isinstance(sol.factorization, route)
-    dead = [weakref.ref(sub), weakref.ref(sol)]
+    dead = [weakref.ref(sub), weakref.ref(sol), weakref.ref(sol.u),
+            weakref.ref(sub.u_old_h)]
     gc.disable()
     try:
-        del sub, sol
+        del sub, sol, aux
         assert all(ref() is None for ref in dead)
     finally:
         gc.enable()
