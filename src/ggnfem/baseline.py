@@ -28,6 +28,8 @@ from .mesh import refine  # noqa: F401  (bound here for tracing)
 
 __all__ = ["NtConfig", "run_nt"]
 
+STEP_FLOOR = 1.0 / 32.0  # the smallest step of a fit's line search
+
 
 @dataclass
 class NtConfig(AdaptiveConfig):
@@ -80,7 +82,9 @@ def _gn_fit(problem, obs, obs_data, mesh, beta, q_start, u_warm, cfg):
         if rel_change <= cfg.gn_tol or it == cfg.gn_cap:
             break  # the fixed-point triple for the indicator
         dq = sol.q.coeffs - q.coeffs
-        step = 1.0
+        # Where the linearized model predicts no decrease, start at the floor.
+        pred = j_old - sol.misfit_sq() - est._reg_term(sol)
+        step = 1.0 if pred > 0 else STEP_FLOOR
         while True:
             q_c = Field(Q, q.coeffs + step * dq)
             u_c = pb.solve_forward(
@@ -88,7 +92,7 @@ def _gn_fit(problem, obs, obs_data, mesh, beta, q_start, u_warm, cfg):
                 u_init=Field(V, u.coeffs + step * sol.v.coeffs))
             n_forward += 1
             j_new, disc2_c = j_value(q_c, u_c)
-            if j_new <= j_old or step < 1.0 / 16.0:
+            if j_new <= j_old or step <= STEP_FLOOR:
                 break
             step *= 0.5
         rel_change = np.abs(step * dq).max() / max(1.0, np.abs(q.coeffs).max())

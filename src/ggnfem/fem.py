@@ -30,6 +30,12 @@ their data adds the matrices.  Other per-mesh operators (T, C, the V-to-Q
 inclusion) are built from index arrays, entry for entry as the
 sparse products they replace.
 
+Every cell integral takes one tensor Gauss rule, NQ = 3 points per axis,
+exact to degree 5 in each variable.  On a leaf a Q1 field has degree 1
+per variable and a DWR weight degree 2, so every integrand here is exact:
+(u^3, phi) and (u^2 v, phi) have degree 4, the estimators' (u^2 v, w) and
+(u^3, w) 5, and gradient pairings and the L^2 misfit and pairing <= 3.
+
 Only stiffness matrices are factorized (``symmetric_lu``), once per mesh.
 
 The truth build on the uniform simulation mesh assembles nothing.  That
@@ -48,7 +54,7 @@ table of the DWR weights, point locations, observation matrices C and
 the patch basis at the points, the dense KKT blocks per observation, and
 the containment maps into finer meshes -- is cached in one per-mesh
 context (``_cached``); a field's own context keeps its moment table,
-load vectors, DWR weights and its NQ_WEIGHTED values, cubes, gradients.
+load vectors, DWR weights and its quadrature values, cubes, gradients.
 Contexts sit in a ``WeakKeyDictionary`` keyed by their owner and hold
 nothing that refers back to it, so each one dies with its owner.  For
 the same reason a ``Space`` is a light view over its context entry and
@@ -93,8 +99,7 @@ __all__ = [
     "write_field_csv",
 ]
 
-NQ_BASE = 3  # tensor Gauss order for bilinear forms with Q1 data
-NQ_WEIGHTED = 4  # order for cubic-weight terms and estimator pairings
+NQ = 3  # tensor Gauss order of every cell integral (module docstring)
 
 
 def gauss_points(n: int):
@@ -365,23 +370,13 @@ def _transpose_product(A: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
 # assembly
 
 
-@functools.cache
-def _cell_quad_data(nq: int):
-    """Reference-cell quadrature tables (points, weights, shapes, gradients).
-
-    They do not depend on the mesh, so they are built once per order.
-    """
-    pts, wts = gauss_points(nq)
-    return pts, wts, shape_values(pts), shape_gradients(pts)
-
-
-@functools.cache
-def _product_tables(nq: int):
-    """Weighted shape tables: wts_q phi_i, (nq*nq, 4), and the element
-    mass integrand R[q, 4i+j] = wts_q phi_i phi_j, (nq*nq, 16)."""
-    _, wts, shapes, _ = _cell_quad_data(nq)
-    load = wts[:, None] * shapes
-    return load, (load[:, :, None] * shapes[:, None, :]).reshape(-1, 16)
+# The rule on the reference cell: points, weights, shape values and
+# gradients, the load integrand wts_q phi_i (NQ^2, 4) and the element mass
+# integrand wts_q phi_i phi_j (NQ^2, 16), row q, column 4i + j.
+_PTS, _WTS = gauss_points(NQ)
+_SHAPES, _GRADS = shape_values(_PTS), shape_gradients(_PTS)
+_LOADS = _WTS[:, None] * _SHAPES
+_MASSES = (_LOADS[:, :, None] * _SHAPES[:, None, :]).reshape(-1, 16)
 
 
 def _cell_origin_arrays(mesh: QuadMesh):
@@ -523,10 +518,9 @@ def _assemble(space_row: Space, space_col: Space,
 @functools.cache
 def _element_matrix(form: str) -> np.ndarray:
     """(4, 4) "mass" (times h^2) or "stiffness" matrix of a cell."""
-    _, wts, _, grads = _cell_quad_data(NQ_BASE)
     if form == "mass":
-        return _product_tables(NQ_BASE)[1].sum(axis=0).reshape(4, 4)
-    return np.einsum("q,qid,qjd->ij", wts, grads, grads)
+        return _MASSES.sum(axis=0).reshape(4, 4)
+    return np.einsum("q,qid,qjd->ij", _WTS, _GRADS, _GRADS)
 
 
 def assemble_stiffness(space: Space) -> sp.csr_matrix:
@@ -536,7 +530,7 @@ def assemble_stiffness(space: Space) -> sp.csr_matrix:
 
 
 def assemble_mass(space_row: Space, space_col: Space) -> sp.csr_matrix:
-    """Condensed matrix of (u, v), exact for Q1 under the base rule."""
+    """Condensed matrix of (u, v), exact for Q1."""
     if space_row.mesh is not space_col.mesh:
         raise ValueError("mass assembly requires one mesh; use cross-mesh "
                          "evaluation to move fields first")
@@ -554,20 +548,18 @@ def assemble_weighted_mass(space: Space, weight: "Field") -> sp.csr_matrix:
     mesh = space.mesh
     wvals = _weighted_values(interpolate_onto(weight, mesh))
     h2 = mesh.cell_sizes() ** 2
-    elems = (h2[:, None] * wvals**2) @ _product_tables(NQ_WEIGHTED)[1]
+    elems = (h2[:, None] * wvals**2) @ _MASSES
     return _assemble(space, space, elems)
 
 
-def _cell_values(field: "Field", mesh: QuadMesh, nq: int) -> np.ndarray:
-    """Values of a field at every quadrature point of every cell of mesh."""
-    f = field if field.mesh is mesh else interpolate_onto(field, mesh)
-    return f.full_values()[mesh.cell_corners] @ _cell_quad_data(nq)[2].T
+def _cell_values(field: "Field") -> np.ndarray:
+    """Values of a field at every quadrature point of each of its cells."""
+    return field.full_values()[field.mesh.cell_corners] @ _SHAPES.T
 
 
 def _weighted_values(field: "Field") -> np.ndarray:
-    """The field at its cells' NQ_WEIGHTED points, kept in its context."""
-    return _cached(field, ("values", NQ_WEIGHTED),
-                   lambda: _cell_values(field, field.mesh, NQ_WEIGHTED))
+    """``_cell_values`` of a field, kept in its context."""
+    return _cached(field, ("values",), lambda: _cell_values(field))
 
 
 def _weighted_cubes(field: "Field") -> np.ndarray:
@@ -579,7 +571,7 @@ def _weighted_gradients(field: "Field") -> np.ndarray:
     """The field's physical gradients at those points, kept likewise."""
     def build():
         # As (4, n_qp*2), the gradients at all points are one product with it.
-        table = _cell_quad_data(NQ_WEIGHTED)[3].transpose(1, 0, 2)
+        table = _GRADS.transpose(1, 0, 2)
         cv = field.full_values()[field.mesh.cell_corners]
         g = (cv @ table.reshape(4, -1)).reshape(len(cv), -1, 2)
         return g / field.mesh.cell_sizes()[:, None, None]
@@ -589,28 +581,27 @@ def _weighted_gradients(field: "Field") -> np.ndarray:
 
 def _weighted_integrals(mesh: QuadMesh, f: np.ndarray) -> np.ndarray:
     """Cellwise integrals of f, (n_cells, n_qp) values at those points."""
-    return mesh.cell_sizes() ** 2 * (f @ _cell_quad_data(NQ_WEIGHTED)[1])
+    return mesh.cell_sizes() ** 2 * (f @ _WTS)
 
 
-def assemble_functional(space: Space, f, nq: int = NQ_BASE) -> np.ndarray:
+def assemble_functional(space: Space, f) -> np.ndarray:
     """Vector of (f, phi_i) over free nodes; f is a callable or a Field."""
     mesh = space.mesh
     if isinstance(f, Field):  # its vector is kept in its context on mesh
         f = interpolate_onto(f, mesh)
-        return _cached(f, ("load", space.kind, nq), lambda: _load_vector(
-            space, _cell_values(f, mesh, nq), nq))
-    pts = _cell_quad_data(nq)[0]
+        return _cached(f, ("load", space.kind), lambda: _load_vector(
+            space, _weighted_values(f)))
     x0, y0, h = _cell_origin_arrays(mesh)
-    gx = x0[:, None] + h[:, None] * pts[None, :, 0]
-    gy = y0[:, None] + h[:, None] * pts[None, :, 1]
-    return _load_vector(space, f(gx, gy), nq)
+    gx = x0[:, None] + h[:, None] * _PTS[None, :, 0]
+    gy = y0[:, None] + h[:, None] * _PTS[None, :, 1]
+    return _load_vector(space, f(gx, gy))
 
 
-def _load_vector(space: Space, fvals: np.ndarray, nq: int) -> np.ndarray:
+def _load_vector(space: Space, fvals: np.ndarray) -> np.ndarray:
     """Vector of (f, phi_i) over free nodes from the values of f at every
-    quadrature point of every cell, (n_cells, nq*nq)."""
+    quadrature point of every cell, (n_cells, NQ*NQ)."""
     h2 = space.mesh.cell_sizes() ** 2
-    cell_loads = (h2[:, None] * fvals) @ _product_tables(nq)[0]
+    cell_loads = (h2[:, None] * fvals) @ _LOADS
     keep = _q_dofs(space.mesh, space.kind)[0]
     return (_load_map(space.mesh) @ cell_loads.ravel())[keep]
 
@@ -691,37 +682,36 @@ _PAIR_CELLS = {-1: ((-1, 1),), 0: ((-1, 2), (0, 0)), 1: ((0, 1),)}
 _BLOCK = 1 << 13  # cells per block of _grid_integrals; its tables stay small
 
 
-def _grid_integrals(field: "Field", nq: int, power: int, basis) -> np.ndarray:
+def _grid_integrals(field: "Field", power: int, basis) -> np.ndarray:
     """Cell integrals (f^power, b_k(s) b_l(t)) of a field f on its uniform
-    mesh under the nq x nq Gauss rule, for the 1D functions basis(x)
-    (..., K) of the local coordinates: shape (K, K, n, n), k along x, l
-    along y, cells row-major.  Blocks of cell rows are done one
-    at a time, so no (n_cells, nq^2) table is formed."""
+    mesh, for the 1D functions basis(x) (..., K) of the local
+    coordinates: shape (K, K, n, n), k along x, l along y, cells
+    row-major.  Blocks of cell rows are done one at a time, so no
+    (n_cells, NQ^2) table is formed."""
     n = 1 << field.mesh.max_level
     vals = (field.space.T @ field.coeffs).reshape(n + 1, n + 1)
-    pts, wts, shapes, _ = _cell_quad_data(nq)
-    bs, bt = basis(pts[:, 0]), basis(pts[:, 1])
+    bs, bt = basis(_PTS[:, 0]), basis(_PTS[:, 1])
     k = bs.shape[1]
-    table = ((wts / n**2)[:, None, None] * bs[:, :, None] * bt[:, None, :])
+    table = ((_WTS / n**2)[:, None, None] * bs[:, :, None] * bt[:, None, :])
     out = np.empty((k, k, n, n))
     rows = max(1, _BLOCK // n)
     for r in range(0, n, rows):
         v = vals[r:r + rows + 1]
         corners = np.stack([v[:-1, :-1], v[:-1, 1:], v[1:, :-1], v[1:, 1:]],
                            axis=-1)
-        f = corners.reshape(-1, 4) @ shapes.T  # (cells, nq^2)
+        f = corners.reshape(-1, 4) @ _SHAPES.T  # (cells, NQ^2)
         fp = f
         for _ in range(power - 1):
             fp = fp * f
-        out[:, :, r:r + rows] = (fp @ table.reshape(len(wts), -1)).T.reshape(
+        out[:, :, r:r + rows] = (fp @ table.reshape(len(_WTS), -1)).T.reshape(
             k, k, -1, n)
     return out
 
 
-def _grid_functional(field: "Field", nq: int, power: int = 1) -> np.ndarray:
+def _grid_functional(field: "Field", power: int = 1) -> np.ndarray:
     """V vector of (f^power, phi_i), f a field on a uniform mesh: cell
     loads scattered onto the vertex grid."""
-    loads = _grid_integrals(field, nq, power,
+    loads = _grid_integrals(field, power,
                             lambda x: np.column_stack([1 - x, x]))
     n = loads.shape[-1]
     grid = np.zeros((n + 1, n + 1))
@@ -731,9 +721,9 @@ def _grid_functional(field: "Field", nq: int, power: int = 1) -> np.ndarray:
 
 
 def _grid_weighted_mass(field: "Field") -> _Stencil:
-    """Stencil of (f^2 u, v) on V of a field's uniform mesh, under the
-    NQ_WEIGHTED rule, as ``assemble_weighted_mass``."""
-    c = _grid_integrals(field, NQ_WEIGHTED, 2, lambda x: np.column_stack(
+    """Stencil of (f^2 u, v) on V of a field's uniform mesh, as
+    ``assemble_weighted_mass``."""
+    c = _grid_integrals(field, 2, lambda x: np.column_stack(
         [(1 - x) ** 2, (1 - x) * x, x**2]))
     n = c.shape[-1]
     coeffs = np.zeros((3, 3, n - 1, n - 1))  # one block, freed as one
@@ -901,14 +891,13 @@ _LEAF_NODES = np.array([[0, 1, 3, 4], [1, 2, 4, 5], [3, 4, 6, 7], [4, 5, 7, 8]])
 
 
 @functools.cache
-def _patch_basis_table(nq: int):
+def _patch_basis_table():
     """``_patch_basis`` at the quadrature points for the 4 child
-    positions: the values (9, 4 * nq*nq) and the derivatives
-    (9, 4 * nq*nq * 2), laid out for one product each with the patch
+    positions: the values (9, 4 * NQ*NQ) and the derivatives
+    (9, 4 * NQ*NQ * 2), laid out for one product each with the patch
     node values."""
-    pts = _cell_quad_data(nq)[0]
-    table = _patch_basis(np.repeat(np.arange(4), len(pts)),
-                         np.tile(pts, (4, 1))).transpose(1, 0, 2)
+    table = _patch_basis(np.repeat(np.arange(4), len(_PTS)),
+                         np.tile(_PTS, (4, 1))).transpose(1, 0, 2)
     vals = np.ascontiguousarray(table[..., 0])
     grads = np.ascontiguousarray(table[..., 1:]).reshape(9, -1)
     vals.flags.writeable = grads.flags.writeable = False
@@ -927,7 +916,7 @@ class PatchWeight:
     node) fall back to the identity, i.e. zero weight.
 
     ``vals`` (n_cells, n_qp) and ``grads`` (n_cells, n_qp, 2) hold the
-    weight at the NQ_WEIGHTED quadrature points of every cell; ``at``
+    weight at the quadrature points of every cell; ``at``
     evaluates it at given (cell, local point) pairs, ``at_points`` at
     observation points (patch basis cached in the mesh's context).
     """
@@ -940,7 +929,7 @@ class PatchWeight:
                                     field.full_values()[nodes], 0.0)
         # All 4 child positions in one product each, then each cell's own;
         # scaling the node values by 1/h makes the derivatives physical.
-        tv, tg = _patch_basis_table(NQ_WEIGHTED)
+        tv, tg = _patch_basis_table()
         n = mesh.n_cells
         cells = np.arange(n)
         self.vals = (self._patch_vals @ tv).reshape(n, 4, -1)[cells, self._pos]

@@ -172,9 +172,8 @@ class L2Obs:
     def misfit_sq(self, u: Field, g: np.ndarray) -> float:
         """|u - g|_L2^2 by quadrature on u's cells, g on u's Q space."""
         uq, gq = map(fem._weighted_values, (u, Field(qspace(u.mesh), g)))
-        wts = fem._cell_quad_data(fem.NQ_WEIGHTED)[1]
         h2 = u.mesh.cell_sizes() ** 2
-        return float(np.einsum("c,cq,q->", h2, (uq - gq) ** 2, wts))
+        return float(np.einsum("c,cq,q->", h2, (uq - gq) ** 2, fem._WTS))
 
     def pair_cells(self, mesh, gvec: np.ndarray, weight) -> np.ndarray:
         """(g, w)_L2 per cell by quadrature, g a vector on mesh's Q."""
@@ -249,7 +248,7 @@ def semilinear_residual(problem: ModelProblem, q: Field, u: Field, space: Space)
 def _cubic_term(space: Space, u: Field) -> np.ndarray:
     """(u^3, phi_i) by same-mesh quadrature (exact), kept in u's context."""
     return fem._cached(u, ("cubic", space.kind), lambda: fem._load_vector(
-        space, fem._weighted_cubes(u), fem.NQ_WEIGHTED))
+        space, fem._weighted_cubes(u)))
 
 
 def linearized_state_operator(problem: ModelProblem, space: Space, u_base: Field) -> sp.csr_matrix:
@@ -302,10 +301,10 @@ class _GridForward:
         self.solver = fem._SineSolver(level)
 
     def load(self, q: Field) -> np.ndarray:
-        return fem._grid_functional(q, fem.NQ_BASE)
+        return fem._grid_functional(q)
 
     def cubic(self, u: Field) -> np.ndarray:
-        return fem._grid_functional(u, fem.NQ_WEIGHTED, 3)
+        return fem._grid_functional(u, 3)
 
     def jacobian(self, u: Field):
         if not self.zeta:

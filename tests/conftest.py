@@ -4,12 +4,14 @@ and noisy bundles are cached per configuration for the whole session.
 Also the hypothesis profile of the suite, derandomized so every run
 draws the same examples, and the shared mesh strategies: refinement
 sequences, their replay on a mesh module, graded meshes, and one fixed
-graded mesh with many hanging vertices."""
+graded mesh with many hanging vertices; and a test's own Gauss rule,
+independent of the package's ``fem.NQ``, with a field's values at its
+points."""
 
 import pytest
 from hypothesis import assume, settings, strategies as st
 
-from ggnfem import baseline as bl, driver as dv, problem as pb
+from ggnfem import baseline as bl, driver as dv, fem, problem as pb
 from ggnfem import mesh as mesh_module
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
@@ -111,3 +113,15 @@ def hanging_mesh():
         mesh = mesh_module.refine(mesh, set(range(0, mesh.n_cells, 3)),
                                   max_level=7)
     return mesh
+
+
+def gauss_rule(n):
+    """The n x n Gauss rule on the unit square: (points, weights, shape
+    values, shape gradients), built from ``fem.gauss_points`` alone."""
+    pts, wts = fem.gauss_points(n)
+    return pts, wts, fem.shape_values(pts), fem.shape_gradients(pts)
+
+
+def cell_values(field, shapes):
+    """A field at the points of ``shapes`` (n_qp, 4) in each of its cells."""
+    return field.full_values()[field.mesh.cell_corners] @ shapes.T

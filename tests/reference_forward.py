@@ -18,10 +18,15 @@ from ggnfem.problem import ForwardSolveError, _pcg
 
 __all__ = ["linearized_state_operator", "solve_forward"]
 
+# The cubic term at 3 x 3 Gauss points built here, not read from fem: the
+# solves are compared bit for bit, which holds only under the same rule, so
+# a rule of fem other than 3 x 3 fails the comparison.
+_SHAPES = fem.shape_values(fem.gauss_points(3)[0])
+
 
 def _cubic_term(space, u):
-    uv = fem._cell_values(u, space.mesh, fem.NQ_WEIGHTED)
-    return fem._load_vector(space, uv**3, fem.NQ_WEIGHTED)
+    uv = u.full_values()[space.mesh.cell_corners] @ _SHAPES.T
+    return fem._load_vector(space, uv**3)
 
 
 def linearized_state_operator(problem, space, u_base):

@@ -17,6 +17,7 @@ from ggnfem.mesh import refine, uniform_mesh
 
 import reference_operators
 import theory_suite as th
+from conftest import cell_values, gauss_rule
 
 ZETAS = (1.0, 10.0, 100.0, 500.0, 1000.0)
 NOISES = (0.005, 0.01, 0.02, 0.04, 0.08)
@@ -49,8 +50,8 @@ def test_criterion_2_fem_kernel():
             V, lambda x, y: 2 * np.pi**2 * np.sin(np.pi * x)
             * np.sin(np.pi * y))
         u = Field(V, V.stiffness_solver().solve(load))
-        pts, wts, _, _ = fem._cell_quad_data(4)
-        uv = fem._cell_values(u, mesh, 4)
+        pts, wts, shapes, _ = gauss_rule(4)
+        uv = cell_values(u, shapes)
         x0, y0, h = fem._cell_origin_arrays(mesh)
         gx = x0[:, None] + h[:, None] * pts[None, :, 0]
         gy = y0[:, None] + h[:, None] * pts[None, :, 1]

@@ -18,9 +18,12 @@ from ggnfem.fem import Field, qspace, vspace
 from ggnfem.mesh import refine, uniform_mesh
 
 import kkt_oracle
-from conftest import graded_meshes
+from conftest import cell_values, gauss_rule, graded_meshes
 
 RTOL = 1e-13
+# The cubic term and the weighted mass have degree 4 per variable: a rule
+# beyond the package's one checks that fem.NQ integrates them exactly.
+EXACT = gauss_rule(4)
 
 
 def _reference_assemble(space_row, space_col, elems):
@@ -35,14 +38,14 @@ def _reference_assemble(space_row, space_col, elems):
 
 
 def _reference_stiffness(space):
-    _, wts, _, grads = fem._cell_quad_data(fem.NQ_BASE)
+    _, wts, _, grads = gauss_rule(fem.NQ)
     ref = np.einsum("q,qid,qjd->ij", wts, grads, grads)
     return _reference_assemble(
         space, space, np.broadcast_to(ref, (space.mesh.n_cells, 4, 4)))
 
 
 def _reference_mass(space_row, space_col):
-    _, wts, shapes, _ = fem._cell_quad_data(fem.NQ_BASE)
+    _, wts, shapes, _ = gauss_rule(fem.NQ)
     ref = np.einsum("q,qi,qj->ij", wts, shapes, shapes)
     h2 = space_row.mesh.cell_sizes() ** 2
     return _reference_assemble(space_row, space_col,
@@ -51,16 +54,16 @@ def _reference_mass(space_row, space_col):
 
 def _reference_weighted_mass(space, weight):
     mesh = space.mesh
-    wvals = fem._cell_values(weight, mesh, fem.NQ_WEIGHTED)
-    _, wts, shapes, _ = fem._cell_quad_data(fem.NQ_WEIGHTED)
+    _, wts, shapes, _ = EXACT
+    wvals = cell_values(weight, shapes)
     elems = np.einsum("c,cq,q,qi,qj->cij", mesh.cell_sizes() ** 2,
                       wvals**2, wts, shapes, shapes)
     return _reference_assemble(space, space, elems)
 
 
-def _reference_load(space, fvals, nq):
+def _reference_load(space, fvals, rule):
     mesh = space.mesh
-    _, wts, shapes, _ = fem._cell_quad_data(nq)
+    _, wts, shapes, _ = rule
     loads = np.einsum("c,cq,q,qi->ci", mesh.cell_sizes() ** 2, fvals, wts,
                       shapes)
     full = np.zeros(mesh.n_vertices)
@@ -112,20 +115,19 @@ def test_plan_assembly_matches_reference(mesh, seed):
         _close(fem.assemble_weighted_mass(space, w),
                _reference_weighted_mass(space, w))
         _close(fem.assemble_functional(space, w),
-               _reference_load(space, fem._cell_values(w, mesh, fem.NQ_BASE),
-                               fem.NQ_BASE))
+               _reference_load(space, cell_values(w, EXACT[2]), EXACT))
     _close(fem.assemble_mass(V, Q), _reference_mass(V, Q))
     u = Field(V, rng.uniform(-1.0, 1.0, V.dim))
-    uv = fem._cell_values(u, mesh, fem.NQ_WEIGHTED)
-    _close(pb._cubic_term(V, u), _reference_load(V, uv**3, fem.NQ_WEIGHTED))
+    uv = cell_values(u, EXACT[2])
+    _close(pb._cubic_term(V, u), _reference_load(V, uv**3, EXACT))
     # The callable branch of the load vector goes through the same map.
     f = lambda x, y: np.sin(3 * x) * (1 + y)  # noqa: E731
     x0, y0, h = fem._cell_origin_arrays(mesh)
-    pts = fem._cell_quad_data(fem.NQ_BASE)[0]
+    pts = gauss_rule(fem.NQ)[0]
     fvals = f(x0[:, None] + h[:, None] * pts[None, :, 0],
               y0[:, None] + h[:, None] * pts[None, :, 1])
     _close(fem.assemble_functional(Q, f),
-           _reference_load(Q, fvals, fem.NQ_BASE))
+           _reference_load(Q, fvals, gauss_rule(fem.NQ)))
 
 
 @settings(max_examples=6, deadline=None)

@@ -141,6 +141,35 @@ def test_nt_rows_do_not_depend_on_the_forward_start(monkeypatch):
     assert cold == warm
 
 
+@pytest.mark.parametrize("scale", [1 + 1e-12, 1 - 1e-12],
+                         ids=["up", "down"])
+def test_nt_does_not_decide_at_rounding_level(monkeypatch, scale):
+    """The pinned NT runs decide the same with every forward solution
+    scaled by 1 +- 1e-12: k, phase, nodes, beta and termination are
+    unchanged and the control errors agree to 1e-10.  A fit whose model
+    predicts no decrease takes its floor step at once, so its step does
+    not depend on j_new <= j_old at rounding level.  The forward-solve
+    counts may differ: such trials fail and end on the same floor step."""
+    def lines(reports):
+        return {name: (rep.termination,
+                       [(r.k, r.phase, r.nodes, r.beta) for r in rep.rows])
+                for name, rep in reports.items()}
+
+    def scaled_solve(*args, **kwargs):
+        u = solve(*args, **kwargs)
+        return Field(u.space, scale * u.coeffs)
+
+    exact = pinned_runs(methods=("nt",))
+    solve = bl.pb.solve_forward
+    monkeypatch.setattr(bl.pb, "solve_forward", scaled_solve)
+    scaled = pinned_runs(methods=("nt",))
+    assert len(exact) == 4
+    assert lines(scaled) == lines(exact)
+    for name, rep in scaled.items():
+        assert rep.control_error == pytest.approx(
+            exact[name].control_error, rel=1e-10, abs=0.0), name
+
+
 def test_gn_cap_is_reported(sims, nt_runs):
     """A fit stopped by gn_cap before its step fell to gn_tol is not a
     fixed point; the report says so, naming the cap."""

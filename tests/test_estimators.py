@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -5,7 +7,7 @@ from ggnfem import estimators as est, fem, problem as pb, subsolver as ss
 from ggnfem.fem import Field, patch_interpolate, qspace, vspace
 from ggnfem.mesh import refine, uniform_mesh
 
-from conftest import graded_meshes
+from conftest import cell_values, gauss_rule, graded_meshes
 
 
 class FieldWeight:
@@ -20,7 +22,7 @@ class FieldWeight:
         self.mesh = mesh = field.mesh
         self.h = mesh.cell_sizes()
         self.corner_vals = field.full_values()[mesh.cell_corners]
-        pts = fem._cell_quad_data(fem.NQ_WEIGHTED)[0]
+        pts = fem._PTS
         self.vals = self.corner_vals @ fem.shape_values(pts).T
         self.grads = np.einsum("ci,qid->cqd", self.corner_vals,
                                fem.shape_gradients(pts)) / self.h[:, None, None]
@@ -136,9 +138,9 @@ def test_eta1_reads_the_tables_eta2_built(monkeypatch):
     *_, sub, sol = _instance()
     est.estimate_eta2(sol, ss.solve_second_order(sol))
     built = []
-    cell_values = fem._cell_values
+    original = fem._cell_values
     monkeypatch.setattr(fem, "_cell_values",
-                        lambda *a: built.append(a[0]) or cell_values(*a))
+                        lambda *a: built.append(a[0]) or original(*a))
     eta1 = est.estimate_eta1(sol)[0]
     assert built == []
     monkeypatch.undo()
@@ -274,13 +276,16 @@ def test_qoi_invariant_under_renumbering():
 
 
 def _reference_etas(sub, sol, aux):
-    """Cellwise eta1 and eta2 contributions, every term written out."""
+    """Cellwise eta1 and eta2 contributions, every term written out,
+    under a rule beyond the package's one: the degree-5 integrands check
+    that fem.NQ integrates them exactly."""
     mesh = sub.mesh
-    _, wts, _, grads_ref = fem._cell_quad_data(fem.NQ_WEIGHTED)
+    pts, wts, shapes, grads_ref = gauss_rule(4)
     h = mesh.cell_sizes()
+    cells = np.arange(mesh.n_cells).repeat(len(pts))
 
     def vals(f):
-        return fem._cell_values(f, mesh, fem.NQ_WEIGHTED)
+        return cell_values(f, shapes)
 
     def grads(f):
         cv = f.full_values()[mesh.cell_corners]
@@ -291,6 +296,13 @@ def _reference_etas(sub, sol, aux):
 
     def dot(a, b):
         return np.einsum("cqd,cqd->cq", a, b)
+
+    def weight(f):  # the DWR weight of f at this rule's points
+        w = patch_interpolate(f)
+        wv, wg = w.at(cells, np.tile(pts, (mesh.n_cells, 1)))
+        return types.SimpleNamespace(vals=wv.reshape(mesh.n_cells, -1),
+                                     grads=wg.reshape(mesh.n_cells, -1, 2),
+                                     at=w.at)
 
     def obs_pairing(gvec, w):
         if isinstance(sub.obs, pb.PointObs):
@@ -317,8 +329,8 @@ def _reference_etas(sub, sol, aux):
         t += integrate(q_h * wz.vals)
         return t
 
-    w = tuple(patch_interpolate(f) for f in (sol.q, sol.u, sol.z))
-    w1 = tuple(patch_interpolate(f) for f in aux)
+    w = tuple(weight(f) for f in (sol.q, sol.u, sol.z))
+    w1 = tuple(weight(f) for f in aux)
     wq, wu, wz = w
     q1, v1, z1 = (vals(f) for f in aux)
     gv1, gz1 = grads(aux[1]), grads(aux[2])

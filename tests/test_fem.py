@@ -10,13 +10,13 @@ from ggnfem.fem import (Field, assemble_functional, assemble_mass,
 from ggnfem.mesh import refine, uniform_mesh
 
 import reference_writers
-from conftest import graded_meshes, hanging_mesh
+from conftest import cell_values, gauss_rule, graded_meshes, hanging_mesh
 
 
 def _l2_error(u: Field, exact):
     mesh = u.mesh
-    pts, wts, _, _ = fem._cell_quad_data(4)
-    uv = fem._cell_values(u, mesh, 4)
+    pts, wts, shapes, _ = gauss_rule(4)
+    uv = cell_values(u, shapes)
     x0, y0, h = fem._cell_origin_arrays(mesh)
     gx = x0[:, None] + h[:, None] * pts[None, :, 0]
     gy = y0[:, None] + h[:, None] * pts[None, :, 1]
@@ -246,11 +246,10 @@ def test_bilinear_at_child_gauss_points():
     Q = qspace(m)
     f = Q.interpolate(lambda x, y: 2 - x + 3 * y + 4 * x * y)
     child = refine(m, {0, 1, 2, 3})
-    pts, _, _, _ = fem._cell_quad_data(3)
-    vals = fem._cell_values(f, child, 3)
+    vals = fem._cell_values(interpolate_onto(f, child))
     x0, y0, h = fem._cell_origin_arrays(child)
-    gx = x0[:, None] + h[:, None] * pts[None, :, 0]
-    gy = y0[:, None] + h[:, None] * pts[None, :, 1]
+    gx = x0[:, None] + h[:, None] * fem._PTS[None, :, 0]
+    gy = y0[:, None] + h[:, None] * fem._PTS[None, :, 1]
     assert np.abs(vals - (2 - gx + 3 * gy + 4 * gx * gy)).max() < 1e-14
 
 
@@ -264,7 +263,7 @@ def test_patch_interpolation_biquadratic_exactness():
 
     f = Q.interpolate(biquad)
     W = patch_interpolate(f)
-    pts, _, _, _ = fem._cell_quad_data(fem.NQ_WEIGHTED)
+    pts = fem._PTS
     wv = W.vals
     corner = f.full_values()[mesh.cell_corners]
     s, t = pts[:, 0], pts[:, 1]
@@ -361,7 +360,7 @@ class _LoopPatchWeight:
 @given(mesh=graded_meshes(), seed=st.integers(0, 2**16))
 def test_patch_weight_matches_per_cell_reference(mesh, seed):
     rng = np.random.default_rng(seed)
-    pts = fem._cell_quad_data(fem.NQ_WEIGHTED)[0]
+    pts = fem._PTS
     ids = rng.integers(0, mesh.n_cells, 50)
     locs = rng.uniform(0.0, 1.0, (50, 2))
     for space in (vspace(mesh), qspace(mesh)):

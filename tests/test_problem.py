@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize
 
 import reference_forward
-from conftest import graded_meshes
+from conftest import cell_values, gauss_rule, graded_meshes
 from ggnfem import fem, problem as pb
 from ggnfem.fem import Field, qspace, riesz_dual_norm, vspace
 from ggnfem.mesh import locate, refine, uniform_mesh
@@ -112,12 +112,12 @@ def test_forward_strong_nonlinearity_vs_energy_oracle():
 
     Ks = V.stiffness()
     load = fem.assemble_functional(V, q)
-    pts, wts, _, _ = fem._cell_quad_data(4)
+    _, wts, shapes, _ = gauss_rule(4)
     h2 = m.cell_sizes() ** 2
 
     def fg(vec):
         f = Field(V, vec)
-        uq = fem._cell_values(f, m, 4)
+        uq = cell_values(f, shapes)
         quart = np.einsum("c,cq,q->", h2, uq**4, wts)
         energy = 0.5 * vec @ (Ks @ vec) + 0.25 * prob.zeta * quart - load @ vec
         grad = Ks @ vec + prob.zeta * pb._cubic_term(V, f) - load
@@ -244,7 +244,7 @@ def _assert_matches_reference(prob, q, V, u_init=None):
     assert len(calls[pb]) == len(calls[reference_forward]) > 0
     # The solution keeps its quadrature values, which the linearized
     # operator at it reads again, when the cubic term needs them.
-    kept = ("values", fem.NQ_WEIGHTED) in fem._CONTEXTS.get(got, {})
+    kept = ("values",) in fem._CONTEXTS.get(got, {})
     assert kept == (prob.zeta != 0.0)
 
 
@@ -298,9 +298,9 @@ def test_grid_operators_match_assembled(level):
         prob = pb.ModelProblem(zeta=zeta)
         J = pb._GridForward(prob, level).jacobian(u)
         assert _rel(J @ x, pb.linearized_state_operator(prob, V, u) @ x) <= 1e-13
-    assert _rel(fem._grid_functional(q, fem.NQ_BASE),
+    assert _rel(fem._grid_functional(q),
                 fem.assemble_functional(V, q)) <= 1e-13
-    assert _rel(fem._grid_functional(u, fem.NQ_WEIGHTED, 3),
+    assert _rel(fem._grid_functional(u, 3),
                 pb._cubic_term(V, u)) <= 1e-13
 
 
@@ -437,8 +437,8 @@ def _quadrature_mass_rhs(fine_field, coarse_space):
     x0, y0, h = fem._cell_origin_arrays(fine)
     # Coarse leaf of each fine cell, found by point location at the centre.
     src_ids = locate(coarse, np.column_stack([x0, y0]) + 0.5 * h[:, None])[0]
-    pts, wts, shapes, _ = fem._cell_quad_data(fem.NQ_BASE)
-    fvals = fine_field.full_values()[fine.cell_corners] @ shapes.T
+    pts, wts, shapes, _ = gauss_rule(3)
+    fvals = cell_values(fine_field, shapes)
     cx0, cy0, ch = fem._cell_origin_arrays(coarse)
     gx = x0[:, None] + h[:, None] * pts[None, :, 0]
     gy = y0[:, None] + h[:, None] * pts[None, :, 1]
