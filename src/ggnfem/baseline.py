@@ -49,7 +49,7 @@ class NtConfig(AdaptiveConfig):
             raise ValueError("need tau_low < tau_up and gn_cap >= 0")
 
 
-def _gn_fit(problem, obs, obs_data, mesh, beta, q_start, u_warm, cfg):
+def _gn_fit(problem, obs, g, mesh, beta, q_start, u_warm, cfg):
     """Damped Gauss-Newton on the reduced Tikhonov functional.
 
     Every iteration solves the nonlinear state equation; the step is the
@@ -65,7 +65,6 @@ def _gn_fit(problem, obs, obs_data, mesh, beta, q_start, u_warm, cfg):
     q = interpolate_onto(q_start, mesh)
     q0 = Q.zeros()
     C = obs.matrix(V)
-    g = obs.vector(obs_data, mesh)
     u = pb.solve_forward(problem, q, V, tol=cfg.forward_tol, u_init=u_warm)
 
     def j_value(q_f, u_f):
@@ -77,8 +76,8 @@ def _gn_fit(problem, obs, obs_data, mesh, beta, q_start, u_warm, cfg):
     j_old, disc2 = j_value(q, u)
     n_forward, rel_change = 1, np.inf
     for it in range(cfg.gn_cap + 1):
-        sol = ss.solve_kkt(ss.build_subproblem(problem, mesh, q, u, q0, obs,
-                                               obs_data), beta)
+        sol = ss.solve_kkt(
+            ss.build_subproblem(problem, mesh, q, u, q0, obs, g), beta)
         if rel_change <= cfg.gn_tol or it == cfg.gn_cap:
             break  # the fixed-point triple for the indicator
         dq = sol.q.coeffs - q.coeffs

@@ -19,7 +19,7 @@ import argparse
 import csv
 import os
 import sys
-from configparser import ConfigParser
+from configparser import ConfigParser, Error as ConfigError
 from dataclasses import asdict, dataclass, fields, replace
 
 from . import baseline as bl, driver as dv, fem, problem as pb
@@ -159,21 +159,22 @@ def _sweep_config(payload) -> ExperimentConfig:
 
 
 def _sweep_row(payload, truths=None):
-    """One sweep entry; failures become rows."""
+    """One sweep entry; a failure becomes a row of the method that failed."""
     _, ggn, nt, v, _, with_nt = payload
     e = _sweep_config(payload)
+    rows = []
     try:
         data = _simulate(e, truths)
         problem = pb.ModelProblem(zeta=e.zeta)
         rep_g = dv.run_ggn(problem, data, ggn)
-        rows = [_table_row(v, rep_g)]
+        rows.append(_table_row(v, rep_g))
         if with_nt:
             rep_n = bl.run_nt(problem, data, nt)
             ctr = 1.0 - rep_g.wall_time / rep_n.wall_time
             rows.append(_table_row(v, rep_n, f"{ctr:.3f}"))
-        return rows
-    except Exception as exc:  # keep sweeping on per-row failures
-        return [[v, "GGN", f"failed: {exc}", "", "", "", "", "", ""]]
+    except Exception as exc:  # NT failed iff GGN's row is in; sweep on
+        rows.append([v, ("GGN", "NT")[len(rows)], f"failed: {exc}"] + [""] * 6)
+    return rows
 
 
 # The truths of a parallel sweep, in its worker processes (``cmd_table``).
@@ -254,7 +255,7 @@ def main(argv=None) -> int:
         handler = {"simulate": cmd_simulate, "table": cmd_table}.get(
             args.command, cmd_run)  # run-ggn and run-nt
         return handler(exp, ggn, nt, args)
-    except (KeyError, ValueError, FileNotFoundError, fem.SolverError) as exc:
+    except (KeyError, ValueError, OSError, ConfigError, fem.SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

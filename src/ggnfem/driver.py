@@ -18,7 +18,7 @@ loop performs exactly one of:
 The run stops at the first k with I3h <= tau^2 delta^2.  Its untimed
 diagnostics (control error, monotonicity) read the exact pair's cell
 moments on the solver mesh and never visit the simulation mesh.  The NT
-baseline shares the run state ``_Run`` (with its restricted-data
+baseline shares the run state ``_Run`` (with its data-vector
 cache), the refine rule ``refined`` and ``BetaBracket``.
 """
 
@@ -263,7 +263,7 @@ def check_monotonicity(q_h: Field, u_h: Field, q0: Field, u0: Field,
 
 class _Run:
     """Mutable state of one run.  NT (``baseline.run_nt``) keeps its mesh,
-    beta, iterate, rows, warnings and restricted data here too; the rest
+    beta, iterate, rows, warnings and data vector here too; the rest
     is GGN's."""
 
     def __init__(self, problem, data, cfg, q0):
@@ -280,8 +280,8 @@ class _Run:
         self.cfg = cfg
         self.t0 = time.perf_counter()
         self.mesh = uniform_mesh(cfg.coarse_levels)
-        # mesh -> the data restricted to it, cached for the latest mesh
-        # only (an entry would keep its mesh alive)
+        # mesh -> the data vector on it (``obs.restrict``), cached for the
+        # latest mesh only (an entry would keep its mesh alive)
         self.observed = functools.lru_cache(maxsize=1)(
             lambda mesh: data.obs.restrict(data, mesh))
         self.rows: list[RunRow] = []

@@ -63,7 +63,6 @@ is rebuilt on demand rather than cached itself.
 
 from __future__ import annotations
 
-import functools
 import math
 import weakref
 
@@ -515,17 +514,16 @@ def _assemble(space_row: Space, space_col: Space,
                           indptr), shape=(space_row.dim, space_col.dim))
 
 
-@functools.cache
-def _element_matrix(form: str) -> np.ndarray:
-    """(4, 4) "mass" (times h^2) or "stiffness" matrix of a cell."""
-    if form == "mass":
-        return _MASSES.sum(axis=0).reshape(4, 4)
-    return np.einsum("q,qid,qjd->ij", _WTS, _GRADS, _GRADS)
+# The (4, 4) "mass" (times h^2) and "stiffness" matrices of a cell.
+_ELEMENT = {"mass": _MASSES.sum(axis=0).reshape(4, 4),
+            "stiffness": np.einsum("q,qid,qjd->ij", _WTS, _GRADS, _GRADS)}
+for _matrix in _ELEMENT.values():
+    _matrix.flags.writeable = False
 
 
 def assemble_stiffness(space: Space) -> sp.csr_matrix:
     """Condensed matrix of (grad u, grad v); independent of cell size."""
-    ref = _element_matrix("stiffness").ravel()
+    ref = _ELEMENT["stiffness"].ravel()
     return _assemble(space, space, np.tile(ref, space.mesh.n_cells))
 
 
@@ -536,7 +534,7 @@ def assemble_mass(space_row: Space, space_col: Space) -> sp.csr_matrix:
                          "evaluation to move fields first")
     h2 = space_row.mesh.cell_sizes() ** 2
     return _assemble(space_row, space_col,
-                     np.outer(h2, _element_matrix("mass").ravel()))
+                     np.outer(h2, _ELEMENT["mass"].ravel()))
 
 
 def assemble_weighted_mass(space: Space, weight: "Field") -> sp.csr_matrix:
@@ -790,7 +788,7 @@ def interpolate_onto(field: "Field", mesh: QuadMesh) -> "Field":
 
 def _corner_moments(corner_vals: np.ndarray, form: str, h: np.ndarray):
     """Cell moments (n, 4) of bilinears given by (n, 4) corner values."""
-    moments = corner_vals @ _element_matrix(form)
+    moments = corner_vals @ _ELEMENT[form]
     return moments * h[:, None] ** 2 if form == "mass" else moments
 
 
@@ -890,18 +888,14 @@ def _patch_basis(pos: np.ndarray, pts: np.ndarray) -> np.ndarray:
 _LEAF_NODES = np.array([[0, 1, 3, 4], [1, 2, 4, 5], [3, 4, 6, 7], [4, 5, 7, 8]])
 
 
-@functools.cache
-def _patch_basis_table():
-    """``_patch_basis`` at the quadrature points for the 4 child
-    positions: the values (9, 4 * NQ*NQ) and the derivatives
-    (9, 4 * NQ*NQ * 2), laid out for one product each with the patch
-    node values."""
-    table = _patch_basis(np.repeat(np.arange(4), len(_PTS)),
-                         np.tile(_PTS, (4, 1))).transpose(1, 0, 2)
-    vals = np.ascontiguousarray(table[..., 0])
-    grads = np.ascontiguousarray(table[..., 1:]).reshape(9, -1)
-    vals.flags.writeable = grads.flags.writeable = False
-    return vals, grads
+# ``_patch_basis`` at the quadrature points for the 4 child positions: the
+# values (9, 4 * NQ*NQ) and the derivatives (9, 4 * NQ*NQ * 2), laid out
+# for one product each with the patch node values.
+_PATCH_VALS, _PATCH_GRADS = (
+    np.ascontiguousarray(b.transpose(1, 0, 2)).reshape(9, -1)
+    for b in np.split(_patch_basis(np.repeat(np.arange(4), len(_PTS)),
+                                   np.tile(_PTS, (4, 1))), [1], axis=-1))
+_PATCH_VALS.flags.writeable = _PATCH_GRADS.flags.writeable = False
 
 
 class PatchWeight:
@@ -929,12 +923,11 @@ class PatchWeight:
                                     field.full_values()[nodes], 0.0)
         # All 4 child positions in one product each, then each cell's own;
         # scaling the node values by 1/h makes the derivatives physical.
-        tv, tg = _patch_basis_table()
         n = mesh.n_cells
-        cells = np.arange(n)
-        self.vals = (self._patch_vals @ tv).reshape(n, 4, -1)[cells, self._pos]
-        self.grads = ((self._patch_vals / self._h[:, None]) @ tg).reshape(
-            n, 4, -1, 2)[cells, self._pos]
+        own = (np.arange(n), self._pos)
+        self.vals = (self._patch_vals @ _PATCH_VALS).reshape(n, 4, -1)[own]
+        self.grads = ((self._patch_vals / self._h[:, None])
+                      @ _PATCH_GRADS).reshape(n, 4, -1, 2)[own]
 
     def at(self, cell_ids: np.ndarray, pts: np.ndarray, basis=None):
         """One (cell, local point) pair per row; returns (w (n,), gw (n,2))."""

@@ -74,9 +74,9 @@ class RestrictionError(fem.SolverError):
 #
 # Each kind owns every step that depends on it: C from V coefficients to
 # the data space, its Gram weight G (misfit m' G m; C*C = C' G C), the data
-# on a mesh and its vector there, a state's misfit and the DWR pairing
-# (g, C w)_G per cell by its own quadrature, the noise draw, the bundle
-# files, and whether C*C is M_V.
+# vector g on a mesh (``restrict``), a state's misfit and the DWR pairing
+# (g, C w)_G per cell (the L^2 ones by ``fem``'s cell quadrature), the
+# noise draw, the bundle files, and whether C*C is M_V.
 
 
 class PointObs:
@@ -105,9 +105,6 @@ class PointObs:
 
     def restrict(self, data: "NoisyData", mesh) -> np.ndarray:
         return data.g_delta
-
-    def vector(self, data, mesh) -> np.ndarray:
-        return np.asarray(data, dtype=float)
 
     def observe(self, u: Field) -> np.ndarray:
         cids, locs = fem.point_locations(u.mesh, self.points)
@@ -156,13 +153,8 @@ class L2Obs:
     def gram(self, Q: Space, m: np.ndarray) -> np.ndarray:
         return Q.mass() @ m
 
-    def restrict(self, data: "NoisyData", mesh) -> Field:
-        return restrict_data(data, qspace(mesh))
-
-    def vector(self, data: Field, mesh) -> np.ndarray:
-        if data.mesh is not mesh:
-            raise ValueError("L2 data must be restricted to the mesh first")
-        return data.coeffs
+    def restrict(self, data: "NoisyData", mesh) -> np.ndarray:
+        return restrict_data(data, qspace(mesh)).coeffs
 
     def observe(self, u: Field) -> Field:
         # State as an L^2 element on its own mesh (boundary values zero).
@@ -172,8 +164,7 @@ class L2Obs:
     def misfit_sq(self, u: Field, g: np.ndarray) -> float:
         """|u - g|_L2^2 by quadrature on u's cells, g on u's Q space."""
         uq, gq = map(fem._weighted_values, (u, Field(qspace(u.mesh), g)))
-        h2 = u.mesh.cell_sizes() ** 2
-        return float(np.einsum("c,cq,q->", h2, (uq - gq) ** 2, fem._WTS))
+        return float(fem._weighted_integrals(u.mesh, (uq - gq) ** 2).sum())
 
     def pair_cells(self, mesh, gvec: np.ndarray, weight) -> np.ndarray:
         """(g, w)_L2 per cell by quadrature, g a vector on mesh's Q."""

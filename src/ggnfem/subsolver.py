@@ -137,28 +137,27 @@ class LinearizedSubproblem:
 
 def build_subproblem(problem: pb.ModelProblem, mesh: QuadMesh,
                      q_old: Field, u_old: Field, q0: Field,
-                     obs, data) -> LinearizedSubproblem:
+                     obs, g: np.ndarray) -> LinearizedSubproblem:
     """Assemble all operators of the linearized problem on a mesh.
 
-    ``data`` is the observation's data on the mesh (``obs.restrict``),
-    with vector g = obs.vector(data, mesh).  With C = obs.matrix(V) and G
-    the Gram weight of the data space, r_g = C u_old - g and
-    c_res = C' G r_g.
+    ``g`` is the data vector on the mesh (``obs.restrict``), of C's row
+    count (else ValueError).  With C = obs.matrix(V) and G the Gram
+    weight of the data space, r_g = C u_old - g and c_res = C' G r_g.
     """
     V, Q = vspace(mesh), qspace(mesh)
+    C = obs.matrix(V)
+    if len(g) != C.shape[0]:
+        raise ValueError(f"need {C.shape[0]} data values, got {len(g)}")
     q_old_h = interpolate_onto(q_old, mesh)
     u_old_h = interpolate_onto(u_old, mesh)
     K = pb.linearized_state_operator(problem, V, u_old_h)
-    g = obs.vector(data, mesh)
-    C = obs.matrix(V)
     r_g = C @ u_old_h.coeffs - g
     a_res = pb.semilinear_residual(problem, q_old_h, u_old_h, V)
-    q0_h = interpolate_onto(q0, mesh)
     return LinearizedSubproblem(
         problem=problem, mesh=mesh, V=V, Q=Q, q_old=q_old, u_old=u_old,
-        q_old_h=q_old_h, u_old_h=u_old_h, q0=q0_h, K=K, M_Q=Q.mass(), C=C,
+        q_old_h=q_old_h, u_old_h=u_old_h, q0=interpolate_onto(q0, mesh),
+        K=K, M_Q=Q.mass(), C=C, r_g=r_g, a_res=a_res, obs=obs, data_g=g,
         c_res=fem._transpose_product(C, obs.gram(Q, r_g)),
-        r_g=r_g, a_res=a_res, obs=obs, data_g=g,
     )
 
 

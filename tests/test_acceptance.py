@@ -169,9 +169,9 @@ def test_criterion_8_dwr_effectivity(sims):
 
     def solve_on(mesh):
         V, Q = vspace(mesh), qspace(mesh)
-        g_h = pb.restrict_data(data, Q)
         sub = ss.build_subproblem(prob, mesh, Q.zeros(), V.zeros(),
-                                  Q.zeros(), data.obs, g_h)
+                                  Q.zeros(), data.obs,
+                                  data.obs.restrict(data, mesh))
         return ss.solve_kkt(sub, beta)
 
     mesh_c = uniform_mesh(3)

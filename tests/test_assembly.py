@@ -146,7 +146,7 @@ def test_kkt_layout_matches_bmat(mesh, seed, point):
         CtC = C.T @ C
     else:
         obs = pb.L2Obs()
-        data = Field(Q, rng.uniform(-1.0, 1.0, Q.dim))
+        data = rng.uniform(-1.0, 1.0, Q.dim)
         inc = fem.v_to_q(mesh)
         CtC = inc.T @ _reference_mass(Q, Q) @ inc
     K = (_reference_stiffness(V)
@@ -183,7 +183,7 @@ def test_kkt_layout_rejects_foreign_block_pattern():
     mesh = refine(uniform_mesh(2), {0, 5})
     V, Q = vspace(mesh), qspace(mesh)
     l2 = ss.build_subproblem(pb.ModelProblem(zeta=100.0), mesh, Q.zeros(),
-                             V.zeros(), Q.zeros(), pb.L2Obs(), Q.zeros())
+                             V.zeros(), Q.zeros(), pb.L2Obs(), np.zeros(Q.dim))
     l2.factorization(1.0)
     corner = sp.csr_matrix(([1.0], ([0], [V.dim - 1])), shape=l2.K.shape)
     assert corner.multiply(l2.K).nnz == 0  # an entry outside the pattern

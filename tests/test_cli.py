@@ -198,8 +198,11 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
-def test_missing_config_is_reported():
+def test_missing_config_is_reported(tmp_path):
+    """A config path that names no file, or a directory, ends in exit
+    code 1, not a traceback."""
     assert cli.main(["--config", "/nonexistent.cfg", "simulate"]) == 1
+    assert cli.main(["--config", str(tmp_path), "simulate"]) == 1
 
 
 _BETA_RANGE = "need 0 < beta_min <= beta0 <= beta_max"
@@ -224,17 +227,22 @@ _LEVELS = "need 1 <= coarse_levels <= max_depth"
     (["run-nt"], "[nt]\ncoarse_levels = 0\n", _LEVELS),
     (["run-ggn"], "[ggn]\nmax_beta_steps = -1\n", "max_beta_steps >= 0"),
     (["run-ggn"], "[experiment]\nn_points = 0\n", "n_side >= 1"),
+    (["simulate"], "zeta = 1\n", "no section headers"),
+    (["simulate"], "[ggn]\nmax_depth\n", "parsing errors"),
+    (["simulate"], "[ggn]\nbeta0 = 1\n[ggn]\n", "already exists"),
 ], ids=["zeta-nan", "zeta-1e300", "noise-negative", "noise-nan",
         "beta0-zero", "beta0-zero-l2", "beta0-zero-nt", "beta0-above-max",
         "gn-cap-negative", "marking-zero", "marking-two",
         "depth-below-coarse", "coarse-zero", "coarse-zero-nt",
-        "beta-steps-negative", "points-zero"])
+        "beta-steps-negative", "points-zero", "no-section-header",
+        "key-without-value", "repeated-section"])
 def test_bad_zeta_or_noise_is_reported(tmp_path, capsys, flags, config,
                                        message):
     """An out-of-range zeta, noise level, beta0, gn_cap, refinement
-    setting or observation lattice, or a truth build that fails, ends
-    with exit code 1 and one error line, not a traceback.  All but zeta
-    and the noise level come from a config file."""
+    setting or observation lattice, a truth build that fails, or a
+    malformed config file ends with exit code 1 and an error message,
+    not a traceback.  All but zeta and the noise level come from a
+    config file."""
     path = tmp_path / "run.cfg"
     path.write_text(config)
     rc = cli.main(["--config", str(path), "--fine-levels", "4",
@@ -246,6 +254,9 @@ def test_bad_zeta_or_noise_is_reported(tmp_path, capsys, flags, config,
 
 
 def test_table_failed_row_exit_code(tmp_path):
+    """A failed entry becomes a "failed:" row of the method that failed
+    and the exit code is 1.  When NT fails, the GGN row of its entry
+    stays as GGN ran."""
     out = tmp_path / "bad"
     rc = cli.main(["--fine-levels", "3", "--out", str(out), "table",
                    "--sweep", "zeta", "--values", "-1"])
@@ -253,6 +264,17 @@ def test_table_failed_row_exit_code(tmp_path):
     with open(out / "table_zeta.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert rows[0]["status"].startswith("failed:")
+    path = tmp_path / "nt.cfg"
+    path.write_text("[nt]\nmax_depth = 1\n")
+    rc = cli.main(["--config", str(path), "--fine-levels", "5", "--out",
+                   str(out), "table", "--sweep", "noise", "--values", "0.01",
+                   "--with-nt"])
+    assert rc == 1
+    with open(out / "table_noise.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["method"], r["status"]) for r in rows] == [
+        ("GGN", "discrepancy"),
+        ("NT", "failed: need 1 <= coarse_levels <= max_depth")]
 
 
 def _singular(A, **kwargs):

@@ -382,7 +382,7 @@ def _cellwise_dist_sq(f, g, mesh):
     xy = mesh.vertices[mesh.cell_corners].reshape(-1, 2)
     d = (f.eval_points(xy) - g.eval_points(xy)).reshape(-1, 4)
     return np.einsum("c,ci,ij,cj->", mesh.cell_sizes() ** 2, d,
-                     fem._element_matrix("mass"), d)
+                     fem._ELEMENT["mass"], d)
 
 
 def test_control_error_on_leaves_finer_than_the_truth():

@@ -58,9 +58,8 @@ def _l2_instance(zeta=100.0, beta=100.0, levels=3, seed=2, fine=6):
 
     def solve_on(mesh):
         V, Q = vspace(mesh), qspace(mesh)
-        g_h = pb.restrict_data(data, Q)
         sub = ss.build_subproblem(prob, mesh, Q.zeros(), V.zeros(), Q.zeros(),
-                                  obs, g_h)
+                                  obs, obs.restrict(data, mesh))
         return ss.solve_kkt(sub, beta)
 
     return data, solve_on, uniform_mesh(levels)
@@ -367,7 +366,7 @@ def test_etas_match_term_by_term_reference(mesh, seed):
     q0 = Field(Q, rng.uniform(-1.0, 1.0, Q.dim))
     point = pb.PointObs(5)
     for obs, data in ((point, rng.uniform(-1.0, 1.0, point.n_obs)),
-                      (pb.L2Obs(), Field(Q, rng.uniform(-1.0, 1.0, Q.dim)))):
+                      (pb.L2Obs(), rng.uniform(-1.0, 1.0, Q.dim))):
         sub = ss.build_subproblem(prob, mesh, q_old, u_old, q0, obs, data)
         sol = ss.solve_kkt(sub, 3.0)
         aux = ss.solve_second_order(sol)

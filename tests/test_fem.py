@@ -253,6 +253,22 @@ def test_bilinear_at_child_gauss_points():
     assert np.abs(vals - (2 - gx + 3 * gy + 4 * gx * gy)).max() < 1e-14
 
 
+def test_reference_tables_are_read_only():
+    """The element matrices and the patch basis tables are module
+    constants shared by every caller: none of them can be written to."""
+    tables = (fem._ELEMENT["mass"], fem._ELEMENT["stiffness"],
+              fem._PATCH_VALS, fem._PATCH_GRADS)
+    for table in tables:
+        before = table.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            table *= 2.0
+        assert np.array_equal(table, before)
+    assert fem._PATCH_VALS.shape == (9, 4 * len(fem._PTS))
+    assert fem._PATCH_GRADS.shape == (9, 4 * len(fem._PTS) * 2)
+
+
 def test_patch_interpolation_biquadratic_exactness():
     mesh = uniform_mesh(3)
     Q = qspace(mesh)

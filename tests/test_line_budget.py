@@ -7,7 +7,7 @@ import os
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src", "ggnfem")
-BUDGET = 3122
+BUDGET = 3105
 
 
 def test_package_within_line_budget():

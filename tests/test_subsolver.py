@@ -114,9 +114,8 @@ def test_large_beta_minimizes_misfit():
     V, Q = vspace(mesh), qspace(mesh)
     obs = pb.L2Obs()
     data = pb.simulate_data(prob, pb.synthetic_case("a"), obs, 5, 0.01, 9)
-    g_h = pb.restrict_data(data, Q)
     sub = ss.build_subproblem(prob, mesh, Q.zeros(), V.zeros(), Q.zeros(),
-                              obs, g_h)
+                              obs, obs.restrict(data, mesh))
     sol = ss.solve_kkt(sub, 1e12)
     i2 = sol.misfit_sq()
     Klu = spla.splu(sub.K.tocsc())
@@ -243,14 +242,26 @@ def test_adjoint_at_base_matches_lu_solve(zeta):
 
 
 def test_l2_requires_restricted_data():
+    """A data vector is taken only at the length of C's rows, for point
+    and L^2 data: the unrestricted fine-mesh vector and one restricted
+    to another mesh are refused, the mesh's own restriction is taken."""
     prob = pb.ModelProblem(zeta=1.0)
-    data = pb.simulate_data(prob, pb.synthetic_case("a"), pb.L2Obs(), 4,
-                            0.01, 1)
     mesh = uniform_mesh(2)
-    with pytest.raises(ValueError):
-        ss.build_subproblem(prob, mesh, qspace(mesh).zeros(),
-                            vspace(mesh).zeros(), qspace(mesh).zeros(),
-                            data.obs, data.g_delta)
+    Q, V = qspace(mesh), vspace(mesh)
+    for obs in (pb.PointObs(3), pb.L2Obs()):
+        data = pb.simulate_data(prob, pb.synthetic_case("a"), obs, 4, 0.01, 1)
+        g = obs.restrict(data, mesh)
+        if isinstance(obs, pb.PointObs):
+            wrong = (g[:-1], np.append(g, 0.0))
+        else:
+            wrong = (data.g_delta.coeffs, obs.restrict(data, uniform_mesh(3)))
+        for bad in wrong:
+            with pytest.raises(ValueError, match="data values"):
+                ss.build_subproblem(prob, mesh, Q.zeros(), V.zeros(),
+                                    Q.zeros(), obs, bad)
+        sub = ss.build_subproblem(prob, mesh, Q.zeros(), V.zeros(), Q.zeros(),
+                                  obs, g)
+        assert sub.data_g is g and len(g) == sub.C.shape[0]
 
 
 def test_bad_factorization_raises_kkt_error():
@@ -328,7 +339,7 @@ def _random_subproblem(mesh, seed, point, zeta):
         data = rng.uniform(-1.0, 1.0, obs.n_obs)
     else:
         obs = pb.L2Obs()
-        data = Field(Q, rng.uniform(-1.0, 1.0, Q.dim))
+        data = rng.uniform(-1.0, 1.0, Q.dim)
     return ss.build_subproblem(
         pb.ModelProblem(zeta=zeta), mesh, Field(Q, rng.uniform(-1, 1, Q.dim)),
         Field(V, rng.uniform(-0.5, 0.5, V.dim)),
