@@ -108,6 +108,7 @@ def run_nt(problem: pb.ModelProblem, data: pb.NoisyData, cfg: NtConfig) -> RunRe
     bracket = BetaBracket(cfg)
     termination = "iteration-cap"
     total_forward = 0
+    capped = False  # warned of a refine that max_refines skipped
 
     try:
         for _ in range(cfg.max_passes):
@@ -137,6 +138,11 @@ def run_nt(problem: pb.ModelProblem, data: pb.NoisyData, cfg: NtConfig) -> RunRe
                     run.mesh = new_mesh
                     bracket.reopen()
                     continue
+            elif ind.sum() > gate and not capped:
+                capped = True
+                run.warnings.append(
+                    f"k={k}: refine skipped at max_refines={cfg.max_refines} "
+                    f"(indicator sum {ind.sum():.3e} > gate {gate:.3e})")
             if band[0] <= disc2 <= band[1]:
                 termination = "discrepancy"
                 run.rows[-1].phase = "accept"

@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("run-nt")
     tab = sub.add_parser("table")
     tab.add_argument("--sweep", choices=["zeta", "noise"], required=True)
-    tab.add_argument("--values", nargs="*", default=[], metavar="X")
+    tab.add_argument("--values", nargs="+", required=True, metavar="X")
     tab.add_argument("--with-nt", action="store_true")
     tab.add_argument("--jobs", type=int, default=1,
                      help="worker processes for the sweep")
@@ -256,7 +256,7 @@ def main(argv=None) -> int:
             args.command, cmd_run)  # run-ggn and run-nt
         return handler(exp, ggn, nt, args)
     except (KeyError, ValueError, OSError, ConfigError, fem.SolverError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print("error:", " ".join(str(exc).split()), file=sys.stderr)
         return 1
 
 

@@ -12,19 +12,19 @@ nested, re-interpolating a field onto any refinement of its mesh is
 pointwise exact, so cross-mesh evaluation carries no projection error.
 The source leaf containing each target cell is found by index
 arithmetic on the linear quadtree (Morton codes, one sorted search).
-The other way, a fine field's mass or stiffness moments against the
-corner shapes of every coarser dyadic cell follow from its own cells'
-moments level by level (``cell_moments``); they give L^2 restriction
-and fine-mesh norms of differences in O(coarse cells).
+The other way, a fine field's mass moments against the corner shapes
+of every coarser dyadic cell follow from its own cells' moments level by
+level (``cell_moments``); they give L^2 restriction and L^2 distances to
+coarser fields in O(coarse cells).
 
 Assembly is split into a symbolic and a numeric part.  The symbolic
 part, built once per mesh, is an assembly plan: the condensed CSR
 pattern and one sparse map P from element matrices to its data, which
 composes the scatter onto the vertices with the condensation T' . T
 (``_q_plan``; load vectors use the map T' S, ``_load_map``).  P is
-built for the Q space only: a plan involving V is the list of Q entries
-it keeps (``_assembly_plan``), and a V load vector is the Q one
-restricted to V's dofs.  Each assembly then only computes element data
+built for the Q space only: the V plan is the list of Q entries it
+keeps (``_assembly_plan``), and a V load vector is the Q one restricted
+to V's dofs.  Each assembly then only computes element data
 and applies P.  Matrices of one plan share its pattern arrays, so adding
 their data adds the matrices.  Other per-mesh operators (T, C, the V-to-Q
 inclusion) are built from index arrays, entry for entry as the
@@ -244,7 +244,7 @@ class Space:
 
     def mass(self) -> sp.csr_matrix:
         return _cached(self.mesh, ("mass", self.kind),
-                       lambda: assemble_mass(self, self))
+                       lambda: assemble_mass(self))
 
     def stiffness_solver(self):
         return _cached(self.mesh, ("stiffness_lu", self.kind),
@@ -301,15 +301,17 @@ class Field:
         return bilinear(self.full_values()[self.mesh.cell_corners[cids]], locs)
 
     def norm_l2(self) -> float:
-        """|field|_L2, summed over the cells' corner values as the moment
-        table's own norm: no mass matrix is assembled, no values kept."""
-        cv = (self.space.T @ self.coeffs)[self.mesh.cell_corners]
-        moments = _corner_moments(cv, "mass", self.mesh.cell_sizes())
-        return float(np.sqrt(np.sum(moments * cv)))
+        return self._norm("mass")
 
     def norm_h1semi(self) -> float:
-        K = self.space.stiffness()
-        return float(np.sqrt(max(self.coeffs @ (K @ self.coeffs), 0.0)))
+        return self._norm("stiffness")
+
+    def _norm(self, form: str) -> float:
+        """|field| in L^2 ("mass") or the H^1 seminorm ("stiffness"), from
+        the cells' corner values: no matrix is assembled, no values kept."""
+        cv = (self.space.T @ self.coeffs)[self.mesh.cell_corners]
+        moments = _corner_moments(cv, form, self.mesh.cell_sizes())
+        return float(np.sqrt(max(np.sum(moments * cv), 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +472,8 @@ def _q_plan(mesh: QuadMesh):
     return _cached(mesh, ("plan", "Q", "Q"), build)
 
 
-def _assembly_plan(space_row: Space, space_col: Space):
-    """Cached symbolic assembly onto two spaces of one mesh.
+def _assembly_plan(space: Space):
+    """Cached symbolic assembly onto a space.
 
     Returns (indptr, indices, slots): the condensed CSR pattern and the
     entries of the Q plan it selects, so that condensed data =
@@ -479,39 +481,36 @@ def _assembly_plan(space_row: Space, space_col: Space):
     composes the element-to-vertex scatter with the condensation T' . T;
     only the nonzeros of T generate entries, so a hanging vertex adds its
     two parents and a regular one only itself.  The Q plan is built
-    once; plans involving V select its rows and columns.
+    once; the V plan selects its rows and columns.
     """
-    mesh = space_row.mesh
+    mesh = space.mesh
 
     def build():
         indptr, indices, _ = _q_plan(mesh)
-        if space_row.kind == space_col.kind == "Q":
-            slots = slice(None)
-        else:
+        slots = slice(None)
+        if space.kind == "V":
             rows = np.arange(len(indptr) - 1, dtype=np.int32).repeat(
                 indptr[1:] - indptr[:-1])
-            row_keep, row_id = _q_dofs(mesh, space_row.kind)
-            col_keep, col_id = _q_dofs(mesh, space_col.kind)
-            slots = (row_keep[rows] & col_keep[indices]).nonzero()[0]
+            keep, dof_id = _q_dofs(mesh, "V")
+            slots = (keep[rows] & keep[indices]).nonzero()[0]
             slots = slots.astype(np.int32)
-            indptr = _offsets(np.bincount(row_id[rows[slots]],
-                                          minlength=space_row.dim))
-            indices = col_id[indices[slots]]
+            indptr = _offsets(np.bincount(dof_id[rows[slots]],
+                                          minlength=space.dim))
+            indices = dof_id[indices[slots]]
         # Assembled matrices share these arrays; nothing may edit them.
         indptr.flags.writeable = indices.flags.writeable = False
         return indptr, indices, slots
 
-    return _cached(mesh, ("slots", space_row.kind, space_col.kind), build)
+    return _cached(mesh, ("slots", space.kind), build)
 
 
-def _assemble(space_row: Space, space_col: Space,
-              element_matrices: np.ndarray) -> sp.csr_matrix:
+def _assemble(space: Space, element_matrices: np.ndarray) -> sp.csr_matrix:
     """Condensed matrix of (n_cells, 16) element matrices (rows 4i+j)
-    through the cached assembly plan of the two spaces of one mesh."""
-    indptr, indices, slots = _assembly_plan(space_row, space_col)
-    P = _q_plan(space_row.mesh)[2]
+    through the cached assembly plan of the space."""
+    indptr, indices, slots = _assembly_plan(space)
+    P = _q_plan(space.mesh)[2]
     return sp.csr_matrix(((P @ element_matrices.ravel())[slots], indices,
-                          indptr), shape=(space_row.dim, space_col.dim))
+                          indptr), shape=(space.dim, space.dim))
 
 
 # The (4, 4) "mass" (times h^2) and "stiffness" matrices of a cell.
@@ -524,17 +523,13 @@ for _matrix in _ELEMENT.values():
 def assemble_stiffness(space: Space) -> sp.csr_matrix:
     """Condensed matrix of (grad u, grad v); independent of cell size."""
     ref = _ELEMENT["stiffness"].ravel()
-    return _assemble(space, space, np.tile(ref, space.mesh.n_cells))
+    return _assemble(space, np.tile(ref, space.mesh.n_cells))
 
 
-def assemble_mass(space_row: Space, space_col: Space) -> sp.csr_matrix:
+def assemble_mass(space: Space) -> sp.csr_matrix:
     """Condensed matrix of (u, v), exact for Q1."""
-    if space_row.mesh is not space_col.mesh:
-        raise ValueError("mass assembly requires one mesh; use cross-mesh "
-                         "evaluation to move fields first")
-    h2 = space_row.mesh.cell_sizes() ** 2
-    return _assemble(space_row, space_col,
-                     np.outer(h2, _ELEMENT["mass"].ravel()))
+    h2 = space.mesh.cell_sizes() ** 2
+    return _assemble(space, np.outer(h2, _ELEMENT["mass"].ravel()))
 
 
 def assemble_weighted_mass(space: Space, weight: "Field") -> sp.csr_matrix:
@@ -547,7 +542,7 @@ def assemble_weighted_mass(space: Space, weight: "Field") -> sp.csr_matrix:
     wvals = _weighted_values(interpolate_onto(weight, mesh))
     h2 = mesh.cell_sizes() ** 2
     elems = (h2[:, None] * wvals**2) @ _MASSES
-    return _assemble(space, space, elems)
+    return _assemble(space, elems)
 
 
 def _cell_values(field: "Field") -> np.ndarray:
@@ -582,17 +577,12 @@ def _weighted_integrals(mesh: QuadMesh, f: np.ndarray) -> np.ndarray:
     return mesh.cell_sizes() ** 2 * (f @ _WTS)
 
 
-def assemble_functional(space: Space, f) -> np.ndarray:
-    """Vector of (f, phi_i) over free nodes; f is a callable or a Field."""
-    mesh = space.mesh
-    if isinstance(f, Field):  # its vector is kept in its context on mesh
-        f = interpolate_onto(f, mesh)
-        return _cached(f, ("load", space.kind), lambda: _load_vector(
-            space, _weighted_values(f)))
-    x0, y0, h = _cell_origin_arrays(mesh)
-    gx = x0[:, None] + h[:, None] * _PTS[None, :, 0]
-    gy = y0[:, None] + h[:, None] * _PTS[None, :, 1]
-    return _load_vector(space, f(gx, gy))
+def assemble_functional(space: Space, f: Field) -> np.ndarray:
+    """Vector of (f, phi_i) over free nodes, kept in the context of f on
+    the space's mesh."""
+    f = interpolate_onto(f, space.mesh)
+    return _cached(f, ("load", space.kind),
+                   lambda: _load_vector(space, _weighted_values(f)))
 
 
 def _load_vector(space: Space, fvals: np.ndarray) -> np.ndarray:
@@ -792,9 +782,9 @@ def _corner_moments(corner_vals: np.ndarray, form: str, h: np.ndarray):
     return moments * h[:, None] ** 2 if form == "mass" else moments
 
 
-def _moment_table(field: "Field", form: str):
-    """(offsets, table, |field|^2): a field's moments over all dyadic cells
-    of level <= its mesh's finest, kept in the field's context.  Level l
+def _moment_table(field: "Field"):
+    """(offsets, table, |field|^2): a field's mass moments over the dyadic
+    cells up to its mesh's finest level, kept in its context.  Level l
     fills rows offsets[l] + Morton index, so a parent's moments are its 4
     consecutive children's through R[4c + j, k], parent shape k at corner j
     of child c (at corner offset c).  NaN marks cells inside a leaf."""
@@ -804,7 +794,7 @@ def _moment_table(field: "Field", form: str):
         offsets = (4 ** np.arange(top + 2) - 1) // 3
         table = np.full((offsets[-1], 4), np.nan)
         cv = field.full_values()[mesh.cell_corners]
-        moments = _corner_moments(cv, form, mesh.cell_sizes())
+        moments = _corner_moments(cv, "mass", mesh.cell_sizes())
         table[offsets[level] + (mesh.codes >> 2 * (DEPTH - level))] = moments
         R = shape_values((_CORNERS[:, None] + _CORNERS) / 2).reshape(16, 4)
         for lev in range(top - 1, -1, -1):
@@ -814,16 +804,15 @@ def _moment_table(field: "Field", form: str):
         table.flags.writeable = False
         return offsets, table, float(np.sum(moments * cv))
 
-    return _cached(field, ("moments", form), build)
+    return _cached(field, ("moments",), build)
 
 
-def cell_moments(field: "Field", form: str, mesh: QuadMesh):
-    """((n_cells, 4) moments, |field|^2) of a field over any mesh's cells:
-    (field, phi_k)_c for ``form`` "mass", (grad field, grad phi_k)_c for
-    "stiffness", k over the cell corners.  Unions of the field's leaves
-    read its moment table; a cell inside a leaf, where the field is
-    bilinear, uses the field's values at the cell corners."""
-    offsets, table, own = _moment_table(field, form)
+def cell_moments(field: "Field", mesh: QuadMesh):
+    """((n_cells, 4) moments, |field|_L2^2) of a field over any mesh's
+    cells: (field, phi_k)_c, k over the cell corners.  Unions of the
+    field's leaves read its moment table; a cell inside a leaf, where the
+    field is bilinear, uses the field's values at the cell corners."""
+    offsets, table, own = _moment_table(field)
     top = len(offsets) - 2
     level = np.minimum(mesh.cells[:, 0], top)
     rows = table[offsets[level] + (mesh.codes >> 2 * (DEPTH - level))]
@@ -831,7 +820,7 @@ def cell_moments(field: "Field", form: str, mesh: QuadMesh):
     if inner.any():
         xy = mesh.vertices[mesh.cell_corners[inner]].reshape(-1, 2)
         rows[inner] = _corner_moments(field.eval_points(xy).reshape(-1, 4),
-                                      form, mesh.cell_sizes()[inner])
+                                      "mass", mesh.cell_sizes()[inner])
     return rows, own
 
 

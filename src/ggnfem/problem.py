@@ -453,7 +453,7 @@ def restrict_data(data: NoisyData, target_space: Space) -> Field:
     coarse = target_space.mesh
     if g.mesh is coarse:
         return Field(target_space, g.coeffs.copy())
-    moments = fem.cell_moments(g, "mass", coarse)[0]
+    moments = fem.cell_moments(g, coarse)[0]
     rhs = (fem._load_map(coarse) @ moments.ravel())[
         fem._q_dofs(coarse, target_space.kind)[0]]
     M = target_space.mass()

@@ -122,6 +122,15 @@ def gauss_rule(n):
     return pts, wts, fem.shape_values(pts), fem.shape_gradients(pts)
 
 
+def closed_form_load(space, f):
+    """Vector of (f, phi_i) over the free nodes for a callable f(x, y),
+    sampled at the package's quadrature points (``fem._load_vector``)."""
+    x0, y0, h = fem._cell_origin_arrays(space.mesh)
+    pts = gauss_rule(fem.NQ)[0]
+    return fem._load_vector(space, f(x0[:, None] + h[:, None] * pts[:, 0],
+                                     y0[:, None] + h[:, None] * pts[:, 1]))
+
+
 def cell_values(field, shapes):
     """A field at the points of ``shapes`` (n_qp, 4) in each of its cells."""
     return field.full_values()[field.mesh.cell_corners] @ shapes.T

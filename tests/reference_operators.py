@@ -3,13 +3,14 @@ products and row slices.  ``fem`` builds the same matrices from index
 arrays, without intermediate sparse objects; these are the references
 they must equal entry for entry, in ``data``, ``indices`` and
 ``indptr``.  ``L`` also serves the tests that need the subproblem's
-control block, which the subsolver applies by index operations."""
+control block, which the subsolver applies by index operations; it is
+built here alone, from the COO mass matrix and the condensations above."""
 
 import numpy as np
 import scipy.sparse as sp
 
 from ggnfem import fem
-from ggnfem.fem import qspace, vspace
+from ggnfem.fem import qspace
 from ggnfem.mesh import locate
 
 
@@ -100,9 +101,24 @@ def v_to_q(mesh):
             [condensation(mesh, "Q")[0], :]).tocsr()
 
 
+def mass(mesh):
+    """The all-vertex mass matrix: element matrices by the Gauss rule of
+    ``fem.NQ``, scattered through COO."""
+    pts, wts = fem.gauss_points(fem.NQ)
+    shapes = fem.shape_values(pts)
+    elems = np.einsum("c,q,qi,qj->cij", mesh.cell_sizes() ** 2, wts, shapes,
+                      shapes)
+    corners = mesh.cell_corners
+    return sp.coo_matrix(
+        (elems.ravel(), (np.repeat(corners, 4, axis=1).ravel(),
+                         np.tile(corners, (1, 4)).ravel())),
+        shape=(mesh.n_vertices, mesh.n_vertices)).tocsr()
+
+
 def L(mesh):
-    """The control block L = -M_VQ of the state equation."""
-    return -fem.assemble_mass(vspace(mesh), qspace(mesh))
+    """The control block L = -M_VQ = -T_V' M T_Q of the state equation."""
+    T_V, T_Q = condensation(mesh, "V")[1], condensation(mesh, "Q")[1]
+    return -(T_V.T @ mass(mesh) @ T_Q).tocsr()
 
 
 def patch_basis(pos, pts):

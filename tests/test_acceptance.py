@@ -12,12 +12,12 @@ import numpy as np
 
 from ggnfem import (driver as dv, estimators as est,
                     fem, problem as pb, subsolver as ss)
-from ggnfem.fem import Field, assemble_functional, qspace, riesz_dual_norm, vspace
+from ggnfem.fem import Field, qspace, riesz_dual_norm, vspace
 from ggnfem.mesh import refine, uniform_mesh
 
 import reference_operators
 import theory_suite as th
-from conftest import cell_values, gauss_rule
+from conftest import cell_values, closed_form_load, gauss_rule
 
 ZETAS = (1.0, 10.0, 100.0, 500.0, 1000.0)
 NOISES = (0.005, 0.01, 0.02, 0.04, 0.08)
@@ -46,7 +46,7 @@ def test_criterion_2_fem_kernel():
     for lev in (2, 3, 4, 5, 6):
         mesh = uniform_mesh(lev)
         V = vspace(mesh)
-        load = assemble_functional(
+        load = closed_form_load(
             V, lambda x, y: 2 * np.pi**2 * np.sin(np.pi * x)
             * np.sin(np.pi * y))
         u = Field(V, V.stiffness_solver().solve(load))

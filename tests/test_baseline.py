@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,23 @@ def test_gn_cap_is_reported(sims, nt_runs):
                     bl.NtConfig(gn_cap=1, max_depth=4))
     assert any("gn_cap=1" in w for w in rep.warnings)
     assert not any("gn_cap" in w for w in nt_runs().warnings)
+
+
+def test_refine_cap_is_reported(sims):
+    """A refine the gate asks for but max_refines skips is reported once
+    per run, at the first such pass, naming the cap, the indicator sum
+    and the gate; a run whose cap does not bind reports none."""
+    data = sims(fine=5)
+    warned = {}
+    for max_refines in (1, 50):
+        rep = bl.run_nt(pb.ModelProblem(zeta=100.0), data,
+                        bl.NtConfig(max_depth=4, max_refines=max_refines))
+        warned[max_refines] = [w for w in rep.warnings if "max_refines" in w]
+    assert warned[50] == []
+    (warning,) = warned[1]
+    match = re.fullmatch(r"k=\d+: refine skipped at max_refines=1 "
+                         r"\(indicator sum (\S+) > gate (\S+)\)", warning)
+    assert match and float(match[1]) > float(match[2])
 
 
 @pytest.mark.parametrize("max_beta_steps", [0, 2])

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import math
 import os
+import re
 import types
 
 import numpy as np
@@ -185,11 +186,15 @@ def test_parallel_noise_sweep_inherits_its_truth(tmp_path, monkeypatch):
 
 
 def test_table_empty_sweep(tmp_path):
+    """A sweep without values, or with an empty --values, is a usage
+    error (exit code 2) and writes no table."""
     out = tmp_path / "empty"
-    rc = cli.main(["--out", str(out), "table", "--sweep", "noise"])
-    assert rc == 0
-    text = (out / "table_noise.csv").read_text().splitlines()
-    assert len(text) == 1  # header only
+    for values in ([], ["--values"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--out", str(out), "table", "--sweep", "noise"]
+                     + values)
+        assert exc.value.code == 2
+    assert not out.exists()
 
 
 def test_usage_error_exit_code():
@@ -208,6 +213,7 @@ def test_missing_config_is_reported(tmp_path):
 _BETA_RANGE = "need 0 < beta_min <= beta0 <= beta_max"
 _MARKING = "need 0 < marking_fraction <= 1"
 _LEVELS = "need 1 <= coarse_levels <= max_depth"
+_MALFORMED = ("no section headers", "parsing errors", "already exists")
 
 
 @pytest.mark.parametrize("flags, config, message", [
@@ -240,9 +246,9 @@ def test_bad_zeta_or_noise_is_reported(tmp_path, capsys, flags, config,
                                        message):
     """An out-of-range zeta, noise level, beta0, gn_cap, refinement
     setting or observation lattice, a truth build that fails, or a
-    malformed config file ends with exit code 1 and an error message,
-    not a traceback.  All but zeta and the noise level come from a
-    config file."""
+    malformed config file ends with exit code 1 and one error line, not
+    a traceback.  All but zeta and the noise level come from a config
+    file."""
     path = tmp_path / "run.cfg"
     path.write_text(config)
     rc = cli.main(["--config", str(path), "--fine-levels", "4",
@@ -251,6 +257,9 @@ def test_bad_zeta_or_noise_is_reported(tmp_path, capsys, flags, config,
     assert rc == 1
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    if message in _MALFORMED:  # the one line names the file and the line
+        assert str(path) in err and re.search(r"line:? \d", err)
 
 
 def test_table_failed_row_exit_code(tmp_path):

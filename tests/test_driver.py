@@ -254,7 +254,7 @@ def test_monotonicity_check_and_negative_control(sims):
     # k = 0 with the zero initial guess trivially satisfies the bound
     q0 = qspace(uniform_mesh(2)).zeros()
     u0 = vspace(uniform_mesh(2)).zeros()
-    assert dv.check_monotonicity(q0, u0, q0, u0, data)
+    assert dv.check_monotonicity(q0, u0, q0, data)
     # sabotaged tau drives the iteration far past the noise level and the
     # distance bound is violated and flagged
     cfg = dv.GgnConfig(tau=0.5, enforce_assumptions=False, max_depth=4,
@@ -343,20 +343,28 @@ def test_runs_patch_no_attributes():
         assert vars(r).keys() == names
 
 
+def _minus(a, b):
+    """a - b on a's mesh, which must refine b's."""
+    return Field(a.space, a.coeffs - interpolate_onto(b, a.mesh).coeffs)
+
+
 def _fine_route_control_error(q_h, data):
     """Reference: |q_true - q_h| with q_h interpolated onto the
     simulation mesh, or q_true onto q_h's mesh where that is finer."""
     qt = data.q_true
     try:
-        return dv._minus(qt, q_h).norm_l2() / qt.norm_l2()
+        return _minus(qt, q_h).norm_l2() / qt.norm_l2()
     except ValueError:
         qt_c = interpolate_onto(qt, q_h.mesh)
-        return dv._minus(q_h, qt_c).norm_l2() / qt_c.norm_l2()
+        return _minus(q_h, qt_c).norm_l2() / qt_c.norm_l2()
 
 
-def _fine_route_monotonicity_rhs(q0, u0, data):
-    return (dv._minus(data.q_true, q0).norm_l2() ** 2
-            + dv._minus(data.u_true, u0).norm_h1semi() ** 2)
+def _fine_route_monotonicity_rhs(q0, data):
+    """|q_true - q0|^2 on the simulation mesh plus u_true' K u_true, with
+    K assembled there (and not cached)."""
+    u = data.u_true
+    return (_minus(data.q_true, q0).norm_l2() ** 2
+            + u.coeffs @ (fem.assemble_stiffness(u.space) @ u.coeffs))
 
 
 def test_moment_diagnostics_match_fine_mesh_route(ggn_runs, sims):
@@ -367,13 +375,28 @@ def test_moment_diagnostics_match_fine_mesh_route(ggn_runs, sims):
     got = dv.relative_control_error(rep.q_final, data)
     assert abs(got - ref) <= 1e-10 * ref
     coarse = uniform_mesh(3)
-    pairs = [(qspace(coarse).interpolate(lambda x, y: 40.0 * x * (1 - y)),
-              vspace(coarse).interpolate(lambda x, y: np.sin(7 * x) * y)),
-             (rep.q_final, rep.u_final)]
-    for q0, u0 in pairs:
-        ref = _fine_route_monotonicity_rhs(q0, u0, data)
-        got = dv.monotonicity_rhs(q0, u0, data)
+    for q0 in (qspace(coarse).interpolate(lambda x, y: 40.0 * x * (1 - y)),
+               rep.q_final):
+        ref = _fine_route_monotonicity_rhs(q0, data)
+        got = dv.monotonicity_rhs(q0, data)
         assert abs(got - ref) <= 1e-10 * ref
+
+
+def test_exact_pair_keeps_one_mass_table_each():
+    """After an L^2 run the exact state keeps no moment table, only its
+    H^1 seminorm, and q_true and g_delta keep their mass table alone."""
+    prob = pb.ModelProblem(zeta=100.0)
+    data = pb.simulate_data(prob, pb.synthetic_case("a"), pb.L2Obs(), 5,
+                            0.01, 1)
+    assert dv.run_ggn(prob, data, dv.GgnConfig(max_depth=4)).monotonicity
+
+    def tables(f):
+        return {key for key in fem._CONTEXTS.get(f, {}) if key[0] == "moments"}
+
+    assert tables(data.u_true) == set()
+    assert tables(data.q_true) == tables(data.g_delta) == {("moments",)}
+    assert (fem._CONTEXTS[data.u_true][("norm_h1semi",)]
+            == data.u_true.norm_h1semi())
 
 
 def _cellwise_dist_sq(f, g, mesh):

@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ggnfem import fem
-from ggnfem.fem import (Field, assemble_functional, assemble_mass,
-                        assemble_weighted_mass, interpolate_onto,
+from ggnfem.fem import (Field, assemble_weighted_mass, interpolate_onto,
                         patch_interpolate, qspace, riesz_dual_norm, vspace,
                         write_field_csv, write_field_vtk)
 from ggnfem.mesh import refine, uniform_mesh
 
 import reference_writers
-from conftest import cell_values, gauss_rule, graded_meshes, hanging_mesh
+from conftest import (cell_values, closed_form_load, gauss_rule,
+                      graded_meshes, hanging_mesh)
 
 
 def _l2_error(u: Field, exact):
@@ -25,7 +25,7 @@ def _l2_error(u: Field, exact):
 
 def _poisson_solve(mesh, f):
     V = vspace(mesh)
-    load = assemble_functional(V, f)
+    load = closed_form_load(V, f)
     return Field(V, V.stiffness_solver().solve(load))
 
 
@@ -103,6 +103,20 @@ def test_norm_l2_assembles_no_mass_matrix():
     assert not mass_keys & set(fem._CONTEXTS[mesh])
 
 
+def test_norm_h1semi_matches_the_stiffness_form():
+    """norm_h1semi sums cell corner values, and equals sqrt(c' K c) with
+    the assembled K for V and Q fields on a hanging mesh; the mesh's
+    context gains no stiffness matrix from it."""
+    mesh = hanging_mesh()
+    rng = np.random.default_rng(4)
+    for S in (vspace(mesh), qspace(mesh)):
+        c = rng.uniform(-1.0, 1.0, S.dim)
+        got = Field(S, c).norm_h1semi()
+        assert ("stiffness", S.kind) not in fem._CONTEXTS[mesh]
+        ref = np.sqrt(c @ (fem.assemble_stiffness(S) @ c))
+        assert abs(got - ref) <= 1e-14 * ref
+
+
 def test_manufactured_poisson_order_two():
     errs = []
     for lev in (2, 3, 4, 5):
@@ -118,7 +132,7 @@ def test_manufactured_poisson_order_two():
 def test_galerkin_orthogonality():
     mesh = uniform_mesh(4)
     V = vspace(mesh)
-    load = assemble_functional(
+    load = closed_form_load(
         V, lambda x, y: 2 * np.pi**2 * np.sin(np.pi * x) * np.sin(np.pi * y))
     u = V.stiffness_solver().solve(load)
     residual = load - V.stiffness() @ u
@@ -155,7 +169,7 @@ def test_riesz_converges_to_closed_form():
     vals = []
     for lev in (3, 4, 5):
         V = vspace(uniform_mesh(lev))
-        load = assemble_functional(
+        load = closed_form_load(
             V, lambda x, y: 2 * np.pi**2 * np.sin(np.pi * x) * np.sin(np.pi * y))
         vals.append(riesz_dual_norm(V, load)[0])
     target = np.pi / np.sqrt(2.0)
@@ -234,11 +248,6 @@ def test_containment_map_rejects_crossed_refinements():
     for src, tgt in ((left, right), (right, left)):
         with pytest.raises(ValueError):
             fem._containment_map(src, tgt)
-
-
-def test_mass_requires_single_mesh():
-    with pytest.raises(ValueError):
-        assemble_mass(qspace(uniform_mesh(2)), qspace(uniform_mesh(3)))
 
 
 def test_bilinear_at_child_gauss_points():

@@ -513,16 +513,20 @@ def test_dense_rows_do_not_read_the_factorized_matrix(n_v):
 @given(mesh=graded_meshes(), seed=st.integers(0, 2**16))
 def test_control_elimination_premise_is_exact(mesh, seed):
     """The reduction rests on L = -inc' M_Q and inc' M_Q inc = M_V, which
-    is also C*C for L^2 data; both hold entry for entry, so L x is
-    -(M_Q x) at V's dofs to the last bit."""
+    is also C*C for L^2 data.  The reference L, built apart from the
+    package's assembly, is -inc' M_Q to rounding, with its pattern; that
+    product is -(M_Q x) at V's dofs to the last bit, and the second
+    identity holds entry for entry."""
     inc = fem.v_to_q(mesh)
     L = reference_operators.L(mesh)
     keep = fem._q_dofs(mesh, "V")[0]
     x = np.random.default_rng(seed).standard_normal(inc.shape[0])
     for point in (True, False):
         sub = _random_subproblem(mesh, seed, point, 100.0)
-        assert (L != -(inc.T @ sub.M_Q)).nnz == 0
-        assert np.array_equal(L @ x, -(sub.M_Q @ x)[keep])
+        ref = -(inc.T @ sub.M_Q)
+        assert ((L != 0) != (ref != 0)).nnz == 0
+        assert abs(L - ref).max() <= 1e-14 * abs(ref).max()
+        assert np.array_equal(ref @ x, -(sub.M_Q @ x)[keep])
         assert (inc.T @ sub.M_Q @ inc != sub.V.mass()).nnz == 0
 
 
