@@ -102,7 +102,7 @@ def _gn_fit(problem, obs, g, mesh, beta, q_start, u_warm, cfg):
 def run_nt(problem: pb.ModelProblem, data: pb.NoisyData, cfg: NtConfig) -> RunReport:
     """Nonlinear-Tikhonov run on the same data as the linearized solver,
     in the driver's run state; rho, I3h and the GGN checks stay unset."""
-    run = _Run(problem, data, cfg, None)
+    run = _Run(problem, data, cfg)
     delta2 = data.delta**2
     band = (cfg.tau_low**2 * delta2, cfg.tau_up**2 * delta2)
     bracket = BetaBracket(cfg)

@@ -261,7 +261,7 @@ class _Run:
     beta, iterate, rows, warnings and data vector here too; the rest
     is GGN's."""
 
-    def __init__(self, problem, data, cfg, q0):
+    def __init__(self, problem, data, cfg):
         if not 0.0 < cfg.beta_min <= cfg.beta0 <= cfg.beta_max:
             raise ValueError("need 0 < beta_min <= beta0 <= beta_max")
         if not 0.0 < cfg.marking_fraction <= 1.0:
@@ -287,9 +287,7 @@ class _Run:
             self.warnings.append(
                 f"fine mesh level {data.fine_levels} does not exceed "
                 f"solver depth {cfg.max_depth}")
-        self.q0 = qspace(self.mesh).zeros() if q0 is None else \
-            interpolate_onto(q0, self.mesh)
-        self.q_old = self.q0
+        self.q_old = self.q0 = qspace(self.mesh).zeros()
         self.u_old = vspace(self.mesh).zeros()
         self.beta = cfg.beta0
         self.beta_floor = cfg.beta0
@@ -393,9 +391,9 @@ class _Run:
             warnings=self.warnings, **extra)
 
 
-def run_ggn(problem: pb.ModelProblem, data: pb.NoisyData, cfg: GgnConfig,
-            q0: Field | None = None) -> RunReport:
-    """Full adaptive Gauss-Newton run on one data set.
+def run_ggn(problem: pb.ModelProblem, data: pb.NoisyData,
+            cfg: GgnConfig) -> RunReport:
+    """Full adaptive Gauss-Newton run on one data set, from (q0, u0) = 0.
 
     A failed solve, factorization, data restriction or beta search, at the
     start or inside the loop, ends the run with the error's termination
@@ -404,7 +402,7 @@ def run_ggn(problem: pb.ModelProblem, data: pb.NoisyData, cfg: GgnConfig,
     """
     if cfg.enforce_assumptions:
         cfg.validate()
-    run = _Run(problem, data, cfg, q0)
+    run = _Run(problem, data, cfg)
     try:
         run.start()
         termination = _iterate(run)

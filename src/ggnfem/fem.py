@@ -12,23 +12,23 @@ nested, re-interpolating a field onto any refinement of its mesh is
 pointwise exact, so cross-mesh evaluation carries no projection error.
 The source leaf containing each target cell is found by index
 arithmetic on the linear quadtree (Morton codes, one sorted search).
-The other way, a fine field's mass moments against the corner shapes
-of every coarser dyadic cell follow from its own cells' moments level by
-level (``cell_moments``); they give L^2 restriction and L^2 distances to
+The other way, a fine field's mass moments on the (4^L - 1) / 3 dyadic
+cells above its finest level L (``_moment_table``) follow level by level
+from its cells'; its level-L leaves use their corner values
+(``cell_moments``).  They give L^2 restriction and L^2 distances to
 coarser fields in O(coarse cells).
 
 Assembly is split into a symbolic and a numeric part.  The symbolic
 part, built once per mesh, is an assembly plan: the condensed CSR
 pattern and one sparse map P from element matrices to its data, which
 composes the scatter onto the vertices with the condensation T' . T
-(``_q_plan``; load vectors use the map T' S, ``_load_map``).  P is
-built for the Q space only: the V plan is the list of Q entries it
-keeps (``_assembly_plan``), and a V load vector is the Q one restricted
-to V's dofs.  Each assembly then only computes element data
-and applies P.  Matrices of one plan share its pattern arrays, so adding
-their data adds the matrices.  Other per-mesh operators (T, C, the V-to-Q
-inclusion) are built from index arrays, entry for entry as the
-sparse products they replace.
+(``_q_plan``; load vectors use the map T' S, ``_load_map``).  The V
+plan and loads are the Q ones at V's dofs (``_assembly_plan``).
+Matrices of one plan share its pattern arrays, so adding their data adds
+the matrices.  Other per-mesh operators (T, C, the V-to-Q inclusion) are
+built from index arrays, entry for entry as the sparse products they
+replace.  Sparse factorizations are ``symmetric_lu``: the stiffness
+once per mesh, and the KKT matrices of ``subsolver``.
 
 Every cell integral takes one tensor Gauss rule, NQ = 3 points per axis,
 exact to degree 5 in each variable.  On a leaf a Q1 field has degree 1
@@ -36,29 +36,23 @@ per variable and a DWR weight degree 2, so every integrand here is exact:
 (u^3, phi) and (u^2 v, phi) have degree 4, the estimators' (u^2 v, w) and
 (u^3, w) 5, and gradient pairings and the L^2 misfit and pairing <= 3.
 
-Only stiffness matrices are factorized (``symmetric_lu``), once per mesh.
-
 The truth build on the uniform simulation mesh assembles nothing.  That
 mesh has no hanging vertex, and its vertices in key order are the
 row-major (2^L + 1)^2 grid, so its V operators apply on that grid by
 shifted slices (matrix-free; Kronbichler & Kormann, Comput. Fluids 63,
 2012): K and the weighted mass as 9-point stencils (``_Stencil``), loads
-by a scatter of cell loads, with the Gauss quadrature done in blocks of
-cells (``_grid_integrals``), and K^-1 by fast sine transforms
-(``_SineSolver``).
+by a scatter of cell loads, and K^-1 by fast sine transforms
+(``_SineSolver``).  The quadrature comes in row blocks of cells
+(``_grid_integrals``), each added into the stencil or the loads as it
+comes, in the row order that keeps every sum's terms in their order.
 
-Everything derived from one mesh -- the condensation and dof selection
-of each space, the assembly plans, the load map, its assembled operators
-and solvers, the V-to-Q inclusion, the cell origin tables, the patch
-table of the DWR weights, point locations, observation matrices C and
-the patch basis at the points, the dense KKT blocks per observation, and
-the containment maps into finer meshes -- is cached in one per-mesh
-context (``_cached``); a field's own context keeps its moment table,
-load vectors, DWR weights and its quadrature values, cubes, gradients.
-Contexts sit in a ``WeakKeyDictionary`` keyed by their owner and hold
-nothing that refers back to it, so each one dies with its owner.  For
-the same reason a ``Space`` is a light view over its context entry and
-is rebuilt on demand rather than cached itself.
+Everything derived from one mesh (spaces, plans, operators, solvers,
+point data, patch tables, dense KKT blocks, containment maps) is cached
+in its context (``_cached``); a field's context keeps its moment table,
+loads, DWR weights and quadrature tables.  Contexts sit in a
+``WeakKeyDictionary`` keyed by their owner and hold nothing that refers
+back to it, so each one dies with its owner; a ``Space`` is a light view
+over its context entry, rebuilt on demand rather than cached itself.
 """
 
 from __future__ import annotations
@@ -106,10 +100,8 @@ def gauss_points(n: int):
     x, w = leggauss(n)
     x = 0.5 * (x + 1.0)
     w = 0.5 * w
-    ps, pt = np.meshgrid(x, x, indexing="ij")
-    ws, wt = np.meshgrid(w, w, indexing="ij")
-    pts = np.column_stack([ps.ravel(), pt.ravel()])
-    return pts, (ws * wt).ravel()
+    pts = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
+    return pts, np.outer(w, w).ravel()
 
 
 def shape_values(pts: np.ndarray) -> np.ndarray:
@@ -445,7 +437,9 @@ def _load_map(mesh: QuadMesh) -> sp.csr_matrix:
 
 
 def _q_plan(mesh: QuadMesh):
-    """Cached symbolic assembly onto the Q space: (indptr, indices, P)."""
+    """Cached symbolic assembly onto the Q space: (indptr, indices, P).
+    Only the nonzeros of T generate entries of P, so a hanging vertex adds
+    its two parents and a regular one only itself."""
     def build():
         T = qspace(mesh).T
         corners = mesh.cell_corners.astype(np.int32)
@@ -469,20 +463,14 @@ def _q_plan(mesh: QuadMesh):
         indices = (key % T.shape[1]).astype(np.int32)
         return indptr.astype(np.int32), indices, P
 
-    return _cached(mesh, ("plan", "Q", "Q"), build)
+    return _cached(mesh, ("plan",), build)
 
 
 def _assembly_plan(space: Space):
-    """Cached symbolic assembly onto a space.
-
-    Returns (indptr, indices, slots): the condensed CSR pattern and the
-    entries of the Q plan it selects, so that condensed data =
-    (P @ element_matrices.ravel())[slots] for the Q plan's map P.  P
-    composes the element-to-vertex scatter with the condensation T' . T;
-    only the nonzeros of T generate entries, so a hanging vertex adds its
-    two parents and a regular one only itself.  The Q plan is built
-    once; the V plan selects its rows and columns.
-    """
+    """Cached symbolic assembly onto a space: (indptr, indices, slots),
+    the condensed CSR pattern and the entries of the Q plan it selects
+    (all for Q, V's rows and columns for V), so that condensed data =
+    (P @ element_matrices.ravel())[slots] for the Q plan's map P."""
     mesh = space.mesh
 
     def build():
@@ -670,20 +658,19 @@ _PAIR_CELLS = {-1: ((-1, 1),), 0: ((-1, 2), (0, 0)), 1: ((0, 1),)}
 _BLOCK = 1 << 13  # cells per block of _grid_integrals; its tables stay small
 
 
-def _grid_integrals(field: "Field", power: int, basis) -> np.ndarray:
+def _grid_integrals(field: "Field", power: int, basis, reverse=False):
     """Cell integrals (f^power, b_k(s) b_l(t)) of a field f on its uniform
     mesh, for the 1D functions basis(x) (..., K) of the local
-    coordinates: shape (K, K, n, n), k along x, l along y, cells
-    row-major.  Blocks of cell rows are done one at a time, so no
-    (n_cells, NQ^2) table is formed."""
+    coordinates, by blocks of cell rows, r increasing or in reverse:
+    yields (r, block (K, K, rows, n)), k along x, l along y.  No (n_cells,
+    NQ^2) table or (K, K, n, n) array is formed."""
     n = 1 << field.mesh.max_level
     vals = (field.space.T @ field.coeffs).reshape(n + 1, n + 1)
     bs, bt = basis(_PTS[:, 0]), basis(_PTS[:, 1])
     k = bs.shape[1]
     table = ((_WTS / n**2)[:, None, None] * bs[:, :, None] * bt[:, None, :])
-    out = np.empty((k, k, n, n))
     rows = max(1, _BLOCK // n)
-    for r in range(0, n, rows):
+    for r in range(0, n, rows)[::-1 if reverse else 1]:
         v = vals[r:r + rows + 1]
         corners = np.stack([v[:-1, :-1], v[:-1, 1:], v[1:, :-1], v[1:, 1:]],
                            axis=-1)
@@ -691,35 +678,34 @@ def _grid_integrals(field: "Field", power: int, basis) -> np.ndarray:
         fp = f
         for _ in range(power - 1):
             fp = fp * f
-        out[:, :, r:r + rows] = (fp @ table.reshape(len(_WTS), -1)).T.reshape(
-            k, k, -1, n)
-    return out
+        yield r, (fp @ table.reshape(len(_WTS), -1)).T.reshape(k, k, -1, n)
 
 
 def _grid_functional(field: "Field", power: int = 1) -> np.ndarray:
     """V vector of (f^power, phi_i), f a field on a uniform mesh: cell
-    loads scattered onto the vertex grid."""
-    loads = _grid_integrals(field, power,
-                            lambda x: np.column_stack([1 - x, x]))
-    n = loads.shape[-1]
+    loads scattered onto the vertex grid, cell row j before j - 1."""
+    n = 1 << field.mesh.max_level
     grid = np.zeros((n + 1, n + 1))
-    for kx, ky in _CORNERS:
-        grid[ky:ky + n, kx:kx + n] += loads[kx, ky]
+    for r, loads in _grid_integrals(field, power, lambda x: np.column_stack(
+            [1 - x, x]), reverse=True):
+        for kx, ky in _CORNERS:
+            grid[r + ky:r + ky + loads.shape[2], kx:kx + n] += loads[kx, ky]
     return grid[1:-1, 1:-1].ravel()
 
 
 def _grid_weighted_mass(field: "Field") -> _Stencil:
     """Stencil of (f^2 u, v) on V of a field's uniform mesh, as
-    ``assemble_weighted_mass``."""
-    c = _grid_integrals(field, 2, lambda x: np.column_stack(
-        [(1 - x) ** 2, (1 - x) * x, x**2]))
-    n = c.shape[-1]
-    coeffs = np.zeros((3, 3, n - 1, n - 1))  # one block, freed as one
-    for dy, dx in np.ndindex(3, 3):
-        for sy, py in _PAIR_CELLS[dy - 1]:
-            for sx, px in _PAIR_CELLS[dx - 1]:
-                coeffs[dy, dx] += c[px, py, 1 + sy:n + sy, 1 + sx:n + sx]
-    return _Stencil({(dy - 1, dx - 1): coeffs[dy, dx]
+    ``assemble_weighted_mass``; row 1 + i of ``coeffs`` is V row i."""
+    n = 1 << field.mesh.max_level
+    coeffs = np.zeros((3, 3, n + 1, n - 1))  # one block, freed as one
+    for r, c in _grid_integrals(field, 2, lambda x: np.column_stack(
+            [(1 - x) ** 2, (1 - x) * x, x**2])):
+        for dy, dx in np.ndindex(3, 3):
+            for sy, py in _PAIR_CELLS[dy - 1]:
+                for sx, px in _PAIR_CELLS[dx - 1]:
+                    coeffs[dy, dx, r - sy:r - sy + c.shape[2]] += c[
+                        px, py, :, 1 + sx:n + sx]
+    return _Stencil({(dy - 1, dx - 1): coeffs[dy, dx, 1:n]
                      for dy, dx in np.ndindex(3, 3)})
 
 
@@ -784,20 +770,24 @@ def _corner_moments(corner_vals: np.ndarray, form: str, h: np.ndarray):
 
 def _moment_table(field: "Field"):
     """(offsets, table, |field|^2): a field's mass moments over the dyadic
-    cells up to its mesh's finest level, kept in its context.  Level l
+    cells above its mesh's finest level, kept in its context.  Level l
     fills rows offsets[l] + Morton index, so a parent's moments are its 4
-    consecutive children's through R[4c + j, k], parent shape k at corner j
-    of child c (at corner offset c).  NaN marks cells inside a leaf."""
+    consecutive children's (finest leaves included) through R[4c + j, k],
+    parent shape k at corner j of child c (at offset c).  NaN: in a leaf."""
     def build():
         mesh, top = field.mesh, field.mesh.max_level
         level = mesh.cells[:, 0]
-        offsets = (4 ** np.arange(top + 2) - 1) // 3
+        offsets = (4 ** np.arange(top + 1) - 1) // 3
         table = np.full((offsets[-1], 4), np.nan)
         cv = field.full_values()[mesh.cell_corners]
         moments = _corner_moments(cv, "mass", mesh.cell_sizes())
-        table[offsets[level] + (mesh.codes >> 2 * (DEPTH - level))] = moments
         R = shape_values((_CORNERS[:, None] + _CORNERS) / 2).reshape(16, 4)
-        for lev in range(top - 1, -1, -1):
+        up, lv = level < top, level[level < top]
+        table[offsets[lv] + (mesh.codes[up] >> 2 * (DEPTH - lv))] = moments[up]
+        if top:
+            table[offsets[top - 1] + (mesh.codes[~up][::4] >> 2 * (
+                DEPTH - top + 1))] = moments[~up].reshape(-1, 16) @ R
+        for lev in range(top - 2, -1, -1):
             cells = table[offsets[lev]:offsets[lev + 1]]
             children = table[offsets[lev + 1]:offsets[lev + 2]].reshape(-1, 16)
             np.copyto(cells, children @ R, where=np.isnan(cells))
@@ -809,14 +799,21 @@ def _moment_table(field: "Field"):
 
 def cell_moments(field: "Field", mesh: QuadMesh):
     """((n_cells, 4) moments, |field|_L2^2) of a field over any mesh's
-    cells: (field, phi_k)_c, k over the cell corners.  Unions of the
-    field's leaves read its moment table; a cell inside a leaf, where the
-    field is bilinear, uses the field's values at the cell corners."""
+    cells: (field, phi_k)_c, k over the cell corners.  Cells above the
+    field's finest level read its moment table; its leaves there (one
+    search on the codes) and cells inside a leaf use its corner values."""
     offsets, table, own = _moment_table(field)
-    top = len(offsets) - 2
-    level = np.minimum(mesh.cells[:, 0], top)
-    rows = table[offsets[level] + (mesh.codes >> 2 * (DEPTH - level))]
-    inner = np.isnan(rows[:, 0]) | (mesh.cells[:, 0] > top)
+    fine, level, top = field.mesh, mesh.cells[:, 0], len(offsets) - 1
+    lv = np.minimum(level, top - 1)  # a finer cell reads an ancestor's row
+    rows = (table[offsets[lv] + (mesh.codes >> 2 * (DEPTH - lv))] if top
+            else np.empty((mesh.n_cells, 4)))
+    inner = np.isnan(rows[:, 0]) | (level >= top)
+    at = np.flatnonzero(level == top)
+    leaf = np.searchsorted(fine.codes, mesh.codes[at], side="right") - 1
+    at, leaf = at[fine.cells[leaf, 0] == top], leaf[fine.cells[leaf, 0] == top]
+    rows[at] = _corner_moments(field.full_values()[fine.cell_corners[leaf]],
+                               "mass", mesh.cell_sizes()[at])
+    inner[at] = False
     if inner.any():
         xy = mesh.vertices[mesh.cell_corners[inner]].reshape(-1, 2)
         rows[inner] = _corner_moments(field.eval_points(xy).reshape(-1, 4),

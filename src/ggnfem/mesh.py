@@ -38,6 +38,7 @@ DEPTH = 30  # level the Morton codes count in; the deepest leaf level
 
 # Corner offsets in the local order used throughout: SW, SE, NW, NE.
 _CORNERS = np.array([(0, 0), (1, 0), (0, 1), (1, 1)])
+_KIDS = np.insert(_CORNERS, 0, 1, axis=1)  # child j = cell * [1, 2, 2] + row j
 # Corner pairs of the bottom, top, left and right edges of a cell.
 _EDGE_A, _EDGE_B = [0, 2, 0, 1], [1, 3, 2, 3]
 # Offsets to the same-level neighbours across the left, right, bottom, top.
@@ -99,8 +100,8 @@ class QuadMesh:
         Marks vertices on the boundary of the unit square.
     """
 
-    def __init__(self, cells, _codes=None):
-        # refine passes the codes of cells already in Morton order.
+    def __init__(self, cells, _codes=None, _corners=None):
+        # refine passes the codes of sorted cells, uniform_mesh also corners.
         cells = np.asarray(cells, dtype=np.int64).reshape(-1, 3)
         self.cells, self.codes = (_sort(cells) if _codes is None
                                   else (cells, _codes))
@@ -110,12 +111,14 @@ class QuadMesh:
         self._cell_sizes = np.ldexp(1.0, -level)
         self._cell_sizes.flags.writeable = False
 
-        # Corner coordinates at the finest scale, (n_cells, 4, 2).
-        self._side = (1 << self.max_level) + 1
-        step = (1 << (self.max_level - level))[:, None, None]
-        xy = (self.cells[:, None, 1:] + _CORNERS) * step
-        self.keys, corners = np.unique(xy[..., 1] * self._side + xy[..., 0],
-                                       return_inverse=True)
+        self._side = side = (1 << self.max_level) + 1
+        if _corners is None:  # corners at the finest scale, (n_cells, 4, 2)
+            step = (1 << (self.max_level - level))[:, None, None]
+            xy = (self.cells[:, None, 1:] + _CORNERS) * step
+            self.keys, corners = np.unique(xy[..., 1] * side + xy[..., 0],
+                                           return_inverse=True)
+        else:  # uniform: every vertex of the grid
+            self.keys, corners = np.arange(side**2), _corners
         self.cell_corners = corners.reshape(-1, 4)
         self.n_vertices = len(self.keys)
         ky, kx = np.divmod(self.keys, self._side)
@@ -125,10 +128,10 @@ class QuadMesh:
 
         # A vertex strictly inside a leaf edge is hanging; 1-irregularity
         # puts it at the edge midpoint, parents are the edge endpoints.
-        coarse = level < self.max_level
-        mid = (xy[coarse][:, _EDGE_A] + xy[coarse][:, _EDGE_B]) // 2
-        mid = self.vertex_ids(mid[..., 0], mid[..., 1])
-        ends = self.cell_corners[coarse]
+        # Keys are linear in (kx, ky), so the midpoint's is their mean.
+        ends = self.cell_corners[level < self.max_level]
+        mid = (self.keys[ends[:, _EDGE_A]] + self.keys[ends[:, _EDGE_B]]) // 2
+        mid = self.vertex_ids(*np.divmod(mid, side)[::-1])
         rows = np.stack([mid, ends[:, _EDGE_A], ends[:, _EDGE_B]], -1)[mid >= 0]
         self.hanging = rows[np.argsort(rows[:, 0])]
 
@@ -144,11 +147,15 @@ class QuadMesh:
 
 
 def uniform_mesh(levels: int) -> QuadMesh:
-    """Uniform mesh with 4**levels equal square leaves."""
-    if levels < 0:
-        raise ValueError("levels must be >= 0")
-    iy, ix = np.divmod(np.arange(1 << 2 * levels), 1 << levels)
-    return QuadMesh(np.column_stack([np.full_like(ix, levels), ix, iy]))
+    """Uniform mesh with 4**levels equal square leaves, built by arithmetic."""
+    if not 0 <= levels <= DEPTH:
+        raise ValueError(f"need 0 <= levels <= {DEPTH}, the deepest leaf level")
+    cells = np.zeros((1, 3), dtype=np.int64)
+    for _ in range(levels):
+        cells = (cells[:, None] * [1, 2, 2] + _KIDS).reshape(-1, 3)
+    side, ix, iy = (1 << levels) + 1, cells[:, 1], cells[:, 2]
+    return QuadMesh(cells, np.arange(len(cells)) << 2 * (DEPTH - levels),
+                    (iy * side + ix)[:, None] + [0, 1, side, side + 1])
 
 
 def refine(mesh: QuadMesh, marked, max_level: int | None = None) -> QuadMesh:
@@ -167,8 +174,7 @@ def refine(mesh: QuadMesh, marked, max_level: int | None = None) -> QuadMesh:
     if not ids.size:
         return mesh
     while ids.size:  # closure rounds
-        kids = np.repeat(cells[ids] * [1, 2, 2] + [1, 0, 0], 4, axis=0)
-        kids[:, 1:] += np.tile(_CORNERS, (len(ids), 1))
+        kids = (cells[ids][:, None] * [1, 2, 2] + _KIDS).reshape(-1, 3)
         cells = np.concatenate([np.delete(cells, ids, axis=0), kids])
         cells, codes = _sort(cells)
         ids = _too_coarse(cells, codes, kids)

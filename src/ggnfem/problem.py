@@ -269,8 +269,7 @@ class _Assembled:
         self.solver = space.stiffness_solver()
 
     def load(self, q: Field) -> np.ndarray:
-        return fem.assemble_functional(self.space,
-                                       interpolate_onto(q, self.space.mesh))
+        return fem.assemble_functional(self.space, q)
 
     def cubic(self, u: Field) -> np.ndarray:
         return _cubic_term(self.space, u)

@@ -5,6 +5,9 @@ These are ``solve_forward`` and ``linearized_state_operator`` of
 quadrature values of its iterate between the residual and the Jacobian
 and summed the Jacobian in the data of the weighted mass matrix, kept so
 that tests can compare coefficients and Jacobian counts with them.
+``grid_weighted_mass`` is the grid Jacobian as it was before it added
+the row blocks of the cell integrals as they came: it forms all of them,
+(3, 3, n, n), then sums each stencil coefficient in one pass.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from ggnfem import fem
 from ggnfem.fem import Field, interpolate_onto
 from ggnfem.problem import ForwardSolveError, _pcg
 
-__all__ = ["linearized_state_operator", "solve_forward"]
+__all__ = ["grid_weighted_mass", "linearized_state_operator",
+           "solve_forward"]
 
 # The cubic term at 3 x 3 Gauss points built here, not read from fem: the
 # solves are compared bit for bit, which holds only under the same rule, so
@@ -74,3 +78,35 @@ def solve_forward(problem, q, space, tol=1e-10, max_iter=50, u_init=None):
                 break
             step *= 0.5
         u, (r, s, rnorm) = u + step * d, new
+
+
+def grid_weighted_mass(field):
+    """Stencil coefficients {(dy, dx): (n-1, n-1)} of (f^2 u, v) on the V
+    grid of a field's uniform mesh, from the whole (3, 3, n, n) array of
+    cell integrals (f^2, b_k(s) b_l(t)), computed by blocks of
+    ``fem._BLOCK`` cells as ``fem._grid_integrals`` does."""
+    n = 1 << field.mesh.max_level
+    vals = (field.space.T @ field.coeffs).reshape(n + 1, n + 1)
+    pts, wts = fem.gauss_points(3)
+    shapes = fem.shape_values(pts)
+
+    def basis(x):
+        return np.column_stack([(1 - x) ** 2, (1 - x) * x, x**2])
+
+    bs, bt = basis(pts[:, 0]), basis(pts[:, 1])
+    table = (wts / n**2)[:, None, None] * bs[:, :, None] * bt[:, None, :]
+    c = np.empty((3, 3, n, n))
+    rows = max(1, fem._BLOCK // n)
+    for r in range(0, n, rows):
+        v = vals[r:r + rows + 1]
+        corners = np.stack([v[:-1, :-1], v[:-1, 1:], v[1:, :-1], v[1:, 1:]],
+                           axis=-1)
+        f = corners.reshape(-1, 4) @ shapes.T
+        c[:, :, r:r + rows] = ((f * f) @ table.reshape(len(wts), -1)).T.reshape(
+            3, 3, -1, n)
+    coeffs = np.zeros((3, 3, n - 1, n - 1))
+    for dy, dx in np.ndindex(3, 3):
+        for sy, py in fem._PAIR_CELLS[dy - 1]:
+            for sx, px in fem._PAIR_CELLS[dx - 1]:
+                coeffs[dy, dx] += c[px, py, 1 + sy:n + sy, 1 + sx:n + sx]
+    return {(dy - 1, dx - 1): coeffs[dy, dx] for dy, dx in np.ndindex(3, 3)}

@@ -262,6 +262,20 @@ def test_bad_zeta_or_noise_is_reported(tmp_path, capsys, flags, config,
         assert str(path) in err and re.search(r"line:? \d", err)
 
 
+@pytest.mark.parametrize("levels", ["31", "40", "70"])
+def test_fine_levels_beyond_the_depth_limit(tmp_path, capsys, levels):
+    """A simulation level past the quadtree's 30-level limit ends with exit
+    code 1 and one error line that names the limit, before any array is
+    allocated (numpy's "array is too big" or "Maximum allowed size
+    exceeded" before)."""
+    rc = cli.main(["--fine-levels", levels, "--out", str(tmp_path / "x"),
+                   "simulate"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "levels <= 30" in err
+
+
 def test_table_failed_row_exit_code(tmp_path):
     """A failed entry becomes a "failed:" row of the method that failed
     and the exit code is 1.  When NT fails, the GGN row of its entry

@@ -234,7 +234,7 @@ def test_beta_search_grid_oracle():
     in_band = (vals >= lo) & (vals <= hi)
     assert in_band.any()
     # driver search from beta0=10 on the same frozen instance
-    run = dv._Run(prob, data, dv.GgnConfig(max_depth=3), None)
+    run = dv._Run(prob, data, dv.GgnConfig(max_depth=3))
     run.i3h = i3
     sol = run.beta_search(run.solve())
     assert lo <= sol.misfit_sq() <= hi

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -171,6 +173,45 @@ def test_uniform_mesh_matches_reference(levels):
     _assert_matches_reference(uniform_mesh(levels),
                               reference_mesh.uniform_mesh(levels),
                               np.random.default_rng(levels))
+
+
+_ARRAYS = ("cells", "codes", "keys", "cell_corners", "vertices", "boundary",
+           "hanging", "_cell_sizes")
+
+
+@pytest.mark.parametrize("levels", range(8))
+def test_uniform_mesh_equals_generic_build(levels):
+    """The arithmetic build of a uniform mesh gives the arrays, dtypes and
+    counts of ``QuadMesh`` of its cells given in reverse order, which
+    sorts them and finds the vertices by np.unique."""
+    mesh = uniform_mesh(levels)
+    generic = mesh_module.QuadMesh(mesh.cells[::-1])
+    for name in _ARRAYS:
+        a, b = getattr(mesh, name), getattr(generic, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert np.array_equal(a, b), name
+    assert (mesh.n_cells, mesh.n_vertices, mesh.max_level, mesh._side) == (
+        generic.n_cells, generic.n_vertices, generic.max_level, generic._side)
+
+
+def test_uniform_mesh_peak_is_below_twice_its_arrays():
+    """uniform_mesh(9) allocates at its peak at most twice the bytes it
+    keeps: no (n_cells, 4, 2) corner array, sort or unique."""
+    tracemalloc.start()
+    try:
+        mesh = uniform_mesh(9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(getattr(mesh, name).nbytes for name in _ARRAYS)
+    assert peak <= 2 * kept, (peak, kept)
+
+
+@pytest.mark.parametrize("levels", [-1, mesh_module.DEPTH + 1, 40, 70])
+def test_uniform_mesh_levels_out_of_range(levels):
+    """A level outside [0, DEPTH] raises before anything is allocated."""
+    with pytest.raises(ValueError, match=f"<= {mesh_module.DEPTH}"):
+        uniform_mesh(levels)
 
 
 @settings(max_examples=60)

@@ -1,5 +1,6 @@
 import functools
 import gc
+import tracemalloc
 import types
 import weakref
 from unittest import mock
@@ -302,6 +303,48 @@ def test_grid_operators_match_assembled(level):
                 fem.assemble_functional(V, q)) <= 1e-13
     assert _rel(fem._grid_functional(u, 3),
                 pb._cubic_term(V, u)) <= 1e-13
+
+
+@pytest.mark.parametrize("block", [1 << 13, 7, 100])
+def test_grid_jacobian_adds_row_blocks_in_order(monkeypatch, block):
+    """The level-5 grid Jacobian, added up from the row blocks of the cell
+    integrals, equals bit for bit the reference that forms all cell
+    integrals first: one block (the default), one cell row per block, and
+    3 rows per block with a short last one.  The loads, added from the
+    blocks in reverse, equal the sum over the corners of the whole load
+    array."""
+    monkeypatch.setattr(fem, "_BLOCK", block)
+    V = vspace(uniform_mesh(5))
+    u = Field(V, np.random.default_rng(5).uniform(-1.0, 1.0, V.dim))
+    coeffs = fem._grid_weighted_mass(u).coeffs
+    ref = reference_forward.grid_weighted_mass(u)
+    assert coeffs.keys() == ref.keys()
+    for d, c in ref.items():
+        assert np.array_equal(coeffs[d], c), d
+    blocks = [b for _, b in sorted(fem._grid_integrals(
+        u, 3, lambda x: np.column_stack([1 - x, x]), reverse=True),
+        key=lambda rb: rb[0])]
+    loads, grid = np.concatenate(blocks, axis=2), np.zeros((33, 33))
+    for kx, ky in fem._CORNERS:
+        grid[ky:ky + 32, kx:kx + 32] += loads[kx, ky]
+    assert np.array_equal(fem._grid_functional(u, 3),
+                          grid[1:-1, 1:-1].ravel())
+
+
+def test_grid_jacobian_keeps_no_cell_integral_array():
+    """At level 9 the grid Jacobian's allocations peak below 1.5 times its
+    (3, 3, n + 1, n - 1) coefficients: no (3, 3, n, n) array of cell
+    integrals exists next to them (that would make 2 times)."""
+    V = vspace(uniform_mesh(9))
+    u = Field(V, np.random.default_rng(9).uniform(-1.0, 1.0, V.dim))
+    u.full_values()
+    tracemalloc.start()
+    try:
+        fem._grid_weighted_mass(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 9 * 513 * 511 * 8, peak
 
 
 @pytest.mark.parametrize("zeta", [0.0, 100.0, 1000.0])
@@ -610,6 +653,69 @@ def test_moment_table_dies_with_its_data():
     gc.collect()
     assert owner() is None
     assert len(fem._CONTEXTS) == n_contexts - 1
+
+
+@pytest.mark.parametrize("level", range(5))
+def test_moment_table_keeps_the_levels_above_the_leaves(level):
+    """A level-L field's table has a row per dyadic cell of levels 0 to
+    L - 1, (4^L - 1) / 3; on its own mesh cell_moments gives each leaf
+    the moments of its corner values, and on coarser uniform meshes the
+    sums of its leaves' moments."""
+    mesh = uniform_mesh(level)
+    f = Field(qspace(mesh), np.random.default_rng(level).uniform(
+        -1.0, 1.0, qspace(mesh).dim))
+    offsets, table, own = fem._moment_table(f)
+    assert len(table) == (4**level - 1) // 3 == offsets[-1]
+    cv = f.full_values()[mesh.cell_corners]
+    moments, norm2 = fem.cell_moments(f, mesh)
+    assert np.array_equal(moments, fem._corner_moments(
+        cv, "mass", mesh.cell_sizes()))
+    assert norm2 == own == float(np.sum(moments * cv))
+    for coarse in range(level):
+        rows = fem.cell_moments(f, uniform_mesh(coarse))[0]
+        assert np.allclose(rows, _coarse_moments(f, coarse), rtol=0,
+                           atol=1e-14), coarse
+
+
+def test_cell_moments_of_a_graded_field():
+    """A field with leaves at levels 2 and 3: on uniform level-3 and -4
+    meshes cell_moments equals the corner moments of the field
+    interpolated there (level-3 cells are its leaves or lie inside a
+    level-2 one), and on coarser meshes the sums of its leaves'."""
+    mesh = refine(uniform_mesh(2), [0, 5])
+    f = Field(qspace(mesh), np.random.default_rng(2).uniform(
+        -1.0, 1.0, qspace(mesh).dim))
+    assert len(fem._moment_table(f)[1]) == 21
+    for level in (3, 4):
+        target = uniform_mesh(level)
+        cv = fem.interpolate_onto(f, target).full_values()[target.cell_corners]
+        assert np.allclose(fem.cell_moments(f, target)[0], fem._corner_moments(
+            cv, "mass", target.cell_sizes()), rtol=0, atol=1e-15), level
+    for coarse in range(3):
+        assert np.allclose(fem.cell_moments(f, uniform_mesh(coarse))[0],
+                           _coarse_moments(f, coarse), rtol=0,
+                           atol=1e-14), coarse
+
+
+def _coarse_moments(f, coarse):
+    """(f, phi_k)_c on the uniform level-``coarse`` cells, by exact Gauss
+    quadrature on the field's own cells."""
+    mesh = f.mesh
+    pts, wts, shapes, _ = gauss_rule(3)
+    x0, y0, h = fem._cell_origin_arrays(mesh)
+    vals = cell_values(f, shapes)
+    gx = x0[:, None] + h[:, None] * pts[:, 0]
+    gy = y0[:, None] + h[:, None] * pts[:, 1]
+    hc = 0.5**coarse
+    ids = locate(uniform_mesh(coarse), np.column_stack(
+        [x0 + 0.5 * h, y0 + 0.5 * h]))[0]
+    cells = uniform_mesh(coarse).cells[ids]
+    local = np.stack([gx / hc - cells[:, 1:2], gy / hc - cells[:, 2:3]], -1)
+    loads = np.einsum("c,cq,q,cqi->ci", h**2, vals, wts,
+                      fem.shape_values(local))
+    out = np.zeros((4**coarse, 4))
+    np.add.at(out, ids, loads)
+    return out
 
 
 def test_point_observation_adjoint_consistency():

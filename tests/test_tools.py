@@ -3,7 +3,7 @@ differ only at rounding level and elsewhere, the largest move of each
 float field and row column (absolute for the fields at rounding level,
 relative for the others), the runs whose acceptance fields changed, the
 exit status (1 whenever the dumps differ at all), and a quiet end on a
-closed pipe."""
+closed pipe; and a smoke run of ``tools/fine_memory.py``."""
 
 import importlib.util
 import json
@@ -117,3 +117,21 @@ def test_compare_ends_quietly_on_a_closed_pipe(tmp_path):
     err = proc.stderr.read()
     assert proc.wait() == -signal.SIGPIPE
     assert b"Traceback" not in err and b"BrokenPipeError" not in err, err
+
+
+def test_fine_memory_smoke():
+    """``tools/fine_memory.py 4``: the header, then one row per phase of
+    one child process, with a time, the RSS after the phase and a peak
+    RSS that never falls."""
+    out = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "fine_memory.py"), "4"],
+        check=True, stdout=subprocess.PIPE, text=True, timeout=120).stdout
+    header, *rows = out.splitlines()
+    assert header.split() == ["level", "phase", "time_s", "rss_mb", "peak_mb"]
+    assert [row.split()[:2] for row in rows] == [
+        ["4", phase] for phase in ("start", "uniform_mesh", "simulate_truth",
+                                   "simulate_data")]
+    numbers = [[float(x) for x in row.split()[2:]] for row in rows]
+    assert all(t >= 0 and rss > 0 and peak > 0 for t, rss, peak in numbers)
+    peaks = [peak for _, _, peak in numbers]
+    assert peaks == sorted(peaks)
