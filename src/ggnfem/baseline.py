@@ -70,8 +70,7 @@ def _gn_fit(problem, obs, g, mesh, beta, q_start, u_warm, cfg):
     def j_value(q_f, u_f):
         m = C @ u_f.coeffs - g
         mis = float(m @ obs.gram(Q, m))
-        dq = q_f.coeffs - q0.coeffs
-        return mis + (dq @ (Q.mass() @ dq)) / beta, mis
+        return mis + (q_f.coeffs @ (Q.mass() @ q_f.coeffs)) / beta, mis
 
     j_old, disc2 = j_value(q, u)
     n_forward, rel_change = 1, np.inf

@@ -50,16 +50,12 @@ def _coerce(cls, key, raw):
     ftypes = {f.name: f.type for f in fields(cls)}
     if key not in ftypes:
         raise KeyError(f"unknown key '{key}' for section [{cls.__name__}]")
-    t = ftypes[key]
-    if t in ("int", int):
-        return int(raw)
-    if t in ("float", float):
-        return float(raw)
-    if t in ("bool", bool):
+    # The config modules defer annotations, so each type is its name.
+    if ftypes[key] == "bool":
         if raw.strip().lower() not in ConfigParser.BOOLEAN_STATES:
             raise ValueError(f"{key} = {raw!r} is not a boolean")
         return ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
-    return raw
+    return {"int": int, "float": float}.get(ftypes[key], str)(raw)
 
 
 def load_config(path=None):
@@ -87,14 +83,6 @@ def config_text(exp, ggn, nt) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _observation(exp: ExperimentConfig):
-    if exp.observation == "point":
-        return pb.PointObs(exp.n_points)
-    if exp.observation == "l2":
-        return pb.L2Obs()
-    raise ValueError(f"unknown observation '{exp.observation}'")
-
-
 def _simulate_truth(exp: ExperimentConfig, truths: dict):
     """The truth of exp's (case, zeta, fine level), simulated into truths
     unless it is there."""
@@ -107,6 +95,8 @@ def _simulate_truth(exp: ExperimentConfig, truths: dict):
 
 
 def _simulate(exp: ExperimentConfig, truths=None) -> pb.NoisyData:
+    if exp.observation not in ("point", "l2"):
+        raise ValueError(f"unknown observation '{exp.observation}'")
     problem = pb.ModelProblem(zeta=exp.zeta)
     case = pb.synthetic_case(exp.case)
     truth = None
@@ -114,7 +104,8 @@ def _simulate(exp: ExperimentConfig, truths=None) -> pb.NoisyData:
         if (exp.case, exp.zeta, exp.fine_levels) not in truths:
             truths.clear()  # keep the last truth
         truth = _simulate_truth(exp, truths)
-    obs = _observation(exp)
+    obs = (pb.PointObs(exp.n_points) if exp.observation == "point"
+           else pb.L2Obs())
     return pb.simulate_data(problem, case, obs, exp.fine_levels, exp.noise,
                             exp.seed, truth=truth)
 
@@ -229,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--zeta", type=float)
     ap.add_argument("--noise", type=float)
     ap.add_argument("--case", choices=["a", "b", "c"])
-    ap.add_argument("--obs", choices=["point", "l2"])
+    ap.add_argument("--obs", choices=["point", "l2"], dest="observation")
     sub = ap.add_subparsers(dest="command", required=True)
     sub.add_parser("simulate")
     sub.add_parser("run-ggn")
@@ -247,11 +238,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         exp, ggn, nt = load_config(args.config)
-        flags = (("seed", "seed"), ("out", "out"),
-                 ("fine_levels", "fine_levels"), ("zeta", "zeta"),
-                 ("noise", "noise"), ("case", "case"), ("obs", "observation"))
-        exp = replace(exp, **{key: getattr(args, flag) for flag, key in flags
-                              if getattr(args, flag, None) is not None})
+        keys = ("seed", "out", "fine_levels", "zeta", "noise", "case",
+                "observation")
+        exp = replace(exp, **{key: getattr(args, key) for key in keys
+                              if getattr(args, key) is not None})
         handler = {"simulate": cmd_simulate, "table": cmd_table}.get(
             args.command, cmd_run)  # run-ggn and run-nt
         return handler(exp, ggn, nt, args)

@@ -420,7 +420,6 @@ def _iterate(run: _Run) -> str:
     while run.i3h > tol:
         if run.k >= cfg.max_outer:
             return "iteration-cap"
-        accepted = False
         for _ in range(cfg.max_inner):
             sol = run.solve()
             run.log("solve", sol, check_identity=True)
@@ -438,9 +437,8 @@ def _iterate(run: _Run) -> str:
                     f"k={run.k}: eta1 gate unmet at depth cap "
                     f"(indicator sum {ind1.sum():.3e} > {gate1:.3e}); "
                     "accepting step")
-            accepted = True
             break
-        if not accepted:
+        else:
             run.warnings.append("inner pass cap reached without a step")
             return "iteration-cap"
 

@@ -28,7 +28,9 @@ Matrices of one plan share its pattern arrays, so adding their data adds
 the matrices.  Other per-mesh operators (T, C, the V-to-Q inclusion) are
 built from index arrays, entry for entry as the sparse products they
 replace.  Sparse factorizations are ``symmetric_lu``: the stiffness
-once per mesh, and the KKT matrices of ``subsolver``.
+once per mesh, and the KKT matrices of ``subsolver``.  Every CSR matrix
+is a ``_Csr``: a float vector goes straight to scipy's ``csr_matvec``,
+as scipy's dispatch costs more than the product on the solver's meshes.
 
 Every cell integral takes one tensor Gauss rule, NQ = 3 points per axis,
 exact to degree 5 in each variable.  On a leaf a Q1 field has degree 1
@@ -64,6 +66,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.polynomial.legendre import leggauss
+from scipy.sparse import _sparsetools  # the kernels of scipy's own products
 
 from .mesh import _CORNERS, DEPTH, QuadMesh, locate
 
@@ -181,7 +184,7 @@ def _condensation(mesh: QuadMesh, kind: str):
         Q = qspace(mesh)
         keep, col_id = _q_dofs(mesh, "V")
         sel = keep[Q.T.indices]
-        return Q.free[keep], sp.csr_matrix(
+        return Q.free[keep], _Csr(
             (Q.T.data[sel], col_id[Q.T.indices[sel]],
              _offsets(sel)[Q.T.indptr]),
             shape=(mesh.n_vertices, col_id[-1] + 1))
@@ -194,7 +197,7 @@ def _condensation(mesh: QuadMesh, kind: str):
     indices = col_of.repeat(counts)
     indices[indptr[hanging, None] + np.arange(2)] = col_of[parents]
     data = np.where(free_mask, 1.0, 0.5).repeat(counts)
-    return free_mask.nonzero()[0], sp.csr_matrix(
+    return free_mask.nonzero()[0], _Csr(
         (data, indices.astype(np.int32), indptr),
         shape=(mesh.n_vertices, col_of[-1] + 1))
 
@@ -257,8 +260,8 @@ def v_to_q(mesh: QuadMesh) -> sp.csr_matrix:
     def build():
         indptr = _offsets(_q_dofs(mesh, "V")[0])
         n = int(indptr[-1])
-        return sp.csr_matrix((np.ones(n), np.arange(n, dtype=np.int32),
-                              indptr), shape=(len(indptr) - 1, n))
+        return _Csr((np.ones(n), np.arange(n, dtype=np.int32), indptr),
+                    shape=(len(indptr) - 1, n))
 
     return _cached(mesh, ("v_to_q",), build)
 
@@ -348,15 +351,31 @@ def point_matrix(space: Space, points: np.ndarray) -> sp.csr_matrix:
 
 def _csr(data, rows, cols, shape) -> sp.csr_matrix:
     """CSR matrix of float entries given in row order."""
-    return sp.csr_matrix((data, cols.astype(np.int32), _offsets(
+    return _Csr((data, cols.astype(np.int32), _offsets(
         np.bincount(rows, minlength=shape[0]))), shape=shape, dtype=float)
 
 
 def _transpose_product(A: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
-    """A' x without building A': the terms a_ij x_i go to y_j in storage
-    order, the order of the product with A.T or with A' in CSR."""
-    rows = np.arange(A.shape[0]).repeat(A.indptr[1:] - A.indptr[:-1])
-    return np.bincount(A.indices, A.data * x[rows], minlength=A.shape[1])
+    """A' x, x a float vector, by the CSC kernel on A's CSR arrays: a_ij x_i
+    goes to y_j in storage order, as in the product with A.T or A' in CSR."""
+    y = np.zeros(A.shape[1])
+    _sparsetools.csc_matvec(*A.shape[::-1], A.indptr, A.indices, A.data,
+                            x.reshape(A.shape[0]), y)  # a wrong length raises
+    return y
+
+
+class _Csr(sp.csr_matrix):
+    """CSR matrix whose product with a float vector skips scipy's dispatch."""
+
+    def __matmul__(self, x):
+        m, n = self._shape
+        if (x.__class__ is np.ndarray and x.dtype is self.data.dtype
+                and x.dtype.char == "d" and x.shape == (n,)):
+            y = np.zeros(m)
+            _sparsetools.csr_matvec(m, n, self.indptr, self.indices,
+                                    self.data, x, y)
+            return y
+        return super().__matmul__(x)
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +476,8 @@ def _q_plan(mesh: QuadMesh):
         first = np.concatenate([[0], (key[1:] != key[:-1]).nonzero()[0] + 1,
                                 [len(key)]])
         key = key[first[:-1]]
-        P = sp.csr_matrix((data, e, first.astype(np.int32)),
-                          shape=(len(key), 16 * mesh.n_cells))
+        P = _Csr((data, e, first.astype(np.int32)),
+                 shape=(len(key), 16 * mesh.n_cells))
         indptr = np.searchsorted(key, np.arange(T.shape[1] + 1) * T.shape[1])
         indices = (key % T.shape[1]).astype(np.int32)
         return indptr.astype(np.int32), indices, P
@@ -497,8 +516,8 @@ def _assemble(space: Space, element_matrices: np.ndarray) -> sp.csr_matrix:
     through the cached assembly plan of the space."""
     indptr, indices, slots = _assembly_plan(space)
     P = _q_plan(space.mesh)[2]
-    return sp.csr_matrix(((P @ element_matrices.ravel())[slots], indices,
-                          indptr), shape=(space.dim, space.dim))
+    return _Csr(((P @ element_matrices.ravel())[slots], indices, indptr),
+                shape=(space.dim, space.dim))
 
 
 # The (4, 4) "mass" (times h^2) and "stiffness" matrices of a cell.
@@ -764,8 +783,8 @@ def interpolate_onto(field: "Field", mesh: QuadMesh) -> "Field":
 
 def _corner_moments(corner_vals: np.ndarray, form: str, h: np.ndarray):
     """Cell moments (n, 4) of bilinears given by (n, 4) corner values."""
-    moments = corner_vals @ _ELEMENT[form]
-    return moments * h[:, None] ** 2 if form == "mass" else moments
+    m = corner_vals @ _ELEMENT[form]
+    return np.multiply(m, h[:, None] ** 2, out=m) if form == "mass" else m
 
 
 def _moment_table(field: "Field"):
@@ -778,21 +797,24 @@ def _moment_table(field: "Field"):
         mesh, top = field.mesh, field.mesh.max_level
         level = mesh.cells[:, 0]
         offsets = (4 ** np.arange(top + 1) - 1) // 3
-        table = np.full((offsets[-1], 4), np.nan)
         cv = field.full_values()[mesh.cell_corners]
         moments = _corner_moments(cv, "mass", mesh.cell_sizes())
+        own = float(np.sum(np.multiply(moments, cv, out=cv)))  # |field|^2
+        del cv
+        table = np.full((offsets[-1], 4), np.nan)
         R = shape_values((_CORNERS[:, None] + _CORNERS) / 2).reshape(16, 4)
         up, lv = level < top, level[level < top]
         table[offsets[lv] + (mesh.codes[up] >> 2 * (DEPTH - lv))] = moments[up]
-        if top:
+        if top:  # the finest leaves: all cells if none lies above them
+            leaves = moments[~up] if len(lv) else moments
             table[offsets[top - 1] + (mesh.codes[~up][::4] >> 2 * (
-                DEPTH - top + 1))] = moments[~up].reshape(-1, 16) @ R
+                DEPTH - top + 1))] = leaves.reshape(-1, 16) @ R
         for lev in range(top - 2, -1, -1):
             cells = table[offsets[lev]:offsets[lev + 1]]
             children = table[offsets[lev + 1]:offsets[lev + 2]].reshape(-1, 16)
             np.copyto(cells, children @ R, where=np.isnan(cells))
         table.flags.writeable = False
-        return offsets, table, float(np.sum(moments * cv))
+        return offsets, table, own
 
     return _cached(field, ("moments",), build)
 
@@ -896,15 +918,13 @@ class PatchWeight:
     node) fall back to the identity, i.e. zero weight.
 
     ``vals`` (n_cells, n_qp) and ``grads`` (n_cells, n_qp, 2) hold the
-    weight at the quadrature points of every cell; ``at``
-    evaluates it at given (cell, local point) pairs, ``at_points`` at
-    observation points (patch basis cached in the mesh's context).
+    weight at the quadrature points of every cell; ``at_points`` gives its
+    values at observation points (patch basis cached in the mesh's context).
     """
 
     def __init__(self, field: "Field"):
         self._mesh = mesh = field.mesh
         nodes, self._pos, has_patch = _patch_table(mesh)
-        self._h = mesh.cell_sizes()
         self._patch_vals = np.where(has_patch[:, None],
                                     field.full_values()[nodes], 0.0)
         # All 4 child positions in one product each, then each cell's own;
@@ -912,22 +932,16 @@ class PatchWeight:
         n = mesh.n_cells
         own = (np.arange(n), self._pos)
         self.vals = (self._patch_vals @ _PATCH_VALS).reshape(n, 4, -1)[own]
-        self.grads = ((self._patch_vals / self._h[:, None])
+        self.grads = ((self._patch_vals / mesh.cell_sizes()[:, None])
                       @ _PATCH_GRADS).reshape(n, 4, -1, 2)[own]
 
-    def at(self, cell_ids: np.ndarray, pts: np.ndarray, basis=None):
-        """One (cell, local point) pair per row; returns (w (n,), gw (n,2))."""
-        if basis is None:
-            basis = _patch_basis(self._pos[cell_ids], pts)
-        w = np.einsum("ci,cik->ck", self._patch_vals[cell_ids], basis)
-        return w[:, 0], w[:, 1:] / self._h[cell_ids, None]
-
     def at_points(self, points: np.ndarray):
-        """(cell ids, w, gw) at the cells of ``point_locations``."""
+        """(cell ids, w) at the cells of ``point_locations``."""
         cids, locs = point_locations(self._mesh, points)
         basis = _cached(self._mesh, ("patch_basis",) + _points_key(points),
                         lambda: _patch_basis(self._pos[cids], locs))
-        return (cids,) + self.at(cids, locs, basis)
+        return cids, np.einsum("ci,cik->ck", self._patch_vals[cids],
+                               basis)[:, 0]
 
 
 def patch_interpolate(field: "Field") -> PatchWeight:

@@ -69,18 +69,6 @@ def _sort(cells):
     return cells[order], codes[order]
 
 
-def _too_coarse(cells, codes, query):
-    """Ids of the leaves (rows of ``cells``, sorted by ``codes``) that are
-    edge-adjacent to a ``query`` cell and more than one level coarser."""
-    level = np.repeat(query[:, 0], 4)
-    j = (query[:, None, 1:] + _STEPS).reshape(-1, 2)
-    inside = ((j >= 0) & (j < (1 << level)[:, None])).all(axis=1)
-    level, j = level[inside], j[inside]
-    found = np.searchsorted(codes, _codes(level, j[:, 0], j[:, 1]),
-                            side="right") - 1
-    return np.unique(found[cells[found, 0] < level - 1])
-
-
 class QuadMesh:
     """Immutable 1-irregular quadtree mesh of the unit square.
 
@@ -177,7 +165,14 @@ def refine(mesh: QuadMesh, marked, max_level: int | None = None) -> QuadMesh:
         kids = (cells[ids][:, None] * [1, 2, 2] + _KIDS).reshape(-1, 3)
         cells = np.concatenate([np.delete(cells, ids, axis=0), kids])
         cells, codes = _sort(cells)
-        ids = _too_coarse(cells, codes, kids)
+        # Next round: leaves edge-adjacent to a kid and 2+ levels coarser.
+        level = np.repeat(kids[:, 0], 4)
+        j = (kids[:, None, 1:] + _STEPS).reshape(-1, 2)
+        inside = ((j >= 0) & (j < (1 << level)[:, None])).all(axis=1)
+        level, j = level[inside], j[inside]
+        found = np.searchsorted(codes, _codes(level, j[:, 0], j[:, 1]),
+                                side="right") - 1
+        ids = np.unique(found[cells[found, 0] < level - 1])
     return QuadMesh(cells, codes)
 
 

@@ -117,7 +117,7 @@ class PointObs:
     def pair_cells(self, mesh, gvec: np.ndarray, weight) -> np.ndarray:
         """Each point's g_i w(xi_i) lands in the cell that contains it."""
         out = np.zeros(mesh.n_cells)
-        cids, w, _ = weight.at_points(self.points)
+        cids, w = weight.at_points(self.points)
         np.add.at(out, cids, gvec * w)
         return out
 

@@ -4,10 +4,11 @@ and noisy bundles are cached per configuration for the whole session.
 Also the hypothesis profile of the suite, derandomized so every run
 draws the same examples, and the shared mesh strategies: refinement
 sequences, their replay on a mesh module, graded meshes, and one fixed
-graded mesh with many hanging vertices; and a test's own Gauss rule,
+graded mesh with many hanging vertices; a test's own Gauss rule,
 independent of the package's ``fem.NQ``, with a field's values at its
-points."""
+points; and a DWR weight at any (cell, local point) pairs."""
 
+import numpy as np
 import pytest
 from hypothesis import assume, settings, strategies as st
 
@@ -134,3 +135,12 @@ def closed_form_load(space, f):
 def cell_values(field, shapes):
     """A field at the points of ``shapes`` (n_qp, 4) in each of its cells."""
     return field.full_values()[field.mesh.cell_corners] @ shapes.T
+
+
+def patch_weight_at(weight, cell_ids, pts):
+    """(w (n,), gw (n, 2)): a ``fem.PatchWeight`` and its physical gradient
+    at one (cell, local point) pair per row, from the patch basis there;
+    ``at_points`` gives w bit for bit at observation points."""
+    basis = fem._patch_basis(weight._pos[cell_ids], pts)
+    w = np.einsum("ci,cik->ck", weight._patch_vals[cell_ids], basis)
+    return w[:, 0], w[:, 1:] / weight._mesh.cell_sizes()[cell_ids, None]

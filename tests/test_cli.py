@@ -18,9 +18,11 @@ def test_config_roundtrip(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
         "[experiment]\ncase = a\nzeta = 50\nnoise = 0.02\nseed = 4\n"
-        "fine_levels = 5\n\n[ggn]\nmax_depth = 4\nbeta0 = 20\n")
+        "fine_levels = 5\nobservation = l2\n\n[ggn]\nmax_depth = 4\n"
+        "beta0 = 20\n")
     exp, ggn, nt = cli.load_config(cfg)
     assert exp.zeta == 50.0 and exp.seed == 4 and exp.noise == 0.02
+    assert type(exp.seed) is int and exp.observation == "l2"
     assert ggn.max_depth == 4 and ggn.beta0 == 20.0
     assert nt.tau_up == 5.0  # untouched defaults
 
@@ -233,6 +235,8 @@ _MALFORMED = ("no section headers", "parsing errors", "already exists")
     (["run-nt"], "[nt]\ncoarse_levels = 0\n", _LEVELS),
     (["run-ggn"], "[ggn]\nmax_beta_steps = -1\n", "max_beta_steps >= 0"),
     (["run-ggn"], "[experiment]\nn_points = 0\n", "n_side >= 1"),
+    (["simulate"], "[experiment]\nobservation = grid\n",
+     "unknown observation 'grid'"),
     (["simulate"], "zeta = 1\n", "no section headers"),
     (["simulate"], "[ggn]\nmax_depth\n", "parsing errors"),
     (["simulate"], "[ggn]\nbeta0 = 1\n[ggn]\n", "already exists"),
@@ -240,7 +244,8 @@ _MALFORMED = ("no section headers", "parsing errors", "already exists")
         "beta0-zero", "beta0-zero-l2", "beta0-zero-nt", "beta0-above-max",
         "gn-cap-negative", "marking-zero", "marking-two",
         "depth-below-coarse", "coarse-zero", "coarse-zero-nt",
-        "beta-steps-negative", "points-zero", "no-section-header",
+        "beta-steps-negative", "points-zero", "observation-unknown",
+        "no-section-header",
         "key-without-value", "repeated-section"])
 def test_bad_zeta_or_noise_is_reported(tmp_path, capsys, flags, config,
                                        message):

@@ -276,6 +276,17 @@ def test_other_configurations_smoke(case, obs):
     assert rep.control_error < 1.0
 
 
+def test_inner_pass_cap_ends_the_run():
+    """With no inner pass allowed, the first outer iteration ends the run
+    at the cap with its warning, before any step."""
+    prob = pb.ModelProblem(zeta=100.0)
+    data = pb.simulate_data(prob, pb.synthetic_case("a"), pb.PointObs(5),
+                            5, 0.01, 1)
+    rep = dv.run_ggn(prob, data, dv.GgnConfig(max_depth=4, max_inner=0))
+    assert rep.termination == "iteration-cap" and rep.outer_iterations == 0
+    assert rep.warnings == ["inner pass cap reached without a step"]
+
+
 def test_shallow_fine_mesh_warns():
     prob = pb.ModelProblem(zeta=1.0)
     data = pb.simulate_data(prob, pb.synthetic_case("a"), pb.PointObs(5),

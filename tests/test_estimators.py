@@ -7,7 +7,8 @@ from ggnfem import estimators as est, fem, problem as pb, subsolver as ss
 from ggnfem.fem import Field, patch_interpolate, qspace, vspace
 from ggnfem.mesh import refine, uniform_mesh
 
-from conftest import cell_values, gauss_rule, graded_meshes
+from conftest import (cell_values, gauss_rule, graded_meshes,
+                      patch_weight_at)
 
 
 class FieldWeight:
@@ -27,15 +28,9 @@ class FieldWeight:
         self.grads = np.einsum("ci,qid->cqd", self.corner_vals,
                                fem.shape_gradients(pts)) / self.h[:, None, None]
 
-    def at(self, cell_ids, pts):
-        cv = self.corner_vals[cell_ids]
-        return (fem.bilinear(cv, pts),
-                np.einsum("ci,cid->cd", cv, fem.shape_gradients(pts))
-                / self.h[cell_ids, None])
-
     def at_points(self, points):
         cids, locs = fem.point_locations(self.mesh, points)
-        return (cids,) + self.at(cids, locs)
+        return cids, fem.bilinear(self.corner_vals[cids], locs)
 
 
 def _instance(zeta=100.0, beta=10.0, levels=3, n_side=5, seed=1, p=0.01):
@@ -298,16 +293,17 @@ def _reference_etas(sub, sol, aux):
 
     def weight(f):  # the DWR weight of f at this rule's points
         w = patch_interpolate(f)
-        wv, wg = w.at(cells, np.tile(pts, (mesh.n_cells, 1)))
+        wv, wg = patch_weight_at(w, cells, np.tile(pts, (mesh.n_cells, 1)))
         return types.SimpleNamespace(vals=wv.reshape(mesh.n_cells, -1),
                                      grads=wg.reshape(mesh.n_cells, -1, 2),
-                                     at=w.at)
+                                     patch=w)
 
     def obs_pairing(gvec, w):
         if isinstance(sub.obs, pb.PointObs):
             out = np.zeros(mesh.n_cells)
             cids, locs = fem.point_locations(mesh, sub.obs.points)
-            np.add.at(out, cids, gvec * w.at(cids, locs)[0])
+            wv = patch_weight_at(w.patch, cids, locs)[0]
+            np.add.at(out, cids, gvec * wv)
             return out
         return integrate(vals(Field(sub.Q, gvec)) * w.vals)
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from ggnfem import fem
+from ggnfem import fem, problem as pb
 from ggnfem.fem import (Field, assemble_weighted_mass, interpolate_onto,
                         patch_interpolate, qspace, riesz_dual_norm, vspace,
                         write_field_csv, write_field_vtk)
@@ -10,7 +11,7 @@ from ggnfem.mesh import refine, uniform_mesh
 
 import reference_writers
 from conftest import (cell_values, closed_form_load, gauss_rule,
-                      graded_meshes, hanging_mesh)
+                      graded_meshes, hanging_mesh, patch_weight_at)
 
 
 def _l2_error(u: Field, exact):
@@ -397,7 +398,7 @@ def test_patch_weight_matches_per_cell_reference(mesh, seed):
         assert np.abs(W.vals - rv).max() <= 1e-13 * np.abs(rv).max()
         assert np.abs(W.grads - rg).max() <= 1e-13 * scale
         rv, rg = ref.eval_cells(ids, locs[:, None, :])
-        wv, wg = W.at(ids, locs)
+        wv, wg = patch_weight_at(W, ids, locs)
         assert np.abs(wv - rv[:, 0]).max() <= 1e-13 * np.abs(rv).max()
         assert np.abs(wg - rg[:, 0]).max() <= 1e-13 * scale
 
@@ -405,23 +406,91 @@ def test_patch_weight_matches_per_cell_reference(mesh, seed):
 @given(mesh=graded_meshes(), seed=st.integers(0, 2**16))
 def test_patch_weight_at_points_matches_at_bitwise(mesh, seed):
     """The patch basis at observation points is cached in the mesh's
-    context; the weights it gives are those of ``at``, bit for bit."""
+    context; the weights it gives are those of the basis built at the
+    points' cells and local coordinates, bit for bit."""
     rng = np.random.default_rng(seed)
     points = rng.uniform(0.0, 1.0, (30, 2))
     cids, locs = fem.point_locations(mesh, points)
     for space in (vspace(mesh), qspace(mesh)):
         W = patch_interpolate(Field(space, rng.uniform(-1, 1, space.dim)))
-        ref = W.at(cids, locs)
+        ref = patch_weight_at(W, cids, locs)[0]
         for _ in range(2):  # building the cached basis, then reading it
-            ids, w, gw = W.at_points(points)
-            assert np.array_equal(ids, cids)
-            assert np.array_equal(w, ref[0]) and np.array_equal(gw, ref[1])
+            ids, w = W.at_points(points)
+            assert np.array_equal(ids, cids) and np.array_equal(w, ref)
 
 
 def test_patch_weight_zero_on_root_cell():
     f = qspace(uniform_mesh(0)).interpolate(lambda x, y: x * y)
     W = patch_interpolate(f)
     assert not W.vals.any() and not W.grads.any()
+
+
+def _built_matrices(mesh):
+    """One of every kind of CSR matrix that fem builds, on a mesh."""
+    rng = np.random.default_rng(7)
+    V, Q = vspace(mesh), qspace(mesh)
+    u = Field(V, rng.uniform(-1.0, 1.0, V.dim))
+    return {"T_V": V.T, "T_Q": Q.T, "v_to_q": fem.v_to_q(mesh),
+            "C": fem.point_matrix(V, rng.uniform(0.0, 1.0, (20, 2))),
+            "load_map": fem._load_map(mesh), "P": fem._q_plan(mesh)[2],
+            "K_V": V.stiffness(), "M_V": V.mass(), "K_Q": Q.stiffness(),
+            "M_Q": Q.mass(), "W": assemble_weighted_mass(V, u),
+            "J": pb.linearized_state_operator(pb.ModelProblem(100.0), V, u)}
+
+
+def test_sparse_products_take_the_kernel_bit_for_bit(monkeypatch):
+    """Every CSR matrix fem builds is a fem._Csr.  Its product with a 1-D
+    float vector, contiguous or not, skips scipy's dispatch and equals
+    scipy's product bit for bit; _transpose_product equals the bincount
+    formula it replaced, bit for bit."""
+    rng = np.random.default_rng(3)
+    mats = _built_matrices(hanging_mesh())
+    assert all(type(A) is fem._Csr for A in mats.values())
+
+    def no_dispatch(*args):
+        raise AssertionError("scipy's dispatch was called")
+
+    for name, A in mats.items():
+        ref = sp.csr_matrix(A)
+        assert type(ref) is sp.csr_matrix
+        for x in (rng.standard_normal(A.shape[1]),
+                  rng.standard_normal(2 * A.shape[1])[::2]):
+            with monkeypatch.context() as m:
+                m.setattr(fem._Csr, "_matmul_dispatch", no_dispatch)
+                y = A @ x
+            assert y.dtype == np.float64 and np.array_equal(y, ref @ x), name
+        x = rng.standard_normal(A.shape[0])
+        rows = np.arange(A.shape[0]).repeat(A.indptr[1:] - A.indptr[:-1])
+        assert np.array_equal(fem._transpose_product(A, x), np.bincount(
+            A.indices, A.data * x[rows], minlength=A.shape[1])), name
+
+
+class _Vector(np.ndarray):
+    """An ndarray subclass, which takes scipy's path."""
+
+
+def test_other_operands_take_scipys_path():
+    """Int, float32 and complex vectors, 2-D blocks and ndarray
+    subclasses give scipy's result, dtype and type; a vector of the wrong
+    length raises scipy's error, for the product and the transpose."""
+    rng = np.random.default_rng(4)
+    for name, A in _built_matrices(hanging_mesh()).items():
+        ref, n = sp.csr_matrix(A), A.shape[1]
+        x = rng.standard_normal(n)
+        for other in (rng.integers(-5, 5, n), x.astype(np.float32),
+                      x + 1j * rng.standard_normal(n), x[:, None],
+                      rng.standard_normal((n, 3)), x.view(_Vector)):
+            got, want = A @ other, ref @ other
+            assert type(got) is type(want) and got.dtype == want.dtype
+            assert np.array_equal(got, want), name
+        for bad in (x[:-1], np.append(x, 1.0)):
+            with pytest.raises(ValueError) as want:
+                ref @ bad
+            with pytest.raises(ValueError) as got:
+                A @ bad
+            assert str(got.value) == str(want.value), name
+        with pytest.raises(ValueError):
+            fem._transpose_product(A, rng.standard_normal(A.shape[0] - 1))
 
 
 def test_field_export(tmp_path):

@@ -3,7 +3,8 @@ differ only at rounding level and elsewhere, the largest move of each
 float field and row column (absolute for the fields at rounding level,
 relative for the others), the runs whose acceptance fields changed, the
 exit status (1 whenever the dumps differ at all), and a quiet end on a
-closed pipe; and a smoke run of ``tools/fine_memory.py``."""
+closed pipe; a smoke run of ``tools/fine_memory.py``; and the workload
+names of ``tools/bench_pairs.py``."""
 
 import importlib.util
 import json
@@ -135,3 +136,23 @@ def test_fine_memory_smoke():
     assert all(t >= 0 and rss > 0 and peak > 0 for t, rss, peak in numbers)
     peaks = [peak for _, _, peak in numbers]
     assert peaks == sorted(peaks)
+
+
+def test_bench_pairs_rejects_an_unknown_workload_before_any_run(capsys):
+    """``--workloads`` takes the names ``perfbench/run.py`` runs, ggn-point
+    among them; an unknown one exits with status 2 before the parent is
+    exported or anything runs."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", os.path.join(ROOT, "tools", "bench_pairs.py"))
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    assert "ggn-point" in bench_pairs._runnable()
+    with mock.patch.object(bench_pairs, "export_head") as export, \
+            mock.patch.object(bench_pairs, "run") as run:
+        with pytest.raises(SystemExit) as exc:
+            bench_pairs.main(["--tag", "t", "--change-text", "c",
+                              "--workloads", "ggn-l2", "no-such-workload"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'no-such-workload'" in capsys.readouterr().err
+    export.assert_not_called()
+    run.assert_not_called()

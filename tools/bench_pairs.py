@@ -3,12 +3,14 @@
 ``BENCH_<tag>.json`` in the root of the checkout.
 
     python3 tools/bench_pairs.py --tag small-mesh-overhead \\
-        --change-text "what the change does"
+        --change-text "what the change does" [--workloads ggn-point ...]
 
 The parent, ``HEAD``, is exported with ``git archive`` into
 ``.bench_build/<commit>``; the change is the working tree of this
 checkout.  For every
-workload of ``BENCHMARK.json`` and every seed from 1 to 10, the two
+workload of ``BENCHMARK.json`` (or each one ``--workloads`` names, any
+that ``perfbench/run.py`` runs, such as ``ggn-point``; an unknown name
+exits with status 2 before any run) and every seed from 1 to 10, the two
 sides run ``perfbench/run.py --trace 0`` one after the other, the
 parent first at odd seeds and the change first at even ones, so that a
 drift of the host's speed falls on both sides alike.  One traced run
@@ -21,6 +23,7 @@ time ratio of the traced runs (``criterion9_ctr``).
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import io
 import json
 import os
@@ -46,6 +49,8 @@ TRACED = (
     "problem.forward_newton_iters", "trace.op_s_p50", "baseline.ctr",
     "baseline.forward_solves", "rss_growth_mb", "fem.self_s",
     "fem.Space.calls", "fem.Space.self_s", "mesh.refine.calls",
+    "mesh.self_s", "problem.self_s", "estimators.self_s", "driver.self_s",
+    "baseline.self_s", "bench.self_s",
 )
 
 
@@ -116,6 +121,15 @@ def _machine(checkout: str, workload: str) -> dict:
         return json.load(fh)["machine"]
 
 
+def _runnable() -> tuple:
+    """The workload names ``perfbench/run.py`` accepts."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", os.path.join(ROOT, "perfbench", "run.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
 def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
@@ -124,9 +138,13 @@ def main(argv=None) -> int:
                     help="names the output file BENCH_<tag>.json")
     ap.add_argument("--change-text", required=True,
                     help="one-line description of the change")
+    ap.add_argument("--workloads", nargs="+", metavar="NAME",
+                    choices=_runnable(),
+                    default=[w["name"] for w in bench["workloads"]],
+                    help="workloads to time (default: BENCHMARK.json's)")
     args = ap.parse_args(argv)
     seconds = bench["run_seconds"]
-    names = [w["name"] for w in bench["workloads"]]
+    names = args.workloads
 
     parent_sha, parent_dir = export_head()
     checkout = {"parent": parent_dir, "change": ROOT}
